@@ -6,7 +6,6 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/flayerr"
 	"repro/internal/sym"
-	"sort"
 )
 
 // CompileStats reports what assignment compilation did for one table.
@@ -20,73 +19,15 @@ type CompileStats struct {
 // ite chain evaluates them), with duplicate and eclipsed entries
 // omitted — "entries that are duplicate or eclipsed by higher-priority
 // entries (and thus have no effect) are omitted in the set of
-// control-plane assignments" (§4.1).
+// control-plane assignments" (§4.1) — and the number omitted. The list
+// is the one the configuration maintains (active.go): read it, do not
+// modify it, and do not hold it across the table's next write.
 func (c *Config) ActiveEntries(table string) ([]*TableEntry, int) {
-	ti := c.Analysis.Tables[table]
-	entries := append([]*TableEntry(nil), c.tables[table]...)
-	sortEntries(ti, entries)
-	var active []*TableEntry
-	eclipsed := 0
-	for _, e := range entries {
-		if coveredByAny(ti, active, e) {
-			eclipsed++
-			continue
-		}
-		active = append(active, e)
+	t := c.tables[table]
+	if t == nil {
+		return nil, 0
 	}
-	return active, eclipsed
-}
-
-// sortEntries orders entries by match precedence: priority descending,
-// then total prefix/mask specificity descending (longest-prefix-match),
-// then insertion order for determinism.
-func sortEntries(ti *dataplane.TableInfo, entries []*TableEntry) {
-	spec := func(e *TableEntry) int {
-		s := 0
-		for i, m := range e.Matches {
-			s += m.ternaryMask(ti.KeyWidths[i]).PopCount()
-		}
-		return s
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].Priority != entries[j].Priority {
-			return entries[i].Priority > entries[j].Priority
-		}
-		si, sj := spec(entries[i]), spec(entries[j])
-		if si != sj {
-			return si > sj
-		}
-		return entries[i].seq < entries[j].seq
-	})
-}
-
-// coveredByAny reports whether some earlier (higher-precedence) active
-// entry matches every packet that e matches, making e unreachable.
-func coveredByAny(ti *dataplane.TableInfo, active []*TableEntry, e *TableEntry) bool {
-	for _, a := range active {
-		if covers(ti, a, e) {
-			return true
-		}
-	}
-	return false
-}
-
-// covers reports whether entry a matches a superset of the packets entry
-// b matches: for every key component, a's mask is a subset of b's mask
-// and the two values agree on a's mask.
-func covers(ti *dataplane.TableInfo, a, b *TableEntry) bool {
-	for i := range a.Matches {
-		w := ti.KeyWidths[i]
-		ma := a.Matches[i].ternaryMask(w)
-		mb := b.Matches[i].ternaryMask(w)
-		if ma.And(mb) != ma {
-			return false // a constrains a bit b doesn't: a can miss where b hits
-		}
-		if a.Matches[i].Value.And(ma) != b.Matches[i].Value.And(ma) {
-			return false
-		}
-	}
-	return true
+	return t.active, len(t.eclipsed)
 }
 
 // Env is a substitution environment for control-plane placeholders.
@@ -107,7 +48,7 @@ func (c *Config) CompileTable(b *sym.Builder, table string) (Env, CompileStats, 
 // precision controller's differential check compares degraded verdicts
 // against. The static entry-count threshold still applies.
 func (c *Config) CompileTablePrecise(b *sym.Builder, table string) (Env, CompileStats, error) {
-	return c.compileTable(b, table, len(c.tables[table]) > c.threshold())
+	return c.compileTable(b, table, c.NumEntries(table) > c.threshold())
 }
 
 func (c *Config) compileTable(b *sym.Builder, table string, overapprox bool) (Env, CompileStats, error) {
@@ -116,7 +57,7 @@ func (c *Config) compileTable(b *sym.Builder, table string, overapprox bool) (En
 		return nil, CompileStats{}, fmt.Errorf("controlplane: %w %s", flayerr.ErrUnknownTable, table)
 	}
 	env := make(Env)
-	stats := CompileStats{Installed: len(c.tables[table])}
+	stats := CompileStats{Installed: c.NumEntries(table)}
 	c.met.compiles.Inc()
 
 	if overapprox {

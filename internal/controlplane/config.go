@@ -63,7 +63,12 @@ func (m FieldMatch) ternaryMask(w uint16) sym.BV {
 	}
 }
 
-// TableEntry is one installed match-action entry.
+// TableEntry is one installed match-action entry. The configuration
+// never changes an installed entry's exported fields: insert and modify
+// install a copy, delete drops the pointer. A *TableEntry handed out by
+// ActiveEntries therefore identifies one immutable entry for as long as
+// anything holds it, which is what lets dpexec keep compiled entries
+// keyed by pointer across image rebuilds.
 type TableEntry struct {
 	// Priority orders ternary/optional entries; higher wins. It is
 	// ignored for pure exact/lpm tables (lpm uses prefix length).
@@ -73,6 +78,13 @@ type TableEntry struct {
 	Params   []sym.BV
 
 	seq int // insertion order, breaks ties deterministically
+
+	// Set at install time (active.go): the entry's mask signature, the
+	// hash of its match values under that signature, and the next
+	// installed entry in the same signature bucket.
+	sig   *signature
+	key   uint64
+	chain *TableEntry
 }
 
 func (e *TableEntry) String() string {
@@ -123,7 +135,7 @@ type Config struct {
 	// DefaultOverapproxThreshold; negative means never overapproximate.
 	OverapproxThreshold int
 
-	tables    map[string][]*TableEntry
+	tables    map[string]*tableState
 	defaults  map[string]ActionCall
 	valueSets map[string][]ValueSetMember
 	regFills  map[string]sym.BV
@@ -145,7 +157,7 @@ type Config struct {
 func NewConfig(an *dataplane.Analysis) *Config {
 	return &Config{
 		Analysis:  an,
-		tables:    make(map[string][]*TableEntry),
+		tables:    make(map[string]*tableState),
 		defaults:  make(map[string]ActionCall),
 		valueSets: make(map[string][]ValueSetMember),
 		regFills:  make(map[string]sym.BV),
@@ -190,15 +202,20 @@ func (c *Config) ForcedOverapprox(table string) bool { return c.forced[table] }
 // assignment as "*any*": either its entry count exceeds the threshold,
 // or the precision controller pinned it.
 func (c *Config) Overapproximated(table string) bool {
-	return c.forced[table] || len(c.tables[table]) > c.threshold()
+	return c.forced[table] || c.NumEntries(table) > c.threshold()
 }
 
-// Entries returns the installed entries of a table (not the active set;
-// see ActiveEntries).
-func (c *Config) Entries(table string) []*TableEntry { return c.tables[table] }
+// Entries returns the installed entries of a table in insertion order
+// (not the active set; see ActiveEntries).
+func (c *Config) Entries(table string) []*TableEntry {
+	if t := c.tables[table]; t != nil {
+		return t.entries
+	}
+	return nil
+}
 
 // NumEntries returns the installed entry count of a table.
-func (c *Config) NumEntries(table string) int { return len(c.tables[table]) }
+func (c *Config) NumEntries(table string) int { return len(c.Entries(table)) }
 
 // ValueSet returns the configured members of a value set.
 func (c *Config) ValueSet(name string) []ValueSetMember { return c.valueSets[name] }
@@ -307,35 +324,32 @@ func (c *Config) applyInner(u *Update) error {
 		if err := c.validateEntry(ti, u.Entry); err != nil {
 			return err
 		}
-		cur := c.tables[u.Table]
-		idx := -1
-		for i, e := range cur {
-			if matchesEqual(e, u.Entry) {
-				idx = i
-				break
-			}
-		}
+		t := c.tables[u.Table]
+		old := t.find(u.Entry)
 		switch u.Kind {
 		case InsertEntry:
-			if idx >= 0 {
+			if old != nil {
 				return fmt.Errorf("controlplane: duplicate entry in %s", u.Table)
+			}
+			if t == nil {
+				t = &tableState{ti: ti}
+				c.tables[u.Table] = t
 			}
 			cp := *u.Entry
 			c.seq++
 			cp.seq = c.seq
-			c.tables[u.Table] = append(cur, &cp)
+			t.insert(&cp)
 		case ModifyEntry:
-			if idx < 0 {
+			if old == nil {
 				return fmt.Errorf("controlplane: modify of missing entry in %s", u.Table)
 			}
 			cp := *u.Entry
-			cp.seq = cur[idx].seq
-			cur[idx] = &cp
+			t.replace(old, &cp)
 		case DeleteEntry:
-			if idx < 0 {
+			if old == nil {
 				return fmt.Errorf("controlplane: delete of missing entry in %s", u.Table)
 			}
-			c.tables[u.Table] = append(cur[:idx:idx], cur[idx+1:]...)
+			t.remove(old)
 		}
 		return nil
 	case SetDefault:

@@ -44,8 +44,8 @@ func (c *Config) observeEntries() {
 		return
 	}
 	total := 0
-	for _, es := range c.tables {
-		total += len(es)
+	for _, t := range c.tables {
+		total += len(t.entries)
 	}
 	c.met.entries.Set(int64(total))
 }

@@ -66,9 +66,9 @@ type RegisterState struct {
 func (c *Config) State() State {
 	var st State
 	st.Seq = c.seq
-	for name, entries := range c.tables {
-		ts := TableState{Name: name, Entries: make([]EntryState, len(entries))}
-		for i, e := range entries {
+	for name, t := range c.tables {
+		ts := TableState{Name: name, Entries: make([]EntryState, len(t.entries))}
+		for i, e := range t.entries {
 			ts.Entries[i] = EntryState{
 				Priority: e.Priority,
 				Seq:      e.seq,
@@ -106,7 +106,7 @@ func (c *Config) State() State {
 // Apply would (a snapshot is untrusted input). On error the
 // configuration is left unchanged.
 func (c *Config) SetState(st State) error {
-	tables := make(map[string][]*TableEntry, len(st.Tables))
+	tables := make(map[string]*tableState, len(st.Tables))
 	maxSeq := st.Seq
 	for _, ts := range st.Tables {
 		ti, ok := c.Analysis.Tables[ts.Name]
@@ -128,17 +128,16 @@ func (c *Config) SetState(st State) error {
 			if err := c.validateEntry(ti, e); err != nil {
 				return err
 			}
-			for _, prev := range entries[:i] {
-				if matchesEqual(prev, e) {
-					return fmt.Errorf("controlplane: state holds duplicate entry in %s", ts.Name)
-				}
-			}
 			if es.Seq > maxSeq {
 				maxSeq = es.Seq
 			}
 			entries[i] = e
 		}
-		tables[ts.Name] = entries
+		t, err := newTableState(ti, entries)
+		if err != nil {
+			return err
+		}
+		tables[ts.Name] = t
 	}
 	defaults := make(map[string]ActionCall, len(st.Defaults))
 	for _, ds := range st.Defaults {

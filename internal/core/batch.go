@@ -128,10 +128,6 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 		// update; the batch runs exactly one.
 		s.stats.Coalesced += accepted - 1
 		s.met.coalesced.Add(int64(accepted - 1))
-		// Batches mutate many targets in one epoch; the published image
-		// recompiles from the specialized program rather than chaining
-		// per-target patches.
-		s.imgMarkFull()
 	}
 
 	finish := func() []*Decision {
@@ -165,6 +161,9 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 				s.stats.Forwarded++
 			}
 		}
+		for _, target := range order {
+			s.imgMark(target)
+		}
 		return finish()
 	}
 
@@ -182,7 +181,9 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 		g := groups[target]
 		if err := s.recompileTarget(target); err != nil {
 			// Unreachable for updates the configuration accepted, but
-			// mirror Apply's rejection path.
+			// mirror Apply's rejection path: the configuration already
+			// changed, so the previous image is not patchable.
+			s.imgMarkFull()
 			g.rejected = true
 			for _, d := range g.decisions {
 				d.Kind = Rejected
@@ -233,7 +234,11 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 		}
 	}
 
-	// Phase 4: attribute the outcome per target group.
+	// Phase 4: attribute the outcome per target group. The image follows
+	// the decisions exactly as it does for a single Apply: a group that
+	// ended Forward left the specialized program alone, so the published
+	// image only needs that target patched; one respecializing group
+	// makes the whole publication a recompile.
 	for _, target := range order {
 		g := groups[target]
 		if g.rejected {
@@ -254,6 +259,7 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 		gd := &Decision{}
 		changedImpls := s.changedImpls(target, gd)
 		if len(gchanged) == 0 && len(changedImpls) == 0 {
+			s.imgMark(target)
 			for _, d := range g.decisions {
 				d.Kind = Forward
 				d.AffectedPoints = len(tpts)
@@ -261,6 +267,7 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 			}
 			continue
 		}
+		s.imgMarkFull()
 		comps := map[string]bool{}
 		for name, impl := range changedImpls {
 			comps[name] = true

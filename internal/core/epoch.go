@@ -121,12 +121,12 @@ func (s *Specializer) publish() {
 	for name := range s.An.Tables {
 		e.entries[name] = s.Cfg.NumEntries(name)
 	}
+	e.img = s.buildImageLocked(prev) // before the counter copy: it counts itself
 	st := s.stats
 	st.DegradedTables = len(s.degraded)
 	st.ArenaNodes = s.An.Builder.LiveNodes()
 	e.stats = st
 	e.generation = uint64(st.Forwarded) + uint64(st.Recompilations)
-	e.img = s.buildImageLocked(prev)
 	if s.ddc != nil {
 		e.dd = s.ddc.publishState(prev)
 	} else if prev != nil {

@@ -2,16 +2,21 @@
 // Options.Exec, every epoch publication also carries an executable
 // image: the current specialized program compiled (dpexec) under the
 // current configuration. Image maintenance rides the same
-// publication pipeline as every other epoch field:
+// publication pipeline as every other epoch field, and follows the
+// decisions of the call being published:
 //
-//   - a forwarded update rebuilds only the touched table / value set /
-//     register of the previous epoch's image (Image.WithTarget) — the
-//     executable analogue of the paper's "forward the update to the
-//     device" fast path;
-//   - a respecializing update (or any heavier mutation: batches,
-//     preloads, degradations, promotions) recompiles the image from the
-//     fresh specialized program;
-//   - a rejected update republishes the previous image untouched.
+//   - a call whose updates were all forwarded — one Apply or a whole
+//     batch — left the specialized program alone, so the previous
+//     epoch's image is patched: one Image.WithTarget per touched table /
+//     value set / register, which compiles only the entries that are new
+//     to the table. This is the executable analogue of the paper's
+//     "forward the update to the device" fast path;
+//   - anything that may have reshaped the specialized program — a
+//     respecializing update or batch group, a preload, a degradation or
+//     promotion, ReevaluateAll — recompiles the image from the fresh
+//     specialized program;
+//   - a call that changed nothing (every update rejected by validation,
+//     an empty batch) republishes the previous image untouched.
 //
 // Packet execution (Exec/ExecBatch) loads the published epoch and runs
 // against its image: wait-free against writers, and always against a
@@ -21,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/dpexec"
 	"repro/internal/flayerr"
@@ -39,8 +45,8 @@ func (s *Specializer) imgMark(target string) {
 
 // imgMarkFull forces the next publication to recompile the image from
 // the specialized program. Any mutation that may have changed the
-// program's shape (respecialization, batches, preloads, precision
-// changes) routes here.
+// program's shape (respecialization, preloads, precision changes)
+// routes here.
 func (s *Specializer) imgMarkFull() {
 	if !s.exec {
 		return
@@ -62,24 +68,49 @@ func (s *Specializer) buildImageLocked(prev *epoch) *dpexec.Image {
 	if prev != nil {
 		pi = prev.img
 	}
-	if pi != nil && !s.imgFull {
-		img := pi
-		ok := true
-		for _, t := range s.imgTargets {
-			ni, err := img.WithTarget(s.Cfg, t)
-			if err != nil {
-				ok = false
-				break
-			}
-			img = ni
-		}
-		if ok {
-			s.imgTargets = s.imgTargets[:0]
-			return img
-		}
+	if pi != nil && !s.imgFull && len(s.imgTargets) == 0 {
+		return pi
+	}
+	t0 := time.Now()
+	img := s.patchImage(pi)
+	patched := img != nil
+	if !patched {
+		img = s.compileImage(pi)
 	}
 	s.imgFull = false
 	s.imgTargets = s.imgTargets[:0]
+	elapsed := time.Since(t0)
+	s.stats.ImageTime += elapsed
+	s.met.imageNS.ObserveDuration(elapsed)
+	if patched {
+		s.stats.ImagePatches++
+		s.met.imagePatches.Inc()
+	} else {
+		s.stats.ImageCompiles++
+		s.met.imageCompiles.Inc()
+	}
+	return img
+}
+
+// patchImage chains one WithTarget per marked target onto the previous
+// image; nil when the publication needs a full compile instead.
+func (s *Specializer) patchImage(pi *dpexec.Image) *dpexec.Image {
+	if pi == nil || s.imgFull {
+		return nil
+	}
+	for _, t := range s.imgTargets {
+		ni, err := pi.WithTarget(s.Cfg, t)
+		if err != nil {
+			return nil
+		}
+		pi = ni
+	}
+	return pi
+}
+
+// compileImage compiles the current specialized program under the
+// current configuration, falling back to the previous image on failure.
+func (s *Specializer) compileImage(pi *dpexec.Image) *dpexec.Image {
 	spec := s.specializedProgramLocked()
 	info, err := typecheck.Check(spec)
 	if err != nil {

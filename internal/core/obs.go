@@ -47,6 +47,11 @@ type coreMetrics struct {
 	arenaSwept  *obs.Counter // expression nodes reclaimed by sweeps
 	arenaNodes  *obs.Gauge   // interned expression nodes
 
+	// Executable image maintenance (exec.go); idle without Options.Exec.
+	imagePatches  *obs.Counter   // publications that patched the previous image
+	imageCompiles *obs.Counter   // publications that recompiled the image
+	imageNS       *obs.Histogram // per-publication image build latency, ns
+
 	// Epoch/shard engine (epoch.go / shard.go).
 	epoch      *obs.Gauge     // published epoch sequence number
 	shardCount *obs.Gauge     // taint-partition shards in use
@@ -90,6 +95,9 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		arenaSweeps:     r.Counter("core.arena_sweeps"),
 		arenaSwept:      r.Counter("core.arena_swept"),
 		arenaNodes:      r.Gauge("core.arena_nodes"),
+		imagePatches:    r.Counter("core.image_patches"),
+		imageCompiles:   r.Counter("core.image_compiles"),
+		imageNS:         r.Histogram("core.image_ns"),
 		epoch:           r.Gauge("core.epoch"),
 		shardCount:      r.Gauge("core.shards"),
 		reg:             r,

@@ -277,6 +277,14 @@ type Stats struct {
 	ArenaNodes  int // interned expression nodes right now
 	ArenaSweeps int // arena garbage collections run
 	ArenaSwept  int // nodes reclaimed across all sweeps
+
+	// Executable image maintenance (exec.go; zero without Options.Exec).
+	// A publication that changed the configuration either patches the
+	// previous image (every update of the call was forwarded) or
+	// recompiles it from the specialized program.
+	ImagePatches  int
+	ImageCompiles int
+	ImageTime     time.Duration // cumulative image build time
 }
 
 // Specializer is the incremental specializing compiler.
@@ -323,7 +331,7 @@ type Specializer struct {
 	verdictsDirty bool
 	// Data-plane executor state (exec.go), all guarded by mu: exec is
 	// Options.Exec; imgTargets lists the targets forwarded updates
-	// touched since the last publication (incremental image rebuild);
+	// touched since the last publication (the image is patched there);
 	// imgFull forces the next publication to recompile the image from
 	// the specialized program. machines pools executor machines for the
 	// wait-free Exec path.

@@ -14,7 +14,8 @@
 //
 // Images are immutable once built. Incremental control-plane updates
 // produce a new image via Image.WithTarget (rebuilding only the touched
-// table, value set, or register fill); the engine hot-swaps the image
+// table, value set, or register fill, and of a table compiling only the
+// entries that are new to it); the engine hot-swaps the image
 // pointer at epoch publication so packet execution is wait-free under
 // churn. A Machine may be reused across packets and across images; it
 // re-attaches (re-sizing its slot file and rebuilding register state)
@@ -138,6 +139,10 @@ type Image struct {
 	codeHash uint64 // configuration-independent half of the content hash
 	hash     uint64 // full content hash
 
+	// blocksCompiled counts the entry action blocks the Compile or
+	// WithTarget call that produced this image had to compile.
+	blocksCompiled int
+
 	// Retained compile context for incremental rebuilds.
 	cc       *compileCtx
 	tableIdx map[string]int
@@ -151,6 +156,13 @@ type Image struct {
 // suite uses it to pin concurrently-observed images to the sequential
 // oracle's image at the same update count.
 func (img *Image) Hash() uint64 { return img.hash }
+
+// BlocksCompiled reports how many table-entry action blocks were
+// compiled to produce this image: every active entry's for Compile,
+// only those of entries its predecessor did not hold for WithTarget.
+// It is the work counter of incremental image maintenance — a count,
+// not a clock.
+func (img *Image) BlocksCompiled() int { return img.blocksCompiled }
 
 // NumSlots reports the size of the flat store, a rough proxy for image
 // footprint.
@@ -526,8 +538,8 @@ func (m *Machine) table(t *exTable) (bool, error) {
 		for _, si := range t.keySlots {
 			h = mixBV(h, m.slots[si])
 		}
-		for _, ei := range t.index[h] {
-			if m.entryMatches(t, &t.entries[ei]) {
+		for p := t.indexSlot(h); t.index[p] != 0; p = (p + 1) & (len(t.index) - 1) {
+			if ei := t.index[p] - 1; m.entryMatches(t, &t.entries[ei]) {
 				e = &t.entries[ei]
 				break
 			}

@@ -170,6 +170,77 @@ func TestDifferentialRouterChurn(t *testing.T) {
 	}
 }
 
+// TestTableRebuildCompilesOnlyNewEntries walks a ternary table through
+// every way an entry can enter or leave the active list — insert,
+// modify, delete, eclipsed by a wildcard row, freed again when it goes —
+// and counts the action blocks each rebuild compiles: one per entry new
+// to the list, none for what the predecessor already held. Every step
+// must also hash like a from-scratch compile.
+func TestTableRebuildCompilesOnlyNewEntries(t *testing.T) {
+	s, err := progs.Fig3().Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const table = "Ingress.eth_table"
+	entry := func(prio int, key, mask uint64, action string, params ...sym.BV) *controlplane.TableEntry {
+		return &controlplane.TableEntry{
+			Priority: prio,
+			Matches: []controlplane.FieldMatch{{
+				Kind: controlplane.MatchTernary, Value: sym.NewBV(48, key), Mask: sym.NewBV(48, mask),
+			}},
+			Action: action, Params: params,
+		}
+	}
+	const exact = 0xFFFFFFFFFFFF
+	img, err := dpexec.Compile(s.Prog, s.Info, s.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name  string
+		kind  controlplane.UpdateKind
+		entry *controlplane.TableEntry
+		want  int
+	}{
+		{"insert a", controlplane.InsertEntry, entry(1, 1, exact, "drop"), 1},
+		{"insert c", controlplane.InsertEntry, entry(1, 3, exact, "drop"), 1},
+		{"insert b ahead of both", controlplane.InsertEntry, entry(2, 2, exact, "drop"), 1},
+		{"modify c", controlplane.ModifyEntry, entry(1, 3, exact, "set", sym.NewBV(16, 0x800)), 1},
+		{"modify c again", controlplane.ModifyEntry, entry(1, 3, exact, "noop"), 1},
+		{"delete a", controlplane.DeleteEntry, entry(1, 1, exact, "drop"), 0},
+		{"wildcard row eclipses b and c", controlplane.InsertEntry, entry(9, 0, 0, "drop"), 1},
+		{"insert under the wildcard row", controlplane.InsertEntry, entry(1, 4, exact, "drop"), 0},
+		{"wildcard row goes: b, c and d are back", controlplane.DeleteEntry, entry(9, 0, 0, "drop"), 3},
+	} {
+		u := &controlplane.Update{Kind: step.kind, Table: table, Entry: step.entry}
+		if d := s.Apply(u); d.Kind == core.Rejected {
+			t.Fatalf("%s: rejected: %v", step.name, d.Err)
+		}
+		if img, err = img.WithTarget(s.Cfg, table); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := img.BlocksCompiled(); got != step.want {
+			t.Errorf("%s: compiled %d entry blocks, want %d", step.name, got, step.want)
+		}
+		full, err := dpexec.Compile(s.Prog, s.Info, s.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img.Hash() != full.Hash() {
+			t.Fatalf("%s: incremental hash %x != full hash %x", step.name, img.Hash(), full.Hash())
+		}
+	}
+	again, err := img.WithTarget(s.Cfg, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.BlocksCompiled() != 0 || again.Hash() != img.Hash() {
+		t.Fatalf("rebuilding an unchanged table compiled %d blocks (hash %x, was %x)",
+			again.BlocksCompiled(), again.Hash(), img.Hash())
+	}
+}
+
 // TestHashParityCatalog: for each catalog program, chaining WithTarget
 // over the representative updates hashes identically to one full
 // compile of the final configuration.

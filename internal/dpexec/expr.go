@@ -422,10 +422,18 @@ func (c *compiler) tableApply(fun *ast.Member, pushHit bool) error {
 		}
 	}
 	if !built {
-		t, err := buildExTable(c.cc, c.img, c.cfg, c.control, tbl, qname, keySlots, keyWidths, c.snapshotScopes())
+		t, n, err := buildExTable(c.cc, c.img, c.cfg, &exTable{
+			qname:     qname,
+			keySlots:  keySlots,
+			keyWidths: keyWidths,
+			cd:        c.control,
+			tbl:       tbl,
+			env:       c.snapshotScopes(),
+		})
 		if err != nil {
 			return err
 		}
+		c.img.blocksCompiled += n
 		ti = len(c.img.tables)
 		c.img.tables = append(c.img.tables, t)
 		c.img.tableIdx[qname] = ti

@@ -2,6 +2,7 @@ package dpexec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/controlplane"
 	"repro/internal/p4/ast"
@@ -41,6 +42,20 @@ type exEntry struct {
 	trap    string
 }
 
+// entryMeta is what a rebuild needs to know about a compiled entry
+// without looking inside it, kept in a slice parallel to the entries
+// so the lookup path never drags it through the cache: the
+// configuration entry it was compiled from (installed entries are
+// immutable, so the same pointer means the same compiled entry), its
+// content hash, and — when every match is exact — its place in the
+// exact-match index.
+type entryMeta struct {
+	src   *controlplane.TableEntry
+	hash  uint64
+	key   uint64
+	exact bool
+}
+
 // exTable is one compiled table. The trailing fields retain enough
 // compile context to rebuild the table incrementally when the control
 // plane updates it (Image.WithTarget).
@@ -49,12 +64,15 @@ type exTable struct {
 	keySlots  []int32
 	keyWidths []uint16
 	entries   []exEntry
+	meta      []entryMeta // meta[i] describes entries[i]
 	miss      *block
 	missTrap  string
 
-	// index accelerates all-exact tables: key hash -> entry indices in
-	// precedence order. Nil for small or non-exact tables.
-	index map[uint64][]int32
+	// index accelerates all-exact tables: an open-addressed table of
+	// entry index + 1 (0 is an empty slot), probed linearly from the key
+	// hash's top indexBits bits. Nil for small or non-exact tables.
+	index     []int32
+	indexBits uint8
 
 	hash uint64
 
@@ -113,28 +131,58 @@ func (v *exVset) match(key sym.BV) bool {
 // ---------------------------------------------------------------------------
 // Builders
 
-// buildExTable compiles one table under cfg. It is the single source of
-// table compilation for both the full compile and incremental rebuilds,
-// which is what keeps a WithTarget chain hash-identical to Compile.
-func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, cd *ast.ControlDecl, tbl *ast.Table, qname string, keySlots []int32, keyWidths []uint16, env []map[string]binding) (*exTable, error) {
+// buildExTable compiles a table under cfg as a delta against prev, a
+// compiled predecessor of the same table (same apply site, same compile
+// context): an active entry prev already compiled is carried over —
+// matches, block and hash — and only entries new to the table are
+// compiled. A from-scratch build is the same walk over a predecessor
+// that holds the compile context and no entries, which is what keeps a
+// WithTarget chain hash-identical to Compile. It reports how many entry
+// action blocks it compiled.
+func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, prev *exTable) (*exTable, int, error) {
 	t := &exTable{
-		qname:     qname,
-		keySlots:  keySlots,
-		keyWidths: keyWidths,
-		cd:        cd,
-		tbl:       tbl,
-		env:       env,
+		qname:     prev.qname,
+		keySlots:  prev.keySlots,
+		keyWidths: prev.keyWidths,
+		cd:        prev.cd,
+		tbl:       prev.tbl,
+		env:       prev.env,
 	}
+	compiled := 0
 	if cfg != nil {
-		active, _ := cfg.ActiveEntries(qname)
-		for _, e := range active {
-			ee, live, err := buildEntry(cc, img, cfg, cd, qname, keyWidths, env, e)
+		active, _ := cfg.ActiveEntries(t.qname)
+		t.entries = make([]exEntry, 0, len(active))
+		t.meta = make([]entryMeta, 0, len(active))
+		// Both lists are in match order, so this is a merge: whatever
+		// prev holds ahead of e and is not e has left the active list,
+		// and the entries the two lists share come in runs.
+		for i, j := 0, 0; i < len(active); {
+			e := active[i]
+			for j < len(prev.meta) && prev.meta[j].src != e && prev.meta[j].src.Before(e) {
+				j++
+			}
+			run := 0
+			for i+run < len(active) && j+run < len(prev.meta) && prev.meta[j+run].src == active[i+run] {
+				run++
+			}
+			if run > 0 {
+				t.entries = append(t.entries, prev.entries[j:j+run]...)
+				t.meta = append(t.meta, prev.meta[j:j+run]...)
+				i, j = i+run, j+run
+				continue
+			}
+			ee, live, err := buildEntry(cc, img, cfg, t, e)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
+			}
+			if ee.blk != nil {
+				compiled++
 			}
 			if live {
 				t.entries = append(t.entries, ee)
+				t.meta = append(t.meta, describe(e, &ee))
 			}
+			i++
 		}
 	}
 
@@ -143,29 +191,29 @@ func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, cd *ast.
 	name := "NoAction"
 	var constParams []sym.BV
 	override := false
-	if tbl.Default != nil {
-		name = tbl.Default.Name
+	if t.tbl.Default != nil {
+		name = t.tbl.Default.Name
 	}
 	if cfg != nil {
-		if d, ok := cfg.Default(qname); ok {
+		if d, ok := cfg.Default(t.qname); ok {
 			name, constParams, override = d.Name, d.Params, true
 		}
 	}
 	if name != "NoAction" {
-		act := cd.Action(name)
+		act := t.cd.Action(name)
 		switch {
 		case act == nil:
-			t.missTrap = fmt.Sprintf("table %s default references unknown action %s", qname, name)
+			t.missTrap = fmt.Sprintf("table %s default references unknown action %s", t.qname, name)
 		case override:
-			blk, err := compileEntryBlock(cc, img, cfg, cd, env, act, constParams)
+			blk, err := compileEntryBlock(cc, img, cfg, t.cd, t.env, act, constParams)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			t.miss = blk
 		default:
-			blk, err := compileMissBlock(cc, img, cfg, cd, env, qname, tbl.Default, act)
+			blk, err := compileMissBlock(cc, img, cfg, t.cd, t.env, t.qname, t.tbl.Default, act)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			t.miss = blk
 		}
@@ -173,22 +221,22 @@ func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, cd *ast.
 
 	t.buildIndex()
 	t.hash = t.computeHash()
-	return t, nil
+	return t, compiled, nil
 }
 
-// buildEntry compiles one active entry. live == false drops entries
-// that can never match any key (bmv2 reaches the same outcome via
-// struct inequality, or would panic on width mismatches that config
+// buildEntry compiles one active entry of t. live == false drops
+// entries that can never match any key (bmv2 reaches the same outcome
+// via struct inequality, or would panic on width mismatches that config
 // validation already rejects).
-func buildEntry(cc *compileCtx, img *Image, cfg *controlplane.Config, cd *ast.ControlDecl, qname string, keyWidths []uint16, env []map[string]binding, e *controlplane.TableEntry) (exEntry, bool, error) {
+func buildEntry(cc *compileCtx, img *Image, cfg *controlplane.Config, t *exTable, e *controlplane.TableEntry) (exEntry, bool, error) {
 	var ee exEntry
-	if len(e.Matches) != len(keyWidths) {
+	if len(e.Matches) != len(t.keyWidths) {
 		return ee, false, nil
 	}
 	ee.matches = make([]exMatch, len(e.Matches))
 	for i := range e.Matches {
 		m := &e.Matches[i]
-		kw := keyWidths[i]
+		kw := t.keyWidths[i]
 		switch m.Kind {
 		case controlplane.MatchExact:
 			ee.matches[i] = exMatch{mode: matchEq, value: m.Value}
@@ -224,17 +272,35 @@ func buildEntry(cc *compileCtx, img *Image, cfg *controlplane.Config, cd *ast.Co
 	if e.Action == "NoAction" {
 		return ee, true, nil
 	}
-	act := cd.Action(e.Action)
+	act := t.cd.Action(e.Action)
 	if act == nil {
-		ee.trap = fmt.Sprintf("table %s entry references unknown action %s", qname, e.Action)
+		ee.trap = fmt.Sprintf("table %s entry references unknown action %s", t.qname, e.Action)
 		return ee, true, nil
 	}
-	blk, err := compileEntryBlock(cc, img, cfg, cd, env, act, e.Params)
+	blk, err := compileEntryBlock(cc, img, cfg, t.cd, t.env, act, e.Params)
 	if err != nil {
 		return ee, false, err
 	}
 	ee.blk = blk
 	return ee, true, nil
+}
+
+// describe derives the rebuild metadata of a freshly compiled entry.
+func describe(src *controlplane.TableEntry, e *exEntry) entryMeta {
+	m := entryMeta{src: src, exact: true, key: fnvOffset}
+	h := mix(fnvOffset, uint64(len(e.matches)))
+	for j := range e.matches {
+		em := &e.matches[j]
+		h = mix(h, uint64(em.mode))
+		h = mixBV(h, em.value)
+		h = mixBV(h, em.mask)
+		h = mixBV(h, em.mvalue)
+		m.exact = m.exact && em.mode == matchEq
+		m.key = mixBV(m.key, em.value) // what Machine.table folds from the key slots
+	}
+	h = hashBlock(h, e.blk)
+	m.hash = mixStr(h, e.trap)
+	return m
 }
 
 // shiftMask is bmv2's LPM mask: width-kw all-ones shifted left by
@@ -355,28 +421,32 @@ func buildVset(qname string, cfg *controlplane.Config) *exVset {
 // buildIndex builds the exact-match accelerator when the table is big
 // enough to benefit and every entry matches exactly on every key. The
 // probe re-verifies with entryMatches, so the index is semantically
-// transparent.
+// transparent. At most half the slots are taken.
 func (t *exTable) buildIndex() {
-	t.index = nil
 	if len(t.entries) < 4 {
 		return
 	}
-	for i := range t.entries {
-		for j := range t.entries[i].matches {
-			if t.entries[i].matches[j].mode != matchEq {
-				return
-			}
+	for i := range t.meta {
+		if !t.meta[i].exact {
+			return
 		}
 	}
-	idx := make(map[uint64][]int32, len(t.entries))
-	for i := range t.entries {
-		h := fnvOffset
-		for j := range t.entries[i].matches {
-			h = mixBV(h, t.entries[i].matches[j].value)
+	t.indexBits = uint8(bits.Len(uint(2*len(t.entries) - 1)))
+	t.index = make([]int32, 1<<t.indexBits)
+	for i := range t.meta {
+		p := t.indexSlot(t.meta[i].key)
+		for t.index[p] != 0 {
+			p = (p + 1) & (len(t.index) - 1)
 		}
-		idx[h] = append(idx[h], int32(i))
+		t.index[p] = int32(i + 1)
 	}
-	t.index = idx
+}
+
+// indexSlot is where probing for key hash h starts. The FNV fold's low
+// bits only mix the low bits of its input; the multiply moves all of
+// them to the top.
+func (t *exTable) indexSlot(h uint64) int {
+	return int(h * 0x9e3779b97f4a7c15 >> (64 - t.indexBits))
 }
 
 // ---------------------------------------------------------------------------
@@ -384,8 +454,10 @@ func (t *exTable) buildIndex() {
 //
 // FNV-1a-style folding over every semantically relevant field. The
 // image hash is the fold of the configuration-independent code hash
-// with each table/value-set/register hash in side-table order; the
-// index map is derived state and deliberately excluded.
+// with each table/value-set/register hash in side-table order, and a
+// table hash folds its entries' hashes, each computed once when the
+// entry is compiled; the index is derived state and deliberately
+// excluded.
 
 const (
 	fnvOffset uint64 = 0xcbf29ce484222325
@@ -448,18 +520,10 @@ func (t *exTable) computeHash() uint64 {
 		h = mix(h, uint64(w))
 	}
 	h = mix(h, uint64(len(t.entries)))
-	for i := range t.entries {
-		e := &t.entries[i]
-		h = mix(h, uint64(len(e.matches)))
-		for j := range e.matches {
-			m := &e.matches[j]
-			h = mix(h, uint64(m.mode))
-			h = mixBV(h, m.value)
-			h = mixBV(h, m.mask)
-			h = mixBV(h, m.mvalue)
-		}
-		h = hashBlock(h, e.blk)
-		h = mixStr(h, e.trap)
+	for i := range t.meta {
+		// One FNV round per entry: the entry hashes are already mixed,
+		// and this loop runs over the whole table on every rebuild.
+		h = (h ^ t.meta[i].hash) * fnvPrime
 	}
 	h = hashBlock(h, t.miss)
 	h = mixStr(h, t.missTrap)
@@ -561,9 +625,10 @@ func (img *Image) rehash() {
 
 // WithTarget derives a new image reflecting cfg for one updated target
 // (a table, value set, or register qualified name), rebuilding only
-// that side table. Targets absent from the image — for example tables
-// pruned out of a specialized program — return the receiver unchanged.
-// The receiver is never mutated.
+// that side table — and, of a table, compiling only the entries the
+// receiver does not already hold (buildExTable). Targets absent from
+// the image — for example tables pruned out of a specialized program —
+// return the receiver unchanged. The receiver is never mutated.
 //
 // The invariant the engine's torture suite pins: a chain of WithTarget
 // rebuilds hashes identically to a from-scratch Compile against the
@@ -574,21 +639,21 @@ func (img *Image) WithTarget(cfg *controlplane.Config, target string) (ni *Image
 			ni, err = nil, cerr("rebuild panic: %v", r)
 		}
 	}()
+	cp := *img
+	cp.blocksCompiled = 0
 	if ti, ok := img.tableIdx[target]; ok {
-		cp := *img
 		cp.tables = make([]*exTable, len(img.tables))
 		copy(cp.tables, img.tables)
-		old := img.tables[ti]
-		nt, err := buildExTable(img.cc, &cp, cfg, old.cd, old.tbl, old.qname, old.keySlots, old.keyWidths, old.env)
+		nt, n, err := buildExTable(img.cc, &cp, cfg, img.tables[ti])
 		if err != nil {
 			return nil, err
 		}
 		cp.tables[ti] = nt
+		cp.blocksCompiled = n
 		cp.rehash()
 		return &cp, nil
 	}
 	if vi, ok := img.vsetIdx[target]; ok {
-		cp := *img
 		cp.vsets = make([]*exVset, len(img.vsets))
 		copy(cp.vsets, img.vsets)
 		cp.vsets[vi] = buildVset(target, cfg)
@@ -596,7 +661,6 @@ func (img *Image) WithTarget(cfg *controlplane.Config, target string) (ni *Image
 		return &cp, nil
 	}
 	if ri, ok := img.regIdx[target]; ok {
-		cp := *img
 		cp.regs = append([]regTemplate(nil), img.regs...)
 		rt := cp.regs[ri]
 		fill := sym.BV{W: rt.width}
