@@ -215,7 +215,11 @@ func runExplain(pipe *goflay.Pipeline, table string) error {
 		if ex.Value != "" {
 			fmt.Printf(" = %s", ex.Value)
 		}
-		fmt.Printf(" (%s, epoch %d)\n", ex.Source, ex.Epoch)
+		source := ex.Source
+		if ex.FreeBits > 0 {
+			source = fmt.Sprintf("%s: %d free bits, not proven", ex.Source, ex.FreeBits)
+		}
+		fmt.Printf(" (%s, epoch %d)\n", source, ex.Epoch)
 		for _, st := range ex.Steps {
 			branch := "false"
 			if st.Taken {

@@ -263,7 +263,8 @@ func WithQuality(q Quality) Option {
 
 // WithWorkers bounds the point re-evaluation worker pool: 1 forces
 // serial evaluation, >1 sets the pool size, and <=0 (the default) uses
-// GOMAXPROCS.
+// GOMAXPROCS. Whatever the bound, a pass over fewer than 1024 points
+// runs on the caller's goroutine: it costs less than waking a thread.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -274,12 +275,13 @@ func WithNoCache() Option {
 	return func(o *options) { o.noCache = true }
 }
 
-// WithNoDD disables the canonical decision-diagram query core: every
-// specialization query then runs on the substitute-and-probe solver
-// path, and Explain reports solver-path verdicts without diagram
-// evidence. The core is on by default and changes no observable
-// verdict — this switch exists for ablation measurements and the
-// DD-vs-solver differential suite.
+// WithNoDD disables the canonical decision-diagram query core: a
+// residue inside the exhaustive bound is then decided by the solver's
+// enumeration instead of a diagram walk, and Explain reports verdicts
+// without predicate paths (Source "width" with the free-bit count for a
+// residue past the bound, "solver" otherwise). The core is on by
+// default and changes no observable verdict — this switch exists for
+// ablation measurements and the DD-vs-solver differential suite.
 func WithNoDD() Option {
 	return func(o *options) { o.noDD = true }
 }
@@ -615,11 +617,17 @@ func (p *Pipeline) Points(table string) ([]int, error) {
 // — the predicates tested along the witness path through the canonical
 // diagram together with the witness assignment itself (a liveness
 // witness for executability queries, one realizing assignment for
-// constancy). table scopes the lookup: when non-empty, the point must
-// be one the named object influences (Points(table) lists them); ""
-// addresses any point by global ID. Explain is wait-free — it reads
-// the published epoch and walks immutable diagram nodes — and may be
-// called concurrently with updates from any number of goroutines.
+// constancy). A point whose residue has more free bits than the engine
+// can decide over is live/varies by width, not by proof; Explain says
+// so (Source "width", FreeBits) and narrates a diagram compiled for the
+// call when the residue fits the compile budget. table scopes the
+// lookup: when non-empty, the point must be one the named object
+// influences (Points(table) lists them); "" addresses any point by
+// global ID. Explain may be called concurrently with updates from any
+// number of goroutines. It is wait-free — one epoch load and walks over
+// immutable diagram nodes — for a point that holds a diagram; for any
+// other point it re-derives the residue under the engine's read lock,
+// so it waits for an update in flight.
 func (p *Pipeline) Explain(table string, point int) (*Explanation, error) {
 	if table != "" {
 		ids, err := p.Points(table)

@@ -96,11 +96,21 @@ func (s *Specializer) maybeSweepArena() {
 		s.met.arenaNodes.Set(int64(n))
 		return
 	}
+	s.sweepArena()
+}
+
+// sweepArena collects the expression arena now and re-arms the trigger.
+// Caller holds the engine write lock.
+func (s *Specializer) sweepArena() {
+	b := s.An.Builder
 	swept := b.Sweep(s.arenaRoots())
-	// The workers' diagram compile memos are keyed on expression
-	// pointers whose arena ids the sweep just reassigned; drop them
-	// (the diagrams themselves hold no expression pointers and the
-	// rooted residues above keep the per-point roots valid).
+	// The sweep reassigned the arena ids of the surviving nodes. The
+	// workers' diagram compile memos are keyed on expression pointers
+	// and dropped here (the diagrams themselves hold no expression
+	// pointers and the rooted residues above keep the per-point roots
+	// valid); the workers' substitution memos are indexed by id and need
+	// nothing — the next evaluation pass opens a new generation
+	// (reevalPoints), which retires every entry of the old numbering.
 	s.flushDDCtxs()
 	s.ddMaybeSweep()
 	live := b.NumNodes()

@@ -12,8 +12,8 @@ import (
 // a pure function of (the point's symbolic expression, the assignment
 // fragments of the objects that taint it): substitution and the solver
 // are deterministic, and the engine's determinism invariant
-// (parallel.go) guarantees the verdict does not depend on schedule or
-// probe luck. So a verdict may be memoized under the key
+// (parallel.go) guarantees the verdict does not depend on schedule. So
+// a verdict may be memoized under the key
 //
 //	(canonical hash of the point expression,
 //	 fold of the dependency targets' assignment fingerprints)

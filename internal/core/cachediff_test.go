@@ -281,8 +281,15 @@ func TestSnapshotUnderConcurrentBatches(t *testing.T) {
 	var snaps [][]byte
 	var wg sync.WaitGroup
 	wg.Add(1)
+	// running is closed once the snapshotter has captured (or failed) for
+	// the first time: the whole schedule takes a few milliseconds, and on
+	// a loaded box it was over before the goroutine had been scheduled.
+	running := make(chan struct{})
 	go func() {
 		defer wg.Done()
+		var once sync.Once
+		up := func() { once.Do(func() { close(running) }) }
+		defer up()
 		for {
 			select {
 			case <-done:
@@ -295,9 +302,11 @@ func TestSnapshotUnderConcurrentBatches(t *testing.T) {
 				return
 			}
 			snaps = append(snaps, data)
+			up()
 			runtime.Gosched()
 		}
 	}()
+	<-running
 	for _, batch := range schedule {
 		for i, d := range live.ApplyBatch(batch) {
 			if d.Kind == core.Rejected {

@@ -1,17 +1,20 @@
 // The decision-diagram query core (internal/dd) integration: per-point
 // conditions compile into a canonical ordered decision diagram over
 // match-key predicates, so re-evaluating a point after an update is a
-// near-O(1) diagram walk instead of a fresh substitute-and-probe solver
-// pass. The diagram path is a pure accelerator with a hard behavioural
-// contract: every verdict it installs is the verdict the probe solver
-// would have installed (the differential suite in dddiff_test.go holds
-// it to that on the whole catalog), and any query it cannot decide
-// within budget falls back to the solver. Structure is shared three
-// ways: hash-consing dedups across the points of one pass, the
-// per-worker compile memo dedups across updates (an incremental update
-// re-compiles only the changed region of a residue), and the fixed
-// taint-frequency variable order keeps equal conditions
-// pointer-equal across points.
+// near-O(1) diagram walk instead of an enumeration of the residue's
+// domain. The diagram path serves exactly the residues the solver can
+// decide — those whose free variables fit sym.DefaultExhaustiveBits;
+// the width rule in queryAny (specializer.go) answers everything wider
+// before a diagram is ever compiled — and inside that bound it is a
+// pure accelerator with a hard behavioural contract: every verdict it
+// installs is the verdict the solver's enumeration would have installed
+// (the differential suite in dddiff_test.go holds it to that on the
+// whole catalog), and any query it cannot decide within budget falls
+// through to the solver. Structure is shared three ways: hash-consing
+// dedups across the points of one pass, the per-worker compile memo
+// dedups across updates (an incremental update re-compiles only the
+// changed region of a residue), and the fixed taint-frequency variable
+// order keeps equal conditions pointer-equal across points.
 //
 // Lifecycle hooks, mirroring the existing machinery exactly:
 //
@@ -19,8 +22,9 @@
 //     assignment fingerprint changes, precisely the tainted points drop
 //     their diagram roots (cache.go);
 //   - epoch publication carries the diagram store and per-point roots
-//     copy-on-write, so Explain is wait-free like every other epoch
-//     reader (epoch.go);
+//     copy-on-write, so Explain is wait-free on every point that holds
+//     a root (epoch.go); a width-decided point holds none, and Explain
+//     compiles its residue on demand under the read lock;
 //   - the residues backing live roots are arena roots, and the
 //     per-worker memos (keyed on hash-consed expression pointers) are
 //     discarded when the arena is swept (arena.go);
@@ -70,9 +74,10 @@ const (
 // residue the root was compiled from (the entry's validity key: the
 // engine re-uses the root only while the residue pointer matches);
 // node is nil when the residue is outside the diagram fragment and the
-// point runs on the solver path; vars/bits mirror the solver's
-// free-variable enumeration so Dead/Const upgrades follow the same
-// exhaustive-bits rule the solver applies.
+// point runs on the solver path; vars are the residue's free variables
+// (walk assignments are completed over them into witnesses) and bits
+// their total width — at most sym.DefaultExhaustiveBits, since only
+// residues inside the bound get a root.
 type ddRoot struct {
 	sub  *sym.Expr
 	node *dd.Node
@@ -103,8 +108,9 @@ type ddCore struct {
 	rootsDirty atomic.Bool
 	baseline   int // store size that arms the next rebuild
 
-	queries   atomic.Int64 // verdicts answered on the diagram path
-	fallbacks atomic.Int64 // queries punted to the probe solver
+	// Verdicts answered on the diagram path are counted by queryAny's
+	// dispatch (answeredBy[byDD]).
+	fallbacks atomic.Int64 // queries that reached the diagram stage and were punted to the solver
 	compiles  atomic.Int64 // root compilations
 }
 
@@ -196,11 +202,14 @@ func (d *ddCore) register(st *dd.Store, v *sym.Expr) {
 
 // ensureAtoms registers any data variable of a freshly compiled
 // assignment fragment that the open-time derivation did not see —
-// register refills substitute fresh unconstrained data variables, which
-// must become atoms before a residue mentioning them compiles. Called
-// serially under the engine write lock (recompileTarget), so the
-// append order — and with it the variable order — stays deterministic
-// for a given update sequence.
+// overapproximated tables and register refills substitute fresh
+// unconstrained data variables, which must become atoms before a
+// residue mentioning them compiles. recompileTarget calls it for those
+// fragments only (a precise fragment is built from key expressions
+// registered at open, and walking its whole entry chain on every update
+// to find nothing was a cost that grew with the table), serially under
+// the engine write lock, so the append order — and with it the variable
+// order — stays deterministic for a given update sequence.
 func (d *ddCore) ensureAtoms(frag controlplane.Env) {
 	st := d.store.Load()
 	keys := make([]*sym.Expr, 0, len(frag))
@@ -281,136 +290,100 @@ func (s *Specializer) rootFor(sh *evalShard, id int, sub *sym.Expr) (*dd.Node, *
 	return r.node, r, ok
 }
 
-// queryAny dispatches a point's specialization query to the diagram
-// path when the core is enabled, the solver otherwise.
-func (s *Specializer) queryAny(sh *evalShard, p *dataplane.Point, sub *sym.Expr) Verdict {
-	if s.ddc == nil {
-		return s.queryPoint(sh, p, sub)
-	}
-	// A point under a degraded target stays on the solver path: its
-	// residue is deliberately overapproximated — large, and replaced
-	// wholesale on every update — the opposite of the stable precise
-	// conditions the diagram compiles compactly. Attempting those
-	// compiles would burn the full budget per point per update for
-	// nothing; the differential check and promotion already re-prove
-	// degraded verdicts precisely.
-	if len(s.degraded) > 0 {
-		for _, t := range s.pointDeps[p.ID] {
-			if _, deg := s.degraded[t]; deg {
-				s.ddc.fallbacks.Add(1)
-				return s.queryPoint(sh, p, sub)
+// ddQuery is the diagram stage of queryAny: it answers the query on the
+// point's compiled root, or reports ok=false when the residue has to go
+// to the solver — the root did not compile, the walk ran out of budget,
+// or the point sits under a degraded target. A degraded target's
+// residue is deliberately overapproximated — replaced wholesale on
+// every update, the opposite of the stable precise conditions the
+// diagram compiles compactly — so attempting those compiles would burn
+// the budget per point per update for nothing; the differential check
+// and promotion already re-prove degraded verdicts precisely.
+func (s *Specializer) ddQuery(sh *evalShard, p *dataplane.Point, sub *sym.Expr) (v Verdict, ok bool) {
+	if !s.underDegraded(p.ID) {
+		// bits == 0 is a closed term the simplifier left unfolded: the
+		// solver's single evaluation decides it.
+		if root, r, compiled := s.rootFor(sh, p.ID, sub); compiled && r.bits > 0 {
+			if constQuery(p.Kind) {
+				v, ok = s.ddConst(sh, sub, root, r)
+			} else {
+				v, ok = s.ddExec(sh, p.ID, sub, root, r)
 			}
 		}
 	}
-	switch p.Kind {
-	case dataplane.PointIfBranch, dataplane.PointActionReach,
-		dataplane.PointTableReach, dataplane.PointSelectCase:
-		return s.ddExec(sh, p, sub)
-	case dataplane.PointAssignValue, dataplane.PointTableAction:
-		return s.ddConst(sh, p, sub)
-	default:
-		return Verdict{Kind: VerdictLive}
+	if !ok {
+		s.ddc.fallbacks.Add(1)
 	}
+	return v, ok
 }
 
-// ddExec answers an executability query on the diagram. The verdict
+func (s *Specializer) underDegraded(id int) bool {
+	if len(s.degraded) == 0 {
+		return false
+	}
+	for _, t := range s.pointDeps[id] {
+		if _, deg := s.degraded[t]; deg {
+			return true
+		}
+	}
+	return false
+}
+
+// ddExec answers an executability query on the diagram. The residue is
+// inside the exhaustive bound (queryAny's width rule), so the verdict
 // contract with the solver path (CheckWitness) is exact:
 //
 //   - a True root, a working witness, or a feasible true-path is Live
-//     (the solver answers Sat, or Unknown — both map to Live);
-//   - a proof that no feasible true-path exists upgrades to Dead only
-//     when the residue's free bits fit the solver's exhaustive bound,
-//     because that is precisely when the solver would have proven
-//     Unsat; above the bound the solver answers Unknown, so the
-//     diagram answers Live;
+//     (the solver answers Sat);
+//   - a proof that no feasible true-path exists is Dead (the solver's
+//     enumeration would have come up empty);
 //   - anything the walk cannot decide within budget goes to the
 //     solver.
 //
 // Fresh witnesses are verified against the residue before
 // installation, so the walk can never plant a lying hint.
-func (s *Specializer) ddExec(sh *evalShard, p *dataplane.Point, sub *sym.Expr) Verdict {
+func (s *Specializer) ddExec(sh *evalShard, id int, sub *sym.Expr, root *dd.Node, r *ddRoot) (Verdict, bool) {
 	d := s.ddc
-	if sub.IsTrue() {
-		d.queries.Add(1)
-		s.witnesses[p.ID] = sym.Env{}
-		return Verdict{Kind: VerdictLive}
-	}
-	if sub.IsFalse() {
-		d.queries.Add(1)
-		return Verdict{Kind: VerdictDead}
-	}
-	root, r, ok := s.rootFor(sh, p.ID, sub)
-	if !ok || r.bits == 0 {
-		d.fallbacks.Add(1)
-		return s.queryPoint(sh, p, sub)
-	}
 	// Witness re-proof: one path walk, O(path) instead of a residue
 	// traversal. A hint that still satisfies keeps the point Live with
 	// the same witness the solver path would have kept.
-	if hint := s.witnesses[p.ID]; len(hint) > 0 {
+	if hint := s.witnesses[id]; len(hint) > 0 {
 		if v, done := dd.EvalNode(root, d.hintGetter(hint)); done && v.IsTrue() {
-			d.queries.Add(1)
-			return Verdict{Kind: VerdictLive}
+			return Verdict{Kind: VerdictLive}, true
 		}
 	}
-	exact := r.bits <= sym.DefaultExhaustiveBits
 	if root.IsTrue() {
-		d.queries.Add(1)
-		s.witnesses[p.ID] = zerosEnv(r.vars)
-		return Verdict{Kind: VerdictLive}
+		s.witnesses[id] = zerosEnv(r.vars)
+		return Verdict{Kind: VerdictLive}, true
 	}
 	if root.IsFalse() {
-		d.queries.Add(1)
-		if exact {
-			return Verdict{Kind: VerdictDead}
-		}
-		return Verdict{Kind: VerdictLive}
+		return Verdict{Kind: VerdictDead}, true
 	}
 	asg, out := dd.Sat(root, d.store.Load().Atoms(), ddWalkBudget)
 	switch out {
 	case dd.SatYes:
 		env := d.envOf(asg, r.vars)
 		if v, done := sh.solver.Eval(sub, env); done && v.IsTrue() {
-			d.queries.Add(1)
-			s.witnesses[p.ID] = env
-			return Verdict{Kind: VerdictLive}
+			s.witnesses[id] = env
+			return Verdict{Kind: VerdictLive}, true
 		}
 		// The walk and the evaluator disagree — never trust the walk
 		// over the evaluator; take the solver path.
 	case dd.SatNo:
-		d.queries.Add(1)
-		if exact {
-			return Verdict{Kind: VerdictDead}
-		}
-		return Verdict{Kind: VerdictLive}
+		return Verdict{Kind: VerdictDead}, true
 	}
-	d.fallbacks.Add(1)
-	return s.queryPoint(sh, p, sub)
+	return Verdict{}, false
 }
 
 // ddConst answers a constancy query on the diagram, with the same
-// verdict contract against ConstValue: a uniform diagram upgrades to
-// Const only inside the exhaustive bound (where the solver certifies),
-// two verified differing evaluations are Varies (the solver's
-// refutation), and everything else goes to the solver.
-func (s *Specializer) ddConst(sh *evalShard, p *dataplane.Point, sub *sym.Expr) Verdict {
+// verdict contract against ConstValue: a uniform diagram is Const (the
+// solver's enumeration certifies it), two verified differing
+// evaluations are Varies (the solver's refutation), and everything else
+// goes to the solver.
+func (s *Specializer) ddConst(sh *evalShard, sub *sym.Expr, root *dd.Node, r *ddRoot) (Verdict, bool) {
 	d := s.ddc
-	if sub.IsConst() {
-		d.queries.Add(1)
-		return Verdict{Kind: VerdictConst, Val: sub.Val}
-	}
-	root, r, ok := s.rootFor(sh, p.ID, sub)
-	if !ok || r.bits == 0 {
-		d.fallbacks.Add(1)
-		return s.queryPoint(sh, p, sub)
-	}
-	exact := r.bits <= sym.DefaultExhaustiveBits
 	if root.IsTerminal() {
-		d.queries.Add(1)
-		if exact {
-			return Verdict{Kind: VerdictConst, Val: root.Value()}
-		}
-		return Verdict{Kind: VerdictVaries}
+		return Verdict{Kind: VerdictConst, Val: root.Value()}, true
 	}
 	val, ea, eb, out := dd.ConstCheck(root, d.store.Load().Atoms(), ddWalkBudget)
 	switch out {
@@ -419,18 +392,12 @@ func (s *Specializer) ddConst(sh *evalShard, p *dataplane.Point, sub *sym.Expr) 
 		va, okA := sh.solver.Eval(sub, envA)
 		vb, okB := sh.solver.Eval(sub, envB)
 		if okA && okB && va != vb {
-			d.queries.Add(1)
-			return Verdict{Kind: VerdictVaries}
+			return Verdict{Kind: VerdictVaries}, true
 		}
 	case dd.ConstUniform:
-		d.queries.Add(1)
-		if exact {
-			return Verdict{Kind: VerdictConst, Val: val}
-		}
-		return Verdict{Kind: VerdictVaries}
+		return Verdict{Kind: VerdictConst, Val: val}, true
 	}
-	d.fallbacks.Add(1)
-	return s.queryPoint(sh, p, sub)
+	return Verdict{}, false
 }
 
 // hintGetter adapts a residue witness (keyed by variable node) to the
@@ -627,9 +594,16 @@ type Explanation struct {
 	Value string `json:"value,omitempty"`
 	// Source reports what produced the verdict evidence: "dd" when the
 	// point's condition is compiled in the diagram core (Steps/Witness
-	// are populated), "solver" when the point currently runs on the
-	// probe-solver path (no path evidence is available wait-free).
+	// are populated); "width" when the residue's free variables exceed
+	// the exhaustive bound (FreeBits says by how much), so the verdict
+	// is Live/Varies conservatively, not by proof — Steps/Witness then
+	// narrate a diagram compiled for this call, when the residue
+	// compiles within budget; "solver" when the point is decided by a
+	// literal residue or the solver's enumeration (no path evidence).
 	Source string `json:"source"`
+	// FreeBits is the total width of the residue's distinct free
+	// variables when Source is "width".
+	FreeBits int `json:"free_bits,omitempty"`
 	// Steps is the root-to-terminal predicate path of the witness
 	// assignment through the canonical diagram.
 	Steps []ExplainStep `json:"steps,omitempty"`
@@ -644,14 +618,73 @@ type Explanation struct {
 // Explain reports how the published epoch's verdict for one program
 // point comes about: the specialization query, the verdict, and — for
 // diagram-compiled points — the predicates tested along the witness
-// path with the witness assignment itself. It is wait-free (one epoch
-// load plus walks over immutable diagram nodes) and may be called
-// concurrently with writers from any number of goroutines.
+// path with the witness assignment itself. It may be called
+// concurrently with writers from any number of goroutines. For a point
+// that holds a diagram root it is wait-free (one epoch load plus walks
+// over immutable diagram nodes). Any other point's residue is
+// re-derived under the engine read lock — an arena sweep renumbers
+// expression ids, so this part waits for a writer in flight — and a
+// width-decided residue is compiled there into a private store seeded
+// with the engine's variable order, under the update path's own compile
+// budget: the engine keeps no diagram for a verdict no diagram can
+// change, so narrating one is paid by the operator's call, not by every
+// update.
 func (s *Specializer) Explain(id int) (*Explanation, error) {
 	if id < 0 || id >= len(s.An.Points) {
 		return nil, fmt.Errorf("unknown program point %d (have %d)", id, len(s.An.Points))
 	}
 	e := s.loadEpoch()
+	root := e.dd.root(id)
+	if root == nil {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		// Publication happens under the write lock, so this epoch and
+		// s.env describe the same configuration.
+		e = s.loadEpoch()
+		root = e.dd.root(id)
+	}
+	if root != nil {
+		out := s.explanation(e, id, "dd")
+		narrate(out, root, e.dd.store.Atoms())
+		return out, nil
+	}
+	out := s.explanation(e, id, "solver")
+	b := s.An.Builder
+	var scratch sym.SubstScratch
+	sub := b.SubstWith(&scratch, s.An.Points[id].Expr, s.env)
+	solver := sym.NewSolver()
+	if !solver.Wide(sub) {
+		return out, nil
+	}
+	out.Source = "width"
+	for _, v := range solver.FreeVars(sub) {
+		out.FreeBits += int(v.Width)
+	}
+	if s.ddc == nil {
+		return out, nil
+	}
+	atoms := s.ddc.store.Load().Atoms()
+	private := dd.NewStore()
+	for _, a := range atoms {
+		private.Register(a.Name, a.Width)
+	}
+	if root, _, ok := dd.NewCtx(private).CompileBudget(sub, ddCompileBudget); ok {
+		narrate(out, root, atoms)
+	}
+	return out, nil
+}
+
+// root returns the point's frozen diagram root, nil when it has none
+// (or the core is disabled).
+func (d *ddEpoch) root(id int) *dd.Node {
+	if d == nil || id >= len(d.roots) {
+		return nil
+	}
+	return d.roots[id]
+}
+
+// explanation fills the part of an Explanation every source shares.
+func (s *Specializer) explanation(e *epoch, id int, source string) *Explanation {
 	p := s.An.Points[id]
 	out := &Explanation{
 		Point:   id,
@@ -660,22 +693,20 @@ func (s *Specializer) Explain(id int) (*Explanation, error) {
 		Control: p.Control,
 		Table:   p.Table,
 		Verdict: e.verdicts[id].Kind.String(),
-		Source:  "solver",
+		Source:  source,
 		Epoch:   e.seq,
 	}
 	if e.verdicts[id].Kind == VerdictConst {
 		out.Value = e.verdicts[id].Val.String()
 	}
-	if e.dd == nil || id >= len(e.dd.roots) || e.dd.roots[id] == nil {
-		return out, nil
-	}
-	out.Source = "dd"
-	root := e.dd.roots[id]
-	atoms := e.dd.store.Atoms()
-	// Pick the assignment whose path we narrate: a satisfying walk for
-	// live points, the zero assignment otherwise (for a dead point
-	// every assignment reaches the false terminal — zero is as good a
-	// narrative as any).
+	return out
+}
+
+// narrate fills Steps and Witness from a diagram root. The assignment
+// whose path is narrated is a satisfying walk when one exists, the zero
+// assignment otherwise (for a dead point every assignment reaches the
+// false terminal — zero is as good a narrative as any).
+func narrate(out *Explanation, root *dd.Node, atoms []dd.Atom) {
 	asg, res := dd.Sat(root, atoms, ddWalkBudget)
 	if res != dd.SatYes {
 		asg = nil
@@ -703,7 +734,6 @@ func (s *Specializer) Explain(id int) (*Explanation, error) {
 			}
 		}
 	}
-	return out, nil
 }
 
 // variableOrder returns the diagram core's current atom order (the

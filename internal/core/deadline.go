@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/controlplane"
-	"repro/internal/dataplane"
 	"repro/internal/flayerr"
 	"repro/internal/obs"
 	"repro/internal/sym"
@@ -394,49 +393,22 @@ func (s *Specializer) DifferentialCheck() (checked, unsoundCount int, err error)
 	}
 	solver := sym.NewSolver()
 	solver.Metrics = s.symMet
+	// The overlay is fixed for the loop: one substitution pass. The
+	// query goes to the solver without witnesses, so no per-point engine
+	// state (hints, substitution memos, cache) is touched.
 	var scratch sym.SubstScratch
-	seen := make(map[int]bool)
-	for _, target := range targets {
-		for _, p := range s.An.PointsOf(target) {
-			if seen[p.ID] {
-				continue
-			}
-			seen[p.ID] = true
-			sub := b.SubstWith(&scratch, p.Expr, overlay)
-			precise := queryPointPure(solver, p, sub)
-			checked++
-			if unsoundFlip(s.verdicts[p.ID], precise) {
-				unsoundCount++
-			}
+	pass := b.BeginSubst(&scratch, overlay)
+	for _, p := range s.An.PointsOfTargets(targets) {
+		precise := queryPoint(solver, p, pass.Subst(p.Expr), nil)
+		checked++
+		if unsoundFlip(s.verdicts[p.ID], precise) {
+			unsoundCount++
 		}
 	}
 	s.unsound.Add(int64(unsoundCount))
 	s.met.unsoundDegraded.Add(int64(unsoundCount))
 	s.met.diffChecks.Inc()
 	return checked, unsoundCount, nil
-}
-
-// queryPointPure answers one specialization query without touching any
-// per-point engine state (witnesses, substitution memos, cache) — the
-// read-only evaluation the differential check uses.
-func queryPointPure(solver *sym.Solver, p *dataplane.Point, sub *sym.Expr) Verdict {
-	switch p.Kind {
-	case dataplane.PointIfBranch, dataplane.PointActionReach,
-		dataplane.PointTableReach, dataplane.PointSelectCase:
-		verdict, _ := solver.CheckWitness(sub, nil)
-		if verdict == sym.Unsat {
-			return Verdict{Kind: VerdictDead}
-		}
-		return Verdict{Kind: VerdictLive}
-	case dataplane.PointAssignValue, dataplane.PointTableAction:
-		res := solver.ConstValue(sub)
-		if res.Known && res.IsConst {
-			return Verdict{Kind: VerdictConst, Val: res.Val}
-		}
-		return Verdict{Kind: VerdictVaries}
-	default:
-		return Verdict{Kind: VerdictLive}
-	}
 }
 
 // ensureRepairLocked starts the background repair goroutine if it is

@@ -1,6 +1,11 @@
 package core
 
-import "time"
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/sym"
+)
 
 // ProjectedCost exposes the precision controller's estimate of what one
 // precise update to target would cost right now (deadline.go projectNS),
@@ -9,4 +14,85 @@ func ProjectedCost(s *Specializer, target string) time.Duration {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return time.Duration(s.projectNS(target, len(s.An.PointsOf(target))))
+}
+
+// CheckAgainstPerPointSubst is the reference the pass-wide substitution
+// memo is held to: every point's residue re-derived by a substitution
+// of its own (SubstWith opens a generation per call) and put to a fresh
+// solver. The engine's verdict vector must equal the reference's, and
+// every residue pointer the engine kept must be the reference's pointer.
+func CheckAgainstPerPointSubst(s *Specializer) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var scratch sym.SubstScratch
+	solver := sym.NewSolver()
+	for _, p := range s.An.Points {
+		sub := s.An.Builder.SubstWith(&scratch, p.Expr, s.env)
+		if got := s.pointSub[p.ID]; got != nil && got != sub {
+			return fmt.Errorf("point %d: engine kept residue %s, a per-point substitution yields %s", p.ID, got, sub)
+		}
+		if got, want := s.verdicts[p.ID], queryPoint(solver, p, sub, nil); got != want {
+			return fmt.Errorf("point %d: engine verdict %s, reference %s on residue %s", p.ID, got, want, sub)
+		}
+	}
+	return nil
+}
+
+// ForceArenaSweep collects the expression arena now, whatever the
+// trigger says, and reports how many nodes went — every survivor's id
+// is reassigned, which is what the id-indexed memos must survive.
+func ForceArenaSweep(s *Specializer) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	before := s.stats.ArenaSwept
+	s.sweepArena()
+	return s.stats.ArenaSwept - before
+}
+
+// CheckEnvVarsAreAtoms asserts what recompileTarget's atom registration
+// relies on: every data variable an installed assignment mentions is a
+// registered diagram atom, although only overapproximated tables and
+// register refills are ever walked for new ones.
+func CheckEnvVarsAreAtoms(s *Specializer) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.ddc == nil {
+		return nil
+	}
+	st := s.ddc.store.Load()
+	seen := make(map[*sym.Expr]bool)
+	var missing error
+	for k, v := range s.env {
+		collectDataVars(v, seen, func(x *sym.Expr) {
+			if !st.Has(x.Name) && missing == nil {
+				missing = fmt.Errorf("assignment of |%s| mentions @%s@, which is not a diagram atom", k.Name, x.Name)
+			}
+		})
+	}
+	return missing
+}
+
+// ResidueValue evaluates the point's residue under the current
+// configuration with the named data variables set to the given values
+// and every other free variable zero, using the solver's evaluator. It
+// holds the read lock across substitution and evaluation, so it is safe
+// beside a writer.
+func ResidueValue(s *Specializer, id int, assignment map[string]sym.BV) (sym.BV, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var scratch sym.SubstScratch
+	sub := s.An.Builder.SubstWith(&scratch, s.An.Points[id].Expr, s.env)
+	solver := sym.NewSolver()
+	env := make(sym.Env)
+	for _, v := range solver.FreeVars(sub) {
+		env[v] = sym.BV{W: v.Width}
+		if val, ok := assignment[v.Name]; ok {
+			env[v] = val
+		}
+	}
+	out, ok := solver.Eval(sub, env)
+	if !ok {
+		return sym.BV{}, fmt.Errorf("point %d: residue %s does not evaluate under %v", id, sub, assignment)
+	}
+	return out, nil
 }

@@ -25,6 +25,11 @@ type coreMetrics struct {
 	pointsChanged   *obs.Counter // verdict flips observed
 	substSkips      *obs.Counter // pointer-equal substitutions (query skipped)
 
+	// How queryAny answered each query that got past the cache and the
+	// substitution skip, indexed by queryPath (core.query.literal,
+	// .width, .dd, .exhaustive).
+	answeredBy [numQueryPaths]*obs.Counter
+
 	cacheHits      *obs.Counter // query-cache hits (no substitution, no solver)
 	cacheMisses    *obs.Counter // query-cache misses
 	cacheEvictions *obs.Counter // entries invalidated by taint or way pressure
@@ -79,6 +84,12 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		pointsEvaluated: r.Counter("core.points_evaluated"),
 		pointsChanged:   r.Counter("core.points_changed"),
 		substSkips:      r.Counter("core.subst_skips"),
+		answeredBy: [numQueryPaths]*obs.Counter{
+			byLiteral:    r.Counter("core.query.literal"),
+			byWidth:      r.Counter("core.query.width"),
+			byDD:         r.Counter("core.query.dd"),
+			byExhaustive: r.Counter("core.query.exhaustive"),
+		},
 		cacheHits:       r.Counter("core.cache_hits"),
 		cacheMisses:     r.Counter("core.cache_misses"),
 		cacheEvictions:  r.Counter("core.cache_evictions"),
@@ -131,12 +142,10 @@ func (m *coreMetrics) shardEval(sh int) *obs.Counter {
 // audit trail's "query" column: reachability kinds ask "executable?",
 // value kinds ask "constant?" (paper §4.1).
 func queryName(k dataplane.PointKind) string {
-	switch k {
-	case dataplane.PointAssignValue, dataplane.PointTableAction:
+	if constQuery(k) {
 		return "constant"
-	default:
-		return "executable"
 	}
+	return "executable"
 }
 
 // decisionCounter picks the outcome counter for a decision kind.

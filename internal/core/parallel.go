@@ -23,25 +23,37 @@ import (
 //   - the hash-consing Builder is shared (interning locks internally;
 //     pointer identity must stay global or the per-point substitution
 //     cache would stop working);
-//   - each worker owns an evalShard: a Solver (probe scratch + RNG) and
-//     a substitution memo, so symbolic evaluation never shares mutable
-//     scratch;
+//   - each worker owns an evalShard: a Solver (evaluation and width-walk
+//     scratch) and a substitution memo, so symbolic evaluation never
+//     shares mutable scratch. The memo lives for one pass: every
+//     mutating call compiles the assignments it touches first and
+//     re-evaluates afterwards, so the environment is fixed while points
+//     are evaluated, and reevalPoints opens one substitution generation
+//     per shard in use (sym.SubstPass) that all of the shard's points
+//     substitute inside — the path conditions they share are rewritten
+//     once per pass, not once per point. The next pass opens the next
+//     generation, which also retires whatever an arena sweep in between
+//     renumbered;
 //   - every point is claimed by exactly one worker, so the per-point
 //     caches (verdict, substituted-expression pointer, liveness witness)
 //     are written race-free without further locking.
 //
-// Verdicts are deliberately schedule- and RNG-independent, which is what
-// makes the parallel path observationally identical to the sequential
-// one (the equivalence suite in equiv_test.go holds it to that): Dead
-// needs an exhaustive refutation and Const an exhaustive (or literal)
-// certificate — both deterministic — while Sat-vs-Unknown probe luck
-// only moves within the Live verdict.
+// Verdicts are schedule-independent, which is what makes the parallel
+// path observationally identical to the sequential one (the equivalence
+// suite in equiv_test.go holds it to that): Dead needs a literal false
+// or an exhaustive refutation and Const a literal or an exhaustive
+// certificate, a residue too wide for either is Live/Varies before
+// anything is evaluated (queryAny), and nothing on the query path is
+// randomized.
 
 // evalShard is one worker's private evaluation state.
 type evalShard struct {
 	solver *sym.Solver
 	sub    sym.SubstScratch
-	dd     *dd.Ctx
+	// pass is the shard's substitution generation for the evaluation
+	// pass in flight, opened by reevalPoints.
+	pass sym.SubstPass
+	dd   *dd.Ctx
 }
 
 // ddCtx returns the worker's diagram compile context against the given
@@ -54,10 +66,27 @@ func (sh *evalShard) ddCtx(st *dd.Store) *dd.Ctx {
 	return sh.dd
 }
 
-// minParallelPoints is the fan-out threshold: below it, goroutine and
-// scheduling overhead outweighs the per-point work (most single-table
-// updates taint a handful of points and stay on the serial path).
-const minParallelPoints = 8
+// minParallelPoints is the fan-out threshold: a pass over fewer points
+// runs on the caller's goroutine. Nearly every point of an incremental
+// pass is settled by the cache, an unchanged residue pointer, a literal
+// or the width rule, 0.02–0.16 µs each on the catalog (a whole pass
+// over scion's 653 points: ~100 µs), and the points of one pass share
+// path conditions that one shard's memo substitutes once and two
+// shards' memos twice. Against that the fork/join costs a microsecond
+// while the pool's threads still spin and a futex wake of a parked
+// thread once calls are further apart than that, so what a fanned-out
+// pass costs depends on when it arrives. On the 2-vCPU reference box
+// two workers never beat one on any catalog pass (best of 300 back-to-
+// back passes, 16 to 999 points), and fanning out from 8 or from 256
+// points cost the benchmark's closed-loop writers a fifth to a quarter
+// of their rate. The pool is for the pass big enough to pay the wake-up
+// whatever its points cost. A variable only so that this package's
+// tests can lower it (TestMain) and keep holding the fanned-out path
+// to the serial one on catalog-sized programs.
+var minParallelPoints = 1024
+
+// minUnitPoints is the smallest evaluation unit planUnits cuts.
+const minUnitPoints = 8
 
 // effectiveWorkers resolves the configured worker count against the
 // machine and the work at hand.
@@ -73,6 +102,15 @@ func (s *Specializer) effectiveWorkers(points int) int {
 		w = points
 	}
 	return w
+}
+
+// passShard returns the i-th worker's scratch state with a fresh
+// substitution generation over the current environment — the shard as
+// one evaluation pass uses it.
+func (s *Specializer) passShard(i int) *evalShard {
+	sh := s.shard(i)
+	sh.pass = s.An.Builder.BeginSubst(&sh.sub, s.env)
+	return sh
 }
 
 // shard returns the i-th worker's scratch state, growing the pool on
@@ -106,7 +144,7 @@ func (s *Specializer) reevalPoints(pts []*dataplane.Point) []int {
 	capture := s.audit != nil
 	s.lastChanges = s.lastChanges[:0]
 	if w <= 1 {
-		sh := s.shard(0)
+		sh := s.passShard(0)
 		var changed []int
 		for _, p := range pts {
 			s.met.shardEval(s.co.shards.ofPoint[p.ID]).Inc()
@@ -139,7 +177,7 @@ func (s *Specializer) reevalPoints(pts []*dataplane.Point) []int {
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
-		sh := s.shard(i)
+		sh := s.passShard(i)
 		worker := i
 		wg.Add(1)
 		go func() {

@@ -1,0 +1,356 @@
+// The query path's work, counted and cross-checked: the pass-wide
+// substitution memo against a per-point substitution, the width rule's
+// promise that a wide residue costs no evaluation and no diagram, the
+// dispatch counters' accounting identity, Explain's on-demand narration
+// of width-decided points, and the premise the atom registration
+// shortcut rests on.
+package core_test
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/controlplane"
+	"repro/internal/core"
+	"repro/internal/fuzz"
+	"repro/internal/obs"
+	"repro/internal/progs"
+	"repro/internal/sym"
+)
+
+// TestPassMemoMatchesPerPointSubst: catalog × churn pattern × workers.
+// After every call the engine's verdicts and kept residue pointers must
+// be what a substitution per point yields; halfway through each stream
+// the arena is swept by force, renumbering every node id the shards'
+// memos are indexed by, so a generation that outlived its pass would
+// show in the very next check.
+func TestPassMemoMatchesPerPointSubst(t *testing.T) {
+	for _, p := range progs.Catalog() {
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			swept := 0
+			for ki, kind := range fuzz.PatternKinds() {
+				workers := []int{1, 2, 4}[ki%3]
+				s, err := p.LoadWith(core.Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				check := func(when string) {
+					t.Helper()
+					if err := core.CheckAgainstPerPointSubst(s); err != nil {
+						t.Fatalf("%s, %d workers, %s: %v", kind, workers, when, err)
+					}
+				}
+				check("open")
+				if err := p.ApplyRepresentative(s); err != nil {
+					t.Fatal(err)
+				}
+				check("representative")
+				cs, err := fuzz.Churn(s.An, fuzz.ChurnSpec{
+					Kind: kind, Table: p.BurstTable, Updates: 48, Seed: uint64(kind)*29 + 5,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				batches := cs.Batches()
+				for bi, batch := range batches {
+					if bi == len(batches)/2 {
+						swept += core.ForceArenaSweep(s)
+						check("forced sweep")
+					}
+					s.ApplyBatch(batch)
+					check(fmt.Sprintf("batch %d", bi))
+				}
+				drain := cs.Drain()
+				for _, u := range drain[:len(drain)/2] {
+					s.Apply(u)
+					check("drain apply")
+				}
+				s.ApplyBatch(drain[len(drain)/2:])
+				check("drain batch")
+			}
+			if swept == 0 {
+				t.Fatal("no forced sweep reclaimed a node: ids were never renumbered between two passes")
+			}
+		})
+	}
+}
+
+// aclEngine opens middleblock in precise mode with ACL entries 0..n-1
+// preloaded, instruments on.
+func aclEngine(t *testing.T, n int) (*core.Specializer, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	p := progs.Middleblock()
+	s, err := p.LoadWith(core.Options{OverapproxThreshold: -1, Workers: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := p.ApplyRepresentative(s); err != nil {
+		t.Fatal(err)
+	}
+	// The representative configuration installs the first few itself.
+	var acl []*controlplane.Update
+	for i := s.Entries(p.ACLTable); i < n; i++ {
+		acl = append(acl, progs.MiddleblockACLEntry(i))
+	}
+	if err := s.Preload(acl); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Entries(p.ACLTable); got != n {
+		t.Fatalf("%s holds %d entries, want %d", p.ACLTable, got, n)
+	}
+	return s, reg
+}
+
+// TestWideQueryDoesNoEvaluation counts work, not time: with 150 and with
+// 600 ACL entries on middleblock's five-field ternary chain, one precise
+// insert evaluates no residue and compiles no diagram, every query it
+// poses is answered by a literal or by the width rule, and the width
+// walk visits the same handful of nodes per query at both sizes.
+func TestWideQueryDoesNoEvaluation(t *testing.T) {
+	perQuery := map[int]float64{}
+	for _, n := range []int{150, 600} {
+		s, reg := aclEngine(t, n)
+		before, st0 := reg.Snapshot(), s.Statistics()
+		d := s.Apply(progs.MiddleblockACLEntry(n))
+		if d.Kind == core.Rejected {
+			t.Fatalf("%d entries: insert rejected: %v", n, d.Err)
+		}
+		after, st1 := reg.Snapshot(), s.Statistics()
+		delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+		if evals := delta("sym.solver.evals"); evals != 0 {
+			t.Errorf("%d entries: one insert evaluated a residue %d times", n, evals)
+		}
+		if compiles := st1.DDCompiles - st0.DDCompiles; compiles != 0 {
+			t.Errorf("%d entries: one insert compiled %d diagrams", n, compiles)
+		}
+		if q := delta("sym.solver.queries") + delta("sym.solver.const_queries"); q != 0 {
+			t.Errorf("%d entries: one insert put %d queries to the solver", n, q)
+		}
+		wide := delta("core.query.width")
+		if wide == 0 || delta("core.query.dd") != 0 || delta("core.query.exhaustive") != 0 {
+			t.Fatalf("%d entries: dispatch literal %d, width %d, dd %d, exhaustive %d; want only literal and width",
+				n, delta("core.query.literal"), wide, delta("core.query.dd"), delta("core.query.exhaustive"))
+		}
+		perQuery[n] = float64(delta("sym.solver.width_nodes")) / float64(wide)
+		t.Logf("%d entries: %d points, %d decided by width, %.1f nodes walked each",
+			n, d.AffectedPoints, wide, perQuery[n])
+		if st1.DDNodes > 1000 {
+			t.Errorf("%d entries: the diagram store holds %d nodes for residues no diagram can decide", n, st1.DDNodes)
+		}
+	}
+	if perQuery[600] > perQuery[150] || perQuery[150] > 64 {
+		t.Fatalf("width walk visited %.1f nodes per query at 150 entries and %.1f at 600; want a constant handful",
+			perQuery[150], perQuery[600])
+	}
+}
+
+// TestQueryDispatchCountersSum: across the catalog under fuzzed updates,
+// every re-evaluated point is a cache hit, a substitution skip, or
+// exactly one of the four dispatch outcomes — in the registry and in
+// Stats alike — and the diagram counters cover only the queries that
+// reached a diagram.
+func TestQueryDispatchCountersSum(t *testing.T) {
+	for _, p := range progs.Catalog() {
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			reg := obs.NewRegistry()
+			s, err := p.LoadWith(core.Options{Workers: 4, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := p.ApplyRepresentative(s); err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range makeStream(t, s, 0x51) {
+				s.Apply(u)
+			}
+			c, st := reg.Snapshot().Counters, s.Statistics()
+			dispatched := c["core.query.literal"] + c["core.query.width"] + c["core.query.dd"] + c["core.query.exhaustive"]
+			if want := c["core.points_evaluated"] - c["core.cache_hits"] - c["core.subst_skips"]; dispatched != want {
+				t.Fatalf("dispatch counters sum to %d; %d points evaluated − %d cache hits − %d substitution skips = %d",
+					dispatched, c["core.points_evaluated"], c["core.cache_hits"], c["core.subst_skips"], want)
+			}
+			if st.QueryLiteral != c["core.query.literal"] || st.QueryWidth != c["core.query.width"] ||
+				st.QueryDD != c["core.query.dd"] || st.QueryExhaustive != c["core.query.exhaustive"] {
+				t.Fatalf("Stats %d/%d/%d/%d disagree with the registry %d/%d/%d/%d",
+					st.QueryLiteral, st.QueryWidth, st.QueryDD, st.QueryExhaustive,
+					c["core.query.literal"], c["core.query.width"], c["core.query.dd"], c["core.query.exhaustive"])
+			}
+			if st.DDFallbacks > st.QueryExhaustive {
+				t.Fatalf("%d diagram fallbacks but only %d queries reached the solver", st.DDFallbacks, st.QueryExhaustive)
+			}
+		})
+	}
+}
+
+// parseBV reads sym.BV's String form (width 'w' 0x hex).
+func parseBV(t *testing.T, s string) sym.BV {
+	t.Helper()
+	ws, hex, ok := strings.Cut(s, "w0x")
+	w, err := strconv.ParseUint(ws, 10, 16)
+	if !ok || err != nil {
+		t.Fatalf("bit vector %q", s)
+	}
+	var hi uint64
+	if len(hex) > 16 {
+		if hi, err = strconv.ParseUint(hex[:len(hex)-16], 16, 64); err != nil {
+			t.Fatalf("bit vector %q", s)
+		}
+		hex = hex[len(hex)-16:]
+	}
+	lo, err := strconv.ParseUint(hex, 16, 64)
+	if err != nil {
+		t.Fatalf("bit vector %q", s)
+	}
+	return sym.NewBV2(uint16(w), hi, lo)
+}
+
+// TestExplainWidthDecided: a point decided by the width rule keeps no
+// diagram, yet Explain still says why it is live — Source "width" and
+// the free-bit count — and, where the residue compiles within the update
+// path's budget, narrates a predicate path compiled for the call, whose
+// liveness witness really satisfies the residue. Then the same calls run
+// beside a writer (the on-demand path takes the read lock; -race is the
+// assertion).
+func TestExplainWidthDecided(t *testing.T) {
+	s, _ := aclEngine(t, 150)
+	var widthPoints []int
+	narrated, witnessed := 0, 0
+	for id := range s.An.Points {
+		ex, err := s.Explain(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Source != "width" {
+			if ex.FreeBits != 0 {
+				t.Fatalf("point %d: source %q reports %d free bits", id, ex.Source, ex.FreeBits)
+			}
+			continue
+		}
+		widthPoints = append(widthPoints, id)
+		if ex.FreeBits <= sym.DefaultExhaustiveBits {
+			t.Fatalf("point %d: width-decided on %d free bits", id, ex.FreeBits)
+		}
+		if ex.Verdict != "live" && ex.Verdict != "varies" {
+			t.Fatalf("point %d: width-decided verdict %q", id, ex.Verdict)
+		}
+		if len(ex.Steps) == 0 {
+			if len(ex.Witness) != 0 {
+				t.Fatalf("point %d: a witness without a path: %+v", id, ex)
+			}
+			continue
+		}
+		narrated++
+		if ex.Query != "executable" || len(ex.Witness) == 0 {
+			continue
+		}
+		witness := make(map[string]sym.BV, len(ex.Witness))
+		for name, val := range ex.Witness {
+			witness[name] = parseBV(t, val)
+		}
+		out, err := core.ResidueValue(s, id, witness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.IsTrue() {
+			t.Fatalf("point %d: witness %v does not satisfy the residue", id, ex.Witness)
+		}
+		witnessed++
+	}
+	t.Logf("%d width-decided points, %d narrated, %d witnesses checked", len(widthPoints), narrated, witnessed)
+	if narrated == 0 || witnessed == 0 {
+		t.Fatalf("%d width-decided points, %d narrated, %d with a checked witness; want some of each",
+			len(widthPoints), narrated, witnessed)
+	}
+	if n := s.Statistics().DDNodes; n > 1000 {
+		t.Fatalf("narrating left %d nodes in the engine's diagram store", n)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 150; i < 190; i++ {
+			s.Apply(progs.MiddleblockACLEntry(i))
+		}
+		for i := 189; i >= 150; i-- {
+			u := progs.MiddleblockACLEntry(i)
+			u.Kind = controlplane.DeleteEntry
+			s.Apply(u)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ex, err := s.Explain(widthPoints[i%len(widthPoints)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ex.Source != "width" || ex.FreeBits <= sym.DefaultExhaustiveBits {
+					t.Errorf("point %d at epoch %d: source %q on %d free bits beside a writer", ex.Point, ex.Epoch, ex.Source, ex.FreeBits)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
+// TestEnvVariablesAreAtoms: recompileTarget looks for new diagram atoms
+// only in fragments that can introduce one (overapproximated tables,
+// register refills). Across the catalog — representative configuration,
+// fuzzed updates, a degraded table — every data variable any installed
+// assignment mentions must nevertheless be a registered atom.
+func TestEnvVariablesAreAtoms(t *testing.T) {
+	for _, p := range progs.Catalog() {
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			s, err := p.LoadWith(core.Options{Workers: 1, RepairInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			check := func(when string) {
+				t.Helper()
+				if err := core.CheckEnvVarsAreAtoms(s); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			}
+			check("open")
+			if err := p.ApplyRepresentative(s); err != nil {
+				t.Fatal(err)
+			}
+			check("representative")
+			for i, u := range makeStream(t, s, 0xa70) {
+				s.Apply(u)
+				check(fmt.Sprintf("update %d (%s)", i, u))
+			}
+			if err := s.Degrade(p.BurstTable); err != nil {
+				t.Fatal(err)
+			}
+			check("degraded " + p.BurstTable)
+			if _, err := s.PromoteAll(); err != nil {
+				t.Fatal(err)
+			}
+			check("promoted")
+		})
+	}
+}

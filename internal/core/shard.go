@@ -147,10 +147,7 @@ func (m *shardMap) planUnits(pts []*dataplane.Point, workers int) (units [][]int
 		sh := m.ofPoint[p.ID]
 		groups[sh] = append(groups[sh], k)
 	}
-	chunk := len(pts) / (workers * 4)
-	if chunk < minParallelPoints {
-		chunk = minParallelPoints
-	}
+	chunk := max(len(pts)/(workers*4), minUnitPoints)
 	for sh, g := range groups {
 		for len(g) > 0 {
 			n := min(chunk, len(g))

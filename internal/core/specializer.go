@@ -176,7 +176,8 @@ type Options struct {
 	Quality Quality
 	// Workers bounds the point re-evaluation worker pool: 1 forces
 	// serial evaluation, >1 sets the pool size, and <=0 (the default)
-	// uses GOMAXPROCS.
+	// uses GOMAXPROCS. A pass under minParallelPoints stays serial
+	// whatever the bound (parallel.go).
 	Workers int
 	// NoCache disables the taint-keyed specialization-query cache
 	// (cache.go). The cache is on by default; the cache-differential
@@ -184,10 +185,10 @@ type Options struct {
 	// equivalence.
 	NoCache bool
 	// NoDD disables the canonical decision-diagram query core (dd.go):
-	// every specialization query then runs on the substitute-and-probe
-	// solver path. The diagram core is on by default; the differential
-	// suite and the flaybench dd section use the ablation to prove
-	// verdict equivalence and measure the speedup.
+	// every residue inside the exhaustive bound is then decided by the
+	// solver's enumeration. The diagram core is on by default; the
+	// differential suite and the flaybench dd section use the ablation
+	// to prove verdict equivalence.
 	NoDD bool
 
 	// Exec enables the data-plane executor (exec.go): every epoch
@@ -256,10 +257,23 @@ type Stats struct {
 	CacheMisses    int64
 	CacheEvictions int64
 
+	// Query dispatch counters: how each query that got past the cache
+	// and the substitution skip was answered (queryAny), cheapest first
+	// — by a literal residue, by the width rule (free variables past the
+	// exhaustive bound: Live/Varies without a proof attempt), on a
+	// decision diagram, or by the solver's enumeration. They sum to the
+	// points evaluated minus cache hits minus substitution skips.
+	QueryLiteral    int64
+	QueryWidth      int64
+	QueryDD         int64
+	QueryExhaustive int64
+
 	// Decision-diagram query core counters (zero when the core is
-	// disabled). DDQueries counts verdicts answered on the diagram
-	// path, DDFallbacks queries punted to the probe solver, DDCompiles
-	// root compilations, and DDNodes the interned diagram nodes.
+	// disabled), over the queries that reached a diagram — literal and
+	// width-decided queries never do. DDQueries counts verdicts answered
+	// on the diagram path, DDFallbacks queries it punted to the solver,
+	// DDCompiles root compilations, and DDNodes the interned diagram
+	// nodes.
 	DDQueries   int64
 	DDFallbacks int64
 	DDCompiles  int64
@@ -385,6 +399,9 @@ type Specializer struct {
 	// the locked handle for its ablation pass.
 	ddc  *ddCore
 	roDD atomic.Pointer[ddCore]
+	// answeredBy counts queryAny's dispatch, one slot per queryPath;
+	// workers bump them concurrently and Statistics reads them live.
+	answeredBy [numQueryPaths]atomic.Int64
 
 	// Adaptive precision controller state (deadline.go). costNS is the
 	// per-target EWMA of precise analysis cost per tainted point (ns),
@@ -567,8 +584,12 @@ func (s *Specializer) Statistics() Stats {
 		st.CacheMisses = c.misses.Load()
 		st.CacheEvictions = c.evictions.Load()
 	}
+	st.QueryLiteral = s.answeredBy[byLiteral].Load()
+	st.QueryWidth = s.answeredBy[byWidth].Load()
+	st.QueryDD = s.answeredBy[byDD].Load()
+	st.QueryExhaustive = s.answeredBy[byExhaustive].Load()
+	st.DDQueries = st.QueryDD
 	if d := s.roDD.Load(); d != nil {
-		st.DDQueries = d.queries.Load()
 		st.DDFallbacks = d.fallbacks.Load()
 		st.DDCompiles = d.compiles.Load()
 		st.DDNodes = d.store.Load().NumNodes()
@@ -671,22 +692,27 @@ func (s *Specializer) Preload(updates []*controlplane.Update) error {
 func (s *Specializer) recompileTarget(target string) error {
 	b := s.An.Builder
 	var frag controlplane.Env
+	// freshVars: the fragment may mention data variables the open-time
+	// atom derivation never saw. A precisely compiled table or a value
+	// set is built from key expressions alone, all registered at open;
+	// the "*any*" forms substitute fresh unconstrained variables.
+	freshVars := false
 	switch {
 	case s.An.Tables[target] != nil:
-		te, _, err := s.Cfg.CompileTable(b, target)
+		te, st, err := s.Cfg.CompileTable(b, target)
 		if err != nil {
 			return err
 		}
-		frag = te
+		frag, freshVars = te, st.Overapproximate
 	case s.An.Registers[target] != nil:
-		frag = s.Cfg.CompileRegister(b, target)
+		frag, freshVars = s.Cfg.CompileRegister(b, target), true
 	default:
 		frag = s.Cfg.CompileValueSet(b, target)
 	}
 	for k, v := range frag {
 		s.env[k] = v
 	}
-	if s.ddc != nil {
+	if s.ddc != nil && freshVars {
 		s.ddc.ensureAtoms(frag)
 	}
 	fp := controlplane.EnvFingerprint(frag)
@@ -712,12 +738,12 @@ func (s *Specializer) Verdict(id int) Verdict {
 }
 
 // evalPointWith answers one point's specialization query using the
-// given worker shard's solver and substitution memo. Three layers
+// given worker shard's solver and substitution pass. Three layers
 // short-circuit, cheapest first: the taint-keyed query cache replays a
 // memoized verdict without substituting at all; hash-consing makes the
 // substituted expression a canonical pointer, so an unchanged pointer
-// means an unchanged verdict; and liveness witnesses from previous
-// queries are retried before the solver searches.
+// means an unchanged verdict; and only then is the residue queried
+// (queryAny).
 func (s *Specializer) evalPointWith(sh *evalShard, p *dataplane.Point) Verdict {
 	var key cacheKey
 	if s.cache != nil {
@@ -736,8 +762,7 @@ func (s *Specializer) evalPointWith(sh *evalShard, p *dataplane.Point) Verdict {
 		}
 		s.met.cacheMisses.Inc()
 	}
-	b := s.An.Builder
-	sub := b.SubstWith(&sh.sub, p.Expr, s.env)
+	sub := sh.pass.Subst(p.Expr)
 	if s.pointSub[p.ID] == sub && sub != nil {
 		s.met.substSkips.Inc()
 		v := s.verdicts[p.ID]
@@ -762,29 +787,101 @@ func (s *Specializer) storeCached(id int, key cacheKey, v Verdict) {
 	}
 }
 
-// queryPoint answers the point's specialization query on the
-// substituted residue.
-func (s *Specializer) queryPoint(sh *evalShard, p *dataplane.Point, sub *sym.Expr) Verdict {
-	switch p.Kind {
-	case dataplane.PointIfBranch, dataplane.PointActionReach,
-		dataplane.PointTableReach, dataplane.PointSelectCase:
-		verdict, witness := sh.solver.CheckWitness(sub, s.witnesses[p.ID])
-		if verdict == sym.Unsat {
-			return Verdict{Kind: VerdictDead}
+// queryPath names how queryAny answered a query.
+type queryPath uint8
+
+const (
+	byLiteral queryPath = iota
+	byWidth
+	byDD
+	byExhaustive
+	numQueryPaths
+)
+
+func (s *Specializer) answered(by queryPath) {
+	s.answeredBy[by].Add(1)
+	s.met.answeredBy[by].Inc()
+}
+
+// constQuery reports whether a point kind asks "is this value a
+// constant?"; every other kind asks "is this condition executable?".
+func constQuery(k dataplane.PointKind) bool {
+	return k == dataplane.PointAssignValue || k == dataplane.PointTableAction
+}
+
+// queryAny answers the point's specialization query on the substituted
+// residue, by the cheapest means that can decide it:
+//
+//   - a literal residue is its own answer — the overwhelmingly common
+//     case, substitution having folded the condition away;
+//   - a residue whose distinct free variables exceed the exhaustive
+//     bound (sym.Solver.Wide) is Live/Varies by construction: Dead needs
+//     an exhaustive refutation and Const an exhaustive certificate, and
+//     neither the solver nor a diagram may claim one past the bound —
+//     so nothing is compiled, evaluated or kept for it (a root left
+//     from a narrower residue is dropped; its backoff state stays);
+//   - inside the bound the diagram core answers on the point's compiled
+//     root when it can (dd.go);
+//   - and what is left goes to the solver: the cached witness
+//     re-evaluated, then the whole domain enumerated.
+func (s *Specializer) queryAny(sh *evalShard, p *dataplane.Point, sub *sym.Expr) Verdict {
+	isConst := constQuery(p.Kind)
+	switch {
+	case isConst && sub.IsConst():
+		s.answered(byLiteral)
+		return Verdict{Kind: VerdictConst, Val: sub.Val}
+	case !isConst && sub.IsTrue():
+		s.answered(byLiteral)
+		s.witnesses[p.ID] = sym.Env{}
+		return Verdict{Kind: VerdictLive}
+	case !isConst && sub.IsFalse():
+		s.answered(byLiteral)
+		return Verdict{Kind: VerdictDead}
+	}
+	if sh.solver.Wide(sub) {
+		s.answered(byWidth)
+		if s.ddc != nil {
+			s.ddc.invalidate(p.ID)
 		}
-		if verdict == sym.Sat {
-			s.witnesses[p.ID] = witness
+		if isConst {
+			return Verdict{Kind: VerdictVaries}
 		}
 		return Verdict{Kind: VerdictLive}
-	case dataplane.PointAssignValue, dataplane.PointTableAction:
-		res := sh.solver.ConstValue(sub)
+	}
+	if s.ddc != nil {
+		if v, ok := s.ddQuery(sh, p, sub); ok {
+			s.answered(byDD)
+			return v
+		}
+	}
+	s.answered(byExhaustive)
+	return queryPoint(sh.solver, p, sub, s.witnesses)
+}
+
+// queryPoint puts the point's specialization query to the solver.
+// witnesses, when non-nil, supplies the point's liveness hint and
+// receives the fresh witness of a Sat answer; the read-only differential
+// check passes nil and touches no engine state.
+func queryPoint(solver *sym.Solver, p *dataplane.Point, sub *sym.Expr, witnesses []sym.Env) Verdict {
+	if constQuery(p.Kind) {
+		res := solver.ConstValue(sub)
 		if res.Known && res.IsConst {
 			return Verdict{Kind: VerdictConst, Val: res.Val}
 		}
 		return Verdict{Kind: VerdictVaries}
-	default:
-		return Verdict{Kind: VerdictLive}
 	}
+	var hint sym.Env
+	if witnesses != nil {
+		hint = witnesses[p.ID]
+	}
+	verdict, witness := solver.CheckWitness(sub, hint)
+	if verdict == sym.Unsat {
+		return Verdict{Kind: VerdictDead}
+	}
+	if verdict == sym.Sat && witnesses != nil {
+		witnesses[p.ID] = witness
+	}
+	return Verdict{Kind: VerdictLive}
 }
 
 // Apply processes one control-plane update: validate, route through the

@@ -8,6 +8,7 @@ package dataplane
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/p4/ast"
@@ -183,60 +184,83 @@ type Analysis struct {
 
 	// SkippedParser records whether parser analysis was skipped.
 	SkippedParser bool
+
+	// pointsOf maps an object's qualified name to the points it
+	// influences, in ID order (indexPoints).
+	pointsOf map[string][]*Point
 }
 
 // PointsOf returns the points influenced by the object with the given
 // qualified name (table, value set or register), deduplicated, in ID
-// order.
+// order. The list is the analysis's own, built once by Analyze (the
+// taint map never changes afterwards) and shared by every caller: it
+// must not be modified.
 func (a *Analysis) PointsOf(qualified string) []*Point {
-	seen := make(map[int]bool)
-	var out []*Point
-	for v, ids := range a.Taint {
-		if a.VarOwner[v] != qualified {
-			continue
-		}
-		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, a.Points[id])
-			}
-		}
-	}
-	// IDs arrive unordered from the map; sort by ID.
-	sortPoints(out)
-	return out
+	return a.pointsOf[qualified]
 }
 
 // PointsOfTargets returns the union of PointsOf over the given qualified
 // names, deduplicated, in ID order. The batch update engine routes a
-// whole coalesced batch through this single taint lookup.
+// whole coalesced batch through this single taint lookup. Like PointsOf,
+// the result must not be modified (for a single name it is that name's
+// list).
 func (a *Analysis) PointsOfTargets(names []string) []*Point {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	seen := make(map[int]bool)
 	var out []*Point
-	for v, ids := range a.Taint {
-		if !want[a.VarOwner[v]] {
-			continue
-		}
-		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, a.Points[id])
-			}
+	for i, n := range names {
+		if i == 0 {
+			out = a.pointsOf[n]
+		} else {
+			out = mergePoints(out, a.pointsOf[n])
 		}
 	}
-	sortPoints(out)
 	return out
 }
 
-func sortPoints(out []*Point) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].ID > out[j].ID; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
+// mergePoints merges two ID-ordered point lists into a fresh one,
+// keeping one copy of a point both hold; when either is empty the other
+// is returned as is.
+func mergePoints(x, y []*Point) []*Point {
+	if len(x) == 0 {
+		return y
+	}
+	if len(y) == 0 {
+		return x
+	}
+	out := make([]*Point, 0, len(x)+len(y))
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0].ID < y[0].ID:
+			out, x = append(out, x[0]), x[1:]
+		case x[0].ID > y[0].ID:
+			out, y = append(out, y[0]), y[1:]
+		default:
+			out, x, y = append(out, x[0]), x[1:], y[1:]
 		}
+	}
+	return append(append(out, x...), y...)
+}
+
+// indexPoints inverts the taint map through the variable-owner map into
+// the per-object point lists PointsOf serves.
+func (a *Analysis) indexPoints() {
+	ids := make(map[string]map[int]bool)
+	for v, tainted := range a.Taint {
+		owner := a.VarOwner[v]
+		if ids[owner] == nil {
+			ids[owner] = make(map[int]bool, len(tainted))
+		}
+		for _, id := range tainted {
+			ids[owner][id] = true
+		}
+	}
+	a.pointsOf = make(map[string][]*Point, len(ids))
+	for owner, set := range ids {
+		pts := make([]*Point, 0, len(set))
+		for id := range set {
+			pts = append(pts, a.Points[id])
+		}
+		sort.Slice(pts, func(i, j int) bool { return pts[i].ID < pts[j].ID })
+		a.pointsOf[owner] = pts
 	}
 }
 

@@ -42,6 +42,7 @@ func Analyze(prog *ast.Program, info *typecheck.Info, opts Options) (*Analysis, 
 
 	sp = opts.Trace.Start("taint", opts.Parent)
 	a.buildTaint()
+	a.an.indexPoints()
 	edges := 0
 	for _, ids := range a.an.Taint {
 		edges += len(ids)

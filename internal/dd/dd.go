@@ -25,8 +25,8 @@
 // cannot both hold), pointer equality implies semantic equality but a
 // non-False diagram is not automatically satisfiable; walk.go provides
 // the feasibility-pruned path walks (Sat, ConstCheck) that close the
-// gap, and the engine falls back to the probe solver when a walk
-// exceeds its budget.
+// gap, and the engine falls back to the solver's enumeration when a
+// walk exceeds its budget.
 //
 // Concurrency: a Store's intern table is guarded by an internal mutex
 // (mirroring sym.Builder), so evaluation workers may compile through
@@ -408,7 +408,7 @@ func (c *Ctx) Store() *Store { return c.st }
 // compileLimit bounds the work (node constructions + apply steps) one
 // Compile call may perform before giving up; a blown budget means the
 // condition does not have a compact diagram under the current order
-// and the caller falls back to the probe solver.
+// and the caller falls back to the solver.
 const compileLimit = 1 << 17
 
 // bailErr aborts a compilation. Both flavors memoize at the top-level
@@ -489,7 +489,7 @@ func (c *Ctx) recUncached(e *sym.Expr) *Node {
 		return st.Term(e.Val)
 	case sym.OpVar:
 		if e.Class != sym.DataVar || e.Width != 1 {
-				// A wide variable has no finite terminal set; it only enters
+			// A wide variable has no finite terminal set; it only enters
 			// the fragment through a predicate (Eq/Ult against a
 			// constant), handled one level up. Control variables never
 			// survive substitution.
@@ -497,7 +497,7 @@ func (c *Ctx) recUncached(e *sym.Expr) *Node {
 		}
 		id, ok := st.lookup(e.Name, e.Width)
 		if !ok {
-				panic(bailErr{})
+			panic(bailErr{})
 		}
 		return st.predNode(id, e.Width, PredBool, sym.Bool(true))
 	case sym.OpEq, sym.OpUlt:
@@ -652,7 +652,7 @@ func (c *Ctx) apply1(op sym.Op, a *Node, p1, p2 uint16) *Node {
 		case sym.OpExtract:
 			n = c.st.Term(a.val.Extract(p1, p2))
 		default:
-				panic(bailErr{})
+			panic(bailErr{})
 		}
 	} else {
 		n = c.st.mk(a.p, c.apply1(op, a.t, p1, p2), c.apply1(op, a.f, p1, p2))

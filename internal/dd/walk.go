@@ -21,7 +21,7 @@ import (
 // the feasible paths cover the function exactly: no feasible true-path
 // means unsatisfiable, and all feasible paths sharing one terminal
 // means constant. The search is budgeted; a blown budget reports Over
-// and the engine falls back to the probe solver, keeping the walks
+// and the engine falls back to the solver, keeping the walks
 // pure speedup, never a soundness risk.
 
 // con is the per-atom feasibility state along the current path. fm/fv

@@ -28,28 +28,54 @@ func TestDeadlineDegradesOverTheWire(t *testing.T) {
 	}
 
 	// Train the engine's cost estimator with deadline-free precise
-	// writes until per-update cost is far beyond a 2ms budget.
-	train := make([]*controlplane.Update, 60)
-	for i := range train {
-		train[i] = progs.MiddleblockACLEntry(i)
-	}
-	resp, err := d.c.Write("ddl", wire.ModeSingle, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, dec := range resp.Decisions {
-		if dec.Kind == "rejected" {
-			t.Fatalf("training update %d rejected: %s", i, dec.Error)
+	// writes, growing the ACL until one precise write costs several
+	// times the budget. How many entries that takes depends on how fast
+	// the precise pass is on this machine (its cost grows with the chain
+	// it rebuilds), so the table is sized from the elapsed_ns the
+	// training decisions report, not from a constant: grown a batch at a
+	// time, then probed with two single writes, until both cost at least
+	// 4x the budget.
+	const (
+		budget  = 2 * time.Millisecond
+		growBy  = 256
+		maxSize = 1 << 16
+	)
+	next := 0
+	train := func(mode string, n int) []wire.Decision {
+		t.Helper()
+		ups := make([]*controlplane.Update, n)
+		for i := range ups {
+			ups[i] = progs.MiddleblockACLEntry(next)
+			next++
 		}
-		if dec.Precision != "" {
-			t.Fatalf("training update %d already degraded", i)
+		resp, err := d.c.Write("ddl", mode, ups)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, dec := range resp.Decisions {
+			if dec.Kind == "rejected" {
+				t.Fatalf("training update %d rejected: %s", next-n+i, dec.Error)
+			}
+			if dec.Precision != "" {
+				t.Fatalf("training update %d already degraded", next-n+i)
+			}
+		}
+		return resp.Decisions
 	}
+	for cost := time.Duration(0); cost < 4*budget; {
+		if next > maxSize {
+			t.Fatalf("a precise write still costs %v at %d ACL entries; cannot outgrow a %v budget", cost, next, budget)
+		}
+		train(wire.ModeBatch, growBy)
+		probes := train(wire.ModeSingle, 2)
+		cost = time.Duration(min(probes[0].ElapsedNS, probes[1].ElapsedNS))
+	}
+	t.Logf("trained on %d ACL entries", next)
 
-	// One write under a 2ms budget: the engine must degrade rather than
-	// run the ~10ms precise pass, and say so on the wire.
-	resp, err = d.c.WriteDeadline("ddl", wire.ModeSingle,
-		[]*controlplane.Update{progs.MiddleblockACLEntry(60)}, 2*time.Millisecond)
+	// One write under the budget: the engine must degrade rather than
+	// run the precise pass, and say so on the wire.
+	resp, err := d.c.WriteDeadline("ddl", wire.ModeSingle,
+		[]*controlplane.Update{progs.MiddleblockACLEntry(next)}, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

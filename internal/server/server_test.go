@@ -782,8 +782,11 @@ func TestExplainEndpoint(t *testing.T) {
 		if ex.Verdict == "" || ex.Query == "" || ex.Kind == "" {
 			t.Fatalf("point %d: incomplete explanation %+v", ex.Point, ex)
 		}
-		if ex.Source != "dd" && ex.Source != "solver" {
-			t.Fatalf("point %d: source %q, want dd or solver", ex.Point, ex.Source)
+		if ex.Source != "dd" && ex.Source != "width" && ex.Source != "solver" {
+			t.Fatalf("point %d: source %q, want dd, width or solver", ex.Point, ex.Source)
+		}
+		if (ex.Source == "width") != (ex.FreeBits > 0) {
+			t.Fatalf("point %d: source %q with %d free bits", ex.Point, ex.Source, ex.FreeBits)
 		}
 		want, err := local.Explain(ex.Point)
 		if err != nil {

@@ -90,8 +90,8 @@ func TestPrintDepthCap(t *testing.T) {
 func TestCheckWitnessHint(t *testing.T) {
 	b := NewBuilder()
 	s := NewSolver()
-	x := b.Data("x", 64)
-	e := b.Eq(x, b.ConstUint(64, 0x1234))
+	x := b.Data("x", 8)
+	e := b.Eq(x, b.ConstUint(8, 0x34))
 	v, w := s.CheckWitness(e, nil)
 	if v != Sat || w == nil {
 		t.Fatalf("first query: %v", v)
@@ -108,9 +108,17 @@ func TestCheckWitnessHint(t *testing.T) {
 		t.Fatal("hinted query should return the hint")
 	}
 	// A stale hint (missing variables) is ignored gracefully.
-	y := b.Data("y", 64)
-	e2 := b.And(e, b.Eq(y, b.ConstUint(64, 7)))
+	y := b.Data("y", 8)
+	e2 := b.And(e, b.Eq(y, b.ConstUint(8, 7)))
 	if v3, _ := s.CheckWitness(e2, w); v3 != Sat {
 		t.Fatalf("query with stale hint: %v", v3)
+	}
+	// Past the exhaustive bound not even a satisfying hint is consulted:
+	// Sat and Unknown are the same verdict to the engine, so the
+	// evaluation would buy nothing.
+	z := b.Data("z", 64)
+	k := b.ConstUint(64, 0x1234)
+	if v4, w4 := s.CheckWitness(b.Eq(z, k), Env{z: k.Val}); v4 != Unknown || w4 != nil {
+		t.Fatalf("wide query with a satisfying hint: %v %v, want Unknown", v4, w4)
 	}
 }

@@ -4,9 +4,13 @@
 // free variables from the fuzzer's byte program, and every solver
 // answer (Sat witness, Unsat proof, constant-ness verdict) is checked
 // against exhaustive enumeration of the 256-assignment domain.
+// FuzzSolverOracle runs the same generator over variables that straddle
+// the exhaustive bound and holds the solver to the probing solver it
+// replaced, as the engine reads the two.
 package sym_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/sym"
@@ -247,4 +251,148 @@ func FuzzSolver(f *testing.F) {
 			}
 		}
 	})
+}
+
+// oracleVarWidths puts the generator on both sides of the exhaustive
+// bound: {3,5,8} total exactly 16 bits (inside), any subset holding the
+// 9-bit variable beside the 8-bit one is past it, and every program
+// mentions its variables repeatedly — which must not be counted twice.
+var oracleVarWidths = []uint16{3, 5, 8, 9}
+
+// oracleSide says where an expression sits relative to the bound.
+type oracleSide int
+
+const (
+	sideLiteral oracleSide = iota
+	sideInside
+	sidePast
+)
+
+// checkSolverAgainstOracle holds the solver to the probing solver it
+// replaced (oracle_test.go), compared the way the engine reads them:
+// Unsat ⇔ Dead and everything else Live; Known && IsConst ⇔ Const(val)
+// and everything else Varies. It also pins the width rule against the
+// distinct-variable sum computed independently.
+func checkSolverAgainstOracle(t *testing.T, program []byte) oracleSide {
+	b := sym.NewBuilder()
+	vars := make([]*sym.Expr, len(oracleVarWidths))
+	for i, w := range oracleVarWidths {
+		vars[i] = b.Data(string(rune('a'+i)), w)
+	}
+	e := synthExpr(b, vars, program)
+	cond := e
+	if cond.Width != 1 {
+		cond = b.Ne(e, b.Const(sym.BV{W: e.Width}))
+	}
+	solver, oracle := sym.NewSolver(), sym.NewProbingSolver()
+
+	for _, x := range []*sym.Expr{e, cond} {
+		bits := 0
+		for _, v := range sym.AllVars(x) {
+			bits += int(v.Width)
+		}
+		if got, want := solver.Wide(x), bits > sym.DefaultExhaustiveBits; got != want {
+			t.Fatalf("Wide = %v on %d distinct free bits: %s", got, bits, x)
+		}
+	}
+
+	got, want := solver.ConstValue(e), oracle.ConstValue(e)
+	gotConst, wantConst := got.Known && got.IsConst, want.Known && want.IsConst
+	if gotConst != wantConst || (gotConst && got.Val != want.Val) {
+		t.Fatalf("ConstValue %+v, probing solver %+v: %s", got, want, e)
+	}
+	if solver.Wide(e) && got.Known {
+		t.Fatalf("ConstValue decided a wide expression: %+v: %s", got, e)
+	}
+
+	v, w := solver.CheckWitness(cond, nil)
+	ov, ow := oracle.CheckWitness(cond, nil)
+	if (v == sym.Unsat) != (ov == sym.Unsat) {
+		t.Fatalf("CheckWitness %s, probing solver %s: %s", v, ov, cond)
+	}
+	if v == sym.Sat {
+		if out, err := sym.Eval(cond, w); err != nil || !out.IsTrue() {
+			t.Fatalf("witness %v does not satisfy (err %v): %s", w, err, cond)
+		}
+	}
+	// The other solver's witness as a hint must not move either verdict
+	// across the Dead line.
+	hv, _ := solver.CheckWitness(cond, ow)
+	ohv, _ := oracle.CheckWitness(cond, w)
+	if (hv == sym.Unsat) != (v == sym.Unsat) || (ohv == sym.Unsat) != (ov == sym.Unsat) {
+		t.Fatalf("hinted CheckWitness %s / %s, unhinted %s / %s: %s", hv, ohv, v, ov, cond)
+	}
+	switch {
+	case solver.Wide(cond):
+		if v != sym.Unknown || hv != sym.Unknown {
+			t.Fatalf("CheckWitness decided a wide formula: %s, hinted %s: %s", v, hv, cond)
+		}
+		return sidePast
+	case cond.IsConst():
+		return sideLiteral
+	default:
+		if v == sym.Unknown {
+			t.Fatalf("CheckWitness answered Unknown inside the bound: %s", cond)
+		}
+		return sideInside
+	}
+}
+
+// oracleSeeds name the shapes the comparison must cover; the native
+// fuzzer grows the corpus from them.
+var oracleSeeds = [][]byte{
+	{0, 0, 0, 1, 10},                            // a == b: 8 bits, inside
+	{0, 0, 0, 1, 3, 0, 2, 3, 1, 0, 10},          // (a & b & c) == 0: exactly 16 bits
+	{0, 2, 0, 3, 10},                            // c == d: 17 bits, past
+	{0, 0, 0, 1, 3, 0, 2, 3, 0, 3, 3, 1, 0, 10}, // all four: 25 bits
+	{0, 3, 0, 3, 6, 0, 3, 5, 0, 3, 10},          // d four times: 9 bits, counted once
+	{0, 2, 0, 2, 5, 0, 3, 11},                   // (c ^ c) < d: folds to one variable
+	{0, 3, 1, 7, 11, 0, 2, 1, 5, 11, 3},         // d < 7 && c < 5: past, easily satisfiable
+	{0, 3, 0, 2, 12, 1, 4, 10},                  // ite over a past-the-bound condition
+	{0, 0, 1, 3, 6, 1, 5, 11},                   // (a+3) < 5
+	{0, 2, 1, 4, 8, 1, 4, 9, 0, 2, 10},          // ((c<<4)>>4) == c: refutable, 8 bits
+	{0, 1, 0, 1, 14, 13, 4, 0, 1, 10},           // concat(b,b)[4:0] == b: tautology inside
+	{0, 3, 0, 2, 14, 13, 9, 0, 3, 15, 1, 10},    // slice of concat(c,d) across the seam
+}
+
+func FuzzSolverOracle(f *testing.F) {
+	for _, seed := range oracleSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, program []byte) {
+		if len(program) > 96 {
+			t.Skip("cap expression size")
+		}
+		checkSolverAgainstOracle(t, program)
+	})
+}
+
+// TestSolverMatchesProbingOracle runs the oracle comparison over the
+// seeds and a fixed pseudo-random corpus, and insists the corpus really
+// lands on both sides of the bound.
+func TestSolverMatchesProbingOracle(t *testing.T) {
+	var sides [3]int
+	for _, seed := range oracleSeeds {
+		sides[checkSolverAgainstOracle(t, seed)]++
+	}
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 400; trial++ {
+		// One to four variables combined by random binary operators,
+		// then a random tail: uniform bytes alone push a variable on one
+		// op in sixteen and almost never get past the bound.
+		var program []byte
+		for i, n := 0, 1+r.Intn(4); i < n; i++ {
+			program = append(program, 0, byte(r.Intn(len(oracleVarWidths))))
+			if i > 0 {
+				program = append(program, byte(3+r.Intn(9)))
+			}
+		}
+		tail := make([]byte, r.Intn(40))
+		r.Read(tail)
+		sides[checkSolverAgainstOracle(t, append(program, tail...))]++
+	}
+	t.Logf("corpus: %d literal, %d inside the bound, %d past it", sides[sideLiteral], sides[sideInside], sides[sidePast])
+	if sides[sideInside] < 50 || sides[sidePast] < 50 {
+		t.Fatal("corpus is lopsided")
+	}
 }

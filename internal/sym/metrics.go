@@ -14,14 +14,20 @@ type SolverMetrics struct {
 	WitnessHits *obs.Counter // hint witness still satisfied (cache hit)
 	WitnessMiss *obs.Counter // hint supplied but no longer satisfies
 	Exhaustive  *obs.Counter // decided by exhaustive small-domain search
-	ProbeSat    *obs.Counter // satisfied by candidate/random probing
-	Unknown     *obs.Counter // gave up within budget
+	Unknown     *obs.Counter // not decided: free variables past the exhaustive bound
 
 	// ConstValue accounting.
 	ConstQueries *obs.Counter // constant-ness queries answered
 	ConstProved  *obs.Counter // certified constant (literal or exhaustive)
 	ConstRefuted *obs.Counter // two differing evaluations found
-	ConstUnknown *obs.Counter // undecided within budget
+	ConstUnknown *obs.Counter // not decided: free variables past the exhaustive bound
+
+	// Work accounting: Evals counts full evaluations of a residue under
+	// one assignment (hint re-proofs, enumeration steps, the diagram
+	// path's witness checks), WidthNodes the DAG nodes the width rule
+	// visited — the two costs a query can have.
+	Evals      *obs.Counter
+	WidthNodes *obs.Counter
 
 	// QueryDepth is the high-water DAG depth of expressions entering the
 	// solver — the residue the simplifier could not fold away.
@@ -39,12 +45,13 @@ func NewSolverMetrics(r *obs.Registry) *SolverMetrics {
 		WitnessHits:  r.Counter("sym.solver.witness_hits"),
 		WitnessMiss:  r.Counter("sym.solver.witness_misses"),
 		Exhaustive:   r.Counter("sym.solver.exhaustive"),
-		ProbeSat:     r.Counter("sym.solver.probe_sat"),
 		Unknown:      r.Counter("sym.solver.unknown"),
 		ConstQueries: r.Counter("sym.solver.const_queries"),
 		ConstProved:  r.Counter("sym.solver.const_proved"),
 		ConstRefuted: r.Counter("sym.solver.const_refuted"),
 		ConstUnknown: r.Counter("sym.solver.const_unknown"),
+		Evals:        r.Counter("sym.solver.evals"),
+		WidthNodes:   r.Counter("sym.solver.width_nodes"),
 		QueryDepth:   r.Gauge("sym.solver.query_depth_max"),
 	}
 }
@@ -86,12 +93,6 @@ func (m *SolverMetrics) exhaustive() {
 	}
 }
 
-func (m *SolverMetrics) probeSat() {
-	if m != nil {
-		m.ProbeSat.Inc()
-	}
-}
-
 func (m *SolverMetrics) unknown() {
 	if m != nil {
 		m.Unknown.Inc()
@@ -113,5 +114,17 @@ func (m *SolverMetrics) constRefuted() {
 func (m *SolverMetrics) constUnknown() {
 	if m != nil {
 		m.ConstUnknown.Inc()
+	}
+}
+
+func (m *SolverMetrics) eval() {
+	if m != nil {
+		m.Evals.Inc()
+	}
+}
+
+func (m *SolverMetrics) widthWalk(visited int) {
+	if m != nil {
+		m.WidthNodes.Add(int64(visited))
 	}
 }

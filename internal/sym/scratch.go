@@ -1,12 +1,15 @@
 package sym
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // scratch holds the Solver's reusable per-node state: evaluation memos
 // and visited marks indexed by the Builder's dense node IDs. Epoch
-// counters avoid clearing between queries, which matters because the
-// incremental engine evaluates thousands of probe assignments per
-// update.
+// counters avoid clearing between queries: an exhaustive search
+// evaluates up to 2^16 assignments, and the width walk runs once per
+// re-evaluated point.
 type scratch struct {
 	vals     []BV
 	valMark  []uint32
@@ -14,38 +17,59 @@ type scratch struct {
 
 	seen      []uint32
 	seenEpoch uint32
+
+	// State of one varsWithin walk: the variables found so far (the
+	// buffer is reused across walks), their summed width against the
+	// bound, and the nodes visited.
+	within  []*Expr
+	bits    int
+	bound   int
+	visited int
 }
 
-func (sc *scratch) ensure(id uint64) {
+// ensureVals sizes the evaluation memo for node id, ensureSeen the
+// visited marks. They grow apart: every re-evaluated point's residue is
+// walked for its width, but only one inside the exhaustive bound is ever
+// evaluated, so an engine whose residues are all wide never pays the
+// (seven times larger) evaluation memo.
+func (sc *scratch) ensureVals(id uint64) {
 	if int(id) < len(sc.vals) {
 		return
 	}
-	n := int(id) + 1
-	if n < 2*len(sc.vals) {
-		n = 2 * len(sc.vals)
-	}
+	n := grown(len(sc.vals), id)
 	vals := make([]BV, n)
 	copy(vals, sc.vals)
 	sc.vals = vals
 	vm := make([]uint32, n)
 	copy(vm, sc.valMark)
 	sc.valMark = vm
-	sn := make([]uint32, n)
+}
+
+func (sc *scratch) ensureSeen(id uint64) {
+	if int(id) < len(sc.seen) {
+		return
+	}
+	sn := make([]uint32, grown(len(sc.seen), id))
 	copy(sn, sc.seen)
 	sc.seen = sn
+}
+
+// grown is the length an id-indexed array of length have takes on to
+// hold id: at least double, so growth stays amortized.
+func grown(have int, id uint64) int {
+	return max(int(id)+1, 2*have)
 }
 
 // eval computes e under env with epoch-memoized reuse. It reports false
 // when a variable is unassigned.
 func (sc *scratch) eval(e *Expr, env Env) (BV, bool) {
 	sc.valEpoch++
-	sc.ensure(0)
 	return sc.evalRec(e, env)
 }
 
 func (sc *scratch) evalRec(e *Expr, env Env) (BV, bool) {
 	id := e.id
-	sc.ensure(id)
+	sc.ensureVals(id)
 	if sc.valMark[id] == sc.valEpoch {
 		return sc.vals[id], true
 	}
@@ -131,62 +155,50 @@ func (sc *scratch) evalRec(e *Expr, env Env) (BV, bool) {
 	return v, true
 }
 
-// vars collects every variable node reachable from e, sorted by id.
+// vars collects every variable node reachable from e, sorted by id, in
+// a slice the caller owns.
 func (sc *scratch) vars(e *Expr) []*Expr {
-	sc.seenEpoch++
-	var out []*Expr
-	var walk func(*Expr)
-	walk = func(n *Expr) {
-		if n == nil {
-			return
-		}
-		sc.ensure(n.id)
-		if sc.seen[n.id] == sc.seenEpoch {
-			return
-		}
-		sc.seen[n.id] = sc.seenEpoch
-		if n.Op == OpVar {
-			out = append(out, n)
-			return
-		}
-		walk(n.A)
-		walk(n.B)
-		walk(n.C)
-	}
-	walk(e)
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	vars, _, _ := sc.varsWithin(e, math.MaxInt)
+	return append([]*Expr(nil), vars...)
 }
 
-// harvest collects per-variable candidate values from comparisons,
-// without allocating a visited map.
-func (sc *scratch) harvest(e *Expr, add func(v *Expr, val BV)) {
+// varsWithin collects the distinct variable nodes reachable from e,
+// sorted by id, as long as their widths sum to at most bound. The walk
+// stops at the first variable that takes the sum past the bound and
+// reports wide=true with no variables; visited is the number of DAG
+// nodes it looked at either way. The returned slice is the scratch's
+// own buffer, valid until the next walk.
+func (sc *scratch) varsWithin(e *Expr, bound int) (vars []*Expr, visited int, wide bool) {
 	sc.seenEpoch++
-	var walk func(*Expr)
-	walk = func(n *Expr) {
-		if n == nil {
-			return
-		}
-		sc.ensure(n.id)
-		if sc.seen[n.id] == sc.seenEpoch {
-			return
-		}
-		sc.seen[n.id] = sc.seenEpoch
-		if n.Op == OpEq || n.Op == OpUlt {
-			va, cb := n.A, n.B
-			if va.Op == OpConst {
-				va, cb = cb, va
-			}
-			if va.Op == OpVar && cb.Op == OpConst {
-				add(va, cb.Val)
-				one := NewBV(cb.Val.W, 1)
-				add(va, cb.Val.Add(one))
-				add(va, cb.Val.Sub(one))
-			}
-		}
-		walk(n.A)
-		walk(n.B)
-		walk(n.C)
+	sc.within, sc.bits, sc.bound, sc.visited = sc.within[:0], 0, bound, 0
+	if !sc.walkWithin(e) {
+		return nil, sc.visited, true
 	}
-	walk(e)
+	vars = sc.within
+	sort.Slice(vars, func(i, j int) bool { return vars[i].id < vars[j].id })
+	return vars, sc.visited, false
+}
+
+// walkWithin visits n's unmarked DAG below it, condition before
+// branches (an entry-match chain names its key variables in the first
+// condition); false means the bound was crossed and the walk is over.
+func (sc *scratch) walkWithin(n *Expr) bool {
+	if n == nil {
+		return true
+	}
+	sc.ensureSeen(n.id)
+	if sc.seen[n.id] == sc.seenEpoch {
+		return true
+	}
+	sc.seen[n.id] = sc.seenEpoch
+	sc.visited++
+	if n.Op == OpVar {
+		sc.bits += int(n.Width)
+		if sc.bits > sc.bound {
+			return false
+		}
+		sc.within = append(sc.within, n)
+		return true
+	}
+	return sc.walkWithin(n.A) && sc.walkWithin(n.B) && sc.walkWithin(n.C)
 }

@@ -10,12 +10,13 @@ const (
 	Unsat Verdict = iota
 	// Sat means a witness assignment was found.
 	Sat
-	// Unknown means neither a witness nor an exhaustive refutation was
-	// found within budget. Callers must treat Unknown conservatively:
-	// code that "may be executable" stays, a variable that "may vary" is
-	// not replaced by a constant, and a verdict that "may have changed"
-	// triggers recompilation. That keeps the specializer sound even when
-	// the solver gives up.
+	// Unknown means the formula's free variables exceed the exhaustive
+	// bound, so neither a witness nor a refutation was looked for.
+	// Callers must treat Unknown conservatively: code that "may be
+	// executable" stays, a variable that "may vary" is not replaced by a
+	// constant, and a verdict that "may have changed" triggers
+	// recompilation. That keeps the specializer sound where the solver
+	// does not decide.
 	Unknown
 )
 
@@ -34,88 +35,68 @@ func (v Verdict) String() string {
 // over simplified expressions. It is a deliberately small decision
 // procedure: Flay's queries arise from substituting concrete control-
 // plane assignments into match-key expressions, which the simplifier
-// already folds to constants in the overwhelmingly common case; the
-// solver handles the residue with candidate-point probing and exhaustive
-// search over small domains.
+// already folds to constants in the overwhelmingly common case. What is
+// left is decided in this order: a literal answers itself; a residue
+// whose distinct free variables exceed DefaultExhaustiveBits is not
+// decided at all (Wide — no search could end in a proof, so none runs);
+// inside the bound a caller-supplied witness is re-evaluated, and then
+// the whole domain is enumerated.
 type Solver struct {
-	// MaxProbes bounds the number of candidate assignments tried before
-	// answering Unknown. The default (solverDefaultProbes) is used when
-	// zero.
-	MaxProbes int
-	// ExhaustiveBits is the largest total free-variable bit-width for
-	// which an exhaustive (and therefore Unsat-capable) search runs. The
-	// default is solverDefaultExhaustiveBits when zero.
-	ExhaustiveBits int
 	// Metrics, when set, counts how queries decide (witness-cache hits,
-	// exhaustive decisions, probe luck, Unknowns). Nil disables
-	// accounting at zero cost. Shared across solvers safely: the
-	// underlying instruments are atomic.
+	// exhaustive decisions, Unknowns) and how much evaluation and width
+	// walking they cost. Nil disables accounting at zero cost. Shared
+	// across solvers safely: the underlying instruments are atomic.
 	Metrics *SolverMetrics
 
-	rng uint64
-	sc  scratch
+	sc scratch
 }
 
-const (
-	solverDefaultProbes         = 1024
-	solverDefaultExhaustiveBits = 16
-	solverRandomProbes          = 128
-	maxCandidatesPerVar         = 12
-)
+// DefaultExhaustiveBits is the exhaustive-search bound: the largest
+// total width of a residue's distinct free variables for which the
+// solver's search is complete (Unsat- and Const-capable). Every proof
+// the engine acts on — solver or decision diagram — is confined to
+// residues inside this bound, which is what keeps the two query paths'
+// verdicts interchangeable.
+const DefaultExhaustiveBits = 16
 
-// DefaultExhaustiveBits is the default exhaustive-search bound: the
-// largest total free-variable bit-width for which the solver's search
-// is complete (Unsat- and Const-capable). The decision-diagram query
-// core mirrors this bound so its verdicts are interchangeable with
-// solver verdicts: a diagram-side unsatisfiability or constancy proof
-// only upgrades to Dead/Const when the solver's exhaustive pass would
-// have certified it too.
-const DefaultExhaustiveBits = solverDefaultExhaustiveBits
-
-// NewSolver returns a Solver with default budgets and a fixed
-// deterministic probe sequence.
-func NewSolver() *Solver {
-	return &Solver{rng: 0x9e3779b97f4a7c15}
-}
-
-func (s *Solver) next() uint64 {
-	// xorshift64*: deterministic, dependency-free probe source.
-	x := s.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	s.rng = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func (s *Solver) probes() int {
-	if s.MaxProbes > 0 {
-		return s.MaxProbes
-	}
-	return solverDefaultProbes
-}
-
-func (s *Solver) exhaustiveBits() int {
-	if s.ExhaustiveBits > 0 {
-		return s.ExhaustiveBits
-	}
-	return solverDefaultExhaustiveBits
-}
+// NewSolver returns a Solver.
+func NewSolver() *Solver { return &Solver{} }
 
 // Eval evaluates e under env using the solver's memoized scratch. It
 // reports false when a variable needed by the evaluation is
 // unassigned. The decision-diagram path uses it to verify walk-derived
 // witnesses against the residue before installing them.
 func (s *Solver) Eval(e *Expr, env Env) (BV, bool) {
+	s.Metrics.eval()
 	return s.sc.eval(e, env)
 }
 
 // FreeVars collects the distinct variable nodes reachable from e,
-// sorted by builder id — the same enumeration the solver's searches
-// use, exposed so the diagram path can mirror the exhaustive-bits
-// decision exactly.
+// sorted by builder id — the enumeration order of the exhaustive
+// search.
 func (s *Solver) FreeVars(e *Expr) []*Expr {
 	return s.sc.vars(e)
+}
+
+// Wide reports whether the distinct free variables of e total more than
+// DefaultExhaustiveBits — the one rule that separates residues the
+// solver (and the engine's diagram core) may prove things about from
+// residues that are Live/Varies by construction. The walk marks shared
+// DAG nodes, counts a repeated variable once, and stops at the first
+// variable that crosses the bound, so on the deep entry-match chains of
+// a populated table it visits a handful of nodes, not the chain.
+func (s *Solver) Wide(e *Expr) bool {
+	_, wide := s.narrowVars(e)
+	return wide
+}
+
+// narrowVars is Wide that also hands back what it found: the distinct
+// free variables of e sorted by id when they fit the exhaustive bound,
+// or wide=true (and no variables) the moment they do not.
+func (s *Solver) narrowVars(e *Expr) (vars []*Expr, wide bool) {
+	vars, visited, wide := s.sc.varsWithin(e, DefaultExhaustiveBits)
+	s.Metrics.widthWalk(visited)
+	return vars, wide
 }
 
 // Check reports whether the width-1 expression e is satisfiable over its
@@ -131,7 +112,8 @@ func (s *Solver) Check(e *Expr) Verdict {
 // control-plane update, the witness that proved a point live usually
 // still does, turning the query into a single evaluation (the paper's
 // observation that most updates "just increase the likelihood for an
-// already existing data-plane program path to be taken").
+// already existing data-plane program path to be taken"). A Wide
+// formula answers Unknown without evaluating anything.
 func (s *Solver) CheckWitness(e *Expr, hint Env) (Verdict, Env) {
 	if e.Width != 1 {
 		panic("sym: Check requires a width-1 expression")
@@ -143,68 +125,32 @@ func (s *Solver) CheckWitness(e *Expr, hint Env) (Verdict, Env) {
 	if e.IsFalse() {
 		return Unsat, nil
 	}
-	vars := s.sc.vars(e)
+	vars, wide := s.narrowVars(e)
+	if wide {
+		s.Metrics.unknown()
+		return Unknown, nil
+	}
 	if len(vars) == 0 {
 		// Simplification leaves closed terms constant; a non-constant
 		// closed term would be a simplifier bug.
-		if v, ok := s.sc.eval(e, nil); !ok || !v.IsTrue() {
+		if v, ok := s.Eval(e, nil); !ok || !v.IsTrue() {
 			s.Metrics.unknown()
 			return Unknown, nil
 		}
 		return Sat, Env{}
 	}
 	if len(hint) > 0 {
-		if out, ok := s.sc.eval(e, hint); ok && out.IsTrue() {
+		if out, ok := s.Eval(e, hint); ok && out.IsTrue() {
 			s.Metrics.witnessHit()
 			return Sat, hint
 		}
 		s.Metrics.witnessMiss()
 	}
-
-	// Exhaustive search decides small domains exactly.
-	totalBits := 0
-	for _, v := range vars {
-		totalBits += int(v.Width)
-		if totalBits > s.exhaustiveBits() {
-			totalBits = -1
-			break
-		}
-	}
-	if totalBits >= 0 {
-		s.Metrics.exhaustive()
-		if env := s.exhaustive(e, vars); env != nil {
-			return Sat, env
-		}
-		return Unsat, nil
-	}
-
-	// Candidate-point probing: boundary values plus constants harvested
-	// from comparisons, then deterministic pseudo-random assignments.
-	cands := s.candidates(e, vars)
-	if env := s.probeCombos(e, vars, cands); env != nil {
-		s.Metrics.probeSat()
+	s.Metrics.exhaustive()
+	if env := s.exhaustive(e, vars); env != nil {
 		return Sat, env
 	}
-	env := make(Env, len(vars))
-	for i := 0; i < solverRandomProbes; i++ {
-		for _, v := range vars {
-			env[v] = NewBV2(v.Width, s.next(), s.next())
-		}
-		if out, ok := s.sc.eval(e, env); ok && out.IsTrue() {
-			s.Metrics.probeSat()
-			return Sat, copyEnv(env)
-		}
-	}
-	s.Metrics.unknown()
-	return Unknown, nil
-}
-
-func copyEnv(env Env) Env {
-	out := make(Env, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
+	return Unsat, nil
 }
 
 // exhaustive enumerates every assignment of vars (total width small) and
@@ -214,7 +160,7 @@ func (s *Solver) exhaustive(e *Expr, vars []*Expr) Env {
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(vars) {
-			out, ok := s.sc.eval(e, env)
+			out, ok := s.Eval(e, env)
 			return ok && out.IsTrue()
 		}
 		v := vars[i]
@@ -233,80 +179,6 @@ func (s *Solver) exhaustive(e *Expr, vars []*Expr) Env {
 	return nil
 }
 
-// candidates harvests, per variable, the interesting values: zero,
-// all-ones, one, and every constant the variable is compared against
-// (plus neighbours, for strict inequalities).
-func (s *Solver) candidates(e *Expr, vars []*Expr) map[*Expr][]BV {
-	out := make(map[*Expr][]BV, len(vars))
-	add := func(v *Expr, val BV) {
-		if val.W != v.Width {
-			return
-		}
-		for _, have := range out[v] {
-			if have == val {
-				return
-			}
-		}
-		if len(out[v]) < maxCandidatesPerVar {
-			out[v] = append(out[v], val)
-		}
-	}
-	for _, v := range vars {
-		add(v, BV{W: v.Width})
-		add(v, AllOnes(v.Width))
-		add(v, NewBV(v.Width, 1))
-	}
-	s.sc.harvest(e, add)
-	return out
-}
-
-// probeCombos tries the cartesian product of per-variable candidates,
-// capped by the probe budget. It returns a satisfying assignment or
-// nil.
-func (s *Solver) probeCombos(e *Expr, vars []*Expr, cands map[*Expr][]BV) Env {
-	budget := s.probes()
-	total := 1
-	for _, v := range vars {
-		total *= len(cands[v])
-		if total > budget {
-			total = -1
-			break
-		}
-	}
-	env := make(Env, len(vars))
-	if total > 0 {
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if i == len(vars) {
-				out, ok := s.sc.eval(e, env)
-				return ok && out.IsTrue()
-			}
-			for _, val := range cands[vars[i]] {
-				env[vars[i]] = val
-				if rec(i + 1) {
-					return true
-				}
-			}
-			return false
-		}
-		if rec(0) {
-			return env
-		}
-		return nil
-	}
-	// Too many combinations: sample them.
-	for i := 0; i < budget; i++ {
-		for _, v := range vars {
-			cs := cands[v]
-			env[v] = cs[int(s.next()%uint64(len(cs)))]
-		}
-		if out, ok := s.sc.eval(e, env); ok && out.IsTrue() {
-			return copyEnv(env)
-		}
-	}
-	return nil
-}
-
 // ConstResult is the answer of a constant-ness query.
 type ConstResult struct {
 	// Known reports whether the query was decided at all.
@@ -320,83 +192,34 @@ type ConstResult struct {
 
 // ConstValue decides whether e denotes a single value regardless of its
 // free variables — the paper's "can we replace this program variable with
-// a constant?" query. The decision is conservative: only a simplifier-
-// produced literal or an exhaustive check yields IsConst=true, while a
-// pair of differing probe evaluations yields a definite IsConst=false.
+// a constant?" query. A simplifier-produced literal is constant; a Wide
+// expression is not decided (Known=false, nothing evaluated); inside the
+// bound the enumeration certifies IsConst=true or stops at the first two
+// differing values with a definite IsConst=false.
 func (s *Solver) ConstValue(e *Expr) ConstResult {
 	s.Metrics.constQuery(e)
 	if e.Op == OpConst {
 		s.Metrics.constProved()
 		return ConstResult{Known: true, IsConst: true, Val: e.Val}
 	}
-	vars := s.sc.vars(e)
-	if len(vars) == 0 {
-		v, ok := s.sc.eval(e, nil)
-		if !ok {
-			s.Metrics.constUnknown()
-			return ConstResult{}
-		}
-		s.Metrics.constProved()
-		return ConstResult{Known: true, IsConst: true, Val: v}
+	vars, wide := s.narrowVars(e)
+	if wide {
+		s.Metrics.constUnknown()
+		return ConstResult{}
 	}
-
-	// Find two differing evaluations to refute constant-ness fast.
 	var first BV
-	haveFirst := false
-	tryEnv := func(env Env) (done bool, res ConstResult) {
-		out, ok := s.sc.eval(e, env)
-		if !ok {
-			return false, ConstResult{}
-		}
-		if !haveFirst {
-			first, haveFirst = out, true
-			return false, ConstResult{}
-		}
-		if out != first {
-			s.Metrics.constRefuted()
-			return true, ConstResult{Known: true, IsConst: false}
-		}
-		return false, ConstResult{}
-	}
-
-	cands := s.candidates(e, vars)
+	have, same := false, true
 	env := make(Env, len(vars))
-	for probe := 0; probe < 64; probe++ {
-		for _, v := range vars {
-			cs := cands[v]
-			if probe < len(cs) {
-				env[v] = cs[probe%len(cs)]
-			} else {
-				env[v] = NewBV2(v.Width, s.next(), s.next())
-			}
-		}
-		if done, res := tryEnv(env); done {
-			return res
-		}
-	}
-
-	// No refutation found; only an exhaustive pass can certify.
-	totalBits := 0
-	for _, v := range vars {
-		totalBits += int(v.Width)
-		if totalBits > s.exhaustiveBits() {
-			s.Metrics.constUnknown()
-			return ConstResult{}
-		}
-	}
-	same := true
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(vars) {
-			out, ok := s.sc.eval(e, env)
-			if !ok {
+			out, ok := s.Eval(e, env)
+			switch {
+			case !ok:
 				return false
-			}
-			if !haveFirst {
-				first, haveFirst = out, true
-				return true
-			}
-			if out != first {
+			case !have:
+				first, have = out, true
+			case out != first:
 				same = false
 				return false
 			}
@@ -412,8 +235,13 @@ func (s *Solver) ConstValue(e *Expr) ConstResult {
 		}
 		return true
 	}
-	rec(0)
-	if same && haveFirst {
+	if !rec(0) && same {
+		// An evaluation failed (a closed term the evaluator cannot
+		// reduce, or an operator it does not know): undecided.
+		s.Metrics.constUnknown()
+		return ConstResult{}
+	}
+	if same {
 		s.Metrics.constProved()
 		return ConstResult{Known: true, IsConst: true, Val: first}
 	}

@@ -2,8 +2,8 @@ package sym
 
 import "sort"
 
-// SubstScratch holds the per-traversal memo of a substitution: result
-// and epoch-mark arrays indexed by the Builder's dense node ids. The
+// SubstScratch holds the memo of a substitution: result and
+// generation-mark arrays indexed by the Builder's dense node ids. The
 // zero value is ready to use. A SubstScratch may not be shared between
 // concurrently substituting goroutines; give each worker its own and
 // they can all rewrite through the same Builder (interning has its own
@@ -19,10 +19,7 @@ func (sc *SubstScratch) ensure(id uint64) {
 	if int(id) < len(sc.val) {
 		return
 	}
-	n := int(id) + 1
-	if n < 2*len(sc.val) {
-		n = 2 * len(sc.val)
-	}
+	n := grown(len(sc.val), id)
 	vals := make([]*Expr, n)
 	copy(vals, sc.val)
 	sc.val = vals
@@ -46,16 +43,40 @@ func (b *Builder) Subst(e *Expr, env map[*Expr]*Expr) *Expr {
 }
 
 // SubstWith is Subst with caller-owned memo state, the concurrency-safe
-// entry point: any number of goroutines may substitute through the same
-// Builder as long as each brings its own SubstScratch and no goroutine
-// mutates env during the calls.
+// entry point for a one-off substitution: a pass of one expression.
 func (b *Builder) SubstWith(sc *SubstScratch, e *Expr, env map[*Expr]*Expr) *Expr {
-	if len(env) == 0 {
+	return b.BeginSubst(sc, env).Subst(e)
+}
+
+// SubstPass is one substitution generation: every expression rewritten
+// through it shares one memo, so a sub-DAG common to several of them —
+// the path conditions the program points of one control block share —
+// is rewritten once for the whole pass, not once per expression.
+type SubstPass struct {
+	b   *Builder
+	sc  *SubstScratch
+	env map[*Expr]*Expr
+}
+
+// BeginSubst opens a new memo generation on sc for substituting env and
+// retires the previous one. The pass is valid as long as env is not
+// mutated, sc is used by no other goroutine, and the Builder is not
+// swept (a sweep renumbers the node ids the memo is indexed by): open a
+// new pass after any of the three. Any number of goroutines may run
+// passes through the same Builder as long as each brings its own
+// SubstScratch.
+func (b *Builder) BeginSubst(sc *SubstScratch, env map[*Expr]*Expr) SubstPass {
+	// Generation-marked memo indexed by dense node id: nothing to clear.
+	sc.epoch++
+	return SubstPass{b: b, sc: sc, env: env}
+}
+
+// Subst rewrites e under the pass's environment.
+func (p SubstPass) Subst(e *Expr) *Expr {
+	if len(p.env) == 0 {
 		return e
 	}
-	// Epoch-marked memo indexed by dense node id: no per-call map.
-	sc.epoch++
-	return b.subst(sc, e, env)
+	return p.b.subst(p.sc, e, p.env)
 }
 
 func (b *Builder) subst(sc *SubstScratch, e *Expr, env map[*Expr]*Expr) *Expr {
