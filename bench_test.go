@@ -150,8 +150,14 @@ func benchProbe(s *core.Specializer, table string, i int) *controlplane.Update {
 
 // BenchmarkTable3UpdateScaling measures one update's analysis time with
 // N entries already installed in the middleblock Pre-Ingress ACL,
-// precise vs overapproximate (Tbl. 3). The 10000-entry precise row is
-// exercised by `flaybench -only table3 -full` (it is slow by design).
+// precise vs overapproximate (Tbl. 3), for a write at either end of the
+// table's match order: the head probe outranks every installed entry
+// (the installed priorities ascend, so this is where a controller that
+// appends rules writes), the deep probe sits under all of them. A
+// precise update rebuilds the links of the table's ite chain above the
+// entry it writes (controlplane chain.go): one at the head, N deep. The
+// 10000-entry precise row is exercised by `flaybench -only table3
+// -full`.
 func BenchmarkTable3UpdateScaling(b *testing.B) {
 	p := progs.Middleblock()
 	for _, mode := range []struct {
@@ -159,35 +165,40 @@ func BenchmarkTable3UpdateScaling(b *testing.B) {
 		threshold int
 	}{{"precise", -1}, {"overapprox", controlplane.DefaultOverapproxThreshold}} {
 		for _, n := range []int{1, 10, 100, 1000} {
-			b.Run(fmt.Sprintf("%s-%d", mode.name, n), func(b *testing.B) {
-				s, err := p.LoadWith(core.Options{OverapproxThreshold: mode.threshold})
-				if err != nil {
-					b.Fatal(err)
-				}
-				batch := make([]*controlplane.Update, n)
-				for i := range batch {
-					batch[i] = progs.MiddleblockACLEntry(i)
-				}
-				if err := s.Preload(batch); err != nil {
-					b.Fatal(err)
-				}
-				// Each op inserts a probe entry and deletes it again, so
-				// the installed count stays at n across iterations
-				// (ns/op ≈ 2× a single update at size n).
-				probe := progs.MiddleblockACLEntry(n)
-				unprobe := &controlplane.Update{
-					Kind: controlplane.DeleteEntry, Table: probe.Table, Entry: probe.Entry,
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if d := s.Apply(probe); d.Kind == core.Rejected {
-						b.Fatal(d.Err)
+			for _, rank := range []string{"head", "deep"} {
+				b.Run(fmt.Sprintf("%s-%d/%s", mode.name, n, rank), func(b *testing.B) {
+					s, err := p.LoadWith(core.Options{OverapproxThreshold: mode.threshold})
+					if err != nil {
+						b.Fatal(err)
 					}
-					if d := s.Apply(unprobe); d.Kind == core.Rejected {
-						b.Fatal(d.Err)
+					batch := make([]*controlplane.Update, n)
+					for i := range batch {
+						batch[i] = progs.MiddleblockACLEntry(i)
 					}
-				}
-			})
+					if err := s.Preload(batch); err != nil {
+						b.Fatal(err)
+					}
+					// Each op inserts a probe entry and deletes it again, so
+					// the installed count stays at n across iterations
+					// (ns/op ≈ 2× a single update at size n).
+					probe := progs.MiddleblockACLEntry(n)
+					if rank == "deep" {
+						probe.Entry.Priority = 1 // installed priorities start at 10
+					}
+					unprobe := &controlplane.Update{
+						Kind: controlplane.DeleteEntry, Table: probe.Table, Entry: probe.Entry,
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if d := s.Apply(probe); d.Kind == core.Rejected {
+							b.Fatal(d.Err)
+						}
+						if d := s.Apply(unprobe); d.Kind == core.Rejected {
+							b.Fatal(d.Err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -40,6 +40,13 @@ import (
 //     (a freed entry cannot eclipse an active one: whatever it covers,
 //     the deleted entry covered too);
 //   - a modify keeps the match key, so the entry keeps its place.
+//
+// Two things are kept per active entry and therefore move with the
+// list: the table's ite spine (chain.go), one link per active entry, and
+// per key the number of active entries that match it under a partial
+// mask (what match-kind narrowing asks). activeInsert and activeDelete
+// are the only places the list grows or shrinks, and splice both in
+// step.
 
 // tableState is one table's installed entries and the two
 // precedence-ordered lists that partition them.
@@ -49,6 +56,12 @@ type tableState struct {
 	active   []*TableEntry // match order, eclipsed entries omitted
 	eclipsed []*TableEntry // match order: covered by an earlier entry
 	sigs     []*signature  // signatures of the installed entries
+	// masked[k] counts the active entries whose effective mask on key k
+	// is not all-ones.
+	masked []int
+	// chain is the spine of the table's precise assignment, nil until
+	// the table compiles precisely and while it compiles to "*any*".
+	chain *chain
 }
 
 // signature is one combination of per-key effective masks, shared by
@@ -260,6 +273,45 @@ func position(list []*TableEntry, e *TableEntry) int {
 	return sort.Search(len(list), func(i int) bool { return !list[i].Before(e) })
 }
 
+// activeInsert splices e into the active list at i.
+func (t *tableState) activeInsert(i int, e *TableEntry) {
+	t.active = slices.Insert(t.active, i, e)
+	t.countMasks(e, 1)
+	if t.chain != nil {
+		t.chain.insert(i)
+	}
+}
+
+// activeDelete takes active[i] out of the active list.
+func (t *tableState) activeDelete(i int) {
+	t.countMasks(t.active[i], -1)
+	t.active = slices.Delete(t.active, i, i+1)
+	if t.chain != nil {
+		t.chain.remove(i)
+	}
+}
+
+func (t *tableState) countMasks(e *TableEntry, d int) {
+	if t.masked == nil {
+		t.masked = make([]int, len(t.ti.KeyWidths))
+	}
+	for k, m := range e.sig.masks {
+		if !m.IsAllOnes() {
+			t.masked[k] += d
+		}
+	}
+}
+
+// ActiveMasked reports whether some active entry of the table matches
+// key component key under a mask that is not all-ones — a ternary mask
+// with a clear bit, a prefix shorter than the key, an omitted optional.
+// The answer is counted as entries enter and leave the active list, not
+// scanned for.
+func (c *Config) ActiveMasked(table string, key int) bool {
+	t := c.tables[table]
+	return t != nil && t.masked != nil && t.masked[key] > 0
+}
+
 // place files a signed entry under active or eclipsed.
 func (t *tableState) place(e *TableEntry) {
 	if t.covered(e) {
@@ -267,12 +319,12 @@ func (t *tableState) place(e *TableEntry) {
 		return
 	}
 	i := position(t.active, e)
-	t.active = slices.Insert(t.active, i, e)
+	t.activeInsert(i, e)
 	// Whatever e covers further down the order is unreachable from now
 	// on. (An entry appended in match order has nothing after it.)
 	for i++; i < len(t.active); {
 		if b := t.active[i]; covers(e, b) {
-			t.active = slices.Delete(t.active, i, i+1)
+			t.activeDelete(i)
 			t.eclipsed = slices.Insert(t.eclipsed, position(t.eclipsed, b), b)
 		} else {
 			i++
@@ -301,12 +353,17 @@ func (t *tableState) listed(old *TableEntry) (*[]*TableEntry, int) {
 }
 
 // replace installs e over old, which has the same match key and
-// priority: e inherits its sequence number, signature and place.
+// priority: e inherits its sequence number, signature and place — and,
+// if active, its spine link's match condition; only the assignments
+// from the link up are invalidated.
 func (t *tableState) replace(old, e *TableEntry) {
 	e.seq, e.sig, e.key = old.seq, old.sig, old.key
 	t.entries[t.installedAt(old)] = e
 	list, i := t.listed(old)
 	(*list)[i] = e
+	if list == &t.active && t.chain != nil {
+		t.chain.touch(i)
+	}
 	unlink(old)
 	link(e)
 }
@@ -316,17 +373,18 @@ func (t *tableState) remove(e *TableEntry) {
 	t.entries = slices.Delete(t.entries, i, i+1)
 	t.unsign(e)
 	list, i := t.listed(e)
-	*list = slices.Delete(*list, i, i+1)
 	if list == &t.eclipsed {
+		t.eclipsed = slices.Delete(t.eclipsed, i, i+1)
 		return
 	}
+	t.activeDelete(i)
 	// The eclipsed entries e covered are reachable again unless
 	// something else ahead of them covers them too — possibly an entry
 	// this loop has just freed, hence match order.
 	kept := t.eclipsed[:0]
 	for _, b := range t.eclipsed {
 		if e.Before(b) && covers(e, b) && !t.covered(b) {
-			t.active = slices.Insert(t.active, position(t.active, b), b)
+			t.activeInsert(position(t.active, b), b)
 		} else {
 			kept = append(kept, b)
 		}

@@ -3,7 +3,6 @@ package controlplane
 import (
 	"fmt"
 
-	"repro/internal/dataplane"
 	"repro/internal/flayerr"
 	"repro/internal/sym"
 )
@@ -39,30 +38,45 @@ type Env = map[*sym.Expr]*sym.Expr
 // threshold — or while the table is pinned by ForceOverapprox —
 // placeholders become fresh unconstrained data variables — the paper's
 // "*any*" assignment.
+//
+// The precise assignment is read off the table's persistent spine
+// (chain.go): the call rebuilds the links the writes since the last
+// compile invalidated — as many as the rank of the highest-precedence
+// entry they touched, one for a write at the head — and keeps the
+// spine for the next call. Compiling "*any*" drops it.
 func (c *Config) CompileTable(b *sym.Builder, table string) (Env, CompileStats, error) {
-	return c.compileTable(b, table, c.Overapproximated(table))
+	return c.compileTable(b, table, c.Overapproximated(table), true)
 }
 
 // CompileTablePrecise builds the assignment the table would have
 // without any ForceOverapprox pin — the reference the adaptive
 // precision controller's differential check compares degraded verdicts
-// against. The static entry-count threshold still applies.
+// against. The static entry-count threshold still applies. It changes
+// nothing in the configuration, the table's spine included, so callers
+// holding only a read lock may run it concurrently.
 func (c *Config) CompileTablePrecise(b *sym.Builder, table string) (Env, CompileStats, error) {
-	return c.compileTable(b, table, c.NumEntries(table) > c.threshold())
+	return c.compileTable(b, table, c.NumEntries(table) > c.threshold(), false)
 }
 
-func (c *Config) compileTable(b *sym.Builder, table string, overapprox bool) (Env, CompileStats, error) {
+// compileTable renders one table. store says whether the call owns the
+// table's spine (build, keep, drop) or may only read it.
+func (c *Config) compileTable(b *sym.Builder, table string, overapprox, store bool) (Env, CompileStats, error) {
 	ti, ok := c.Analysis.Tables[table]
 	if !ok {
 		return nil, CompileStats{}, fmt.Errorf("controlplane: %w %s", flayerr.ErrUnknownTable, table)
 	}
-	env := make(Env)
+	t := c.tables[table]
 	stats := CompileStats{Installed: c.NumEntries(table)}
 	c.met.compiles.Inc()
 
 	if overapprox {
+		if store && t != nil && t.chain != nil {
+			t.chain = nil
+			c.observeSizes()
+		}
 		stats.Overapproximate = true
 		c.met.overapprox.Inc()
+		env := make(Env)
 		env[ti.ActionVar] = b.Data(ti.Name+".$action.any", 8)
 		env[ti.HitVar] = b.Data(ti.Name+".$hit.any", 1)
 		for _, ai := range ti.Actions {
@@ -77,71 +91,28 @@ func (c *Config) compileTable(b *sym.Builder, table string, overapprox bool) (En
 	stats.Eclipsed = eclipsed
 	c.met.eclipsed.Add(int64(eclipsed))
 
-	// Miss behaviour: the default action (possibly overridden).
-	defIdx := ti.DefaultIndex
-	defParams := ti.DefaultArgs
-	if d, ok := c.defaults[table]; ok {
-		defIdx = actionIndex(ti, d.Name)
-		defParams = d.Params
-	}
-
-	sel := b.ConstUint(8, uint64(defIdx))
-	hit := b.False()
-	params := make(map[*sym.Expr]*sym.Expr)
-	for ai := range ti.Actions {
-		info := &ti.Actions[ai]
-		for pi, pv := range info.Params {
-			// Parameter fallback: the default action's bound argument
-			// when this is the default action, else zero (the value is
-			// irrelevant unless the selector picks the action).
-			val := sym.BV{W: info.ParamWidths[pi]}
-			if ai == defIdx && pi < len(defParams) {
-				val = defParams[pi]
-			}
-			params[pv] = b.Const(val.ZeroExtend(info.ParamWidths[pi]))
+	// The spine to read the assignment off: the table's own when this
+	// call may bring it up to date or finds it so, else a private one
+	// (a table that never held an entry has no state to keep one in).
+	var ch *chain
+	if t != nil && t.chain != nil && t.chain.b == b && (store || t.chain.stale == 0) {
+		ch = t.chain
+	} else {
+		ch = newChain(b, ti, len(active))
+		if store && t != nil {
+			t.chain = ch
+			c.observeSizes()
 		}
 	}
-
-	// Build the ite chain from lowest to highest precedence so the
-	// highest-precedence entry ends up outermost (first evaluated).
-	for i := len(active) - 1; i >= 0; i-- {
-		e := active[i]
-		m := c.entryCond(b, ti, e)
-		ai := actionIndex(ti, e.Action)
-		sel = b.Ite(m, b.ConstUint(8, uint64(ai)), sel)
-		hit = b.Or(m, hit)
-		info := &ti.Actions[ai]
-		for pi, pv := range info.Params {
-			params[pv] = b.Ite(m, b.Const(e.Params[pi]), params[pv])
+	if ch.stale > 0 {
+		// Miss behaviour: the default action (possibly overridden).
+		defIdx, defParams := ti.DefaultIndex, ti.DefaultArgs
+		if d, ok := c.defaults[table]; ok {
+			defIdx, defParams = actionIndex(ti, d.Name), d.Params
 		}
+		c.met.linksRebuilt.Add(int64(ch.rebuild(ti, active, defIdx, defParams)))
 	}
-	env[ti.ActionVar] = sel
-	env[ti.HitVar] = hit
-	for pv, val := range params {
-		env[pv] = val
-	}
-	return env, stats, nil
-}
-
-// entryCond is the match condition of one entry against the table's
-// symbolic key expressions.
-func (c *Config) entryCond(b *sym.Builder, ti *dataplane.TableInfo, e *TableEntry) *sym.Expr {
-	cond := b.True()
-	for i, m := range e.Matches {
-		key := ti.KeyExprs[i]
-		w := ti.KeyWidths[i]
-		mask := m.ternaryMask(w)
-		switch {
-		case mask.IsZero():
-			// Wildcard component: matches everything.
-		case mask.IsAllOnes():
-			cond = b.And(cond, b.Eq(key, b.Const(m.Value)))
-		default:
-			masked := b.And(key, b.Const(mask))
-			cond = b.And(cond, b.Eq(masked, b.Const(m.Value.And(mask))))
-		}
-	}
-	return cond
+	return ch.env(ti), stats, nil
 }
 
 // CompileValueSet builds the assignments for every use site of a value

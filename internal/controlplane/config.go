@@ -307,7 +307,7 @@ func (c *Config) Apply(u *Update) error {
 		return err
 	}
 	c.met.applies.Inc()
-	c.observeEntries()
+	c.observeSizes()
 	return nil
 }
 
@@ -365,6 +365,9 @@ func (c *Config) applyInner(u *Update) error {
 			return err
 		}
 		c.defaults[u.Table] = u.Default
+		if t := c.tables[u.Table]; t != nil && t.chain != nil {
+			t.chain.touch(len(t.active)) // the miss link, and so every link
+		}
 		return nil
 	case SetValueSet:
 		vi := c.valueSetInfo(u.ValueSet)

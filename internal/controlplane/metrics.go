@@ -16,6 +16,13 @@ type cpMetrics struct {
 	vsCompiles *obs.Counter // value-set assignment recompilations
 	rgCompiles *obs.Counter // register assignment recompilations
 
+	// linksRebuilt counts the spine links table compiles rebuilt (entry
+	// links; the miss link is not counted) and links the entry links the
+	// spines hold (chain.go): rebuilt ÷ held is the share of a chain a
+	// compile walks.
+	linksRebuilt *obs.Counter
+	links        *obs.Gauge
+
 	entries *obs.Gauge // installed entries across all tables
 }
 
@@ -35,17 +42,26 @@ func (c *Config) SetObserver(r *obs.Registry) {
 		vsCompiles: r.Counter("cp.valueset_compiles"),
 		rgCompiles: r.Counter("cp.register_compiles"),
 		entries:    r.Gauge("cp.entries_installed"),
+
+		linksRebuilt: r.Counter("cp.chain_links_rebuilt"),
+		links:        r.Gauge("cp.chain_links"),
 	}
 }
 
-// observeEntries refreshes the installed-entry gauge after a mutation.
-func (c *Config) observeEntries() {
+// observeSizes refreshes the installed-entry and spine-link gauges
+// after a mutation (a write, or a compile that built or dropped a
+// spine).
+func (c *Config) observeSizes() {
 	if c.met.entries == nil {
 		return
 	}
-	total := 0
+	entries, links := 0, 0
 	for _, t := range c.tables {
-		total += len(t.entries)
+		entries += len(t.entries)
+		if t.chain != nil {
+			links += len(t.chain.links) - 1
+		}
 	}
-	c.met.entries.Set(int64(total))
+	c.met.entries.Set(int64(entries))
+	c.met.links.Set(int64(links))
 }

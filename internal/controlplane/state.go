@@ -193,6 +193,6 @@ func (c *Config) SetState(st State) error {
 	c.valueSets = valueSets
 	c.regFills = regFills
 	c.seq = maxSeq
-	c.observeEntries()
+	c.observeSizes()
 	return nil
 }

@@ -27,10 +27,13 @@ const (
 // arenaRoots collects every expression the engine may still compare
 // against an interned node: the analysis-time structures (points, taint
 // and ownership maps, table/value-set/register placeholders, the merged
-// final store), the current control-plane substitution environment, the
-// per-point substituted expressions and cached witnesses, and the query
-// cache's witness environments. Everything else interned since the last
-// sweep is churn residue.
+// final store), the current control-plane substitution environment and
+// the table spines it was read off (which hold more than the
+// environment reaches: suffix assignments a simplification folded out
+// of the head, conditions of links awaiting a rebuild), the per-point
+// substituted expressions and cached witnesses, and the query cache's
+// witness environments. Everything else interned since the last sweep
+// is churn residue.
 func (s *Specializer) arenaRoots() []*sym.Expr {
 	an := s.An
 	roots := make([]*sym.Expr, 0, 4*len(an.Points)+2*len(s.env))
@@ -62,6 +65,7 @@ func (s *Specializer) arenaRoots() []*sym.Expr {
 	for k, v := range s.env {
 		roots = append(roots, k, v)
 	}
+	roots = s.Cfg.ChainExprs(roots)
 	roots = append(roots, s.pointSub...)
 	for _, w := range s.witnesses {
 		for k := range w {

@@ -160,6 +160,44 @@ func buildPointDeps(an *dataplane.Analysis) [][]string {
 	return deps
 }
 
+// targetOrdinals numbers every configurable object of the program —
+// tables, value sets, registers — in name order, and rewrites the
+// per-point dependency lists over the numbers. The fold in depFp runs
+// once per tainted point per update, twice with eviction; numbered
+// targets make each step an index into a slice instead of a string
+// hash. Name order keeps a point's list in the order the names sorted
+// in, so the fold — and every cache key — is what it was.
+func targetOrdinals(an *dataplane.Analysis, depNames [][]string) (names []string, ord map[string]int32, deps [][]int32) {
+	ord = make(map[string]int32, len(an.Tables)+len(an.Registers)+len(an.ValueSets))
+	for name := range an.Tables {
+		ord[name] = 0
+	}
+	for name := range an.Registers {
+		ord[name] = 0
+	}
+	for _, vi := range an.ValueSets {
+		ord[vi.Name] = 0
+	}
+	for _, owner := range an.VarOwner {
+		ord[owner] = 0
+	}
+	names = sortedNames(ord)
+	for i, name := range names {
+		ord[name] = int32(i)
+	}
+	deps = make([][]int32, len(depNames))
+	for id, names := range depNames {
+		if len(names) == 0 {
+			continue
+		}
+		deps[id] = make([]int32, len(names))
+		for i, name := range names {
+			deps[id][i] = ord[name]
+		}
+	}
+	return names, ord, deps
+}
+
 // depFpSeed is the fold seed for a point with no dependencies.
 const depFpSeed = 0x51afd7ed558ccd25
 
@@ -167,7 +205,8 @@ const depFpSeed = 0x51afd7ed558ccd25
 // fingerprints into the cache key's dependency half. The fold walks the
 // sorted dependency list, so it is deterministic across engines; it is
 // order-sensitive (unlike the per-fragment XOR), which keeps distinct
-// dependency sets from cancelling.
+// dependency sets from cancelling. A target not compiled yet folds as
+// zero.
 func (s *Specializer) depFp(id int) uint64 {
 	acc := uint64(depFpSeed)
 	for _, t := range s.pointDeps[id] {

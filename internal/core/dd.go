@@ -322,7 +322,7 @@ func (s *Specializer) underDegraded(id int) bool {
 		return false
 	}
 	for _, t := range s.pointDeps[id] {
-		if _, deg := s.degraded[t]; deg {
+		if _, deg := s.degraded[s.targetNames[t]]; deg {
 			return true
 		}
 	}

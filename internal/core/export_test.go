@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/p4/ast"
 	"repro/internal/sym"
 )
 
@@ -95,4 +96,78 @@ func ResidueValue(s *Specializer, id int, assignment map[string]sym.BV) (sym.BV,
 		return sym.BV{}, fmt.Errorf("point %d: residue %s does not evaluate under %v", id, sub, assignment)
 	}
 	return out, nil
+}
+
+// IdealMatchKinds exposes the match kinds the engine would implement
+// the table with right now (impl.go), answered from the
+// configuration's per-key counts.
+func IdealMatchKinds(s *Specializer, table string) []ast.MatchKind {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.idealMatchKinds(table)
+}
+
+// ScanMatchKinds is the reference those counts are held to: the scan of
+// every active entry per ternary or lpm key that idealMatchKinds ran on
+// every update before the configuration kept count.
+func ScanMatchKinds(s *Specializer, table string) []ast.MatchKind {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ti := s.An.Tables[table]
+	kinds := append([]ast.MatchKind(nil), ti.KeyMatch...)
+	if s.Cfg.Overapproximated(table) {
+		return kinds
+	}
+	active, _ := s.Cfg.ActiveEntries(table)
+	if len(active) == 0 {
+		return kinds
+	}
+	for i, kind := range kinds {
+		if kind != ast.MatchTernary && kind != ast.MatchLPM {
+			continue
+		}
+		w := ti.KeyWidths[i]
+		allExact := true
+		for _, e := range active {
+			m := e.Matches[i]
+			switch m.Kind {
+			case ast.MatchTernary:
+				if !m.Mask.IsAllOnes() {
+					allExact = false
+				}
+			case ast.MatchLPM:
+				if m.PrefixLen != int(w) {
+					allExact = false
+				}
+			}
+			if !allExact {
+				break
+			}
+		}
+		if allExact {
+			kinds[i] = ast.MatchExact
+		}
+	}
+	return kinds
+}
+
+// CheckSpinesRooted asserts what lets the tables' spines outlive a
+// sweep: every expression they hold is among the arena roots.
+func CheckSpinesRooted(s *Specializer) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rooted := make(map[*sym.Expr]bool)
+	for _, r := range s.arenaRoots() {
+		rooted[r] = true
+	}
+	held := s.Cfg.ChainExprs(nil)
+	if len(held) == 0 {
+		return fmt.Errorf("no table holds a spine")
+	}
+	for _, e := range held {
+		if !rooted[e] {
+			return fmt.Errorf("a spine holds %s, which no arena root names", e)
+		}
+	}
+	return nil
 }

@@ -81,19 +81,24 @@ func (ti *tableImpl) diff(o *tableImpl) string {
 	return strings.Join(parts, ", ")
 }
 
-// pointsFor returns the point IDs of a table by kind, in a small index.
+// tablePoints indexes a table's points by kind.
 type tablePoints struct {
 	reach       *dataplane.Point
 	action      *dataplane.Point
 	actionReach []*dataplane.Point // indexed by ActionIndex
 }
 
-func (s *Specializer) tablePoints(table string) tablePoints {
-	var tp tablePoints
-	ti := s.An.Tables[table]
-	tp.actionReach = make([]*dataplane.Point, len(ti.Actions))
-	for _, p := range s.An.Points {
-		if p.Table != table {
+// indexTablePoints builds every table's point index in one walk over
+// the analysis' points; the points of a program never change, so the
+// engine does it once at open (initState).
+func indexTablePoints(an *dataplane.Analysis) map[string]*tablePoints {
+	idx := make(map[string]*tablePoints, len(an.Tables))
+	for name, ti := range an.Tables {
+		idx[name] = &tablePoints{actionReach: make([]*dataplane.Point, len(ti.Actions))}
+	}
+	for _, p := range an.Points {
+		tp := idx[p.Table]
+		if tp == nil {
 			continue
 		}
 		switch p.Kind {
@@ -105,7 +110,7 @@ func (s *Specializer) tablePoints(table string) tablePoints {
 			tp.actionReach[p.ActionIndex] = p
 		}
 	}
-	return tp
+	return idx
 }
 
 // idealImpl computes the best implementation the current verdicts and
@@ -113,7 +118,7 @@ func (s *Specializer) tablePoints(table string) tablePoints {
 func (s *Specializer) idealImpl(table string) *tableImpl {
 	an := s.An
 	ti := an.Tables[table]
-	tp := s.tablePoints(table)
+	tp := s.tablePoints[table]
 	impl := &tableImpl{constAction: -1}
 
 	if tp.reach != nil && s.verdicts[tp.reach.ID].Kind == VerdictDead {
@@ -169,40 +174,20 @@ func actionIsNop(ai *dataplane.ActionInfo) bool {
 // idealMatchKinds narrows declared match kinds to what the active
 // entries actually need: a ternary (or lpm) key whose live entries all
 // use the full mask is implementable as an exact match, freeing TCAM
-// (paper §3, Fig. 3 impl. B→C).
+// (paper §3, Fig. 3 impl. B→C). The configuration counts the partially
+// masked active entries per key as they come and go, so the answer
+// costs the key count, not the entry count.
 func (s *Specializer) idealMatchKinds(table string) []ast.MatchKind {
 	ti := s.An.Tables[table]
 	kinds := append([]ast.MatchKind(nil), ti.KeyMatch...)
 	if s.Cfg.Overapproximated(table) {
 		return kinds // overapproximated (or degraded): keep the declaration
 	}
-	active, _ := s.Cfg.ActiveEntries(table)
-	if len(active) == 0 {
+	if active, _ := s.Cfg.ActiveEntries(table); len(active) == 0 {
 		return kinds
 	}
 	for i, kind := range kinds {
-		if kind != ast.MatchTernary && kind != ast.MatchLPM {
-			continue
-		}
-		w := ti.KeyWidths[i]
-		allExact := true
-		for _, e := range active {
-			m := e.Matches[i]
-			switch m.Kind {
-			case ast.MatchTernary:
-				if !m.Mask.IsAllOnes() {
-					allExact = false
-				}
-			case ast.MatchLPM:
-				if m.PrefixLen != int(w) {
-					allExact = false
-				}
-			}
-			if !allExact {
-				break
-			}
-		}
-		if allExact {
+		if (kind == ast.MatchTernary || kind == ast.MatchLPM) && !s.Cfg.ActiveMasked(table, i) {
 			kinds[i] = ast.MatchExact
 		}
 	}

@@ -335,6 +335,10 @@ type Specializer struct {
 	stats    Stats
 	quality  Quality
 
+	// tablePoints indexes each table's points by kind (impl.go), built
+	// once at open.
+	tablePoints map[string]*tablePoints
+
 	// co is the cross-shard coordination layer (epoch.go): the
 	// published epoch pointer, the audit-seq allocator, the arena-sweep
 	// trigger, and the taint-partition shard map.
@@ -384,14 +388,21 @@ type Specializer struct {
 	// nil when disabled; pointDeps holds each point's sorted dependency
 	// targets and targetFp the current assignment fingerprint per
 	// target, which together form the cache key's dependency half.
+	// Targets go by ordinal there (targetOrd, name order; targetNames
+	// is the inverse) and targetCompiled marks the ones whose
+	// fingerprint has been taken.
 	// roCache is the wait-free readers' handle on the same cache: it is
 	// set once at construction and never swapped, so Statistics can read
 	// the hit/miss atomics without the lock even while ReevaluateAll
 	// temporarily nils the locked handle for its ablation pass.
 	cache     *queryCache
 	roCache   atomic.Pointer[queryCache]
-	pointDeps [][]string
-	targetFp  map[string]uint64
+	pointDeps [][]int32
+	targetFp  []uint64
+
+	targetOrd      map[string]int32
+	targetNames    []string
+	targetCompiled []bool
 
 	// The decision-diagram query core (dd.go): ddc is nil when
 	// disabled; roDD mirrors roCache — set once at construction, read
@@ -522,10 +533,13 @@ func NewFromSource(name, src string, opts Options) (*Specializer, error) {
 func (s *Specializer) initState() error {
 	an := s.An
 	s.env = make(controlplane.Env)
-	s.targetFp = make(map[string]uint64, len(an.Tables))
-	s.pointDeps = buildPointDeps(an)
-	s.co.shards = buildShardMap(an, s.pointDeps)
+	depNames := buildPointDeps(an)
+	s.targetNames, s.targetOrd, s.pointDeps = targetOrdinals(an, depNames)
+	s.targetFp = make([]uint64, len(s.targetOrd))
+	s.targetCompiled = make([]bool, len(s.targetOrd))
+	s.co.shards = buildShardMap(an, depNames)
 	s.met.initShards(s.co.shards.count)
+	s.tablePoints = indexTablePoints(an)
 	s.verdicts = make([]Verdict, len(an.Points))
 	s.pointSub = make([]*sym.Expr, len(an.Points))
 	s.witnesses = make([]sym.Env, len(an.Points))
@@ -716,9 +730,10 @@ func (s *Specializer) recompileTarget(target string) error {
 		s.ddc.ensureAtoms(frag)
 	}
 	fp := controlplane.EnvFingerprint(frag)
-	if old, ok := s.targetFp[target]; !ok || old != fp {
-		s.targetFp[target] = fp
-		if ok {
+	ord := s.targetOrd[target]
+	if known := s.targetCompiled[ord]; !known || s.targetFp[ord] != fp {
+		s.targetFp[ord], s.targetCompiled[ord] = fp, true
+		if known {
 			s.evictStale(target)
 		}
 	}

@@ -538,16 +538,15 @@ func (m *Machine) table(t *exTable) (bool, error) {
 		for _, si := range t.keySlots {
 			h = mixBV(h, m.slots[si])
 		}
-		for p := t.indexSlot(h); t.index[p] != 0; p = (p + 1) & (len(t.index) - 1) {
-			if ei := t.index[p] - 1; m.entryMatches(t, &t.entries[ei]) {
-				e = &t.entries[ei]
+		for p := t.indexSlot(h); t.index[p] != nil; p = (p + 1) & (len(t.index) - 1) {
+			if m.entryMatches(t, t.index[p]) {
+				e = t.index[p]
 				break
 			}
 		}
 	} else {
-		for i := range t.entries {
-			if m.entryMatches(t, &t.entries[i]) {
-				e = &t.entries[i]
+		for ci := range t.chunks {
+			if e = m.scan(t, t.chunks[ci].entries); e != nil {
 				break
 			}
 		}
@@ -572,6 +571,18 @@ func (m *Machine) table(t *exTable) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// scan is the linear match over one chunk. It is a function of its own
+// so that the chunk walk's variables are not live across it: inlined
+// into that loop, the compiler reloads them from the stack per entry.
+func (m *Machine) scan(t *exTable, entries []exEntry) *exEntry {
+	for i := range entries {
+		if m.entryMatches(t, &entries[i]) {
+			return &entries[i]
+		}
+	}
+	return nil
 }
 
 func (m *Machine) entryMatches(t *exTable, e *exEntry) bool {

@@ -56,6 +56,21 @@ type entryMeta struct {
 	exact bool
 }
 
+// entryChunk is a run of a table's entries, consecutive in match order.
+// A table holds its entries as a list of chunks so that a rebuild can
+// carry every chunk the update did not touch over — the two slice
+// headers, the arrays shared — and copy only the one it did; a chunk's
+// arrays never change once its table is built.
+type entryChunk struct {
+	entries []exEntry
+	meta    []entryMeta // meta[i] describes entries[i]
+}
+
+const (
+	chunkCap = 32           // most entries a chunk holds
+	chunkMin = chunkCap / 2 // a rebuilt chunk shorter than this takes a neighbour in
+)
+
 // exTable is one compiled table. The trailing fields retain enough
 // compile context to rebuild the table incrementally when the control
 // plane updates it (Image.WithTarget).
@@ -63,15 +78,15 @@ type exTable struct {
 	qname     string
 	keySlots  []int32
 	keyWidths []uint16
-	entries   []exEntry
-	meta      []entryMeta // meta[i] describes entries[i]
+	chunks    []entryChunk // the entries, in match order
+	n         int          // entries over all chunks
 	miss      *block
 	missTrap  string
 
 	// index accelerates all-exact tables: an open-addressed table of
-	// entry index + 1 (0 is an empty slot), probed linearly from the key
+	// entries (nil is an empty slot), probed linearly from the key
 	// hash's top indexBits bits. Nil for small or non-exact tables.
-	index     []int32
+	index     []*exEntry
 	indexBits uint8
 
 	hash uint64
@@ -131,14 +146,105 @@ func (v *exVset) match(key sym.BV) bool {
 // ---------------------------------------------------------------------------
 // Builders
 
+// chunkList assembles a table's chunks during a rebuild: chunks of the
+// predecessor carried over whole (their arrays shared), everything else
+// copied into an open chunk of the list's own.
+type chunkList struct {
+	chunks []entryChunk
+	open   entryChunk // being filled, not yet in chunks; no arrays when there is none
+	n      int
+}
+
+// add copies one entry into the open chunk and ships the chunk when full.
+func (l *chunkList) add(e exEntry, m entryMeta) {
+	if l.open.entries == nil {
+		l.open = entryChunk{entries: make([]exEntry, 0, chunkCap), meta: make([]entryMeta, 0, chunkCap)}
+	}
+	l.open.entries = append(l.open.entries, e)
+	l.open.meta = append(l.open.meta, m)
+	l.n++
+	if len(l.open.entries) == chunkCap {
+		l.flush()
+	}
+}
+
+func (l *chunkList) addRun(c entryChunk, from, to int) {
+	for i := from; i < to; i++ {
+		l.add(c.entries[i], c.meta[i])
+	}
+}
+
+func (l *chunkList) flush() {
+	if l.open.entries != nil {
+		l.chunks, l.open = append(l.chunks, l.open), entryChunk{}
+	}
+}
+
+// carry takes over c, a whole chunk of the predecessor. A short open
+// chunk takes c in instead of shipping short — all of it when the two
+// fit one chunk, else the two split evenly — so that writes at one place
+// never leave a trail of one-entry chunks; the copy stays within c.
+func (l *chunkList) carry(c entryChunk) {
+	if l.open.entries == nil || len(l.open.entries) >= chunkMin {
+		l.flush()
+		l.chunks = append(l.chunks, c)
+		l.n += len(c.entries)
+		return
+	}
+	take := len(c.entries)
+	if sum := len(l.open.entries) + take; sum > chunkCap {
+		take = sum/2 - len(l.open.entries)
+	}
+	l.addRun(c, 0, take)
+	if take < len(c.entries) {
+		l.flush()
+		l.addRun(c, take, len(c.entries))
+	}
+}
+
+// finish ships the open chunk, a short one merged into the chunk before
+// it (split evenly when the two overflow one chunk).
+func (l *chunkList) finish() {
+	if l.open.entries != nil && len(l.open.entries) < chunkMin && len(l.chunks) > 0 {
+		last, tail := l.chunks[len(l.chunks)-1], l.open
+		l.chunks, l.open = l.chunks[:len(l.chunks)-1], entryChunk{}
+		l.n -= len(last.entries) + len(tail.entries)
+		split := 0
+		if sum := len(last.entries) + len(tail.entries); sum > chunkCap {
+			split = sum / 2
+			l.addRun(last, 0, split)
+			l.flush()
+		}
+		l.addRun(last, split, len(last.entries))
+		l.addRun(tail, 0, len(tail.entries))
+	}
+	l.flush()
+}
+
+// holdsRun reports whether c's entries are exactly the next active ones.
+func holdsRun(c entryChunk, active []*controlplane.TableEntry) bool {
+	if len(c.meta) > len(active) {
+		return false
+	}
+	for i := range c.meta {
+		if c.meta[i].src != active[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // buildExTable compiles a table under cfg as a delta against prev, a
 // compiled predecessor of the same table (same apply site, same compile
 // context): an active entry prev already compiled is carried over —
-// matches, block and hash — and only entries new to the table are
-// compiled. A from-scratch build is the same walk over a predecessor
-// that holds the compile context and no entries, which is what keeps a
-// WithTarget chain hash-identical to Compile. It reports how many entry
-// action blocks it compiled.
+// matches, block and hash, a whole untouched chunk at a time — and only
+// entries new to the table are compiled. What a rebuild copies is the
+// chunk the update lands in (and at most one neighbour), not the table;
+// what still walks the table is the pointer comparison below, the hash
+// fold and, on an all-exact table, the index. A from-scratch build is
+// the same walk over a predecessor that holds the compile context and no
+// entries, which is what keeps a WithTarget chain hash-identical to
+// Compile. It reports how many entry action blocks it compiled.
 func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, prev *exTable) (*exTable, int, error) {
 	t := &exTable{
 		qname:     prev.qname,
@@ -151,25 +257,34 @@ func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, prev *ex
 	compiled := 0
 	if cfg != nil {
 		active, _ := cfg.ActiveEntries(t.qname)
-		t.entries = make([]exEntry, 0, len(active))
-		t.meta = make([]entryMeta, 0, len(active))
+		l := chunkList{chunks: make([]entryChunk, 0, max(len(prev.chunks)+2, len(active)/chunkCap+1))}
 		// Both lists are in match order, so this is a merge: whatever
 		// prev holds ahead of e and is not e has left the active list,
 		// and the entries the two lists share come in runs.
-		for i, j := 0, 0; i < len(active); {
+		for i, pc, po := 0, 0, 0; i < len(active); {
 			e := active[i]
-			for j < len(prev.meta) && prev.meta[j].src != e && prev.meta[j].src.Before(e) {
-				j++
+			for pc < len(prev.chunks) {
+				c := prev.chunks[pc]
+				if po == len(c.meta) {
+					pc, po = pc+1, 0
+				} else if src := c.meta[po].src; src != e && src.Before(e) {
+					po++
+				} else {
+					break
+				}
 			}
-			run := 0
-			for i+run < len(active) && j+run < len(prev.meta) && prev.meta[j+run].src == active[i+run] {
-				run++
-			}
-			if run > 0 {
-				t.entries = append(t.entries, prev.entries[j:j+run]...)
-				t.meta = append(t.meta, prev.meta[j:j+run]...)
-				i, j = i+run, j+run
-				continue
+			if pc < len(prev.chunks) {
+				c := prev.chunks[pc]
+				if po == 0 && holdsRun(c, active[i:]) {
+					l.carry(c)
+					i, pc = i+len(c.meta), pc+1
+					continue
+				}
+				if c.meta[po].src == e {
+					l.add(c.entries[po], c.meta[po])
+					i, po = i+1, po+1
+					continue
+				}
 			}
 			ee, live, err := buildEntry(cc, img, cfg, t, e)
 			if err != nil {
@@ -179,11 +294,12 @@ func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, prev *ex
 				compiled++
 			}
 			if live {
-				t.entries = append(t.entries, ee)
-				t.meta = append(t.meta, describe(e, &ee))
+				l.add(ee, describe(e, &ee))
 			}
 			i++
 		}
+		l.finish()
+		t.chunks, t.n = l.chunks, l.n
 	}
 
 	// Miss path: the declared default, unless the control plane
@@ -423,22 +539,26 @@ func buildVset(qname string, cfg *controlplane.Config) *exVset {
 // probe re-verifies with entryMatches, so the index is semantically
 // transparent. At most half the slots are taken.
 func (t *exTable) buildIndex() {
-	if len(t.entries) < 4 {
+	if t.n < 4 {
 		return
 	}
-	for i := range t.meta {
-		if !t.meta[i].exact {
-			return
+	for ci := range t.chunks {
+		for _, m := range t.chunks[ci].meta {
+			if !m.exact {
+				return
+			}
 		}
 	}
-	t.indexBits = uint8(bits.Len(uint(2*len(t.entries) - 1)))
-	t.index = make([]int32, 1<<t.indexBits)
-	for i := range t.meta {
-		p := t.indexSlot(t.meta[i].key)
-		for t.index[p] != 0 {
-			p = (p + 1) & (len(t.index) - 1)
+	t.indexBits = uint8(bits.Len(uint(2*t.n - 1)))
+	t.index = make([]*exEntry, 1<<t.indexBits)
+	for _, c := range t.chunks {
+		for i := range c.meta {
+			p := t.indexSlot(c.meta[i].key)
+			for t.index[p] != nil {
+				p = (p + 1) & (len(t.index) - 1)
+			}
+			t.index[p] = &c.entries[i]
 		}
-		t.index[p] = int32(i + 1)
 	}
 }
 
@@ -519,11 +639,13 @@ func (t *exTable) computeHash() uint64 {
 	for _, w := range t.keyWidths {
 		h = mix(h, uint64(w))
 	}
-	h = mix(h, uint64(len(t.entries)))
-	for i := range t.meta {
-		// One FNV round per entry: the entry hashes are already mixed,
-		// and this loop runs over the whole table on every rebuild.
-		h = (h ^ t.meta[i].hash) * fnvPrime
+	h = mix(h, uint64(t.n))
+	for ci := range t.chunks {
+		for _, m := range t.chunks[ci].meta {
+			// One FNV round per entry: the entry hashes are already mixed,
+			// and this loop runs over the whole table on every rebuild.
+			h = (h ^ m.hash) * fnvPrime
+		}
 	}
 	h = hashBlock(h, t.miss)
 	h = mixStr(h, t.missTrap)

@@ -29,24 +29,28 @@ func TestDeadlineDegradesOverTheWire(t *testing.T) {
 
 	// Train the engine's cost estimator with deadline-free precise
 	// writes, growing the ACL until one precise write costs several
-	// times the budget. How many entries that takes depends on how fast
-	// the precise pass is on this machine (its cost grows with the chain
-	// it rebuilds), so the table is sized from the elapsed_ns the
-	// training decisions report, not from a constant: grown a batch at a
-	// time, then probed with two single writes, until both cost at least
-	// 4x the budget.
+	// times the budget. A precise write costs the rank of the entry it
+	// touches — the links of the table's ite chain above it are rebuilt
+	// — so a write above every installed entry never outgrows any
+	// budget; what the controller defends against is the write deep in a
+	// long chain. Entry i has priority 10+i: the ids count down, so
+	// every write lands under everything installed. How many entries it
+	// takes depends on how fast a link rebuilds on this machine, so the
+	// table is sized from the elapsed_ns the training decisions report,
+	// not from a constant: grown a batch at a time, then probed with two
+	// single writes, until both cost at least 4x the budget.
 	const (
 		budget  = 2 * time.Millisecond
 		growBy  = 256
 		maxSize = 1 << 16
 	)
-	next := 0
+	next := maxSize
 	train := func(mode string, n int) []wire.Decision {
 		t.Helper()
 		ups := make([]*controlplane.Update, n)
 		for i := range ups {
+			next--
 			ups[i] = progs.MiddleblockACLEntry(next)
-			next++
 		}
 		resp, err := d.c.Write("ddl", mode, ups)
 		if err != nil {
@@ -54,28 +58,28 @@ func TestDeadlineDegradesOverTheWire(t *testing.T) {
 		}
 		for i, dec := range resp.Decisions {
 			if dec.Kind == "rejected" {
-				t.Fatalf("training update %d rejected: %s", next-n+i, dec.Error)
+				t.Fatalf("training update %d rejected: %s", next+n-1-i, dec.Error)
 			}
 			if dec.Precision != "" {
-				t.Fatalf("training update %d already degraded", next-n+i)
+				t.Fatalf("training update %d already degraded", next+n-1-i)
 			}
 		}
 		return resp.Decisions
 	}
 	for cost := time.Duration(0); cost < 4*budget; {
-		if next > maxSize {
-			t.Fatalf("a precise write still costs %v at %d ACL entries; cannot outgrow a %v budget", cost, next, budget)
+		if next < growBy+3 {
+			t.Fatalf("a rank-deep precise write still costs %v at %d ACL entries; cannot outgrow a %v budget", cost, maxSize-next, budget)
 		}
 		train(wire.ModeBatch, growBy)
 		probes := train(wire.ModeSingle, 2)
 		cost = time.Duration(min(probes[0].ElapsedNS, probes[1].ElapsedNS))
 	}
-	t.Logf("trained on %d ACL entries", next)
+	t.Logf("trained on %d ACL entries", maxSize-next)
 
 	// One write under the budget: the engine must degrade rather than
 	// run the precise pass, and say so on the wire.
 	resp, err := d.c.WriteDeadline("ddl", wire.ModeSingle,
-		[]*controlplane.Update{progs.MiddleblockACLEntry(next)}, budget)
+		[]*controlplane.Update{progs.MiddleblockACLEntry(next - 1)}, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
