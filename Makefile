@@ -10,7 +10,7 @@ COVER_PKGS = ./internal/core ./internal/sym ./internal/dd ./internal/obs ./inter
 # Seconds of native fuzzing per target in the `make race` smoke.
 FUZZ_SMOKE ?= 5s
 
-.PHONY: all help build test race bench bench-e2e cover bench-json bench-scaling bench-pps bench-dd fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
+.PHONY: all help build test race bench bench-e2e cover bench-json bench-scaling bench-pps pps-smoke bench-dd fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
 
 # Soak-run knobs: where the daemon listens and how many updates
 # flayload drives through it.
@@ -59,10 +59,11 @@ help:
 	@echo "              query-pass times reported; the old >= 3x ratio gate is gone (its"
 	@echo "              denominator was solver probing that no longer exists)"
 	@echo "  bench-scaling  (legacy artefact) scaling curve at GOMAXPROCS 1/4/8/16; writes BENCH_scaling.json"
-	@echo "  bench-pps   (legacy artefact, kept as the hot-swap smoke inside 'make race')"
-	@echo "              packets/sec: bytecode executor vs reference interpreter across the"
-	@echo "              catalog, differentially verified, gated >= 2x on >= 3 programs;"
-	@echo "              writes BENCH_pps.json"
+	@echo "  bench-pps   (legacy artefact) packets/sec: bytecode executor vs reference"
+	@echo "              interpreter across the catalog, differentially verified, gated >= 2x"
+	@echo "              on >= 3 programs; writes BENCH_pps.json"
+	@echo "  pps-smoke   the same run and gate as the hot-swap smoke inside 'make race';"
+	@echo "              its report goes to a temp file, the tree is left as it was"
 	@echo "  torture-smoke  epoch/shard concurrency torture suite, smoke slice, under -race"
 	@echo "  spine-smoke the read-lock differential check beside a writer (table spines must"
 	@echo "              not be written under the read lock), -race -count=3"
@@ -94,7 +95,7 @@ test:
 # where the race detector gets no parallelism to hide behind and
 # internal/core alone can exceed go test's 10m default.
 RACE_TIMEOUT ?= 45m
-race: fuzz-smoke soak-churn-smoke soak-cluster-smoke torture-smoke dd-smoke spine-smoke bench-pps
+race: fuzz-smoke soak-churn-smoke soak-cluster-smoke torture-smoke dd-smoke spine-smoke pps-smoke
 	$(GO) vet ./...
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./...
 
@@ -230,13 +231,12 @@ bench-e2e:
 
 # bench-json (legacy artefact): the machine-readable evaluation artifact. Runs the burst
 # section with the metrics registry and audit trail enabled, plus the
-# query-cache and adaptive-precision sections; flaybench cross-checks
-# their accounting against the engine's Statistics (the cache's >50%
-# hit-rate bar, the precision section's at-least-one-degradation,
-# p99-under-deadline and zero-unsound-verdict bars on a rank-deep burst)
-# and exits non-zero on any mismatch.
+# adaptive-precision section; flaybench cross-checks their accounting
+# against the engine's Statistics (the precision section's
+# at-least-one-degradation, p99-under-deadline and zero-unsound-verdict
+# bars on a rank-deep burst) and exits non-zero on any mismatch.
 bench-json:
-	$(GO) run ./cmd/flaybench -only burst,batch,cache,dd,precision,churn,scaling,cluster -json -o BENCH_flay.json
+	$(GO) run ./cmd/flaybench -only burst,batch,dd,precision,churn,scaling,cluster -json -o BENCH_flay.json
 
 # bench-dd (legacy artefact): the decision-diagram query-core artifact. Replays the
 # precise-mode middleblock ACL burst through a diagram engine and a
@@ -263,9 +263,16 @@ bench-scaling:
 # differentially verified packet-for-packet (before and after a
 # concurrent-churn arm with gap-free audit and monotone epochs), and
 # gated: the executor must beat the interpreter by >= 2x on at least
-# three programs. Also runs inside `make race` as the hot-swap smoke.
+# three programs.
 bench-pps:
 	$(GO) run ./cmd/flaybench -only pps -json -o BENCH_pps.json
+
+# pps-smoke: the same run and gate as the hot-swap smoke of `make race`.
+# The report goes to a temp file, so the race tier leaves the committed
+# BENCH_pps.json — and with it `git status` — as it found them.
+pps-smoke:
+	@tmp=$$(mktemp); trap 'rm -f $$tmp' EXIT; \
+	$(GO) run ./cmd/flaybench -only pps -json -o $$tmp
 
 # cover: enforce the coverage floor on the engine packages. Written
 # for a POSIX shell (no pipefail): the summary goes to a temp file and

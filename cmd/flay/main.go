@@ -22,7 +22,7 @@
 //
 // With -restore the positional source argument is omitted: the
 // snapshot embeds the program, the installed configuration, the verdict
-// map and the warm query cache, so e.g.
+// map and the liveness witnesses, so e.g.
 //
 //	flay -representative -snapshot scion.snap demo catalog:scion
 //	flay -restore scion.snap specialize

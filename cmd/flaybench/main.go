@@ -10,12 +10,11 @@
 //	flaybench [-only sections] [-full] [-json] [-o FILE] [-gomaxprocs LIST]
 //
 // Sections: table1, fig1, fig3, fig5, table2, table3, stages, burst,
-// batch, cache, dd, precision, churn, ablation, scaling, pps,
-// cluster. The list is
-// generated from the section registry (benchSections) and pinned equal
-// to it by TestSectionDocMatchesRegistry; -only takes a comma-separated
-// subset ("-only burst,batch"). -full extends Table 3 to 10000
-// installed entries (slow in precise mode, as in the paper).
+// batch, dd, precision, churn, ablation, scaling, pps, cluster. The list
+// is generated from the section registry (benchSections) and pinned
+// equal to it by TestSectionDocMatchesRegistry; -only takes a
+// comma-separated subset ("-only burst,batch"). -full extends Table 3
+// to 10000 installed entries (slow in precise mode, as in the paper).
 // -json additionally writes a machine-readable report (default
 // BENCH_flay.json, override with -o; "-" writes to stdout): per-section
 // wall times and GOMAXPROCS plus, for the burst section, the engine's
@@ -67,7 +66,6 @@ type benchReport struct {
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	Sections   []sectionReport  `json:"sections"`
 	Burst      *burstReport     `json:"burst,omitempty"`
-	Cache      *cacheReport     `json:"cache,omitempty"`
 	DD         *ddReport        `json:"dd,omitempty"`
 	Precision  *precisionReport `json:"precision,omitempty"`
 	Churn      *churnReport     `json:"churn,omitempty"`
@@ -100,28 +98,10 @@ type burstReport struct {
 	Metrics        obs.Snapshot   `json:"metrics"`
 }
 
-// cacheReport records the taint-keyed query cache's effect on the
-// burst workload, plus the snapshot warm-restart comparison. The hit
-// rate and the byte-identical end state are verified before the report
-// is emitted; a failure exits non-zero.
-type cacheReport struct {
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Evictions     int64   `json:"evictions"`
-	HitRate       float64 `json:"hit_rate"`
-	NoCacheMS     int64   `json:"nocache_ms"`
-	CacheMS       int64   `json:"cache_ms"`
-	Speedup       float64 `json:"speedup"`
-	SnapshotBytes int     `json:"snapshot_bytes"`
-	RestoreMS     float64 `json:"restore_ms"`
-	FreshMS       float64 `json:"fresh_ms"`
-}
-
 // ddReport records the decision-diagram query core's effect on the
 // precise query pass: the same burst replayed with the diagram path on
-// and off (cache off on both arms, so every verdict really runs a
-// query), with the verdict-for-verdict differential and the >= 3x
-// query-pass gate verified before the report is emitted.
+// and off, with the verdict-for-verdict differential verified before
+// the report is emitted.
 type ddReport struct {
 	Updates      int     `json:"updates"`
 	SolverEvalMS int64   `json:"solver_eval_ms"`
@@ -176,7 +156,6 @@ var benchSections = []struct {
 	{"stages", stages},
 	{"burst", burst},
 	{"batch", batchSection},
-	{"cache", cacheSection},
 	{"dd", ddSection},
 	{"precision", precisionSection},
 	{"churn", churnSection},
@@ -770,120 +749,10 @@ func goflaySpec(s *core.Specializer) string { return ast.Print(s.SpecializedProg
 
 // ---------------------------------------------------------------------------
 
-// cacheSection measures the taint-keyed specialization-query cache on
-// the Fig. 1-style SCION burst: the same representative-config + 1000
-// fuzzer-entry stream is run with the cache disabled and enabled, the
-// two end states are verified byte-identical, and the cached run must
-// achieve a >50% hit rate (the acceptance bar). It then snapshots the
-// warm engine and compares a warm restore against a fresh open +
-// representative replay.
-func cacheSection(bool) {
-	header("Query cache: taint-keyed memoization + warm-start snapshot (SCION burst)")
-	p := progs.Scion()
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "cache verification failed: "+format+"\n", args...)
-		os.Exit(1)
-	}
-	run := func(nocache bool) (*core.Specializer, time.Duration) {
-		s, err := p.LoadWith(core.Options{NoCache: nocache})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := p.ApplyRepresentative(s); err != nil {
-			log.Fatal(err)
-		}
-		t0 := time.Now()
-		for i := 0; i < 1000; i++ {
-			if s.Apply(progs.ScionBurstEntry(i)).Kind == core.Rejected {
-				log.Fatalf("burst entry %d rejected", i)
-			}
-		}
-		return s, time.Since(t0)
-	}
-
-	cold, coldTime := run(true)
-	warm, warmTime := run(false)
-	st := warm.Statistics()
-	queries := st.CacheHits + st.CacheMisses
-	if queries == 0 {
-		fail("cached run issued no cache queries")
-	}
-	rate := float64(st.CacheHits) / float64(queries)
-	fmt.Printf("cache off:  1000 × Apply      %12v  (%v/update)\n",
-		coldTime.Round(time.Millisecond), (coldTime / 1000).Round(time.Microsecond))
-	fmt.Printf("cache on:   1000 × Apply      %12v  (%v/update)\n",
-		warmTime.Round(time.Millisecond), (warmTime / 1000).Round(time.Microsecond))
-	fmt.Printf("speedup:    %.1f×\n", float64(coldTime)/float64(warmTime))
-	fmt.Printf("\nhits=%d misses=%d evictions=%d  hit rate %.1f%%\n",
-		st.CacheHits, st.CacheMisses, st.CacheEvictions, 100*rate)
-
-	if goflaySpec(cold) != goflaySpec(warm) {
-		fail("cached and uncached specialized programs diverged")
-	}
-	if rate <= 0.5 {
-		fail("hit rate %.1f%% is below the 50%% acceptance bar", 100*rate)
-	}
-	fmt.Println("cross-check: end states byte-identical, hit rate above the 50% bar")
-
-	// Warm-start: snapshot the warm engine, then compare restoring it
-	// against rebuilding the same state from source.
-	snap, err := warm.Snapshot()
-	if err != nil {
-		log.Fatal(err)
-	}
-	t0 := time.Now()
-	restored, err := core.Restore(snap, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	restoreTime := time.Since(t0)
-	t0 = time.Now()
-	fresh, err := p.LoadWith(core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := p.ApplyRepresentative(fresh); err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if fresh.Apply(progs.ScionBurstEntry(i)).Kind == core.Rejected {
-			log.Fatalf("burst entry %d rejected", i)
-		}
-	}
-	freshTime := time.Since(t0)
-	if goflaySpec(restored) != goflaySpec(warm) {
-		fail("restored specialized program diverged from the snapshotted engine")
-	}
-	fmt.Printf("\nsnapshot:   %d bytes\n", len(snap))
-	fmt.Printf("restore:    %12v  (vs %v rebuilding from source, %.1f×)\n",
-		restoreTime.Round(time.Microsecond), freshTime.Round(time.Millisecond),
-		float64(freshTime)/float64(restoreTime))
-
-	rep.Cache = &cacheReport{
-		Hits:          st.CacheHits,
-		Misses:        st.CacheMisses,
-		Evictions:     st.CacheEvictions,
-		HitRate:       rate,
-		NoCacheMS:     coldTime.Milliseconds(),
-		CacheMS:       warmTime.Milliseconds(),
-		Speedup:       float64(coldTime) / float64(warmTime),
-		SnapshotBytes: len(snap),
-		RestoreMS:     float64(restoreTime.Microseconds()) / 1000,
-		FreshMS:       float64(freshTime.Microseconds()) / 1000,
-	}
-	fmt.Println("\n(hits replay memoized verdicts without substituting or querying the")
-	fmt.Println("solver; past the overapproximation threshold the burst table's")
-	fmt.Println("fingerprint stabilizes and tainted points hit on every update)")
-}
-
-// ---------------------------------------------------------------------------
-
 // ddSection cross-checks the decision-diagram query core against the
-// solver-only engine on the precise-mode middleblock ACL burst, with
-// the query cache off on both arms so every point re-evaluation runs a
-// real specialization query instead of replaying a memo. The section
-// verifies the two arms verdict-for-verdict and byte-identical on the
-// specialized program, and reports both query-pass times. It used to
+// solver-only engine on the precise-mode middleblock ACL burst. The
+// section verifies the two arms verdict-for-verdict and byte-identical
+// on the specialized program, and reports both query-pass times. It used to
 // gate their ratio at >= 3x; that ratio's denominator was the solver
 // probing residues far past the exhaustive bound, which no longer
 // happens on either arm (the width rule answers them first), so the
@@ -899,12 +768,10 @@ func ddSection(bool) {
 	// Precise mode (no overapproximation) on a growing ACL: every
 	// installed entry re-evaluates match-conjunction residues over a
 	// >100-bit space, which both arms answer by the width rule; the
-	// arms differ only on the residues inside the exhaustive bound. The
-	// value cache is off in both engines so the comparison is pure
-	// query machinery.
+	// arms differ only on the residues inside the exhaustive bound.
 	const updates = 250
 	run := func(noDD bool) *core.Specializer {
-		s, err := p.LoadWith(core.Options{NoCache: true, NoDD: noDD, OverapproxThreshold: -1})
+		s, err := p.LoadWith(core.Options{NoDD: noDD, OverapproxThreshold: -1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -228,7 +228,6 @@ type options struct {
 	target              Target
 	quality             Quality
 	workers             int
-	noCache             bool
 	noDD                bool
 	repairInterval      time.Duration
 	exec                bool
@@ -267,12 +266,6 @@ func WithQuality(q Quality) Option {
 // runs on the caller's goroutine: it costs less than waking a thread.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithNoCache disables the taint-keyed specialization-query cache (for
-// ablation measurements and differential testing).
-func WithNoCache() Option {
-	return func(o *options) { o.noCache = true }
 }
 
 // WithNoDD disables the canonical decision-diagram query core: a
@@ -353,7 +346,6 @@ func open(name, source string, o options) (*Pipeline, error) {
 		OverapproxThreshold: o.overapproxThreshold,
 		Quality:             o.quality,
 		Workers:             o.workers,
-		NoCache:             o.noCache,
 		NoDD:                o.noDD,
 		RepairInterval:      o.repairInterval,
 		Exec:                o.exec,
@@ -412,8 +404,8 @@ func (p *Pipeline) Generation() uint64 { return p.spec.Generation() }
 func (p *Pipeline) Epoch() uint64 { return p.spec.EpochSeq() }
 
 // Snapshot serializes the pipeline's complete warm state — program,
-// installed configuration, verdict map, liveness witnesses and query
-// cache — to portable bytes. Restore rebuilds an equivalent pipeline
+// installed configuration, verdict map and liveness witnesses — to
+// portable bytes. Restore rebuilds an equivalent pipeline
 // from them, skipping the initial specialization pass; replaying the
 // remaining update stream on the restored pipeline yields exactly the
 // decisions the uninterrupted run would have produced.
@@ -422,14 +414,13 @@ func (p *Pipeline) Snapshot() ([]byte, error) { return p.spec.Snapshot() }
 // Restore rebuilds a pipeline from Snapshot bytes. The snapshot
 // dictates the verdict-shaping options (quality, overapproximation
 // threshold, parser skipping); runtime options — Target, Workers,
-// NoCache, observability — come from opts. Corrupted or truncated
-// input yields an error satisfying errors.Is(err, ErrSnapshotCorrupt),
-// never a panic.
+// observability — come from opts. Corrupted or truncated input, or a
+// snapshot written in an earlier format version, yields an error
+// satisfying errors.Is(err, ErrSnapshotCorrupt), never a panic.
 func Restore(data []byte, opts ...Option) (*Pipeline, error) {
 	o := resolveOptions(opts)
 	s, err := core.Restore(data, core.Options{
 		Workers:        o.workers,
-		NoCache:        o.noCache,
 		NoDD:           o.noDD,
 		RepairInterval: o.repairInterval,
 		Exec:           o.exec,

@@ -1,5 +1,4 @@
-// Tests for the snapshotable configuration state (State/SetState) and
-// the assignment fingerprints the query cache keys on.
+// Tests for the snapshotable configuration state (State/SetState).
 package controlplane
 
 import (
@@ -122,78 +121,5 @@ func TestSetStateRejectsInvalid(t *testing.T) {
 		if !reflect.DeepEqual(cfg.State(), before) {
 			t.Fatalf("%s: failed SetState mutated the configuration", name)
 		}
-	}
-}
-
-// TestEnvFingerprintProperties: equal environments fingerprint equally
-// regardless of builder or construction order; different assignments
-// fingerprint differently; the empty environment is stable.
-func TestEnvFingerprintProperties(t *testing.T) {
-	an := analyze(t, fig5Src)
-	cfg := NewConfig(an)
-	b := an.Builder
-	empty1 := EnvFingerprint(Env{})
-	empty2 := EnvFingerprint(nil)
-	if empty1 != empty2 {
-		t.Fatal("nil and empty environments fingerprint differently")
-	}
-
-	env0, _, err := cfg.CompileTable(b, "Ingress.port_table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpEmptyTable := EnvFingerprint(env0)
-
-	if err := cfg.Apply(&Update{Kind: InsertEntry, Table: "Ingress.port_table",
-		Entry: exactEntry(0x1, "set", sym.NewBV(9, 1))}); err != nil {
-		t.Fatal(err)
-	}
-	env1, _, err := cfg.CompileTable(b, "Ingress.port_table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpOneEntry := EnvFingerprint(env1)
-	if fpOneEntry == fpEmptyTable {
-		t.Fatal("different configurations produced the same fingerprint")
-	}
-
-	// Same structural assignment compiled in a *different* builder must
-	// fingerprint identically: the fingerprint folds canonical hashes,
-	// never builder pointers. Rebuild the whole analysis from scratch.
-	an2 := analyze(t, fig5Src)
-	cfg2 := NewConfig(an2)
-	if err := cfg2.Apply(&Update{Kind: InsertEntry, Table: "Ingress.port_table",
-		Entry: exactEntry(0x1, "set", sym.NewBV(9, 1))}); err != nil {
-		t.Fatal(err)
-	}
-	env2, _, err := cfg2.CompileTable(an2.Builder, "Ingress.port_table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EnvFingerprint(env2); got != fpOneEntry {
-		t.Fatalf("fingerprint is builder-dependent: %x vs %x", got, fpOneEntry)
-	}
-
-	// Order independence: an Env is a map, so the fold must not depend
-	// on iteration order — recompute several times.
-	for i := 0; i < 10; i++ {
-		if got := EnvFingerprint(env1); got != fpOneEntry {
-			t.Fatal("fingerprint is iteration-order dependent")
-		}
-	}
-
-	// Deleting the entry reverts the fingerprint: the same assignment
-	// always fingerprints the same, which is what makes revisited
-	// configurations cache-hittable.
-	if err := cfg.Apply(&Update{Kind: DeleteEntry, Table: "Ingress.port_table",
-		Entry: exactEntry(0x1, "set", sym.NewBV(9, 1))}); err != nil {
-		t.Fatal(err)
-	}
-	envBack, _, err := cfg.CompileTable(b, "Ingress.port_table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EnvFingerprint(envBack); got != fpEmptyTable {
-		t.Fatalf("reverted configuration fingerprints differently: %x vs %x", got, fpEmptyTable)
 	}
 }

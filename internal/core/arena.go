@@ -30,10 +30,9 @@ const (
 // final store), the current control-plane substitution environment and
 // the table spines it was read off (which hold more than the
 // environment reaches: suffix assignments a simplification folded out
-// of the head, conditions of links awaiting a rebuild), the per-point
-// substituted expressions and cached witnesses, and the query cache's
-// witness environments. Everything else interned since the last sweep
-// is churn residue.
+// of the head, conditions of links awaiting a rebuild), and the
+// per-point substituted expressions and cached witnesses. Everything
+// else interned since the last sweep is churn residue.
 func (s *Specializer) arenaRoots() []*sym.Expr {
 	an := s.An
 	roots := make([]*sym.Expr, 0, 4*len(an.Points)+2*len(s.env))
@@ -70,15 +69,6 @@ func (s *Specializer) arenaRoots() []*sym.Expr {
 	for _, w := range s.witnesses {
 		for k := range w {
 			roots = append(roots, k)
-		}
-	}
-	if s.cache != nil {
-		for _, ways := range s.cache.points {
-			for i := range ways {
-				for k := range ways[i].witness {
-					roots = append(roots, k)
-				}
-			}
 		}
 	}
 	return s.ddArenaRoots(roots)

@@ -18,16 +18,17 @@
 //
 // Lifecycle hooks, mirroring the existing machinery exactly:
 //
-//   - invalidation re-uses evictStale's taint routing — when a target's
-//     assignment fingerprint changes, precisely the tainted points drop
-//     their diagram roots (cache.go);
+//   - a root lives exactly as long as the residue it was compiled from:
+//     evalPointWith drops it the moment the point's substituted pointer
+//     changes (specializer.go), whatever then answers the new residue;
 //   - epoch publication carries the diagram store and per-point roots
 //     copy-on-write, so Explain is wait-free on every point that holds
 //     a root (epoch.go); a width-decided point holds none, and Explain
 //     compiles its residue on demand under the read lock;
-//   - the residues backing live roots are arena roots, and the
-//     per-worker memos (keyed on hash-consed expression pointers) are
-//     discarded when the arena is swept (arena.go);
+//   - the residue backing a live root is the point's pointSub entry,
+//     an arena root, and the per-worker memos (keyed on hash-consed
+//     expression pointers) are discarded when the arena is swept
+//     (arena.go);
 //   - snapshots persist the variable order only; diagrams are rebuilt,
 //     not serialized (snapshot.go).
 package core
@@ -70,25 +71,24 @@ const (
 	ddMaxSkip = 256
 )
 
-// ddRoot is one point's compiled condition. sub is the hash-consed
-// residue the root was compiled from (the entry's validity key: the
-// engine re-uses the root only while the residue pointer matches);
-// node is nil when the residue is outside the diagram fragment and the
-// point runs on the solver path; vars are the residue's free variables
-// (walk assignments are completed over them into witnesses) and bits
-// their total width — at most sym.DefaultExhaustiveBits, since only
-// residues inside the bound get a root.
+// ddRoot is one point's compiled condition — compiled from the point's
+// pointSub entry, the hash-consed residue, and dropped when that
+// changes. node is nil when the point holds no diagram: the residue is
+// outside the diagram fragment, or something else answered it; vars are
+// the residue's free variables (walk assignments are completed over
+// them into witnesses) and bits their total width — at most
+// sym.DefaultExhaustiveBits, since only residues inside the bound get a
+// root.
 type ddRoot struct {
-	sub  *sym.Expr
 	node *dd.Node
 	vars []*sym.Expr
 	bits int
 	// strikes/skip are the compile-backoff state: strikes counts
 	// consecutive attempts that blew (or nearly blew) their budget,
 	// skip is the number of future residue changes to sit out before
-	// trying again. Both survive taint invalidation — the whole point
-	// is remembering across updates that this point's conditions are
-	// too expensive to rebuild at update rate.
+	// trying again. Both survive invalidation — the whole point is
+	// remembering across updates that this point's conditions are too
+	// expensive to rebuild at update rate.
 	strikes int
 	skip    int
 }
@@ -227,27 +227,24 @@ func (d *ddCore) ensureAtoms(frag controlplane.Env) {
 	}
 }
 
-// invalidate drops one point's diagram root. Driven by evictStale's
-// taint routing: exactly the points a changed target taints lose their
-// roots, nothing else.
+// invalidate drops one point's diagram root, keeping its compile-backoff
+// state. evalPointWith calls it for exactly the points whose residue
+// changed.
 func (d *ddCore) invalidate(id int) {
 	r := &d.roots[id]
-	if r.sub == nil {
+	if r.node == nil {
 		return
 	}
 	d.roots[id] = ddRoot{strikes: r.strikes, skip: r.skip}
 	d.rootsDirty.Store(true)
 }
 
-// rootFor returns the point's diagram root for the given residue,
-// compiling (through the worker's memo) when the cached root does not
-// match. ok=false means the residue is outside the diagram fragment.
+// rootFor compiles (through the worker's memo) the diagram root of a
+// point whose residue just changed — evalPointWith dropped the previous
+// root. ok=false means the residue is outside the diagram fragment.
 func (s *Specializer) rootFor(sh *evalShard, id int, sub *sym.Expr) (*dd.Node, *ddRoot, bool) {
 	d := s.ddc
 	r := &d.roots[id]
-	if r.sub == sub {
-		return r.node, r, r.node != nil
-	}
 	// Backoff window: this point's last compiles blew their budget, so
 	// it sits out skip residue changes on the solver path before the
 	// next (cheaper) attempt. A memo hit below never strikes, so a
@@ -256,8 +253,6 @@ func (s *Specializer) rootFor(sh *evalShard, id int, sub *sym.Expr) (*dd.Node, *
 	// memo forever.
 	if r.skip > 0 {
 		r.skip--
-		r.sub, r.node, r.vars, r.bits = sub, nil, nil, 0
-		d.rootsDirty.Store(true)
 		return nil, r, false
 	}
 	limit := ddCompileBudget >> r.strikes
@@ -277,16 +272,16 @@ func (s *Specializer) rootFor(sh *evalShard, id int, sub *sym.Expr) (*dd.Node, *
 		}
 		skip = min(1<<strikes, ddMaxSkip)
 	}
-	*r = ddRoot{sub: sub, strikes: strikes, skip: skip}
+	*r = ddRoot{strikes: strikes, skip: skip}
 	if ok {
 		r.node = n
 		r.vars = sh.solver.FreeVars(sub)
 		for _, v := range r.vars {
 			r.bits += int(v.Width)
 		}
+		d.rootsDirty.Store(true)
 	}
 	d.compiles.Add(1)
-	d.rootsDirty.Store(true)
 	return r.node, r, ok
 }
 
@@ -322,7 +317,7 @@ func (s *Specializer) underDegraded(id int) bool {
 		return false
 	}
 	for _, t := range s.pointDeps[id] {
-		if _, deg := s.degraded[s.targetNames[t]]; deg {
+		if _, deg := s.degraded[t]; deg {
 			return true
 		}
 	}
@@ -484,10 +479,10 @@ func (s *Specializer) ddMaybeSweep() {
 	ctx := dd.NewCtx(fresh)
 	for i := range d.roots {
 		r := &d.roots[i]
-		if r.sub == nil || r.node == nil {
+		if r.node == nil {
 			continue
 		}
-		if nn, _, ok := ctx.CompileBudget(r.sub, ddCompileBudget); ok {
+		if nn, _, ok := ctx.CompileBudget(s.pointSub[i], ddCompileBudget); ok {
 			r.node = nn
 		} else {
 			r.node = nil
@@ -509,21 +504,14 @@ func (s *Specializer) flushDDCtxs() {
 }
 
 // ddArenaRoots appends the expressions the diagram core keeps live
-// across arena sweeps: every root's residue (so the pointer-keyed
-// reuse check and the compile memos stay meaningful after a sweep) and
-// the atom-index variable mirror (so witness translation never holds a
-// stale alias).
+// across arena sweeps: the atom-index variable mirror, so witness
+// translation never holds a stale alias. The residues the roots were
+// compiled from are the points' pointSub entries, rooted already.
 func (s *Specializer) ddArenaRoots(roots []*sym.Expr) []*sym.Expr {
 	if s.ddc == nil {
 		return roots
 	}
-	roots = append(roots, s.ddc.atomVars...)
-	for i := range s.ddc.roots {
-		if sub := s.ddc.roots[i].sub; sub != nil {
-			roots = append(roots, sub)
-		}
-	}
-	return roots
+	return append(roots, s.ddc.atomVars...)
 }
 
 // collectDataVars walks an expression DAG and reports every distinct

@@ -214,8 +214,7 @@ func (s *Specializer) shedForBatch(ctx context.Context, targets []string) {
 
 // degradeLocked pins the target's assignment to the overapproximation
 // and records the transition. The caller holds the write lock; the next
-// recompileTarget call renders the cheap "*any*" fragment (changing the
-// fragment fingerprint, which evicts the stale cache entries).
+// recompileTarget call renders the cheap "*any*" fragment.
 func (s *Specializer) degradeLocked(target, cause string) {
 	s.imgMarkFull() // precision changes can reshape the specialized program
 	s.Cfg.ForceOverapprox(target, true)
@@ -268,6 +267,10 @@ func (s *Specializer) promoteLocked(target, cause string) (unsound int, err erro
 		s.Cfg.ForceOverapprox(target, true)
 		return 0, err
 	}
+	// The table is precise from here on: its points go back on the
+	// diagram path in this very pass (ddQuery sits out only the points
+	// under a degraded table).
+	delete(s.degraded, target)
 	pts := s.An.PointsOf(target)
 	before := make([]Verdict, len(pts))
 	for i, p := range pts {
@@ -281,7 +284,6 @@ func (s *Specializer) promoteLocked(target, cause string) (unsound int, err erro
 		}
 	}
 	s.adoptImpls(target, changed)
-	delete(s.degraded, target)
 	s.stats.Promotions++
 	s.stats.DegradedTables = len(s.degraded)
 	s.unsound.Add(int64(unsound))
@@ -395,7 +397,7 @@ func (s *Specializer) DifferentialCheck() (checked, unsoundCount int, err error)
 	solver.Metrics = s.symMet
 	// The overlay is fixed for the loop: one substitution pass. The
 	// query goes to the solver without witnesses, so no per-point engine
-	// state (hints, substitution memos, cache) is touched.
+	// state (hints, substitution memos) is touched.
 	var scratch sym.SubstScratch
 	pass := b.BeginSubst(&scratch, overlay)
 	for _, p := range s.An.PointsOfTargets(targets) {

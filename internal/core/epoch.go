@@ -52,8 +52,8 @@ type epoch struct {
 	degraded []string
 	// stats is the fully resolved counter snapshot (including the
 	// degraded-table count and the arena node count at publication;
-	// cache counters and the unsound count are overlaid live from
-	// their atomics by Statistics).
+	// the query-dispatch, diagram and unsound counts are overlaid live
+	// from their atomics by Statistics).
 	stats Stats
 	// generation is Forwarded+Recompilations — the snapshot-dirtiness
 	// cursor served by Generation().

@@ -6,8 +6,8 @@ import (
 )
 
 // TestMain lowers the fan-out threshold for this package's tests: the
-// equivalence, cache, diagram and torture suites hold the worker pool to
-// the serial path on catalog programs, whose passes (at most 999
+// equivalence, snapshot, diagram and torture suites hold the worker pool
+// to the serial path on catalog programs, whose passes (at most 999
 // points) would otherwise all stay on the caller's goroutine.
 func TestMain(m *testing.M) {
 	minParallelPoints = 8

@@ -25,21 +25,16 @@ type coreMetrics struct {
 	pointsChanged   *obs.Counter // verdict flips observed
 	substSkips      *obs.Counter // pointer-equal substitutions (query skipped)
 
-	// How queryAny answered each query that got past the cache and the
-	// substitution skip, indexed by queryPath (core.query.literal,
-	// .width, .dd, .exhaustive).
+	// How queryAny answered each query that got past the substitution
+	// skip, indexed by queryPath (core.query.literal, .width, .dd,
+	// .exhaustive).
 	answeredBy [numQueryPaths]*obs.Counter
-
-	cacheHits      *obs.Counter // query-cache hits (no substitution, no solver)
-	cacheMisses    *obs.Counter // query-cache misses
-	cacheEvictions *obs.Counter // entries invalidated by taint or way pressure
 
 	updateNS *obs.Histogram // per-update analysis latency, ns
 	evalNS   *obs.Histogram // per-pass point re-evaluation latency, ns
 
-	points       *obs.Gauge // program points under management
-	tables       *obs.Gauge // tables under management
-	cacheEntries *obs.Gauge // live query-cache entries
+	points *obs.Gauge // program points under management
+	tables *obs.Gauge // tables under management
 
 	// Adaptive precision controller (deadline.go).
 	degradations    *obs.Counter // tables degraded to overapproximation
@@ -90,14 +85,10 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 			byDD:         r.Counter("core.query.dd"),
 			byExhaustive: r.Counter("core.query.exhaustive"),
 		},
-		cacheHits:       r.Counter("core.cache_hits"),
-		cacheMisses:     r.Counter("core.cache_misses"),
-		cacheEvictions:  r.Counter("core.cache_evictions"),
 		updateNS:        r.Histogram("core.update_ns"),
 		evalNS:          r.Histogram("core.eval_ns"),
 		points:          r.Gauge("core.points"),
 		tables:          r.Gauge("core.tables"),
-		cacheEntries:    r.Gauge("core.cache_entries"),
 		degradations:    r.Counter("core.degradations"),
 		promotions:      r.Counter("core.promotions"),
 		unsoundDegraded: r.Counter("core.unsound_degraded"),

@@ -22,7 +22,7 @@ import (
 //
 //   - the hash-consing Builder is shared (interning locks internally;
 //     pointer identity must stay global or the per-point substitution
-//     cache would stop working);
+//     memo would stop working);
 //   - each worker owns an evalShard: a Solver (evaluation and width-walk
 //     scratch) and a substitution memo, so symbolic evaluation never
 //     shares mutable scratch. The memo lives for one pass: every
@@ -68,8 +68,8 @@ func (sh *evalShard) ddCtx(st *dd.Store) *dd.Ctx {
 
 // minParallelPoints is the fan-out threshold: a pass over fewer points
 // runs on the caller's goroutine. Nearly every point of an incremental
-// pass is settled by the cache, an unchanged residue pointer, a literal
-// or the width rule, 0.02–0.16 µs each on the catalog (a whole pass
+// pass is settled by an unchanged residue pointer, a literal or the
+// width rule, 0.02–0.16 µs each on the catalog (a whole pass
 // over scion's 653 points: ~100 µs), and the points of one pass share
 // path conditions that one shard's memo substitutes once and two
 // shards' memos twice. Against that the fork/join costs a microsecond
@@ -132,15 +132,12 @@ func (s *Specializer) shard(i int) *evalShard {
 // count above one the pass is planned by the taint-partition shard map
 // (shard.go): points group by owning shard, shard groups chunk into
 // evaluation units, and each unit is claimed by exactly one worker via
-// an atomic cursor — so points sharing a dependency target keep cache
+// an atomic cursor — so points sharing a dependency target keep memo
 // and witness locality while a single dominant partition still spreads
 // across the pool.
 func (s *Specializer) reevalPoints(pts []*dataplane.Point) []int {
 	w := s.effectiveWorkers(len(pts))
 	s.met.pointsEvaluated.Add(int64(len(pts)))
-	if s.cache != nil {
-		defer func() { s.met.cacheEntries.Set(s.cache.size.Load()) }()
-	}
 	capture := s.audit != nil
 	s.lastChanges = s.lastChanges[:0]
 	if w <= 1 {

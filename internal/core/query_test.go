@@ -1,9 +1,11 @@
 // The query path's work, counted and cross-checked: the pass-wide
 // substitution memo against a per-point substitution, the width rule's
 // promise that a wide residue costs no evaluation and no diagram, the
-// dispatch counters' accounting identity, Explain's on-demand narration
-// of width-decided points, and the premise the atom registration
-// shortcut rests on.
+// dispatch counters' accounting identity, the residue-pointer memo that
+// settles an update which changes no assignment (and what a restored
+// engine pays for not having it), the lifetime of a diagram root,
+// Explain's on-demand narration of width-decided points, and the
+// premise the atom registration shortcut rests on.
 package core_test
 
 import (
@@ -152,10 +154,9 @@ func TestWideQueryDoesNoEvaluation(t *testing.T) {
 }
 
 // TestQueryDispatchCountersSum: across the catalog under fuzzed updates,
-// every re-evaluated point is a cache hit, a substitution skip, or
-// exactly one of the four dispatch outcomes — in the registry and in
-// Stats alike — and the diagram counters cover only the queries that
-// reached a diagram.
+// every re-evaluated point is a substitution skip or exactly one of the
+// four dispatch outcomes — in the registry and in Stats alike — and the
+// diagram counters cover only the queries that reached a diagram.
 func TestQueryDispatchCountersSum(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -174,9 +175,9 @@ func TestQueryDispatchCountersSum(t *testing.T) {
 			}
 			c, st := reg.Snapshot().Counters, s.Statistics()
 			dispatched := c["core.query.literal"] + c["core.query.width"] + c["core.query.dd"] + c["core.query.exhaustive"]
-			if want := c["core.points_evaluated"] - c["core.cache_hits"] - c["core.subst_skips"]; dispatched != want {
-				t.Fatalf("dispatch counters sum to %d; %d points evaluated − %d cache hits − %d substitution skips = %d",
-					dispatched, c["core.points_evaluated"], c["core.cache_hits"], c["core.subst_skips"], want)
+			if want := c["core.points_evaluated"] - c["core.subst_skips"]; dispatched != want {
+				t.Fatalf("dispatch counters sum to %d; %d points evaluated − %d substitution skips = %d",
+					dispatched, c["core.points_evaluated"], c["core.subst_skips"], want)
 			}
 			if st.QueryLiteral != c["core.query.literal"] || st.QueryWidth != c["core.query.width"] ||
 				st.QueryDD != c["core.query.dd"] || st.QueryExhaustive != c["core.query.exhaustive"] {
@@ -189,6 +190,183 @@ func TestQueryDispatchCountersSum(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dispatched sums the four ways queryAny answers.
+func dispatched(st core.Stats) int64 {
+	return st.QueryLiteral + st.QueryWidth + st.QueryDD + st.QueryExhaustive
+}
+
+// TestStableAssignmentSkipsEveryQuery counts the work of the update the
+// paper's Fig. 1 churn is made of: a session insert or delete on a table
+// past the overapproximation threshold, whose compiled assignment stays
+// the "*any*" form. Every point the table taints substitutes to the
+// residue pointer it already holds, so nothing is dispatched — at 500
+// and at 2000 sessions alike. The one thing a restored engine lacks is
+// that memo: the first write to the table queries each tainted point
+// exactly once, and the write after it skips them all again.
+func TestStableAssignmentSkipsEveryQuery(t *testing.T) {
+	table := progs.Nat44().BurstTable
+	for _, sessions := range []int{500, 2000} {
+		t.Run(strconv.Itoa(sessions), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			s := natEngine(t, sessions, core.Options{Metrics: reg})
+			if !s.Cfg.Overapproximated(table) {
+				t.Fatalf("%s is compiled precisely at %d entries", table, sessions)
+			}
+			forwarded := func(s *core.Specializer, u *controlplane.Update) {
+				t.Helper()
+				if d := s.Apply(u); d.Kind != core.Forward {
+					t.Fatalf("%s: %s (%v), want forward", u, d.Kind, d.Err)
+				}
+			}
+
+			c0, st0 := reg.Snapshot().Counters, s.Statistics()
+			for i := 0; i < 10; i++ {
+				ins := progs.Nat44SessionEntry(sessions + i)
+				forwarded(s, ins)
+				forwarded(s, &controlplane.Update{Kind: controlplane.DeleteEntry, Table: table, Entry: ins.Entry})
+			}
+			c1, st1 := reg.Snapshot().Counters, s.Statistics()
+			evaluated := c1["core.points_evaluated"] - c0["core.points_evaluated"]
+			skipped := c1["core.subst_skips"] - c0["core.subst_skips"]
+			if want := int64(20 * len(s.An.PointsOf(table))); evaluated != want || skipped != want {
+				t.Fatalf("20 writes evaluated %d points and skipped %d, want %d of each", evaluated, skipped, want)
+			}
+			if d0, d1 := dispatched(st0), dispatched(st1); d1 != d0 {
+				t.Fatalf("20 writes that change no assignment dispatched %d queries", d1-d0)
+			}
+
+			snap, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rreg := obs.NewRegistry()
+			r, err := core.Restore(snap, core.Options{Workers: 1, Metrics: rreg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			tainted := int64(len(r.An.PointsOf(table)))
+			forwarded(r, progs.Nat44SessionEntry(sessions+100))
+			rc, rst := rreg.Snapshot().Counters, r.Statistics()
+			if got := dispatched(rst); got != tainted || rc["core.subst_skips"] != 0 {
+				t.Fatalf("first write after restore dispatched %d queries and skipped %d, want %d and 0",
+					got, rc["core.subst_skips"], tainted)
+			}
+			forwarded(r, progs.Nat44SessionEntry(sessions+101))
+			rc, rst = rreg.Snapshot().Counters, r.Statistics()
+			if got := dispatched(rst); got != tainted || rc["core.subst_skips"] != tainted {
+				t.Fatalf("second write after restore: %d queries dispatched in all and %d skipped, want %d and %d",
+					got, rc["core.subst_skips"], tainted, tainted)
+			}
+		})
+	}
+}
+
+// TestExplainNeverNarratesStaleRoot: a diagram root lives exactly as long
+// as the residue it was compiled from. Two kinds of new residue never
+// reach the diagram stage that would overwrite the old root — a literal,
+// and any residue of a point under a degraded table — so the root has to
+// go where the residue pointer changes, or the wait-free Explain would
+// narrate "dd" for a condition that no longer exists and the arena would
+// keep its residue rooted. nat44's zone table is keyed on the 9-bit
+// ingress port, narrow enough for its points to hold roots; emptying it
+// folds them to literals, degrading it takes them off the diagram path.
+// Undoing either brings the roots back, and an engine whose arena is
+// swept by force in between stays verdict-equal to a twin that never
+// sweeps.
+func TestExplainNeverNarratesStaleRoot(t *testing.T) {
+	p := progs.Nat44()
+	const table = "Ingress.nat_zone"
+	open := func() *core.Specializer {
+		s, err := p.LoadWith(core.Options{Workers: 1, RepairInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		if err := p.ApplyRepresentative(s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s, twin := open(), open()
+	var held []int
+	// The table's own points: what it taints downstream may keep its
+	// residue, and with it its root, through all of this.
+	for _, pt := range s.An.PointsOf(table) {
+		if pt.Table == table && core.HoldsPublishedRoot(s, pt.ID) {
+			held = append(held, pt.ID)
+		}
+	}
+	if len(held) == 0 {
+		t.Fatalf("no point of %s holds a diagram root", table)
+	}
+	check := func(label string, rooted bool) {
+		t.Helper()
+		for _, id := range held {
+			ex, err := s.Explain(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := core.HoldsPublishedRoot(s, id); got != rooted || (ex.Source == "dd") != rooted {
+				t.Fatalf("%s: point %d holds a published root: %v, Explain says %q; want rooted=%v",
+					label, id, got, ex.Source, rooted)
+			}
+		}
+	}
+	both := func(f func(*core.Specializer) error) {
+		t.Helper()
+		for _, e := range []*core.Specializer{s, twin} {
+			if err := f(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply := func(ups []*controlplane.Update) {
+		t.Helper()
+		both(func(e *core.Specializer) error {
+			for _, u := range ups {
+				if d := e.Apply(u); d.Kind == core.Rejected {
+					return d.Err
+				}
+			}
+			return nil
+		})
+	}
+	sweep := func(label string) {
+		t.Helper()
+		core.ForceArenaSweep(s)
+		sameEndState(t, s, twin)
+		if err := core.CheckAgainstPerPointSubst(s); err != nil {
+			t.Fatalf("%s, after a forced sweep: %v", label, err)
+		}
+	}
+
+	var fill, empty []*controlplane.Update
+	for _, u := range p.Representative() {
+		if u.Table == table && u.Kind == controlplane.InsertEntry {
+			fill = append(fill, u)
+			empty = append(empty, &controlplane.Update{Kind: controlplane.DeleteEntry, Table: table, Entry: u.Entry})
+		}
+	}
+	lit0 := s.Statistics().QueryLiteral
+	apply(empty)
+	if got := s.Statistics().QueryLiteral - lit0; got < int64(len(held)) {
+		t.Fatalf("emptying %s answered %d queries by a literal, want the %d rooted points among them", table, got, len(held))
+	}
+	check("table emptied", false)
+	sweep("table emptied")
+	apply(fill)
+	check("table refilled", true)
+	sameEndState(t, s, twin)
+
+	both(func(e *core.Specializer) error { return e.Degrade(table) })
+	check("table degraded", false)
+	sweep("table degraded")
+	both(func(e *core.Specializer) error { _, err := e.PromoteAll(); return err })
+	check("table promoted", true)
+	sameEndState(t, s, twin)
 }
 
 // parseBV reads sym.BV's String form (width 'w' 0x hex).

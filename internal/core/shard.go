@@ -1,13 +1,13 @@
 // Taint-partition sharding. The taint map already proves which points
-// an update can reach; inverting it (pointDeps, cache.go) gives each
+// an update can reach; inverting it (buildPointDeps) gives each
 // point's dependency targets, and targets connected through a shared
 // point must change together. Union-find over that relation yields the
 // engine's taint partitions: maximal groups of targets whose points
 // overlap. Each partition is assigned to exactly one shard, so two
 // points in different shards never share a dependency target — a
 // batch's re-evaluation can fan shard groups out across workers with
-// per-point state (verdicts, witnesses, substitution memos, cache ways)
-// written race-free by construction, not by locking.
+// per-point state (verdicts, witnesses, substitution memos) written
+// race-free by construction, not by locking.
 //
 // Shards are a static property of the program's taint structure, fixed
 // at open time. Everything cross-shard — sequence allocation, the
@@ -15,6 +15,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dataplane"
@@ -34,6 +35,27 @@ type shardMap struct {
 	// points counts the points owned by each shard (instrumentation
 	// and bin-packing diagnostics).
 	points []int
+}
+
+// buildPointDeps inverts the taint map through the variable-owner map:
+// for every point, the sorted, deduplicated qualified names of the
+// objects whose control-plane variables can influence it — the same
+// routing the engine's re-evaluation uses. The engine keeps the result
+// (underDegraded), so each list is cut to its deduplicated length: a
+// point collects one name per tainting variable, tens per table.
+func buildPointDeps(an *dataplane.Analysis) [][]string {
+	deps := make([][]string, len(an.Points))
+	for v, ids := range an.Taint {
+		owner := an.VarOwner[v]
+		for _, id := range ids {
+			deps[id] = append(deps[id], owner)
+		}
+	}
+	for id, ds := range deps {
+		sort.Strings(ds)
+		deps[id] = slices.Clone(slices.Compact(ds))
+	}
+	return deps
 }
 
 // buildShardMap derives the taint partitions from the analysis and the

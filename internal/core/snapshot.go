@@ -23,16 +23,19 @@ import (
 // A snapshot carries the program source, the engine options that shape
 // verdicts (quality, overapproximation threshold, parser skipping), the
 // installed configuration (controlplane.State), the cumulative decision
-// counters, the verdict map, the per-point liveness witnesses, and the
-// live query cache. Everything expression-valued travels through the
-// canonical encoding (sym.EncodeExprs) or canonical hashes (sym.Canon),
-// never builder pointers, which is what makes the bytes portable.
+// counters, the verdict map and the per-point liveness witnesses.
+// Everything expression-valued travels through the portable encoding
+// (sym.EncodeExprs), never builder pointers, which is what makes the
+// bytes portable.
 //
 // Restore re-runs parsing, type-checking and the data-plane analysis —
 // all deterministic, so points, taint and placeholders line up with the
 // snapshotting engine — then installs the saved state instead of
 // recomputing it: the initial-preprocessing query pass, the dominant
-// open cost after analysis, is skipped entirely.
+// open cost after analysis, is skipped entirely. What a restored engine
+// does not have is the per-point residue memo (pointSub): the first
+// write to each target re-queries the points it taints once, and the
+// width rule, a literal or the diagram memo settle those.
 //
 // Wire format: magic, then uvarint/varint-packed sections in fixed
 // order, then an FNV-64a checksum of everything before it. The loader
@@ -47,8 +50,10 @@ import (
 // Version 3 added the decision-diagram variable order (after the
 // degraded set): atom names and widths in registration order, so a
 // restored engine rebuilds its diagrams — they are never serialized —
-// under the exact order the snapshotting engine walked.
-var snapMagic = []byte("goflay-snap\x03")
+// under the exact order the snapshotting engine walked. Version 4 is
+// version 3 without its last section, the specialization-query cache,
+// which left the engine; older bytes fail the magic check.
+var snapMagic = []byte("goflay-snap\x04")
 
 // snapMaxWitnessVars bounds decoded witness tables against hostile
 // length prefixes.
@@ -251,9 +256,6 @@ func (s *Specializer) Snapshot() ([]byte, error) {
 	}
 
 	writeWitnesses(w, s.witnesses)
-	if err := writeCache(w, s.cache); err != nil {
-		return nil, err
-	}
 
 	sum := fnv.New64a()
 	sum.Write(w.buf[payloadStart:])
@@ -485,81 +487,13 @@ func readWitnesses(r *snapReader, b *sym.Builder, points int) []sym.Env {
 	return out
 }
 
-// writeCache serializes the live query cache as canonical keys plus
-// verdicts. Witness hints inside entries are not serialized — the
-// per-point witness table already carries the current hints, and hints
-// cannot change verdicts.
-func writeCache(w *snapWriter, c *queryCache) error {
-	if c == nil {
-		w.n(0)
-		return nil
-	}
-	withEntries := 0
-	for _, ways := range c.points {
-		if len(ways) > 0 {
-			withEntries++
-		}
-	}
-	w.n(withEntries)
-	for id, ways := range c.points {
-		if len(ways) == 0 {
-			continue
-		}
-		w.n(id)
-		w.n(len(ways))
-		for _, e := range ways {
-			w.u(e.key.expr.Hi)
-			w.u(e.key.expr.Lo)
-			w.u(e.key.dep)
-			w.u(uint64(e.verdict.Kind))
-			w.bv(e.verdict.Val)
-		}
-	}
-	return nil
-}
-
-func readCache(r *snapReader, points int) *queryCache {
-	c := newQueryCache(points)
-	n := r.n()
-	for i := 0; i < n && r.err == nil; i++ {
-		id := int(r.u())
-		if r.err != nil {
-			return nil
-		}
-		if id >= points {
-			r.fail("cache references point %d of %d", id, points)
-			return nil
-		}
-		nw := r.n()
-		if nw > cacheWays {
-			r.fail("cache holds %d ways for one point (limit %d)", nw, cacheWays)
-			return nil
-		}
-		for k := 0; k < nw && r.err == nil; k++ {
-			key := cacheKey{expr: sym.Canon{Hi: r.u(), Lo: r.u()}, dep: r.u()}
-			kind := VerdictKind(r.u())
-			val := r.bv()
-			if r.err != nil {
-				return nil
-			}
-			if kind > VerdictVaries {
-				r.fail("invalid verdict kind %d", kind)
-				return nil
-			}
-			c.store(id, key, Verdict{Kind: kind, Val: val}, nil)
-		}
-	}
-	return c
-}
-
 // Restore rebuilds a Specializer from Snapshot bytes. Parsing,
 // type-checking and the data-plane analysis re-run (they are
 // deterministic functions of the embedded source); the configuration,
-// verdicts, witnesses and warm cache are installed from the snapshot,
-// skipping the initial query pass. The snapshot dictates the
-// verdict-shaping options (quality, threshold, parser skipping);
-// runtime options — workers, cache enablement, observability — come
-// from opts.
+// verdicts and witnesses are installed from the snapshot, skipping the
+// initial query pass. The snapshot dictates the verdict-shaping options
+// (quality, threshold, parser skipping); runtime options — workers,
+// observability — come from opts.
 func Restore(data []byte, opts Options) (*Specializer, error) {
 	if len(data) < len(snapMagic)+8 {
 		return nil, fmt.Errorf("core: %w: input too short", flayerr.ErrSnapshotCorrupt)
@@ -717,16 +651,9 @@ func Restore(data []byte, opts Options) (*Specializer, error) {
 		s.verdicts[i] = Verdict{Kind: kind, Val: val}
 	}
 
-	if w := readWitnesses(r, an.Builder, len(an.Points)); r.err == nil {
-		s.witnesses = w
-	}
-	cache := readCache(r, len(an.Points))
+	s.witnesses = readWitnesses(r, an.Builder, len(an.Points))
 	if r.err != nil {
 		return nil, r.err
-	}
-	if !opts.NoCache {
-		s.cache = cache
-		s.roCache.Store(cache)
 	}
 	if len(r.buf) != 0 {
 		return nil, fmt.Errorf("core: %w: %d trailing bytes", flayerr.ErrSnapshotCorrupt, len(r.buf))
@@ -743,9 +670,6 @@ func Restore(data []byte, opts Options) (*Specializer, error) {
 
 	s.met.points.Set(int64(len(an.Points)))
 	s.met.tables.Set(int64(len(an.Tables)))
-	if s.cache != nil {
-		s.met.cacheEntries.Set(s.cache.size.Load())
-	}
 	s.stats = Stats{
 		Points:         len(an.Points),
 		Tables:         len(an.Tables),

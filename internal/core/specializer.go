@@ -179,11 +179,6 @@ type Options struct {
 	// uses GOMAXPROCS. A pass under minParallelPoints stays serial
 	// whatever the bound (parallel.go).
 	Workers int
-	// NoCache disables the taint-keyed specialization-query cache
-	// (cache.go). The cache is on by default; the cache-differential
-	// suite and the flaybench ablation turn it off to prove and measure
-	// equivalence.
-	NoCache bool
 	// NoDD disables the canonical decision-diagram query core (dd.go):
 	// every residue inside the exhaustive bound is then decided by the
 	// solver's enumeration. The diagram core is on by default; the
@@ -249,20 +244,21 @@ type Stats struct {
 	EvalTime time.Duration // cumulative wall time re-evaluating points
 	Workers  int           // configured worker count (0 = GOMAXPROCS)
 
-	// Specialization-query cache counters (zero when the cache is
-	// disabled). Hits are queries answered without substitution or
-	// solver work; evictions count entries invalidated by the taint map
-	// or displaced by the per-point way bound.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
+	// Always zero: the specialization-query cache they counted is gone.
+	// They stay only because bench/ — which a PR may not edit alongside
+	// other code — still reads them (bench/layers.go through
+	// goflay.Stats, bench/fleet_small.go through wire.Stats) for
+	// core.cache_hit_share; the ROADMAP item that retires the legacy
+	// benchmark estate drops that metric and these fields with it.
+	CacheHits   int64
+	CacheMisses int64
 
-	// Query dispatch counters: how each query that got past the cache
-	// and the substitution skip was answered (queryAny), cheapest first
-	// — by a literal residue, by the width rule (free variables past the
+	// Query dispatch counters: how each query that got past the
+	// substitution skip was answered (queryAny), cheapest first — by a
+	// literal residue, by the width rule (free variables past the
 	// exhaustive bound: Live/Varies without a proof attempt), on a
 	// decision diagram, or by the solver's enumeration. They sum to the
-	// points evaluated minus cache hits minus substitution skips.
+	// points evaluated minus substitution skips.
 	QueryLiteral    int64
 	QueryWidth      int64
 	QueryDD         int64
@@ -384,30 +380,15 @@ type Specializer struct {
 	// a cached witness is usually all it takes to re-prove liveness.
 	witnesses []sym.Env
 
-	// The taint-keyed specialization-query cache (cache.go): cache is
-	// nil when disabled; pointDeps holds each point's sorted dependency
-	// targets and targetFp the current assignment fingerprint per
-	// target, which together form the cache key's dependency half.
-	// Targets go by ordinal there (targetOrd, name order; targetNames
-	// is the inverse) and targetCompiled marks the ones whose
-	// fingerprint has been taken.
-	// roCache is the wait-free readers' handle on the same cache: it is
-	// set once at construction and never swapped, so Statistics can read
-	// the hit/miss atomics without the lock even while ReevaluateAll
-	// temporarily nils the locked handle for its ablation pass.
-	cache     *queryCache
-	roCache   atomic.Pointer[queryCache]
-	pointDeps [][]int32
-	targetFp  []uint64
-
-	targetOrd      map[string]int32
-	targetNames    []string
-	targetCompiled []bool
+	// pointDeps holds each point's sorted dependency targets (the taint
+	// map inverted, shard.go).
+	pointDeps [][]string
 
 	// The decision-diagram query core (dd.go): ddc is nil when
-	// disabled; roDD mirrors roCache — set once at construction, read
-	// by wait-free Statistics even while ReevaluateAll temporarily nils
-	// the locked handle for its ablation pass.
+	// disabled; roDD is the wait-free readers' handle on the same core —
+	// set once at construction and never swapped, so Statistics can read
+	// its atomics without the lock even while ReevaluateAll temporarily
+	// nils the locked handle for its ablation pass.
 	ddc  *ddCore
 	roDD atomic.Pointer[ddCore]
 	// answeredBy counts queryAny's dispatch, one slot per queryPath;
@@ -468,10 +449,6 @@ func New(prog *ast.Program, info *typecheck.Info, opts Options) (*Specializer, e
 		repair:      opts.RepairInterval,
 		closedCh:    make(chan struct{}),
 	}
-	if !opts.NoCache {
-		s.cache = newQueryCache(len(an.Points))
-		s.roCache.Store(s.cache)
-	}
 	if !opts.NoDD {
 		s.ddc = newDDCore(an, nil)
 		s.roDD.Store(s.ddc)
@@ -528,16 +505,13 @@ func NewFromSource(name, src string, opts Options) (*Specializer, error) {
 }
 
 // initState allocates the per-point state and compiles the full
-// control-plane environment one target at a time, seeding each target's
-// assignment fingerprint (New and Restore share it).
+// control-plane environment one target at a time (New and Restore share
+// it).
 func (s *Specializer) initState() error {
 	an := s.An
 	s.env = make(controlplane.Env)
-	depNames := buildPointDeps(an)
-	s.targetNames, s.targetOrd, s.pointDeps = targetOrdinals(an, depNames)
-	s.targetFp = make([]uint64, len(s.targetOrd))
-	s.targetCompiled = make([]bool, len(s.targetOrd))
-	s.co.shards = buildShardMap(an, depNames)
+	s.pointDeps = buildPointDeps(an)
+	s.co.shards = buildShardMap(an, s.pointDeps)
 	s.met.initShards(s.co.shards.count)
 	s.tablePoints = indexTablePoints(an)
 	s.verdicts = make([]Verdict, len(an.Points))
@@ -579,9 +553,9 @@ func (s *Specializer) initState() error {
 // Statistics returns a copy of the engine counters as of the published
 // epoch. It is wait-free (one atomic load, no lock) and may be called
 // concurrently with Apply/ApplyBatch from any number of goroutines
-// without ever blocking a writer. The cache and unsound counters are
-// overlaid live from their atomics; everything else is the consistent
-// cut the last mutating call published.
+// without ever blocking a writer. The query-dispatch, diagram and
+// unsound counters are overlaid live from their atomics; everything
+// else is the consistent cut the last mutating call published.
 func (s *Specializer) Statistics() Stats {
 	var st Stats
 	if s.lockedReads {
@@ -592,11 +566,6 @@ func (s *Specializer) Statistics() Stats {
 		s.mu.RUnlock()
 	} else {
 		st = s.loadEpoch().stats
-	}
-	if c := s.roCache.Load(); c != nil {
-		st.CacheHits = c.hits.Load()
-		st.CacheMisses = c.misses.Load()
-		st.CacheEvictions = c.evictions.Load()
 	}
 	st.QueryLiteral = s.answeredBy[byLiteral].Load()
 	st.QueryWidth = s.answeredBy[byWidth].Load()
@@ -625,7 +594,7 @@ func (s *Specializer) Entries(table string) int {
 }
 
 // ReevaluateAll recomputes every program point's verdict from scratch,
-// bypassing the taint map and the per-point caches. It exists as the
+// bypassing the taint map and the per-point memos. It exists as the
 // ablation baseline: this is the work a non-incremental specializing
 // compiler performs on every control-plane update (§2: "recompiling the
 // data-plane program every time the control-plane issues an update").
@@ -640,19 +609,14 @@ func (s *Specializer) ReevaluateAll() int {
 		s.pointSub[p.ID] = nil
 		s.witnesses[p.ID] = nil
 	}
-	// The ablation baseline must not be rescued by the query cache:
-	// disable it for the duration of the pass. Entries left behind stay
-	// valid (their keys are exact), so re-enabling it afterwards is
-	// sound.
-	cache := s.cache
-	s.cache = nil
-	// Same for the diagram core: the baseline measures the solver path.
+	// The baseline measures the solver path: the diagram core sits the
+	// pass out. The environment did not change, so every residue comes
+	// out the pointer it was and the roots left behind stay valid.
 	ddc := s.ddc
 	s.ddc = nil
 	t0 := time.Now()
 	changed := s.reevalPoints(s.An.Points)
 	s.stats.EvalTime += time.Since(t0)
-	s.cache = cache
 	s.ddc = ddc
 	return len(changed)
 }
@@ -701,8 +665,6 @@ func (s *Specializer) Preload(updates []*controlplane.Update) error {
 // object — the assignment of its control-plane variables — leaving the
 // rest of the environment untouched. Dispatch is by the object's schema
 // class; a successfully applied update always targets a known object.
-// The fragment's fingerprint is refreshed, and when it changed, the
-// taint map evicts the query-cache entries it invalidates (cache.go).
 func (s *Specializer) recompileTarget(target string) error {
 	b := s.An.Builder
 	var frag controlplane.Env
@@ -729,14 +691,6 @@ func (s *Specializer) recompileTarget(target string) error {
 	if s.ddc != nil && freshVars {
 		s.ddc.ensureAtoms(frag)
 	}
-	fp := controlplane.EnvFingerprint(frag)
-	ord := s.targetOrd[target]
-	if known := s.targetCompiled[ord]; !known || s.targetFp[ord] != fp {
-		s.targetFp[ord], s.targetCompiled[ord] = fp, true
-		if known {
-			s.evictStale(target)
-		}
-	}
 	return nil
 }
 
@@ -753,53 +707,29 @@ func (s *Specializer) Verdict(id int) Verdict {
 }
 
 // evalPointWith answers one point's specialization query using the
-// given worker shard's solver and substitution pass. Three layers
-// short-circuit, cheapest first: the taint-keyed query cache replays a
-// memoized verdict without substituting at all; hash-consing makes the
-// substituted expression a canonical pointer, so an unchanged pointer
-// means an unchanged verdict; and only then is the residue queried
-// (queryAny).
+// given worker shard's solver and substitution pass, in two steps:
+// substitute, then query. Hash-consing makes the substituted expression
+// a canonical pointer, so an unchanged pointer means an unchanged
+// verdict and the query is skipped; a changed one is queried (queryAny).
+//
+// A changed pointer also ends the life of the point's diagram root: a
+// root lives exactly as long as the residue it was compiled from, and
+// this is the one place that says so. Not every new residue reaches
+// rootFor to overwrite the old root — a literal is answered before the
+// diagram stage and a point under a degraded target never enters it —
+// and a root left behind would stay rooted in the arena and be narrated
+// by the wait-free Explain for a condition that no longer exists.
 func (s *Specializer) evalPointWith(sh *evalShard, p *dataplane.Point) Verdict {
-	var key cacheKey
-	if s.cache != nil {
-		key = cacheKey{expr: p.Expr.Canon(), dep: s.depFp(p.ID)}
-		if e, ok := s.cache.lookup(p.ID, key); ok {
-			s.met.cacheHits.Inc()
-			if e.witness != nil {
-				s.witnesses[p.ID] = e.witness
-			}
-			// The hit skipped substitution, so the substituted-pointer
-			// memo no longer describes the installed verdict; drop it
-			// rather than let a later pointer-equal substitution pair a
-			// stale pointer with a cache-era verdict.
-			s.pointSub[p.ID] = nil
-			return e.verdict
-		}
-		s.met.cacheMisses.Inc()
-	}
 	sub := sh.pass.Subst(p.Expr)
 	if s.pointSub[p.ID] == sub && sub != nil {
 		s.met.substSkips.Inc()
-		v := s.verdicts[p.ID]
-		s.storeCached(p.ID, key, v)
-		return v
+		return s.verdicts[p.ID]
 	}
 	s.pointSub[p.ID] = sub
-	v := s.queryAny(sh, p, sub)
-	s.storeCached(p.ID, key, v)
-	return v
-}
-
-// storeCached memoizes a freshly computed verdict together with the
-// point's current liveness witness (a hint only — it cannot change the
-// replayed verdict, just speed up later re-proofs).
-func (s *Specializer) storeCached(id int, key cacheKey, v Verdict) {
-	if s.cache == nil {
-		return
+	if s.ddc != nil {
+		s.ddc.invalidate(p.ID)
 	}
-	if s.cache.store(id, key, v, s.witnesses[id]) {
-		s.met.cacheEvictions.Inc()
-	}
+	return s.queryAny(sh, p, sub)
 }
 
 // queryPath names how queryAny answered a query.
@@ -833,8 +763,7 @@ func constQuery(k dataplane.PointKind) bool {
 //     bound (sym.Solver.Wide) is Live/Varies by construction: Dead needs
 //     an exhaustive refutation and Const an exhaustive certificate, and
 //     neither the solver nor a diagram may claim one past the bound —
-//     so nothing is compiled, evaluated or kept for it (a root left
-//     from a narrower residue is dropped; its backoff state stays);
+//     so nothing is compiled, evaluated or kept for it;
 //   - inside the bound the diagram core answers on the point's compiled
 //     root when it can (dd.go);
 //   - and what is left goes to the solver: the cached witness
@@ -855,9 +784,6 @@ func (s *Specializer) queryAny(sh *evalShard, p *dataplane.Point, sub *sym.Expr)
 	}
 	if sh.solver.Wide(sub) {
 		s.answered(byWidth)
-		if s.ddc != nil {
-			s.ddc.invalidate(p.ID)
-		}
 		if isConst {
 			return Verdict{Kind: VerdictVaries}
 		}

@@ -252,8 +252,8 @@ func tortureRun(t *testing.T, cycles, cycleLen, readers int, snapshots bool) cor
 		}(r)
 	}
 
-	// Stats monitor: the Statistics() overlay (cache atomics, unsound
-	// count) must keep the counter partition intact.
+	// Stats monitor: the Statistics() overlay (query-dispatch atomics,
+	// unsound count) must keep the counter partition intact.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

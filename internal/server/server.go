@@ -466,9 +466,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.SkipParser {
 		opts = append(opts, goflay.WithSkipParser())
 	}
-	if req.NoCache {
-		opts = append(opts, goflay.WithNoCache())
-	}
 	if req.NoDD {
 		opts = append(opts, goflay.WithNoDD())
 	}

@@ -143,15 +143,16 @@ func sameOutcome(t *testing.T, label string, got wire.Stats, want core.Stats) {
 	}
 }
 
-// sameCache compares cache traffic counter-for-counter. Only valid for
-// uninterrupted runs with mirrored chunking: restoring a snapshot
-// installs the warm cache but resets the hit/miss counters (the core
-// cache suite pins that), so cross-restart comparisons skip this.
-func sameCache(t *testing.T, label string, got wire.Stats, want core.Stats) {
+// sameQueries compares the query work counter-for-counter. Only valid
+// for uninterrupted runs with mirrored chunking: a restored engine
+// starts these counters at zero and re-queries once what the
+// snapshotting engine had memoized, so cross-restart comparisons skip
+// this.
+func sameQueries(t *testing.T, label string, got wire.Stats, want core.Stats) {
 	t.Helper()
-	if got.CacheHits != want.CacheHits || got.CacheMisses != want.CacheMisses {
-		t.Fatalf("%s: cache counters diverged: server hits=%d misses=%d vs local hits=%d misses=%d",
-			label, got.CacheHits, got.CacheMisses, want.CacheHits, want.CacheMisses)
+	if got.DDQueries != want.DDQueries || got.DDFallbacks != want.DDFallbacks || got.DDCompiles != want.DDCompiles {
+		t.Fatalf("%s: query counters diverged: server dd queries=%d fallbacks=%d compiles=%d vs local queries=%d fallbacks=%d compiles=%d",
+			label, got.DDQueries, got.DDFallbacks, got.DDCompiles, want.DDQueries, want.DDFallbacks, want.DDCompiles)
 	}
 }
 
@@ -243,14 +244,14 @@ func TestDaemonRoundTripWithWarmRestart(t *testing.T) {
 	}
 
 	// Mid-stream, before the restart, the hosted session must match the
-	// local engine on every counter — cache traffic included, since both
+	// local engine on every counter — query work included, since both
 	// engines are uninterrupted and identically chunked so far.
 	preStats, err := d.c.Stats("acceptance")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameOutcome(t, "pre-restart", preStats, local.Statistics())
-	sameCache(t, "pre-restart", preStats, local.Statistics())
+	sameQueries(t, "pre-restart", preStats, local.Statistics())
 
 	// Fetch what the first daemon saw, then kill it gracefully: drains,
 	// snapshots the dirty session, and the process would exit 0.
@@ -292,7 +293,7 @@ func TestDaemonRoundTripWithWarmRestart(t *testing.T) {
 	}
 
 	// Stats: full engine-counter equality with the uninterrupted local
-	// run (outcomes, batch accounting, cache traffic).
+	// run (outcomes, batch accounting).
 	st, err := d.c.Stats("acceptance")
 	if err != nil {
 		t.Fatal(err)
@@ -323,12 +324,53 @@ func TestDaemonRoundTripWithWarmRestart(t *testing.T) {
 		"flay_core_update_ns{quantile=\"0.99\"}",
 		"# TYPE flay_core_update_ns summary",
 		"flay_core_forwarded", "flay_core_recompiled",
-		"flay_core_cache_hits", "flay_core_cache_misses",
+		"flay_core_query_literal", "flay_core_query_width",
+		"flay_core_query_dd", "flay_core_query_exhaustive",
 		"flay_server_write_ns_count",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestBootSkipsOlderFormatSnapshot is the upgrade story of a snapshot
+// format bump: a daemon that finds a snapshot written in an earlier
+// format version logs it, counts it and boots without that session —
+// it neither refuses to start nor panics — and the name is free again.
+func TestBootSkipsOlderFormatSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	d := startDaemon(t, server.Config{SnapshotDir: dir})
+	if _, err := d.c.CreateSession(wire.CreateSessionRequest{Name: "old", Catalog: "fig3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.srv.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	d.ts.Close()
+	path := filepath.Join(dir, "old.snap")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("shutdown left no snapshot: %v", err)
+	}
+	data[len("goflay-snap")]-- // the format version byte
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d = startDaemon(t, server.Config{SnapshotDir: dir})
+	if _, err := d.c.Session("old"); !client.IsStatus(err, http.StatusNotFound) {
+		t.Fatalf("session restored from an older-format snapshot: %v", err)
+	}
+	text, err := d.c.MetricsText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "flay_server_restore_failures 1\n") {
+		t.Fatalf("/metrics does not count the failed restore:\n%s", text)
+	}
+	if _, err := d.c.CreateSession(wire.CreateSessionRequest{Name: "old", Catalog: "fig3"}); err != nil {
+		t.Fatalf("recreating the session the daemon could not restore: %v", err)
 	}
 }
 

@@ -5,34 +5,14 @@ import (
 	"fmt"
 )
 
-// Canonical structural hashing and a portable node encoding.
-//
-// Hash-consing gives pointer identity *within* one Builder, but pointer
-// values are meaningless across processes. Canon is the cross-process
-// counterpart: a 128-bit structural hash computed once at intern time
-// from the node's operator payload and its children's canons — no
-// builder-assigned ids enter the hash, so the same structure always
-// hashes the same regardless of construction order, builder instance,
-// or process. The specialization-query cache keys on it, and snapshots
-// use it to re-identify cache entries after a warm restart.
-
-// Canon is the 128-bit canonical structural hash of an expression.
-// Equal structures have equal canons in every run; the converse holds
-// up to hash collision (2^-128 per pair, which the collision-sanity
-// test in canon_test.go spot-checks on the enumerable small domain).
-type Canon struct {
-	Hi, Lo uint64
-}
-
-// String renders the canon as 32 hex digits (the golden-file format).
-func (c Canon) String() string { return fmt.Sprintf("%016x%016x", c.Hi, c.Lo) }
-
-// Canon returns the node's canonical structural hash, computed at
-// intern time (reading it is free).
-func (e *Expr) Canon() Canon { return e.canon }
+// A portable node encoding. Hash-consing gives pointer identity *within*
+// one Builder, but pointer values are meaningless across processes;
+// EncodeExprs/DecodeExprs are the cross-process counterpart: the DAG as
+// bytes, rebuilt node for node in another builder. Snapshots carry
+// their witness variables through it.
 
 // Mix64 is a splitmix64-style avalanche: every input bit influences
-// every output bit. Shared by the fingerprinting layers above sym.
+// every output bit. The control plane's tuple-space buckets hash with it.
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -41,54 +21,6 @@ func Mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// canonHasher accumulates 64-bit words into two independently mixed
-// lanes. The lanes use different injection functions (xor vs add with a
-// golden-ratio multiply), so the pair behaves as one 128-bit state.
-type canonHasher struct{ a, b uint64 }
-
-func newCanonHasher() canonHasher {
-	return canonHasher{a: 0xcbf29ce484222325, b: 0x9e3779b97f4a7c15}
-}
-
-func (h *canonHasher) word(x uint64) {
-	h.a = Mix64(h.a ^ x)
-	h.b = Mix64(h.b + x*0x9e3779b97f4a7c15 + 1)
-}
-
-func (h *canonHasher) sum() Canon { return Canon{Hi: h.a, Lo: h.b} }
-
-// canonOf computes a node's canon from its intern key. Children are
-// already interned, so their canons are available; the node id is
-// deliberately excluded.
-func canonOf(k exprKey) Canon {
-	h := newCanonHasher()
-	h.word(uint64(k.op)<<48 | uint64(k.width)<<32 | uint64(k.hi)<<16 | uint64(k.lo))
-	switch k.op {
-	case OpConst:
-		h.word(k.valHi)
-		h.word(k.valLo)
-	case OpVar:
-		h.word(uint64(k.class)<<32 | uint64(len(k.name)))
-		for i := 0; i < len(k.name); i += 8 {
-			var w uint64
-			for j := i; j < i+8 && j < len(k.name); j++ {
-				w = w<<8 | uint64(k.name[j])
-			}
-			h.word(w)
-		}
-	}
-	for _, ch := range [...]*Expr{k.a, k.b, k.c} {
-		if ch != nil {
-			h.word(ch.canon.Hi)
-			h.word(ch.canon.Lo)
-		}
-	}
-	return h.sum()
-}
-
-// ---------------------------------------------------------------------------
-// Portable encoding
 
 // opArity returns an operator's child count, or -1 for unknown ops.
 func opArity(op Op) int {
@@ -209,7 +141,8 @@ func (d *exprDecoder) byte() byte {
 // DecodeExprs rebuilds an EncodeExprs buffer inside the given builder
 // and returns the root nodes. Nodes are interned *raw* — exactly the
 // structure on the wire, no re-simplification — so a decoded node's
-// canon (and print form) matches the encoded one bit-for-bit. Every
+// print form matches the encoded one and re-encoding it reproduces the
+// bytes. Every
 // structural invariant the builder's smart constructors would have
 // enforced is re-validated here; malformed input yields an error, never
 // a panic (FuzzSnapshot holds the loader to that).

@@ -84,7 +84,6 @@ type Expr struct {
 
 	id    uint64 // dense id assigned by the Builder, for deterministic ordering
 	depth uint32 // 1 + max child depth, assigned at intern time
-	canon Canon  // structural hash, assigned at intern time (canon.go)
 }
 
 // ID returns the builder-assigned dense id of the node. IDs increase in
@@ -222,8 +221,7 @@ func (b *Builder) LiveNodes() int { return int(b.live.Load()) }
 // retained expression for the duration of the call (the engine runs
 // Sweep under its write lock, between passes): ids are reassigned, and
 // any *Expr held outside roots becomes a stale alias that must never be
-// compared against newly interned nodes. Canons are structural and
-// exclude ids, so surviving nodes hash identically after the sweep.
+// compared against newly interned nodes.
 func (b *Builder) Sweep(roots []*Expr) (swept int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -281,7 +279,6 @@ func (b *Builder) intern(k exprKey) *Expr {
 		Name: k.name, Class: k.class,
 		A: k.a, B: k.b, C: k.c,
 		id: b.nextID, depth: depth + 1,
-		canon: canonOf(k),
 	}
 	if k.op != OpConst {
 		e.Val = BV{}

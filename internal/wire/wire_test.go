@@ -198,6 +198,15 @@ func TestDecodeStrictness(t *testing.T) {
 	if err := DecodeBytes([]byte(`{"updates":[],"bogus":1}`), &req); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// A removed engine option is an unknown field like any other: the
+	// server answers such a create request 400, it does not ignore it.
+	var create CreateSessionRequest
+	if err := DecodeBytes([]byte(`{"name":"s","catalog":"fig3","no_dd":true}`), &create); err != nil {
+		t.Fatalf("create request with a live option rejected: %v", err)
+	}
+	if err := DecodeBytes([]byte(`{"name":"s","catalog":"fig3","no_cache":true}`), &create); err == nil {
+		t.Fatal("create request carrying a removed option accepted")
+	}
 	if err := DecodeBytes([]byte(`{"updates":[]}{"updates":[]}`), &req); !errors.Is(err, ErrTrailing) {
 		t.Fatalf("trailing data: got %v, want ErrTrailing", err)
 	}
