@@ -10,7 +10,7 @@ COVER_PKGS = ./internal/core ./internal/sym ./internal/dd ./internal/obs ./inter
 # Seconds of native fuzzing per target in the `make race` smoke.
 FUZZ_SMOKE ?= 5s
 
-.PHONY: all help build test race bench bench-e2e cover bench-json bench-scaling bench-pps pps-smoke bench-dd fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
+.PHONY: all help build test race bench bench-e2e cover bench-json bench-pps pps-smoke bench-dd fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
 
 # Soak-run knobs: where the daemon listens and how many updates
 # flayload drives through it.
@@ -58,13 +58,12 @@ help:
 	@echo "              middleblock ACL burst: verdicts and specialized source cross-checked,"
 	@echo "              query-pass times reported; the old >= 3x ratio gate is gone (its"
 	@echo "              denominator was solver probing that no longer exists)"
-	@echo "  bench-scaling  (legacy artefact) scaling curve at GOMAXPROCS 1/4/8/16; writes BENCH_scaling.json"
 	@echo "  bench-pps   (legacy artefact) packets/sec: bytecode executor vs reference"
 	@echo "              interpreter across the catalog, differentially verified, gated >= 2x"
 	@echo "              on >= 3 programs; writes BENCH_pps.json"
 	@echo "  pps-smoke   the same run and gate as the hot-swap smoke inside 'make race';"
 	@echo "              its report goes to a temp file, the tree is left as it was"
-	@echo "  torture-smoke  epoch/shard concurrency torture suite, smoke slice, under -race"
+	@echo "  torture-smoke  epoch-read concurrency torture suite, smoke slice, under -race"
 	@echo "  spine-smoke the read-lock differential check beside a writer (table spines must"
 	@echo "              not be written under the read lock), -race -count=3"
 	@echo "  fuzz-smoke  $(FUZZ_SMOKE) of native fuzzing per target (FuzzP4Parse, FuzzSolver, FuzzSolverOracle, FuzzChainMatchesFresh, FuzzSnapshot, FuzzWireDecode, FuzzDpexecVsBmv2)"
@@ -99,7 +98,7 @@ race: fuzz-smoke soak-churn-smoke soak-cluster-smoke torture-smoke dd-smoke spin
 	$(GO) vet ./...
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./...
 
-# torture-smoke: the epoch/shard concurrency torture suite's smoke
+# torture-smoke: the epoch-read concurrency torture suite's smoke
 # slice under the race detector, run first so a broken lock-free read
 # path fails fast instead of at the end of the full -race sweep. The
 # full suite (long mode, GOMAXPROCS grid) runs without -short inside
@@ -109,9 +108,9 @@ torture-smoke:
 
 # dd-smoke: the diagram-vs-solver differential proof under the race
 # detector, run early so a diverging diagram verdict (or a data race
-# in the COW store publication) fails fast. The full matrix — every
-# catalog program and churn pattern across the worker grid — runs in
-# the package sweep above.
+# on the store pointer Statistics samples) fails fast. The full matrix
+# — every catalog program and churn pattern — runs in the package sweep
+# above.
 dd-smoke:
 	$(GO) test -race -run 'TestDDMatchesSolverCatalog|TestDDSnapshotPreservesVariableOrder' ./internal/core
 
@@ -236,7 +235,7 @@ bench-e2e:
 # at-least-one-degradation, p99-under-deadline and zero-unsound-verdict
 # bars on a rank-deep burst) and exits non-zero on any mismatch.
 bench-json:
-	$(GO) run ./cmd/flaybench -only burst,batch,dd,precision,churn,scaling,cluster -json -o BENCH_flay.json
+	$(GO) run ./cmd/flaybench -only burst,batch,dd,precision,churn,cluster -json -o BENCH_flay.json
 
 # bench-dd (legacy artefact): the decision-diagram query-core artifact. Replays the
 # precise-mode middleblock ACL burst through a diagram engine and a
@@ -247,15 +246,6 @@ bench-json:
 # bound, which neither engine does any more).
 bench-dd:
 	$(GO) run ./cmd/flaybench -only dd -json -o BENCH_flay.json
-
-# bench-scaling: the multicore scaling artifact. Re-runs the scaling
-# section (wait-free reads vs the LockedReads seed baseline under
-# write churn, with per-cell audit-continuity and replay-equivalence
-# verification) at ambient GOMAXPROCS 1, 4, 8 and 16, merged into one
-# JSON with each section stamped with the GOMAXPROCS it ran at. Fails
-# if lockfree@8 read throughput is under 3x the seed configuration.
-bench-scaling:
-	$(GO) run ./cmd/flaybench -only scaling -gomaxprocs 1,4,8,16 -json -o BENCH_scaling.json
 
 # bench-pps (legacy artefact): the packet-execution artifact. Measures packets/sec for
 # the flattened bytecode executor against the tree-walking reference

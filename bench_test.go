@@ -310,17 +310,16 @@ func BenchmarkBurst1000(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchApplyParallel compares the sequential per-update engine
-// against the coalescing batch engine on the §4.2 SCION burst: 1000
-// unique IPv4 entries as one ApplyBatch call (one coalesced evaluation
-// pass over the union of tainted points, fanned out over the worker
-// pool) vs 1000 Apply calls. The batched row should beat sequential by
-// well over 2× — the win is algorithmic (1 evaluation pass instead of
-// 1000), so it shows even on a single core.
-func BenchmarkBatchApplyParallel(b *testing.B) {
+// BenchmarkBatchApply compares the sequential per-update engine against
+// the coalescing batch engine on the §4.2 SCION burst: 1000 unique IPv4
+// entries as one ApplyBatch call (one coalesced evaluation pass over the
+// union of tainted points) vs 1000 Apply calls. The batched row should
+// beat sequential by well over 2× — the win is algorithmic (1 evaluation
+// pass instead of 1000).
+func BenchmarkBatchApply(b *testing.B) {
 	p := progs.Scion()
-	load := func(b *testing.B, workers int) *core.Specializer {
-		s, err := p.LoadWith(core.Options{Workers: workers})
+	load := func(b *testing.B) *core.Specializer {
+		s, err := p.Load()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,7 +335,7 @@ func BenchmarkBatchApplyParallel(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s := load(b, 1)
+			s := load(b)
 			b.StartTimer()
 			t0 := time.Now()
 			for _, u := range batch {
@@ -350,7 +349,7 @@ func BenchmarkBatchApplyParallel(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s := load(b, 0) // worker pool at GOMAXPROCS
+			s := load(b)
 			b.StartTimer()
 			t0 := time.Now()
 			for _, d := range s.ApplyBatch(batch) {
@@ -367,7 +366,7 @@ func BenchmarkBatchApplyParallel(b *testing.B) {
 	b.Run("batched-64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s := load(b, 0)
+			s := load(b)
 			b.StartTimer()
 			t0 := time.Now()
 			for start := 0; start < len(batch); start += 64 {

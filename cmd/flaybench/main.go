@@ -7,10 +7,10 @@
 //
 // Usage:
 //
-//	flaybench [-only sections] [-full] [-json] [-o FILE] [-gomaxprocs LIST]
+//	flaybench [-only sections] [-full] [-json] [-o FILE]
 //
 // Sections: table1, fig1, fig3, fig5, table2, table3, stages, burst,
-// batch, dd, precision, churn, ablation, scaling, pps, cluster. The list
+// batch, dd, precision, churn, ablation, pps, cluster. The list
 // is generated from the section registry (benchSections) and pinned
 // equal to it by TestSectionDocMatchesRegistry; -only takes a
 // comma-separated subset ("-only burst,batch"). -full extends Table 3
@@ -20,12 +20,7 @@
 // wall times and GOMAXPROCS plus, for the burst section, the engine's
 // metrics snapshot, per-update latency quantiles and the audit trail's
 // decision tally — each cross-checked exactly against the engine's own
-// Statistics. -gomaxprocs "1,4,8,16" re-runs the selected sections at
-// each value, merged into the one report (make bench-scaling). The
-// scaling section emits the reads-vs-writes multicore curve and fails
-// unless wait-free read throughput at GOMAXPROCS=8 beats the seed
-// configuration (locked reads, GOMAXPROCS=1) by at least 3x. Any
-// verification failure exits non-zero.
+// Statistics. Any verification failure exits non-zero.
 package main
 
 import (
@@ -33,7 +28,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"os"
 	"runtime"
@@ -69,17 +63,13 @@ type benchReport struct {
 	DD         *ddReport        `json:"dd,omitempty"`
 	Precision  *precisionReport `json:"precision,omitempty"`
 	Churn      *churnReport     `json:"churn,omitempty"`
-	Scaling    *scalingReport   `json:"scaling,omitempty"`
 	PPS        *ppsReport       `json:"pps,omitempty"`
 	Cluster    *clusterReport   `json:"cluster,omitempty"`
 }
 
 type sectionReport struct {
-	Name string `json:"name"`
-	// GOMAXPROCS the section ran at (the -gomaxprocs sweep runs the
-	// selected sections once per value, all merged into this one report).
-	GOMAXPROCS int   `json:"gomaxprocs"`
-	ElapsedMS  int64 `json:"elapsed_ms"`
+	Name      string `json:"name"`
+	ElapsedMS int64  `json:"elapsed_ms"`
 }
 
 // burstReport is the observability cross-check: the latency quantiles
@@ -160,7 +150,6 @@ var benchSections = []struct {
 	{"precision", precisionSection},
 	{"churn", churnSection},
 	{"ablation", ablation},
-	{"scaling", scalingSection},
 	{"pps", ppsSection},
 	{"cluster", clusterSection},
 }
@@ -202,37 +191,11 @@ func selectSections(only string, known []string) (map[string]bool, error) {
 	return want, nil
 }
 
-// parseGomaxprocs resolves the -gomaxprocs flag: empty runs one pass at
-// the ambient value; a comma-separated list runs the selected sections
-// once per value, merged into one report.
-func parseGomaxprocs(s string) ([]int, error) {
-	if s == "" {
-		return []int{runtime.GOMAXPROCS(0)}, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		var g int
-		if _, err := fmt.Sscanf(f, "%d", &g); err != nil || g < 1 {
-			return nil, fmt.Errorf("bad -gomaxprocs value %q", f)
-		}
-		out = append(out, g)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-gomaxprocs %q selects no values", s)
-	}
-	return out, nil
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated sections to run ("+strings.Join(sectionNames(), "|")+")")
 	full := flag.Bool("full", false, "extend Table 3 to 10000 entries (slow in precise mode)")
 	jsonOut := flag.Bool("json", false, "write a machine-readable report (see -o)")
 	outPath := flag.String("o", "BENCH_flay.json", `report path for -json ("-" = stdout)`)
-	gmp := flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS values to sweep (default: current)")
 	flag.Parse()
 
 	want, err := selectSections(*only, sectionNames())
@@ -240,32 +203,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	sweep, err := parseGomaxprocs(*gmp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	ambient := runtime.GOMAXPROCS(0)
-	for _, g := range sweep {
-		runtime.GOMAXPROCS(g)
-		if len(sweep) > 1 {
-			fmt.Printf("==== GOMAXPROCS=%d ====\n\n", g)
+	for _, s := range benchSections {
+		if len(want) > 0 && !want[s.name] {
+			continue
 		}
-		for _, s := range benchSections {
-			if len(want) > 0 && !want[s.name] {
-				continue
-			}
-			t0 := time.Now()
-			s.run(*full)
-			rep.Sections = append(rep.Sections, sectionReport{
-				Name:       s.name,
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-				ElapsedMS:  time.Since(t0).Milliseconds(),
-			})
-			fmt.Println()
-		}
+		t0 := time.Now()
+		s.run(*full)
+		rep.Sections = append(rep.Sections, sectionReport{
+			Name:      s.name,
+			ElapsedMS: time.Since(t0).Milliseconds(),
+		})
+		fmt.Println()
 	}
-	runtime.GOMAXPROCS(ambient)
 	if *jsonOut {
 		if err := writeReport(*outPath); err != nil {
 			log.Fatal(err)
@@ -689,13 +638,13 @@ func burst(bool) {
 // ---------------------------------------------------------------------------
 
 // batchSection compares the sequential per-update engine with the
-// coalescing parallel batch engine on the same SCION burst, and
-// verifies the two end in byte-identical specialized programs.
+// coalescing batch engine on the same SCION burst, and verifies the two
+// end in byte-identical specialized programs.
 func batchSection(bool) {
 	header("Batch engine: sequential Apply vs coalesced ApplyBatch (SCION burst)")
 	p := progs.Scion()
-	load := func(workers int) *core.Specializer {
-		s, err := p.LoadWith(core.Options{Workers: workers})
+	load := func() *core.Specializer {
+		s, err := p.Load()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -709,7 +658,7 @@ func batchSection(bool) {
 		batch[i] = progs.ScionBurstEntry(i)
 	}
 
-	seq := load(1)
+	seq := load()
 	t0 := time.Now()
 	for i, u := range batch {
 		if seq.Apply(u).Kind == core.Rejected {
@@ -718,7 +667,7 @@ func batchSection(bool) {
 	}
 	seqTime := time.Since(t0)
 
-	bat := load(0)
+	bat := load()
 	t0 = time.Now()
 	for i, d := range bat.ApplyBatch(batch) {
 		if d.Kind == core.Rejected {
@@ -729,20 +678,15 @@ func batchSection(bool) {
 
 	fmt.Printf("sequential: 1000 × Apply      %12v  (%v/update)\n",
 		seqTime.Round(time.Millisecond), (seqTime / 1000).Round(time.Microsecond))
-	st := bat.Statistics()
-	workers := st.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("batched:    1 × ApplyBatch    %12v  (%v/update, %d eval passes coalesced, %d workers)\n",
-		batTime.Round(time.Millisecond), (batTime / 1000).Round(time.Microsecond), st.Coalesced, workers)
+	fmt.Printf("batched:    1 × ApplyBatch    %12v  (%v/update, %d eval passes coalesced)\n",
+		batTime.Round(time.Millisecond), (batTime / 1000).Round(time.Microsecond), bat.Statistics().Coalesced)
 	fmt.Printf("speedup:    %.1f×\n", float64(seqTime)/float64(batTime))
 	if goflaySpec(seq) != goflaySpec(bat) {
 		log.Fatal("batched and sequential specialized programs diverged")
 	}
 	fmt.Println("\n(end states verified byte-identical; the batch engine recompiles each")
 	fmt.Println("touched assignment once and re-evaluates the union of tainted points in")
-	fmt.Println("a single parallel pass instead of per update)")
+	fmt.Println("a single pass instead of per update)")
 }
 
 func goflaySpec(s *core.Specializer) string { return ast.Print(s.SpecializedProgram()) }
@@ -1189,237 +1133,6 @@ func ablation(bool) {
 
 // ---------------------------------------------------------------------------
 
-// scalingCell is one point on the reads-vs-writes scaling curve.
-type scalingCell struct {
-	// Mode is "lockfree" (the epoch read path) or "locked" (the
-	// Options.LockedReads ablation — the seed engine's RWMutex path).
-	Mode       string  `json:"mode"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Readers    int     `json:"readers"`
-	ReadOps    int64   `json:"read_ops"`
-	ReadRate   float64 `json:"read_ops_per_sec"`
-	Updates    int     `json:"writer_updates"`
-	WriteRate  float64 `json:"writer_updates_per_sec"`
-	ElapsedMS  int64   `json:"elapsed_ms"`
-}
-
-// scalingReport is the multicore scaling curve: wait-free read
-// throughput under continuous write churn, across GOMAXPROCS, against
-// the locked-read ablation. The gates run before the report is
-// emitted; a failure exits non-zero.
-type scalingReport struct {
-	Program string        `json:"program"`
-	Readers int           `json:"readers"`
-	NumCPU  int           `json:"num_cpu"`
-	Cells   []scalingCell `json:"cells"`
-	// SpeedupVsSeed is lockfree@8 read throughput over the seed
-	// configuration (locked reads at GOMAXPROCS=1). Gated >= 3.0.
-	SpeedupVsSeed float64 `json:"speedup_vs_seed"`
-	// Speedup8v1 is lockfree@8 over lockfree@1; gated >= 3.0 only when
-	// the host actually has 8 CPUs (pure GOMAXPROCS scaling needs them).
-	Speedup8v1 float64 `json:"speedup_8v1"`
-}
-
-// scalingVerdictHash folds an engine's published epoch into one
-// comparable fingerprint for the replay-equivalence gate.
-func scalingVerdictHash(s *core.Specializer) uint64 {
-	h := fnv.New64a()
-	v := s.Epoch()
-	var buf [8]byte
-	put := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for id := 0; id < v.NumVerdicts(); id++ {
-		vd := v.Verdict(id)
-		put(uint64(vd.Kind))
-		put(uint64(vd.Val.W))
-		put(vd.Val.Hi)
-		put(vd.Val.Lo)
-	}
-	put(v.Generation)
-	return h.Sum64()
-}
-
-// scalingMeasure runs one cell: a write goroutine churning the engine
-// through controller-shaped batches while fixed reader goroutines hammer
-// the read API, for a fixed window at the given GOMAXPROCS. It verifies
-// audit continuity and replay equivalence (the concurrent engine's end
-// state must equal a sequential engine replaying the same batch prefix)
-// before reporting, and returns the cell.
-func scalingMeasure(p *progs.Program, mode string, g, readers int, window time.Duration, fail func(string, ...any)) scalingCell {
-	old := runtime.GOMAXPROCS(g)
-	defer runtime.GOMAXPROCS(old)
-
-	trail := obs.NewTrail(0)
-	s, err := p.LoadWith(core.Options{Workers: 4, LockedReads: mode == "locked", Audit: trail})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer s.Close()
-	if err := p.ApplyRepresentative(s); err != nil {
-		log.Fatal(err)
-	}
-	baseUpdates := s.Statistics().Updates
-
-	// One churn cycle plus its drain returns the table to its pre-churn
-	// state, so the writer can cycle indefinitely without key collisions.
-	cs, err := fuzz.Churn(s.An, fuzz.ChurnSpec{
-		Kind: fuzz.Diurnal, Table: p.BurstTable, Updates: 256, Seed: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cycle := append(cs.Batches(), cs.Drain())
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	ops := make([]int64, readers)
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			var n int64
-			for {
-				select {
-				case <-done:
-					ops[r] = n
-					return
-				default:
-				}
-				// The decision-query read mix: a verdict probe, a table
-				// entry count, and the snapshot-dirtiness cursor.
-				_ = s.Verdict(int(n) % len(s.An.Points))
-				_ = s.Entries(p.BurstTable)
-				_ = s.Generation()
-				n += 3
-			}
-		}(r)
-	}
-
-	var applied [][]*controlplane.Update
-	updates := 0
-	t0 := time.Now()
-	deadline := t0.Add(window)
-	for bi := 0; time.Now().Before(deadline); bi++ {
-		batch := cycle[bi%len(cycle)]
-		for i, d := range s.ApplyBatch(batch) {
-			if d.Kind == core.Rejected {
-				fail("%s@%d: update %s rejected: %v", mode, g, batch[i], d.Err)
-			}
-		}
-		applied = append(applied, batch)
-		updates += len(batch)
-	}
-	elapsed := time.Since(t0)
-	close(done)
-	wg.Wait()
-
-	// Audit continuity: one record per update, Seq 1..N with no gap.
-	recs := trail.Records()
-	if len(recs) != baseUpdates+updates {
-		fail("%s@%d: %d audit records for %d updates", mode, g, len(recs), baseUpdates+updates)
-	}
-	for i, rec := range recs {
-		if rec.Seq != i+1 {
-			fail("%s@%d: audit record %d has seq %d (gap)", mode, g, i, rec.Seq)
-		}
-	}
-
-	// Replay equivalence: a sequential engine applying the same batch
-	// prefix must land in the same end state.
-	ref, err := p.LoadWith(core.Options{Workers: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ref.Close()
-	if err := p.ApplyRepresentative(ref); err != nil {
-		log.Fatal(err)
-	}
-	for _, batch := range applied {
-		ref.ApplyBatch(batch)
-	}
-	if scalingVerdictHash(s) != scalingVerdictHash(ref) {
-		fail("%s@%d: concurrent end state diverges from sequential replay", mode, g)
-	}
-	if a, b := s.Entries(p.BurstTable), ref.Entries(p.BurstTable); a != b {
-		fail("%s@%d: %d live entries, sequential replay has %d", mode, g, a, b)
-	}
-
-	var total int64
-	for _, n := range ops {
-		total += n
-	}
-	return scalingCell{
-		Mode: mode, GOMAXPROCS: g, Readers: readers,
-		ReadOps: total, ReadRate: float64(total) / elapsed.Seconds(),
-		Updates: updates, WriteRate: float64(updates) / elapsed.Seconds(),
-		ElapsedMS: elapsed.Milliseconds(),
-	}
-}
-
-// scalingSection emits the reads-vs-writes scaling curve: wait-free
-// epoch readers against the LockedReads ablation (the seed engine's
-// read path), under continuous write churn, across GOMAXPROCS 1/4/8/16.
-// Gate: lockfree read throughput at GOMAXPROCS=8 must be at least 3x
-// the seed configuration (locked reads at GOMAXPROCS=1); the pure
-// lockfree 8-vs-1 ratio is additionally gated when the host has >= 8
-// CPUs. Every cell also verifies audit continuity and sequential-replay
-// equivalence — throughput never at the cost of consistency.
-func scalingSection(full bool) {
-	header("Scaling: wait-free reads vs locked baseline under write churn")
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "scaling verification failed: "+format+"\n", args...)
-		os.Exit(1)
-	}
-	window := 200 * time.Millisecond
-	if full {
-		window = 600 * time.Millisecond
-	}
-	const readers = 4
-	p, err := progs.ByName("nat44")
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	specs := []struct {
-		mode string
-		g    int
-	}{
-		{"locked", 1}, {"locked", 8},
-		{"lockfree", 1}, {"lockfree", 4}, {"lockfree", 8}, {"lockfree", 16},
-	}
-	report := &scalingReport{Program: p.Name, Readers: readers, NumCPU: runtime.NumCPU()}
-	rate := make(map[string]float64, len(specs))
-	fmt.Printf("%-9s %11s %8s | %14s %14s\n", "mode", "gomaxprocs", "readers", "reads/s", "writes/s")
-	for _, sp := range specs {
-		cell := scalingMeasure(p, sp.mode, sp.g, readers, window, fail)
-		report.Cells = append(report.Cells, cell)
-		rate[fmt.Sprintf("%s@%d", sp.mode, sp.g)] = cell.ReadRate
-		fmt.Printf("%-9s %11d %8d | %14.0f %14.0f\n",
-			cell.Mode, cell.GOMAXPROCS, cell.Readers, cell.ReadRate, cell.WriteRate)
-	}
-
-	report.SpeedupVsSeed = rate["lockfree@8"] / rate["locked@1"]
-	report.Speedup8v1 = rate["lockfree@8"] / rate["lockfree@1"]
-	fmt.Printf("\nlockfree@8 vs seed (locked@1): %.2fx (gate: >= 3.0)\n", report.SpeedupVsSeed)
-	fmt.Printf("lockfree@8 vs lockfree@1:      %.2fx (gated >= 3.0 when NumCPU >= 8; host has %d)\n",
-		report.Speedup8v1, report.NumCPU)
-	if report.SpeedupVsSeed < 3.0 {
-		fail("lockfree@8 read throughput is %.2fx the seed configuration, want >= 3.0x", report.SpeedupVsSeed)
-	}
-	if report.NumCPU >= 8 && report.Speedup8v1 < 3.0 {
-		fail("lockfree 8-vs-1 scaling is %.2fx on a %d-CPU host, want >= 3.0x", report.Speedup8v1, report.NumCPU)
-	}
-	rep.Scaling = report
-	fmt.Println("\ncross-check: every cell verified audit continuity (gap-free seq) and")
-	fmt.Println("sequential-replay equivalence of the concurrent end state")
-}
-
-// ---------------------------------------------------------------------------
-
 // ppsRow is one program's packets/sec cell: the reference interpreter
 // ("generic") against the bytecode executor ("jit") on the same frames
 // and config, plus the jit rate under concurrent control-plane churn.
@@ -1503,7 +1216,7 @@ func ppsSection(full bool) {
 			log.Fatal(err)
 		}
 		trail := obs.NewTrail(0)
-		s, err := p.LoadWith(core.Options{Exec: true, Workers: 4, Audit: trail})
+		s, err := p.LoadWith(core.Options{Exec: true, Audit: trail})
 		if err != nil {
 			log.Fatal(err)
 		}

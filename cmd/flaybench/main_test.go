@@ -59,7 +59,7 @@ func TestSectionRegistry(t *testing.T) {
 		}
 		seen[s.name] = true
 	}
-	for _, required := range []string{"table1", "table2", "table3", "burst", "batch", "dd", "precision", "churn", "ablation", "scaling", "pps"} {
+	for _, required := range []string{"table1", "table2", "table3", "burst", "batch", "dd", "precision", "churn", "ablation", "pps"} {
 		if !seen[required] {
 			t.Fatalf("section %q missing from registry", required)
 		}

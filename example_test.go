@@ -34,7 +34,7 @@ func fig3Insert(i uint64) *goflay.Update {
 func ExampleOpen() {
 	p := progs.Fig3()
 	pipe, err := goflay.Open(p.Name, p.Source,
-		goflay.WithWorkers(4),
+		goflay.WithQuality(goflay.QualityFull),
 		goflay.WithOverapproxThreshold(100),
 	)
 	if err != nil {
@@ -53,7 +53,7 @@ func ExampleOpen() {
 // functional options of ExampleOpen.
 func ExampleOptions() {
 	p := progs.Fig3()
-	pipe, err := goflay.Open(p.Name, p.Source, goflay.WithWorkers(2))
+	pipe, err := goflay.Open(p.Name, p.Source, goflay.WithOverapproxThreshold(100))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 // (the common case) or whether the affected components must be
 // respecialized and recompiled.
 //
-//	pipe, err := goflay.Open("router", source, goflay.WithWorkers(4))
+//	pipe, err := goflay.Open("router", source, goflay.WithMetrics(reg))
 //	d := pipe.Apply(&goflay.Update{
 //		Kind:  goflay.InsertEntry,
 //		Table: "Ingress.route",
@@ -107,9 +107,8 @@ type (
 	BV = sym.BV
 	// Explanation is the introspection record of one program point: the
 	// specialization query, the verdict, and — when the point's
-	// condition is compiled in the decision-diagram core — the exact
-	// predicate path and witness assignment behind it (see
-	// Pipeline.Explain).
+	// condition compiles into a decision diagram — the exact predicate
+	// path and witness assignment behind it (see Pipeline.Explain).
 	Explanation = core.Explanation
 	// ExplainStep is one predicate test along an explained path.
 	ExplainStep = core.ExplainStep
@@ -218,7 +217,7 @@ const (
 // with the With* constructors:
 //
 //	pipe, err := goflay.Open(name, src,
-//		goflay.WithWorkers(4), goflay.WithMetrics(reg))
+//		goflay.WithExec(), goflay.WithMetrics(reg))
 type Option func(*options)
 
 // options is the resolved configuration an Option list folds into.
@@ -227,8 +226,6 @@ type options struct {
 	overapproxThreshold int
 	target              Target
 	quality             Quality
-	workers             int
-	noDD                bool
 	repairInterval      time.Duration
 	exec                bool
 	tracer              *Trace
@@ -260,23 +257,13 @@ func WithQuality(q Quality) Option {
 	return func(o *options) { o.quality = q }
 }
 
-// WithWorkers bounds the point re-evaluation worker pool: 1 forces
-// serial evaluation, >1 sets the pool size, and <=0 (the default) uses
-// GOMAXPROCS. Whatever the bound, a pass over fewer than 1024 points
-// runs on the caller's goroutine: it costs less than waking a thread.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
-}
-
-// WithNoDD disables the canonical decision-diagram query core: a
-// residue inside the exhaustive bound is then decided by the solver's
-// enumeration instead of a diagram walk, and Explain reports verdicts
-// without predicate paths (Source "width" with the free-bit count for a
-// residue past the bound, "solver" otherwise). The core is on by
-// default and changes no observable verdict — this switch exists for
-// ablation measurements and the DD-vs-solver differential suite.
-func WithNoDD() Option {
-	return func(o *options) { o.noDD = true }
+// WithWorkers does nothing: the engine evaluates every pass on the
+// caller's goroutine and has no worker pool to bound. It stays only
+// because bench/ — which a PR may not edit alongside other code — still
+// calls it (bench/closed.go with 2, bench/pkt_churn.go with 1); the
+// ROADMAP item that retires the legacy benchmark estate drops it.
+func WithWorkers(int) Option {
+	return func(*options) {}
 }
 
 // WithRepairInterval paces the adaptive precision controller's
@@ -345,8 +332,6 @@ func open(name, source string, o options) (*Pipeline, error) {
 		SkipParser:          o.skipParser,
 		OverapproxThreshold: o.overapproxThreshold,
 		Quality:             o.quality,
-		Workers:             o.workers,
-		NoDD:                o.noDD,
 		RepairInterval:      o.repairInterval,
 		Exec:                o.exec,
 		Trace:               o.tracer,
@@ -413,15 +398,13 @@ func (p *Pipeline) Snapshot() ([]byte, error) { return p.spec.Snapshot() }
 
 // Restore rebuilds a pipeline from Snapshot bytes. The snapshot
 // dictates the verdict-shaping options (quality, overapproximation
-// threshold, parser skipping); runtime options — Target, Workers,
-// observability — come from opts. Corrupted or truncated input, or a
+// threshold, parser skipping); runtime options — Target, Exec, repair
+// pacing, observability — come from opts. Corrupted or truncated input, or a
 // snapshot written in an earlier format version, yields an error
 // satisfying errors.Is(err, ErrSnapshotCorrupt), never a panic.
 func Restore(data []byte, opts ...Option) (*Pipeline, error) {
 	o := resolveOptions(opts)
 	s, err := core.Restore(data, core.Options{
-		Workers:        o.workers,
-		NoDD:           o.noDD,
 		RepairInterval: o.repairInterval,
 		Exec:           o.exec,
 		Trace:          o.tracer,
@@ -461,8 +444,8 @@ func (p *Pipeline) ApplyAll(updates []*Update) []*Decision {
 
 // ApplyBatch processes a batch of updates as one atomic configuration
 // transition: per-target assignments are recompiled once and the union
-// of tainted program points is re-evaluated in a single parallel pass,
-// instead of once per update. The resulting engine state is identical
+// of tainted program points is re-evaluated in a single pass, instead
+// of once per update. The resulting engine state is identical
 // to ApplyAll on the same slice; decisions are attributed per target
 // group (see core.Specializer.ApplyBatch).
 func (p *Pipeline) ApplyBatch(updates []*Update) []*Decision {
@@ -604,21 +587,20 @@ func (p *Pipeline) Points(table string) ([]int, error) {
 
 // Explain reports how the published verdict at one program point comes
 // about: the specialization query asked there, the verdict, and — when
-// the point's condition is compiled in the decision-diagram query core
+// the point's condition compiles into a decision diagram (Source "dd")
 // — the predicates tested along the witness path through the canonical
 // diagram together with the witness assignment itself (a liveness
 // witness for executability queries, one realizing assignment for
 // constancy). A point whose residue has more free bits than the engine
 // can decide over is live/varies by width, not by proof; Explain says
-// so (Source "width", FreeBits) and narrates a diagram compiled for the
-// call when the residue fits the compile budget. table scopes the
-// lookup: when non-empty, the point must be one the named object
-// influences (Points(table) lists them); "" addresses any point by
-// global ID. Explain may be called concurrently with updates from any
-// number of goroutines. It is wait-free — one epoch load and walks over
-// immutable diagram nodes — for a point that holds a diagram; for any
-// other point it re-derives the residue under the engine's read lock,
-// so it waits for an update in flight.
+// so (Source "width", FreeBits) and still narrates a diagram when the
+// residue fits the compile budget. table scopes the lookup: when
+// non-empty, the point must be one the named object influences
+// (Points(table) lists them); "" addresses any point by global ID.
+// Explain may be called concurrently with updates from any number of
+// goroutines. The engine keeps no diagram between queries: the point's
+// residue is re-derived and compiled for the call under the engine's
+// read lock, so it waits for an update in flight.
 func (p *Pipeline) Explain(table string, point int) (*Explanation, error) {
 	if table != "" {
 		ids, err := p.Points(table)

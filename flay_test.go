@@ -96,7 +96,7 @@ func TestApplyAllAndRejection(t *testing.T) {
 // shape the RWMutex-guarded engine exists for. Run under -race.
 func TestPipelineConcurrentUse(t *testing.T) {
 	p := progs.Fig3()
-	pipe, err := goflay.Open(p.Name, p.Source, goflay.WithWorkers(4))
+	pipe, err := goflay.Open(p.Name, p.Source)
 	if err != nil {
 		t.Fatal(err)
 	}

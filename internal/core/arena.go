@@ -98,15 +98,14 @@ func (s *Specializer) maybeSweepArena() {
 func (s *Specializer) sweepArena() {
 	b := s.An.Builder
 	swept := b.Sweep(s.arenaRoots())
-	// The sweep reassigned the arena ids of the surviving nodes. The
-	// workers' diagram compile memos are keyed on expression pointers
-	// and dropped here (the diagrams themselves hold no expression
-	// pointers and the rooted residues above keep the per-point roots
-	// valid); the workers' substitution memos are indexed by id and need
-	// nothing — the next evaluation pass opens a new generation
-	// (reevalPoints), which retires every entry of the old numbering.
-	s.flushDDCtxs()
-	s.ddMaybeSweep()
+	// The sweep reassigned the arena ids of the surviving nodes and
+	// retired the rest. The diagram compile memo is keyed on expression
+	// pointers and goes, and the diagram store — which nothing but that
+	// memo references — goes with it; the substitution memo is indexed
+	// by id and needs nothing — the next evaluation pass opens a new
+	// generation (reevalPoints), which retires every entry of the old
+	// numbering.
+	s.ddReplaceStore()
 	live := b.NumNodes()
 	s.stats.ArenaSweeps++
 	s.stats.ArenaSwept += swept

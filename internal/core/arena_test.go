@@ -36,8 +36,8 @@ func TestArenaSweepBoundsNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := loadEngine(t, p, 1)
-	bat := loadEngine(t, p, parallelWorkers)
+	seq := loadEngine(t, p)
+	bat := loadEngine(t, p)
 	for _, s := range []*core.Specializer{seq, bat} {
 		if err := p.ApplyRepresentative(s); err != nil {
 			t.Fatal(err)

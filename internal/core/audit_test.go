@@ -4,13 +4,10 @@
 // replay the stream with auditing enabled and assert that each
 // AuditRecord agrees field-for-field with the Decision the engine
 // returned and with the per-point Verdict state — through sequential
-// Apply and coalescing ApplyBatch, across worker pool sizes 1, 4 and
-// GOMAXPROCS. Run under -race this also proves the parallel capture
-// path (per-index change slots) is data-race free.
+// Apply and coalescing ApplyBatch.
 package core_test
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 
@@ -19,15 +16,10 @@ import (
 	"repro/internal/progs"
 )
 
-// auditWorkerGrid is the worker pool sizes the suite cycles through.
-func auditWorkerGrid() []int {
-	return []int{1, parallelWorkers, 8, 16, runtime.GOMAXPROCS(0)}
-}
-
-func loadAudited(t *testing.T, p *progs.Program, workers int) (*core.Specializer, *obs.Trail) {
+func loadAudited(t *testing.T, p *progs.Program) (*core.Specializer, *obs.Trail) {
 	t.Helper()
 	trail := obs.NewTrail(0)
-	s, err := p.LoadWith(core.Options{Workers: workers, Audit: trail})
+	s, err := p.LoadWith(core.Options{Audit: trail})
 	if err != nil {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
@@ -77,9 +69,6 @@ func checkRecord(t *testing.T, s *core.Specializer, i int, d *core.Decision, rec
 		if ch.Old == ch.New {
 			t.Fatalf("update %d: change at point %d records no transition (%q)", i, ch.Point, ch.Old)
 		}
-		if ch.Worker < 0 {
-			t.Fatalf("update %d: change at point %d has worker %d", i, ch.Point, ch.Worker)
-		}
 	}
 }
 
@@ -106,9 +95,7 @@ func TestAuditMatchesSequential(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= equivSeeds; seed++ {
-				grid := auditWorkerGrid()
-				workers := grid[int(seed-1)%len(grid)]
-				s, trail := loadAudited(t, p, workers)
+				s, trail := loadAudited(t, p)
 				for i, u := range makeStream(t, s, seed) {
 					d := s.Apply(u)
 					recs := trail.Records()
@@ -143,9 +130,7 @@ func TestAuditMatchesBatch(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= equivSeeds; seed++ {
-				grid := auditWorkerGrid()
-				workers := grid[int(seed)%len(grid)]
-				s, trail := loadAudited(t, p, workers)
+				s, trail := loadAudited(t, p)
 				stream := makeStream(t, s, seed)
 				seq, batch := 0, 0
 				for start := 0; start < len(stream); start += chunkSize {
@@ -183,8 +168,8 @@ func TestAuditMatchesBatch(t *testing.T) {
 func TestAuditSequentialVsBatchTally(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
-			seqEng, seqTrail := loadAudited(t, p, 1)
-			batEng, batTrail := loadAudited(t, p, parallelWorkers)
+			seqEng, seqTrail := loadAudited(t, p)
+			batEng, batTrail := loadAudited(t, p)
 			stream := makeStream(t, seqEng, 5)
 			for start := 0; start < len(stream); start += chunkSize {
 				chunk := stream[start:min(start+chunkSize, len(stream))]
@@ -218,7 +203,7 @@ func TestAuditBoundedTrailOnEngine(t *testing.T) {
 	}
 	const limit = 10
 	trail := obs.NewTrail(limit)
-	s, err := p.LoadWith(core.Options{Workers: 1, Audit: trail})
+	s, err := p.LoadWith(core.Options{Audit: trail})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // updates sequential Apply would reject), then grouped by target so
 // each touched object's assignment is recompiled once, and the
 // deduplicated union of tainted program points is re-evaluated in a
-// single (parallel) pass instead of once per update.
+// single pass instead of once per update.
 //
 // The end state — configuration, environment, verdicts, installed
 // implementations, specialized program — is identical to applying the
@@ -68,7 +68,7 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 			s.met.decisionCounter(Rejected).Inc()
 			s.met.updateNS.ObserveDuration(d.Elapsed)
 			if s.audit != nil {
-				s.audit.Append(auditRecord(d, s.stats.Updates, batchNo, 0, nil))
+				s.audit.Append(auditRecord(d, s.stats.Updates, batchNo, nil))
 			}
 		}
 		return decisions
@@ -81,13 +81,11 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 	defer s.trace.End(bsp)
 	s.trace.Attr(bsp, "updates", int64(len(updates)))
 
-	// Per-decision point changes and the worker count of the one
-	// evaluation pass, recorded for the audit trail.
+	// Per-decision point changes, recorded for the audit trail.
 	var changesOf map[*Decision][]obs.PointChange
 	if s.audit != nil {
 		changesOf = make(map[*Decision][]obs.PointChange)
 	}
-	workersUsed := 0
 
 	// Phase 1: run every update through configuration validation in
 	// arrival order — entry sequence numbers (and with them the entry
@@ -142,11 +140,7 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 			s.met.decisionCounter(d.Kind).Inc()
 			s.met.updateNS.ObserveDuration(d.Elapsed)
 			if s.audit != nil {
-				workers := 0
-				if d.Kind != Rejected {
-					workers = workersUsed
-				}
-				s.audit.Append(auditRecord(d, seqs[i], batchNo, workers, changesOf[d]))
+				s.audit.Append(auditRecord(d, seqs[i], batchNo, changesOf[d]))
 			}
 		}
 		return decisions
@@ -197,10 +191,8 @@ func (s *Specializer) ApplyBatchCtx(ctx context.Context, updates []*controlplane
 	s.trace.End(csp)
 
 	// Phase 3: one re-evaluation over the deduplicated union of every
-	// point the batch taints, grouped by taint-partition shard and
-	// fanned out over the worker pool (parallel.go / shard.go).
+	// point the batch taints.
 	allPts := s.An.PointsOfTargets(live)
-	workersUsed = s.effectiveWorkers(len(allPts))
 	te := time.Now()
 	qsp := s.trace.Start("query", bsp)
 	changedIDs := s.reevalPoints(allPts)

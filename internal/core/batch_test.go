@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -74,46 +72,11 @@ func TestApplyBatchMidRejected(t *testing.T) {
 	}
 }
 
-// TestApplyBatchWorkerCounts: the same batch under worker counts 1,
-// GOMAXPROCS (0) and an explicit pool must produce identical decisions
-// and identical specialized programs.
-func TestApplyBatchWorkerCounts(t *testing.T) {
-	makeBatch := func() []*controlplane.Update {
-		var batch []*controlplane.Update
-		for i := 0; i < 20; i++ {
-			batch = append(batch, insert(ternaryEntry(uint64(0x1000+i), ^uint64(0)>>16, "set", sym.NewBV(16, uint64(i)))))
-		}
-		return batch
-	}
-	type result struct {
-		kinds  []DecisionKind
-		source string
-	}
-	var results []result
-	for _, workers := range []int{1, 0, 4, runtime.GOMAXPROCS(0)} {
-		s := newSpec(t, fig3Src, Options{Workers: workers})
-		ds := s.ApplyBatch(makeBatch())
-		r := result{source: specSource(s)}
-		for _, d := range ds {
-			r.kinds = append(r.kinds, d.Kind)
-		}
-		results = append(results, r)
-	}
-	for i := 1; i < len(results); i++ {
-		if !slices.Equal(results[i].kinds, results[0].kinds) {
-			t.Fatalf("worker variant %d: decisions %v vs %v", i, results[i].kinds, results[0].kinds)
-		}
-		if results[i].source != results[0].source {
-			t.Fatalf("worker variant %d: specialized source diverged", i)
-		}
-	}
-}
-
 // TestApplyBatchCoalescing: a burst targeting one table coalesces to a
 // single evaluation pass; the counters record the elided work and keep
 // the outcome partition.
 func TestApplyBatchCoalescing(t *testing.T) {
-	s := newSpec(t, fig3Src, Options{Workers: 2})
+	s := newSpec(t, fig3Src, Options{})
 	// Two entries to get past the initial recompilations, as in
 	// TestBurstForwarding.
 	s.Apply(insert(ternaryEntry(0x1, ^uint64(0)>>16, "set", sym.NewBV(16, 1))))
@@ -138,9 +101,6 @@ func TestApplyBatchCoalescing(t *testing.T) {
 	if st.Forwarded+st.Recompilations+st.Rejected != st.Updates {
 		t.Fatalf("outcome partition broken: %+v", st)
 	}
-	if st.Workers != 2 {
-		t.Fatalf("workers = %d, want 2", st.Workers)
-	}
 }
 
 // TestStatisticsDuringMutation hammers the read-only entry points from
@@ -149,7 +109,7 @@ func TestApplyBatchCoalescing(t *testing.T) {
 // the invariant check rides along (it can only be torn if Statistics
 // reads mid-update).
 func TestStatisticsDuringMutation(t *testing.T) {
-	s := newSpec(t, fig3Src, Options{Workers: 4})
+	s := newSpec(t, fig3Src, Options{})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 3; r++ {
@@ -187,7 +147,7 @@ func TestStatisticsDuringMutation(t *testing.T) {
 // concurrent readers under the race detector, and must find nothing to
 // change on a consistent engine.
 func TestReevaluateAllConcurrentWithReads(t *testing.T) {
-	s := newSpec(t, fig3Src, Options{Workers: 4})
+	s := newSpec(t, fig3Src, Options{})
 	s.Apply(insert(ternaryEntry(0x1, ^uint64(0)>>16, "set", sym.NewBV(16, 1))))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

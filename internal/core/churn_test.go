@@ -46,15 +46,11 @@ func TestChurnPatternsMatrix(t *testing.T) {
 	for _, p := range churnPrograms(t) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			for ki, kind := range fuzz.PatternKinds() {
-				// Rotate the batch engine's pool across the shard-spanning
-				// worker grid so the matrix exercises 4-, 8-, and 16-way
-				// shard scheduling, not one fixed pool size.
-				churnWorkers := []int{parallelWorkers, 8, 16}[ki%3]
+			for _, kind := range fuzz.PatternKinds() {
 				t.Run(kind.String(), func(t *testing.T) {
-					seq := loadEngine(t, p, 1)
+					seq := loadEngine(t, p)
 					trail := obs.NewTrail(0)
-					bat, err := p.LoadWith(core.Options{Workers: churnWorkers, Audit: trail})
+					bat, err := p.LoadWith(core.Options{Audit: trail})
 					if err != nil {
 						t.Fatal(err)
 					}

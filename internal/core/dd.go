@@ -11,30 +11,32 @@
 // (the differential suite in dddiff_test.go holds it to that on the
 // whole catalog), and any query it cannot decide within budget falls
 // through to the solver. Structure is shared three ways: hash-consing
-// dedups across the points of one pass, the per-worker compile memo
-// dedups across updates (an incremental update re-compiles only the
-// changed region of a residue), and the fixed taint-frequency variable
-// order keeps equal conditions pointer-equal across points.
+// dedups across the points of one pass, the compile memo dedups across
+// updates (an incremental update re-compiles only the changed region of
+// a residue), and the fixed taint-frequency variable order keeps equal
+// conditions pointer-equal across points.
 //
-// Lifecycle hooks, mirroring the existing machinery exactly:
+// Lifetimes:
 //
-//   - a root lives exactly as long as the residue it was compiled from:
-//     evalPointWith drops it the moment the point's substituted pointer
-//     changes (specializer.go), whatever then answers the new residue;
-//   - epoch publication carries the diagram store and per-point roots
-//     copy-on-write, so Explain is wait-free on every point that holds
-//     a root (epoch.go); a width-decided point holds none, and Explain
-//     compiles its residue on demand under the read lock;
-//   - the residue backing a live root is the point's pointSub entry,
-//     an arena root, and the per-worker memos (keyed on hash-consed
-//     expression pointers) are discarded when the arena is swept
-//     (arena.go);
-//   - snapshots persist the variable order only; diagrams are rebuilt,
-//     not serialized (snapshot.go).
+//   - a diagram lives for the query that compiled it. The engine keeps
+//     no per-point diagram state: a diagram is a pure function of its
+//     hash-consed residue and the variable order, so the next query of
+//     the same residue gets the same node back from the compile memo,
+//     and a changed residue pays for the changed region only;
+//   - the compile memo is keyed on hash-consed expression pointers,
+//     which an arena sweep retires, so the store and the memo are
+//     replaced together at every arena sweep (arena.go) — and whenever
+//     the store has passed ddSweepFloor at the end of a mutating call,
+//     which bounds it by a constant rather than by update history;
+//   - Explain compiles the residue it narrates into a store of its own,
+//     under the read lock, for the call;
+//   - snapshots persist the variable order only (snapshot.go).
 package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/controlplane"
@@ -49,80 +51,33 @@ const (
 	// visit O(entries) nodes, so the budget clears multi-thousand-entry
 	// precise tables; a blown budget falls back to the solver.
 	ddWalkBudget = 1 << 14
-	// ddSweepFactor/ddSweepFloor arm the diagram-store rebuild the same
-	// way the expression arena's trigger works: rebuild when the store
-	// grows past factor × the post-rebuild size. Old stores stay alive
-	// as long as a published epoch references them.
-	ddSweepFactor = 4
-	ddSweepFloor  = 1 << 15
-	// ddCompileBudget bounds one root compile at update rate. The cap
-	// is deliberately far below the dd package's own limit: a residue
-	// that cannot compile in ~16k steps is recompiled on every update
-	// it survives (priority-chain ACL residues change wholesale when
-	// an entry lands), so burning a large budget per update costs more
-	// than the solver fallback it replaces. Each consecutive strike
-	// halves the next attempt's budget down to ddCompileFloor.
+	// ddSweepFloor bounds the diagram store: a mutating call that ends
+	// with more nodes than this replaces the store (ddBoundStore). With
+	// no diagram kept between queries there is nothing to recompile, so
+	// a replacement costs an empty store plus the atom list and the
+	// bound can be a constant.
+	ddSweepFloor = 1 << 15
+	// ddCompileBudget is the one cap on a diagram compile. It is
+	// deliberately far below the dd package's own limit: program and
+	// configuration are outside input, and a residue that cannot compile
+	// in ~16k steps would be recompiled on every update it survives
+	// (priority-chain ACL residues change wholesale when an entry
+	// lands), which costs more than the enumeration it replaces. The
+	// catalog's largest compile uses 1 474 steps (nat44).
 	ddCompileBudget = 1 << 14
-	ddCompileFloor  = 1 << 10
-	// ddMaxSkip caps the exponential backoff window: a point whose
-	// residues keep blowing the budget retries at most every
-	// ddMaxSkip-th residue change rather than never, so a table that
-	// shrinks back into compilable range is eventually re-adopted.
-	ddMaxSkip = 256
 )
 
-// ddRoot is one point's compiled condition — compiled from the point's
-// pointSub entry, the hash-consed residue, and dropped when that
-// changes. node is nil when the point holds no diagram: the residue is
-// outside the diagram fragment, or something else answered it; vars are
-// the residue's free variables (walk assignments are completed over
-// them into witnesses) and bits their total width — at most
-// sym.DefaultExhaustiveBits, since only residues inside the bound get a
-// root.
-type ddRoot struct {
-	node *dd.Node
-	vars []*sym.Expr
-	bits int
-	// strikes/skip are the compile-backoff state: strikes counts
-	// consecutive attempts that blew (or nearly blew) their budget,
-	// skip is the number of future residue changes to sit out before
-	// trying again. Both survive invalidation — the whole point is
-	// remembering across updates that this point's conditions are too
-	// expensive to rebuild at update rate.
-	strikes int
-	skip    int
-}
-
-// ddCore is the engine-side state of the diagram query core. roots is
-// indexed by point ID and written only by the point's owning worker
-// during a pass (the same race-freedom argument as pointSub); the
-// store pointer is atomic so wait-free readers (Statistics) can sample
-// node counts while a rebuild swaps it under the write lock.
+// ddCore is the engine-side state of the diagram query core. The store
+// pointer and the counters are atomic so the wait-free Statistics can
+// sample them while the writer replaces the store or counts a query.
 type ddCore struct {
 	store    atomic.Pointer[dd.Store]
 	atomVars []*sym.Expr // atom index → data-plane variable node
-	roots    []ddRoot
-	// rootsDirty marks that a worker recompiled or dropped a root since
-	// the last publication; publish() then re-copies the root slice
-	// (copy-on-write, like the verdict slice).
-	rootsDirty atomic.Bool
-	baseline   int // store size that arms the next rebuild
 
 	// Verdicts answered on the diagram path are counted by queryAny's
 	// dispatch (answeredBy[byDD]).
 	fallbacks atomic.Int64 // queries that reached the diagram stage and were punted to the solver
-	compiles  atomic.Int64 // root compilations
-}
-
-// ddEpoch is the published read-state: the store (immutable for
-// readers — nodes never mutate and the atom table is copy-on-write)
-// and the per-point roots frozen at publication. Sweep-safe by the
-// same argument as the rest of the epoch: nothing in it is compared
-// against builder state; Explain walks diagram nodes, which reference
-// atoms by index and constants by value, never *sym.Expr.
-type ddEpoch struct {
-	store *dd.Store
-	roots []*dd.Node
+	compiles  atomic.Int64 // diagram compilations (memo hits included)
 }
 
 // newDDCore builds the diagram core for a freshly analyzed program:
@@ -137,7 +92,7 @@ type ddEpoch struct {
 // a resumed engine must walk its diagrams in the exact order the
 // snapshotting engine used, or the rebuilt witnesses would diverge.
 func newDDCore(an *dataplane.Analysis, order []dd.Atom) *ddCore {
-	d := &ddCore{roots: make([]ddRoot, len(an.Points))}
+	d := &ddCore{}
 	st := dd.NewStore()
 	d.store.Store(st)
 	vars := make(map[string]*sym.Expr)
@@ -227,82 +182,43 @@ func (d *ddCore) ensureAtoms(frag controlplane.Env) {
 	}
 }
 
-// invalidate drops one point's diagram root, keeping its compile-backoff
-// state. evalPointWith calls it for exactly the points whose residue
-// changed.
-func (d *ddCore) invalidate(id int) {
-	r := &d.roots[id]
-	if r.node == nil {
-		return
-	}
-	d.roots[id] = ddRoot{strikes: r.strikes, skip: r.skip}
-	d.rootsDirty.Store(true)
-}
-
-// rootFor compiles (through the worker's memo) the diagram root of a
-// point whose residue just changed — evalPointWith dropped the previous
-// root. ok=false means the residue is outside the diagram fragment.
-func (s *Specializer) rootFor(sh *evalShard, id int, sub *sym.Expr) (*dd.Node, *ddRoot, bool) {
+// rootFor compiles sub through the compile memo under ddCompileBudget.
+// On success it returns the diagram with the residue's free variables
+// (walk assignments are completed over them into witnesses; they fit
+// sym.DefaultExhaustiveBits, since queryAny sends only residues inside
+// the bound here). ok=false means the residue is outside the diagram
+// fragment or past the budget; it goes to the solver's enumeration, and
+// the memo remembers the bail for as long as the residue pointer lives.
+func (s *Specializer) rootFor(sub *sym.Expr) (root *dd.Node, vars []*sym.Expr, ok bool) {
 	d := s.ddc
-	r := &d.roots[id]
-	// Backoff window: this point's last compiles blew their budget, so
-	// it sits out skip residue changes on the solver path before the
-	// next (cheaper) attempt. A memo hit below never strikes, so a
-	// point cycling through a bounded residue set — the steady churn
-	// shape — pays for each distinct residue once and then reads the
-	// memo forever.
-	if r.skip > 0 {
-		r.skip--
-		return nil, r, false
-	}
-	limit := ddCompileBudget >> r.strikes
-	if limit < ddCompileFloor {
-		limit = ddCompileFloor
-	}
-	n, used, ok := sh.ddCtx(d.store.Load()).CompileBudget(sub, limit)
-	strikes, skip := r.strikes, 0
-	if ok && used < limit/2 {
-		strikes = 0
-	} else {
-		// Failed, or succeeded while consuming most of the budget —
-		// either way this residue family is too expensive to rebuild
-		// on every update.
-		if strikes < 16 {
-			strikes++
-		}
-		skip = min(1<<strikes, ddMaxSkip)
-	}
-	*r = ddRoot{strikes: strikes, skip: skip}
-	if ok {
-		r.node = n
-		r.vars = sh.solver.FreeVars(sub)
-		for _, v := range r.vars {
-			r.bits += int(v.Width)
-		}
-		d.rootsDirty.Store(true)
-	}
 	d.compiles.Add(1)
-	return r.node, r, ok
+	if s.eval.dd == nil {
+		s.eval.dd = dd.NewCtx(d.store.Load())
+	}
+	if root, ok = s.eval.dd.CompileBudget(sub, ddCompileBudget); !ok {
+		return nil, nil, false
+	}
+	return root, s.eval.solver.FreeVars(sub), true
 }
 
 // ddQuery is the diagram stage of queryAny: it answers the query on the
-// point's compiled root, or reports ok=false when the residue has to go
-// to the solver — the root did not compile, the walk ran out of budget,
-// or the point sits under a degraded target. A degraded target's
+// residue's diagram, or reports ok=false when the residue has to go to
+// the solver — it did not compile, the walk ran out of budget, or the
+// point sits under a degraded target. A degraded target's
 // residue is deliberately overapproximated — replaced wholesale on
 // every update, the opposite of the stable precise conditions the
 // diagram compiles compactly — so attempting those compiles would burn
 // the budget per point per update for nothing; the differential check
 // and promotion already re-prove degraded verdicts precisely.
-func (s *Specializer) ddQuery(sh *evalShard, p *dataplane.Point, sub *sym.Expr) (v Verdict, ok bool) {
+func (s *Specializer) ddQuery(p *dataplane.Point, sub *sym.Expr) (v Verdict, ok bool) {
 	if !s.underDegraded(p.ID) {
-		// bits == 0 is a closed term the simplifier left unfolded: the
-		// solver's single evaluation decides it.
-		if root, r, compiled := s.rootFor(sh, p.ID, sub); compiled && r.bits > 0 {
+		// No free variable is a closed term the simplifier left unfolded:
+		// the solver's single evaluation decides it.
+		if root, vars, compiled := s.rootFor(sub); compiled && len(vars) > 0 {
 			if constQuery(p.Kind) {
-				v, ok = s.ddConst(sh, sub, root, r)
+				v, ok = s.ddConst(sub, root, vars)
 			} else {
-				v, ok = s.ddExec(sh, p.ID, sub, root, r)
+				v, ok = s.ddExec(p.ID, sub, root, vars)
 			}
 		}
 	}
@@ -312,6 +228,29 @@ func (s *Specializer) ddQuery(sh *evalShard, p *dataplane.Point, sub *sym.Expr) 
 	return v, ok
 }
 
+// buildPointDeps inverts the taint map through the variable-owner map:
+// for every point, the sorted, deduplicated qualified names of the
+// objects whose control-plane variables can influence it — the same
+// routing the engine's re-evaluation uses. The engine keeps the result
+// (underDegraded), so each list is cut to its deduplicated length: a
+// point collects one name per tainting variable, tens per table.
+func buildPointDeps(an *dataplane.Analysis) [][]string {
+	deps := make([][]string, len(an.Points))
+	for v, ids := range an.Taint {
+		owner := an.VarOwner[v]
+		for _, id := range ids {
+			deps[id] = append(deps[id], owner)
+		}
+	}
+	for id, ds := range deps {
+		sort.Strings(ds)
+		deps[id] = slices.Clone(slices.Compact(ds))
+	}
+	return deps
+}
+
+// underDegraded reports whether any of the point's dependency targets is
+// currently degraded.
 func (s *Specializer) underDegraded(id int) bool {
 	if len(s.degraded) == 0 {
 		return false
@@ -337,7 +276,7 @@ func (s *Specializer) underDegraded(id int) bool {
 //
 // Fresh witnesses are verified against the residue before
 // installation, so the walk can never plant a lying hint.
-func (s *Specializer) ddExec(sh *evalShard, id int, sub *sym.Expr, root *dd.Node, r *ddRoot) (Verdict, bool) {
+func (s *Specializer) ddExec(id int, sub *sym.Expr, root *dd.Node, vars []*sym.Expr) (Verdict, bool) {
 	d := s.ddc
 	// Witness re-proof: one path walk, O(path) instead of a residue
 	// traversal. A hint that still satisfies keeps the point Live with
@@ -348,7 +287,7 @@ func (s *Specializer) ddExec(sh *evalShard, id int, sub *sym.Expr, root *dd.Node
 		}
 	}
 	if root.IsTrue() {
-		s.witnesses[id] = zerosEnv(r.vars)
+		s.witnesses[id] = zerosEnv(vars)
 		return Verdict{Kind: VerdictLive}, true
 	}
 	if root.IsFalse() {
@@ -357,8 +296,8 @@ func (s *Specializer) ddExec(sh *evalShard, id int, sub *sym.Expr, root *dd.Node
 	asg, out := dd.Sat(root, d.store.Load().Atoms(), ddWalkBudget)
 	switch out {
 	case dd.SatYes:
-		env := d.envOf(asg, r.vars)
-		if v, done := sh.solver.Eval(sub, env); done && v.IsTrue() {
+		env := d.envOf(asg, vars)
+		if v, done := s.eval.solver.Eval(sub, env); done && v.IsTrue() {
 			s.witnesses[id] = env
 			return Verdict{Kind: VerdictLive}, true
 		}
@@ -375,7 +314,7 @@ func (s *Specializer) ddExec(sh *evalShard, id int, sub *sym.Expr, root *dd.Node
 // solver's enumeration certifies it), two verified differing
 // evaluations are Varies (the solver's refutation), and everything else
 // goes to the solver.
-func (s *Specializer) ddConst(sh *evalShard, sub *sym.Expr, root *dd.Node, r *ddRoot) (Verdict, bool) {
+func (s *Specializer) ddConst(sub *sym.Expr, root *dd.Node, vars []*sym.Expr) (Verdict, bool) {
 	d := s.ddc
 	if root.IsTerminal() {
 		return Verdict{Kind: VerdictConst, Val: root.Value()}, true
@@ -383,9 +322,9 @@ func (s *Specializer) ddConst(sh *evalShard, sub *sym.Expr, root *dd.Node, r *dd
 	val, ea, eb, out := dd.ConstCheck(root, d.store.Load().Atoms(), ddWalkBudget)
 	switch out {
 	case dd.ConstVaries:
-		envA, envB := d.envOf(ea, r.vars), d.envOf(eb, r.vars)
-		va, okA := sh.solver.Eval(sub, envA)
-		vb, okB := sh.solver.Eval(sub, envB)
+		envA, envB := d.envOf(ea, vars), d.envOf(eb, vars)
+		va, okA := s.eval.solver.Eval(sub, envA)
+		vb, okB := s.eval.solver.Eval(sub, envB)
 		if okA && okB && va != vb {
 			return Verdict{Kind: VerdictVaries}, true
 		}
@@ -434,79 +373,39 @@ func zerosEnv(vars []*sym.Expr) sym.Env {
 	return env
 }
 
-// publishState cuts the epoch's diagram state, copy-on-write: when no
-// root changed since the last publication and the store was not
-// rebuilt, the previous epoch's frozen copy is re-used — the Forward
-// fast path publishes without touching O(points) state.
-func (d *ddCore) publishState(prev *epoch) *ddEpoch {
-	st := d.store.Load()
-	dirty := d.rootsDirty.Swap(false)
-	if prev != nil && prev.dd != nil && prev.dd.store == st && !dirty {
-		return prev.dd
+// emptyStore returns a diagram store holding nothing but the given
+// atoms, registered in order — the variable order carried over.
+func emptyStore(atoms []dd.Atom) *dd.Store {
+	st := dd.NewStore()
+	for _, a := range atoms {
+		st.Register(a.Name, a.Width)
 	}
-	roots := make([]*dd.Node, len(d.roots))
-	for i := range d.roots {
-		roots[i] = d.roots[i].node
-	}
-	return &ddEpoch{store: st, roots: roots}
+	return st
 }
 
-// ddMaybeSweep rebuilds the diagram store when it has grown past the
-// sweep factor — the diagram analogue of the expression arena's
-// generational trigger. Live roots recompile into a fresh store
-// (sharing one memo, so the rebuild costs one compile pass over live
-// state, not history); old stores stay reachable from any epoch that
-// still references them and are reclaimed by the runtime when the last
-// such epoch is dropped. Called under the engine write lock.
-func (s *Specializer) ddMaybeSweep() {
-	d := s.ddc
-	if d == nil {
+// ddReplaceStore swaps in an empty store with the same variable order
+// and drops the compile memo, whose values point into the old store.
+// Nothing else references a store: no diagram outlives its query.
+// Called under the engine write lock.
+func (s *Specializer) ddReplaceStore() {
+	if s.ddc == nil {
 		return
 	}
-	st := d.store.Load()
-	n := st.NumNodes()
-	if d.baseline == 0 {
-		d.baseline = max(ddSweepFloor, n*ddSweepFactor)
-		return
-	}
-	if n < d.baseline {
-		return
-	}
-	fresh := dd.NewStore()
-	for _, a := range st.Atoms() {
-		fresh.Register(a.Name, a.Width)
-	}
-	ctx := dd.NewCtx(fresh)
-	for i := range d.roots {
-		r := &d.roots[i]
-		if r.node == nil {
-			continue
-		}
-		if nn, _, ok := ctx.CompileBudget(s.pointSub[i], ddCompileBudget); ok {
-			r.node = nn
-		} else {
-			r.node = nil
-		}
-	}
-	d.store.Store(fresh)
-	d.rootsDirty.Store(true)
-	s.flushDDCtxs()
-	d.baseline = max(ddSweepFloor, fresh.NumNodes()*ddSweepFactor)
+	s.ddc.store.Store(emptyStore(s.ddc.store.Load().Atoms()))
+	s.eval.dd = nil
 }
 
-// flushDDCtxs discards every worker's compile/apply memos — after an
-// arena sweep (the compile memo's expression-pointer keys are retired)
-// or a store rebuild (the memo values point into the old store).
-func (s *Specializer) flushDDCtxs() {
-	for _, sh := range s.shards {
-		sh.dd = nil
+// ddBoundStore replaces the store once it has passed ddSweepFloor.
+// Every mutating call ends in publish, which calls it.
+func (s *Specializer) ddBoundStore() {
+	if s.ddc != nil && s.ddc.store.Load().NumNodes() > ddSweepFloor {
+		s.ddReplaceStore()
 	}
 }
 
 // ddArenaRoots appends the expressions the diagram core keeps live
 // across arena sweeps: the atom-index variable mirror, so witness
-// translation never holds a stale alias. The residues the roots were
-// compiled from are the points' pointSub entries, rooted already.
+// translation never holds a stale alias.
 func (s *Specializer) ddArenaRoots(roots []*sym.Expr) []*sym.Expr {
 	if s.ddc == nil {
 		return roots
@@ -562,8 +461,8 @@ type ExplainStep struct {
 
 // Explanation is the introspection record of one program point under
 // the published epoch: what the point asks, what the engine concluded,
-// and — when the point's condition lives in the diagram core — the
-// exact predicate path and witness assignment behind the verdict.
+// and — when the point's condition compiles into a diagram — the exact
+// predicate path and witness assignment behind the verdict.
 type Explanation struct {
 	// Point is the program-point ID.
 	Point int `json:"point"`
@@ -581,11 +480,11 @@ type Explanation struct {
 	// Value is the constant's value when Verdict is "const".
 	Value string `json:"value,omitempty"`
 	// Source reports what produced the verdict evidence: "dd" when the
-	// point's condition is compiled in the diagram core (Steps/Witness
-	// are populated); "width" when the residue's free variables exceed
-	// the exhaustive bound (FreeBits says by how much), so the verdict
-	// is Live/Varies conservatively, not by proof — Steps/Witness then
-	// narrate a diagram compiled for this call, when the residue
+	// point's condition compiles into a diagram, the way the update path
+	// decides it (Steps/Witness are populated); "width" when the
+	// residue's free variables exceed the exhaustive bound (FreeBits
+	// says by how much), so the verdict is Live/Varies conservatively,
+	// not by proof — Steps/Witness are then populated when the residue
 	// compiles within budget; "solver" when the point is decided by a
 	// literal residue or the solver's enumeration (no path evidence).
 	Source string `json:"source"`
@@ -604,71 +503,53 @@ type Explanation struct {
 }
 
 // Explain reports how the published epoch's verdict for one program
-// point comes about: the specialization query, the verdict, and — for
-// diagram-compiled points — the predicates tested along the witness
-// path with the witness assignment itself. It may be called
-// concurrently with writers from any number of goroutines. For a point
-// that holds a diagram root it is wait-free (one epoch load plus walks
-// over immutable diagram nodes). Any other point's residue is
-// re-derived under the engine read lock — an arena sweep renumbers
-// expression ids, so this part waits for a writer in flight — and a
-// width-decided residue is compiled there into a private store seeded
-// with the engine's variable order, under the update path's own compile
-// budget: the engine keeps no diagram for a verdict no diagram can
-// change, so narrating one is paid by the operator's call, not by every
-// update.
+// point comes about: the specialization query, the verdict, and — where
+// the residue compiles into a diagram — the predicates tested along the
+// witness path with the witness assignment itself. It may be called
+// concurrently with writers from any number of goroutines and takes the
+// engine read lock — an arena sweep renumbers expression ids, so it
+// waits for a writer in flight. The residue is re-derived and compiled
+// for the call, into a private store seeded with the engine's variable
+// order and under the update path's own compile budget: the engine
+// keeps no diagram between queries, so narrating one is paid by the
+// operator's call, not by every update.
 func (s *Specializer) Explain(id int) (*Explanation, error) {
 	if id < 0 || id >= len(s.An.Points) {
 		return nil, fmt.Errorf("unknown program point %d (have %d)", id, len(s.An.Points))
 	}
-	e := s.loadEpoch()
-	root := e.dd.root(id)
-	if root == nil {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		// Publication happens under the write lock, so this epoch and
-		// s.env describe the same configuration.
-		e = s.loadEpoch()
-		root = e.dd.root(id)
-	}
-	if root != nil {
-		out := s.explanation(e, id, "dd")
-		narrate(out, root, e.dd.store.Atoms())
-		return out, nil
-	}
-	out := s.explanation(e, id, "solver")
-	b := s.An.Builder
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	// Publication happens under the write lock, so this epoch and s.env
+	// describe the same configuration.
+	out := s.explanation(s.loadEpoch(), id, "solver")
 	var scratch sym.SubstScratch
-	sub := b.SubstWith(&scratch, s.An.Points[id].Expr, s.env)
-	solver := sym.NewSolver()
-	if !solver.Wide(sub) {
+	sub := s.An.Builder.SubstWith(&scratch, s.An.Points[id].Expr, s.env)
+	if sub.IsConst() {
 		return out, nil
 	}
-	out.Source = "width"
-	for _, v := range solver.FreeVars(sub) {
-		out.FreeBits += int(v.Width)
+	solver := sym.NewSolver()
+	wide := solver.Wide(sub)
+	if wide {
+		out.Source = "width"
+		for _, v := range solver.FreeVars(sub) {
+			out.FreeBits += int(v.Width)
+		}
 	}
-	if s.ddc == nil {
+	// The update path sends a narrow residue under a degraded table
+	// straight to the solver (ddQuery).
+	if s.ddc == nil || !wide && s.underDegraded(id) {
 		return out, nil
 	}
 	atoms := s.ddc.store.Load().Atoms()
-	private := dd.NewStore()
-	for _, a := range atoms {
-		private.Register(a.Name, a.Width)
+	root, ok := dd.NewCtx(emptyStore(atoms)).CompileBudget(sub, ddCompileBudget)
+	if !ok {
+		return out, nil
 	}
-	if root, _, ok := dd.NewCtx(private).CompileBudget(sub, ddCompileBudget); ok {
-		narrate(out, root, atoms)
+	if !wide {
+		out.Source = "dd"
 	}
+	narrate(out, root, atoms)
 	return out, nil
-}
-
-// root returns the point's frozen diagram root, nil when it has none
-// (or the core is disabled).
-func (d *ddEpoch) root(id int) *dd.Node {
-	if d == nil || id >= len(d.roots) {
-		return nil
-	}
-	return d.roots[id]
 }
 
 // explanation fills the part of an Explanation every source shares.

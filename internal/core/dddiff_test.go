@@ -3,9 +3,8 @@
 // observationally identical to the probe-solver engine — same
 // per-update decisions, same per-point verdicts, byte-identical
 // specialized source — on every catalog program, across fuzzer streams
-// and every churn pattern, under every worker-pool shape the engine
-// supports. The diagram path is a pure accelerator; this suite is the
-// contract that keeps it one.
+// and every churn pattern. The diagram path is a pure accelerator; this
+// suite is the contract that keeps it one.
 package core_test
 
 import (
@@ -16,13 +15,12 @@ import (
 	"repro/internal/progs"
 )
 
-// ddWorkerGrid is the worker matrix the ISSUE pins: serial, the default
-// pool, and the two shard-spanning sizes.
-var ddWorkerGrid = []int{1, 4, 8, 16}
+// ddSeeds are the fuzzer streams the catalog differential replays.
+var ddSeeds = []uint64{0xde, 0xe1, 0xe5, 0xed}
 
-func loadDD(t *testing.T, p *progs.Program, workers int, noDD bool) *core.Specializer {
+func loadDD(t *testing.T, p *progs.Program, noDD bool) *core.Specializer {
 	t.Helper()
-	s, err := p.LoadWith(core.Options{Workers: workers, NoDD: noDD})
+	s, err := p.LoadWith(core.Options{NoDD: noDD})
 	if err != nil {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
@@ -30,25 +28,25 @@ func loadDD(t *testing.T, p *progs.Program, workers int, noDD bool) *core.Specia
 }
 
 // TestDDMatchesSolverCatalog replays the same fuzzer stream through a
-// diagram engine and a NoDD engine for every catalog program × worker
-// count, asserting decision-for-decision and end-state equality.
+// diagram engine and a NoDD engine for every catalog program × seed,
+// asserting decision-for-decision and end-state equality.
 func TestDDMatchesSolverCatalog(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, workers := range ddWorkerGrid {
-				dd := loadDD(t, p, workers, false)
-				solver := loadDD(t, p, workers, true)
-				for i, u := range makeStream(t, dd, 0xdd+uint64(workers)) {
+			for _, seed := range ddSeeds {
+				dd := loadDD(t, p, false)
+				solver := loadDD(t, p, true)
+				for i, u := range makeStream(t, dd, seed) {
 					sameDecision(t, i, dd.Apply(u), solver.Apply(u))
 				}
 				sameEndState(t, dd, solver)
 				dst, sst := dd.Statistics(), solver.Statistics()
 				if dst.Forwarded != sst.Forwarded || dst.Recompilations != sst.Recompilations || dst.Rejected != sst.Rejected {
-					t.Fatalf("workers %d: outcome counters diverged: %+v vs %+v", workers, dst, sst)
+					t.Fatalf("seed %#x: outcome counters diverged: %+v vs %+v", seed, dst, sst)
 				}
 				if sst.DDQueries != 0 || sst.DDCompiles != 0 || sst.DDNodes != 0 {
-					t.Fatalf("workers %d: NoDD engine reported diagram activity: %+v", workers, sst)
+					t.Fatalf("seed %#x: NoDD engine reported diagram activity: %+v", seed, sst)
 				}
 			}
 		})
@@ -63,11 +61,10 @@ func TestDDMatchesSolverChurn(t *testing.T) {
 	for _, p := range churnPrograms(t) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			for ki, kind := range fuzz.PatternKinds() {
-				workers := ddWorkerGrid[ki%len(ddWorkerGrid)]
+			for _, kind := range fuzz.PatternKinds() {
 				t.Run(kind.String(), func(t *testing.T) {
-					dd := loadDD(t, p, workers, false)
-					solver := loadDD(t, p, workers, true)
+					dd := loadDD(t, p, false)
+					solver := loadDD(t, p, true)
 					for _, s := range []*core.Specializer{dd, solver} {
 						if err := p.ApplyRepresentative(s); err != nil {
 							t.Fatal(err)
@@ -101,7 +98,7 @@ func TestDDMatchesSolverChurn(t *testing.T) {
 func TestDDEngineActuallyUsesDiagrams(t *testing.T) {
 	answered := int64(0)
 	for _, p := range progs.Catalog() {
-		s := loadDD(t, p, 4, false)
+		s := loadDD(t, p, false)
 		for _, u := range makeStream(t, s, 7) {
 			s.Apply(u)
 		}
@@ -127,7 +124,7 @@ func TestDDSnapshotPreservesVariableOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := loadDD(t, p, 4, false)
+			s := loadDD(t, p, false)
 			stream := makeStream(t, s, 0x5eed)
 			for _, u := range stream[:len(stream)/2] {
 				s.Apply(u)
@@ -137,7 +134,7 @@ func TestDDSnapshotPreservesVariableOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := core.Restore(data, core.Options{Workers: 4})
+			r, err := core.Restore(data, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +147,7 @@ func TestDDSnapshotPreservesVariableOrder(t *testing.T) {
 					t.Fatalf("atom %d: %v before, %v after", i, before[i], after[i])
 				}
 			}
-			solver, err := core.Restore(data, core.Options{Workers: 4, NoDD: true})
+			solver, err := core.Restore(data, core.Options{NoDD: true})
 			if err != nil {
 				t.Fatal(err)
 			}

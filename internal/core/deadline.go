@@ -331,11 +331,6 @@ func (s *Specializer) PromoteAll() (unsound int, err error) {
 // DegradedTables lists the currently degraded tables, sorted. Like the
 // other query-path readers it serves the published epoch wait-free.
 func (s *Specializer) DegradedTables() []string {
-	if s.lockedReads {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return sortedKeys(s.degraded)
-	}
 	return append([]string(nil), s.loadEpoch().degraded...)
 }
 

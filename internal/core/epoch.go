@@ -63,18 +63,12 @@ type epoch struct {
 	// runs without Options.Exec. Hot-swapped here so packet execution is
 	// wait-free under control-plane churn, and retired with the epoch.
 	img *dpexec.Image
-	// dd is the diagram query core's frozen read-state (dd.go): the
-	// store and the per-point roots at publication, carried
-	// copy-on-write like the verdict slice. Nil when the core is
-	// disabled. Explain walks it wait-free.
-	dd *ddEpoch
 }
 
-// coord is the cross-shard coordination layer: the state any shard's
-// work may touch that must stay globally consistent — the published
-// epoch pointer, the update/audit sequence allocator, the arena-sweep
-// trigger, and the taint-partition shard map. Everything here is either
-// atomic or only written under the engine write lock; sweep and
+// coord is the state that orders mutating calls against each other and
+// against readers: the published epoch pointer, the update/audit
+// sequence allocator and the arena-sweep trigger. Everything here is
+// either atomic or only written under the engine write lock; sweep and
 // snapshot therefore always observe a consistent cut (both run with the
 // engine lock held — Snapshot under RLock excludes writers, sweep under
 // the write lock excludes everyone else).
@@ -90,9 +84,6 @@ type coord struct {
 	// arenaNext is the Builder node count at which the next arena sweep
 	// runs; 0 until the first mutating call establishes the baseline.
 	arenaNext int
-	// shards is the taint-partition shard map (shard.go), fixed at
-	// open time.
-	shards *shardMap
 }
 
 // nextSeq allocates the next update/audit sequence number. Caller holds
@@ -104,8 +95,11 @@ func (c *coord) nextSeq() int { return int(c.seq.Add(1)) }
 // engine escapes). verdictsDirty tracks whether any verdict changed
 // since the last publication; when clean, the previous epoch's frozen
 // verdict copy is re-used instead of re-copied — the Forward fast path
-// publishes in O(tables), not O(points).
+// publishes in O(tables), not O(points). Being the one place every
+// mutating call ends in, it is also where the diagram store is held to
+// its bound.
 func (s *Specializer) publish() {
+	s.ddBoundStore()
 	prev := s.co.cur.Load()
 	e := &epoch{
 		seq:      s.co.epochSeq + 1,
@@ -127,13 +121,6 @@ func (s *Specializer) publish() {
 	st.ArenaNodes = s.An.Builder.LiveNodes()
 	e.stats = st
 	e.generation = uint64(st.Forwarded) + uint64(st.Recompilations)
-	if s.ddc != nil {
-		e.dd = s.ddc.publishState(prev)
-	} else if prev != nil {
-		// Keep the last diagram state visible across an ablation pass
-		// (ReevaluateAll publishes with s.ddc temporarily nil).
-		e.dd = prev.dd
-	}
 	s.co.epochSeq = e.seq
 	s.co.cur.Store(e)
 	s.met.epoch.Set(int64(e.seq))

@@ -1,10 +1,8 @@
-// Equivalence suite for the parallel batched update engine: the
-// parallel evaluation path and the coalescing batch path must be
-// observationally identical to the sequential engine — same per-update
-// decisions, same verdicts, byte-identical specialized source — for
-// every catalog program, across fuzzer-generated update streams. Run
-// under -race this doubles as the concurrency soundness proof of the
-// worker pool.
+// Equivalence suite for the batched update engine: the coalescing batch
+// path must be observationally identical to the sequential engine —
+// same verdicts, byte-identical specialized source, decisions related
+// by the batch theorems — for every catalog program, across
+// fuzzer-generated update streams.
 //
 // The suite lives in an external test package because it drives the
 // engine through internal/progs (which imports core).
@@ -23,19 +21,16 @@ import (
 	"repro/internal/trace"
 )
 
-// equivSeeds is the number of fuzzer seeds per program. The container
-// this suite grew up on is single-core, so the parallel engine is
-// forced to a pool of parallelWorkers regardless of GOMAXPROCS.
+// equivSeeds is the number of fuzzer seeds per program.
 const (
-	equivSeeds      = 3
-	parallelWorkers = 4
-	streamLen       = 48
-	chunkSize       = 7
+	equivSeeds = 3
+	streamLen  = 48
+	chunkSize  = 7
 )
 
-func loadEngine(t *testing.T, p *progs.Program, workers int) *core.Specializer {
+func loadEngine(t *testing.T, p *progs.Program) *core.Specializer {
 	t.Helper()
-	s, err := p.LoadWith(core.Options{Workers: workers})
+	s, err := p.Load()
 	if err != nil {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
@@ -94,33 +89,8 @@ func sameEndState(t *testing.T, a, b *core.Specializer) {
 	}
 }
 
-// TestParallelMatchesSerial replays the same fuzzer update stream
-// through a Workers:1 engine and a pooled engine, asserting identical
-// per-update decisions and end states. Verdicts are deliberately
-// schedule- and RNG-independent (Dead and Const need exhaustive
-// certificates; probe luck only moves within Live), so this equality is
-// exact, not statistical.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, p := range progs.Catalog() {
-		t.Run(p.Name, func(t *testing.T) {
-			for seed := uint64(1); seed <= equivSeeds; seed++ {
-				serial := loadEngine(t, p, 1)
-				par := loadEngine(t, p, parallelWorkers)
-				for i, u := range makeStream(t, serial, seed) {
-					sameDecision(t, i, serial.Apply(u), par.Apply(u))
-				}
-				sameEndState(t, serial, par)
-				ss, sp := serial.Statistics(), par.Statistics()
-				if ss.Forwarded != sp.Forwarded || ss.Recompilations != sp.Recompilations || ss.Rejected != sp.Rejected {
-					t.Fatalf("seed %d: outcome counters diverged: %+v vs %+v", seed, ss, sp)
-				}
-			}
-		})
-	}
-}
-
 // TestBatchMatchesSequential chunks the same stream through ApplyBatch
-// on a pooled engine and through per-update Apply on a serial engine.
+// on one engine and through per-update Apply on another.
 // The end states must be identical; decisions are attributed at batch
 // granularity, so the per-update checks are the batch theorems:
 //
@@ -134,8 +104,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= equivSeeds; seed++ {
-				seq := loadEngine(t, p, 1)
-				bat := loadEngine(t, p, parallelWorkers)
+				seq := loadEngine(t, p)
+				bat := loadEngine(t, p)
 				stream := makeStream(t, seq, seed)
 				for start := 0; start < len(stream); start += chunkSize {
 					chunk := stream[start:min(start+chunkSize, len(stream))]
@@ -185,8 +155,8 @@ func TestTraceReplayBatchedPerBurst(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq := loadEngine(t, p, 1)
-			bat := loadEngine(t, p, parallelWorkers)
+			seq := loadEngine(t, p)
+			bat := loadEngine(t, p)
 			stream, err := fuzz.New(seq.An, 99).Stream(len(events))
 			if err != nil {
 				t.Fatal(err)
@@ -222,8 +192,8 @@ func TestTraceReplayBatchedPerBurst(t *testing.T) {
 func TestSingletonBatchExact(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
-			seq := loadEngine(t, p, 1)
-			bat := loadEngine(t, p, parallelWorkers)
+			seq := loadEngine(t, p)
+			bat := loadEngine(t, p)
 			for i, u := range makeStream(t, seq, 17) {
 				sd := seq.Apply(u)
 				bds := bat.ApplyBatch([]*controlplane.Update{u})

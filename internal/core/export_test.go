@@ -172,8 +172,5 @@ func CheckSpinesRooted(s *Specializer) error {
 	return nil
 }
 
-// HoldsPublishedRoot reports whether the published epoch carries a
-// diagram root for the point — what the wait-free Explain narrates.
-func HoldsPublishedRoot(s *Specializer, id int) bool {
-	return s.loadEpoch().dd.root(id) != nil
-}
+// DDSweepFloor is the diagram store's bound.
+const DDSweepFloor = ddSweepFloor

@@ -50,7 +50,7 @@ func TestImageParityAtEveryPublication(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, kind := range fuzz.PatternKinds() {
-				s, err := p.LoadWith(core.Options{Exec: true, Workers: 1})
+				s, err := p.LoadWith(core.Options{Exec: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +91,7 @@ func TestImageParityAtEveryPublication(t *testing.T) {
 // natEngine opens nat44 with the executor and sessions 0..n-1 installed.
 func natEngine(t *testing.T, n int, opts core.Options) *core.Specializer {
 	t.Helper()
-	opts.Exec, opts.Workers = true, 1
+	opts.Exec = true
 	p := progs.Nat44()
 	s, err := p.LoadWith(opts)
 	if err != nil {

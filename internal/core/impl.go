@@ -141,7 +141,7 @@ func (s *Specializer) idealImpl(table string) *tableImpl {
 			ok := true
 			for i, pv := range act.Params {
 				sub := an.Builder.Subst(pv, s.env)
-				res := s.shard(0).solver.ConstValue(sub)
+				res := s.eval.solver.ConstValue(sub)
 				if !res.Known || !res.IsConst {
 					ok = false
 					break

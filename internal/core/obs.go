@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dataplane"
 	"repro/internal/obs"
 )
@@ -52,14 +50,7 @@ type coreMetrics struct {
 	imageCompiles *obs.Counter   // publications that recompiled the image
 	imageNS       *obs.Histogram // per-publication image build latency, ns
 
-	// Epoch/shard engine (epoch.go / shard.go).
-	epoch      *obs.Gauge     // published epoch sequence number
-	shardCount *obs.Gauge     // taint-partition shards in use
-	shardEvals []*obs.Counter // points evaluated, per shard (core.shard_evals_<i>)
-
-	// reg is retained so the per-shard counters can be resolved once
-	// the shard map is built (after the registry-bound instruments).
-	reg *obs.Registry
+	epoch *obs.Gauge // published epoch sequence number (epoch.go)
 }
 
 // newCoreMetrics resolves the engine instruments from a registry; a nil
@@ -101,32 +92,7 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		imageCompiles:   r.Counter("core.image_compiles"),
 		imageNS:         r.Histogram("core.image_ns"),
 		epoch:           r.Gauge("core.epoch"),
-		shardCount:      r.Gauge("core.shards"),
-		reg:             r,
 	}
-}
-
-// initShards resolves the per-shard evaluation counters once the
-// taint-partition shard map is built. With metrics disabled it leaves
-// the slice nil; shardEval then hands out nil (absorbing) counters.
-func (m *coreMetrics) initShards(n int) {
-	m.shardCount.Set(int64(n))
-	if m.reg == nil {
-		return
-	}
-	m.shardEvals = make([]*obs.Counter, n)
-	for i := range m.shardEvals {
-		m.shardEvals[i] = m.reg.Counter(fmt.Sprintf("core.shard_evals_%d", i))
-	}
-}
-
-// shardEval picks the evaluation counter of one shard (nil-safe when
-// metrics are disabled).
-func (m *coreMetrics) shardEval(sh int) *obs.Counter {
-	if sh < len(m.shardEvals) {
-		return m.shardEvals[sh]
-	}
-	return nil
 }
 
 // queryName names the specialization query a point kind answers, the
@@ -153,7 +119,7 @@ func (m *coreMetrics) decisionCounter(k DecisionKind) *obs.Counter {
 
 // auditRecord builds the trail entry for one decided update. The changes
 // slice is copied: the engine reuses its scratch buffer across updates.
-func auditRecord(d *Decision, seq, batch, workers int, changes []obs.PointChange) obs.AuditRecord {
+func auditRecord(d *Decision, seq, batch int, changes []obs.PointChange) obs.AuditRecord {
 	rec := obs.AuditRecord{
 		Seq:        seq,
 		Batch:      batch,
@@ -164,7 +130,6 @@ func auditRecord(d *Decision, seq, batch, workers int, changes []obs.PointChange
 		Components: d.Components,
 		ImplChange: d.ImplementationChange,
 		ElapsedNS:  d.Elapsed.Nanoseconds(),
-		Workers:    workers,
 	}
 	if d.Degraded {
 		rec.Precision = "degraded"

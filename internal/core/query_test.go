@@ -3,9 +3,10 @@
 // promise that a wide residue costs no evaluation and no diagram, the
 // dispatch counters' accounting identity, the residue-pointer memo that
 // settles an update which changes no assignment (and what a restored
-// engine pays for not having it), the lifetime of a diagram root,
-// Explain's on-demand narration of width-decided points, and the
-// premise the atom registration shortcut rests on.
+// engine pays for not having it), the diagram path's own accounting
+// (every query that reaches it compiles; the store stays bounded),
+// Explain following the residue, and the premise the atom registration
+// shortcut rests on.
 package core_test
 
 import (
@@ -23,20 +24,19 @@ import (
 	"repro/internal/sym"
 )
 
-// TestPassMemoMatchesPerPointSubst: catalog × churn pattern × workers.
-// After every call the engine's verdicts and kept residue pointers must
-// be what a substitution per point yields; halfway through each stream
-// the arena is swept by force, renumbering every node id the shards'
-// memos are indexed by, so a generation that outlived its pass would
-// show in the very next check.
+// TestPassMemoMatchesPerPointSubst: catalog × churn pattern. After every
+// call the engine's verdicts and kept residue pointers must be what a
+// substitution per point yields; halfway through each stream the arena
+// is swept by force, renumbering every node id the substitution memo is
+// indexed by, so a generation that outlived its pass would show in the
+// very next check.
 func TestPassMemoMatchesPerPointSubst(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			swept := 0
-			for ki, kind := range fuzz.PatternKinds() {
-				workers := []int{1, 2, 4}[ki%3]
-				s, err := p.LoadWith(core.Options{Workers: workers})
+			for _, kind := range fuzz.PatternKinds() {
+				s, err := p.Load()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -44,7 +44,7 @@ func TestPassMemoMatchesPerPointSubst(t *testing.T) {
 				check := func(when string) {
 					t.Helper()
 					if err := core.CheckAgainstPerPointSubst(s); err != nil {
-						t.Fatalf("%s, %d workers, %s: %v", kind, workers, when, err)
+						t.Fatalf("%s, %s: %v", kind, when, err)
 					}
 				}
 				check("open")
@@ -88,7 +88,7 @@ func aclEngine(t *testing.T, n int) (*core.Specializer, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	p := progs.Middleblock()
-	s, err := p.LoadWith(core.Options{OverapproxThreshold: -1, Workers: 1, Metrics: reg})
+	s, err := p.LoadWith(core.Options{OverapproxThreshold: -1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestQueryDispatchCountersSum(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			reg := obs.NewRegistry()
-			s, err := p.LoadWith(core.Options{Workers: 4, Metrics: reg})
+			s, err := p.LoadWith(core.Options{Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestStableAssignmentSkipsEveryQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			rreg := obs.NewRegistry()
-			r, err := core.Restore(snap, core.Options{Workers: 1, Metrics: rreg})
+			r, err := core.Restore(snap, core.Options{Metrics: rreg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,23 +264,216 @@ func TestStableAssignmentSkipsEveryQuery(t *testing.T) {
 	}
 }
 
-// TestExplainNeverNarratesStaleRoot: a diagram root lives exactly as long
-// as the residue it was compiled from. Two kinds of new residue never
-// reach the diagram stage that would overwrite the old root — a literal,
-// and any residue of a point under a degraded table — so the root has to
-// go where the residue pointer changes, or the wait-free Explain would
-// narrate "dd" for a condition that no longer exists and the arena would
-// keep its residue rooted. nat44's zone table is keyed on the 9-bit
-// ingress port, narrow enough for its points to hold roots; emptying it
-// folds them to literals, degrading it takes them off the diagram path.
-// Undoing either brings the roots back, and an engine whose arena is
-// swept by force in between stays verdict-equal to a twin that never
-// sweeps.
-func TestExplainNeverNarratesStaleRoot(t *testing.T) {
+// explainSource is what Explain says decided the point.
+func explainSource(t *testing.T, s *core.Specializer, id int) string {
+	t.Helper()
+	ex, err := s.Explain(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex.Source
+}
+
+// ddAccounted asserts the diagram path's accounting identity on an
+// engine with no degraded table: every query that reached the diagram
+// stage compiled its residue (a memo hit counts), and was then answered
+// on the diagram or handed to the enumeration.
+func ddAccounted(t *testing.T, s *core.Specializer, when string) {
+	t.Helper()
+	if st := s.Statistics(); st.DDCompiles != st.QueryDD+st.DDFallbacks {
+		t.Fatalf("%s: %d diagram compiles for %d answers + %d fallbacks: %d queries reached the diagram stage and compiled nothing",
+			when, st.DDCompiles, st.QueryDD, st.DDFallbacks, st.QueryDD+st.DDFallbacks-st.DDCompiles)
+	}
+}
+
+// TestEveryDiagramQueryCompiles: no query sits the diagram stage out
+// because an earlier residue of its point failed to compile. Across the
+// churn patterns on switch, middleblock and nat44 — at the default
+// threshold, where crossing it turns a table's action residue into a
+// bare variable no diagram hosts, and in precise mode — the accounting
+// identity holds after every call. And the consequence, on one point:
+// nat44's zone table pushed past a small threshold leaves the fragment,
+// and the very call that brings it back under puts its points on the
+// diagram path again.
+func TestEveryDiagramQueryCompiles(t *testing.T) {
+	for _, name := range []string{"switch", "middleblock", "nat44"} {
+		p, err := progs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threshold := range []int{0, -1} {
+			t.Run(fmt.Sprintf("%s-threshold%d", name, threshold), func(t *testing.T) {
+				t.Parallel()
+				for _, kind := range fuzz.PatternKinds() {
+					s, err := p.LoadWith(core.Options{OverapproxThreshold: threshold})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					if err := p.ApplyRepresentative(s); err != nil {
+						t.Fatal(err)
+					}
+					ddAccounted(t, s, "representative")
+					for round := uint64(0); round < 2; round++ {
+						cs, err := fuzz.Churn(s.An, fuzz.ChurnSpec{
+							Kind: kind, Table: p.BurstTable, Updates: 256, Seed: uint64(kind)*31 + 7 + round,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for bi, batch := range cs.Batches() {
+							s.ApplyBatch(batch)
+							ddAccounted(t, s, fmt.Sprintf("%s round %d batch %d", kind, round, bi))
+						}
+						for _, u := range cs.Drain() {
+							s.Apply(u)
+						}
+						ddAccounted(t, s, fmt.Sprintf("%s round %d drain", kind, round))
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("back-in-fragment", func(t *testing.T) {
+		p := progs.Nat44()
+		const table, threshold = "Ingress.nat_zone", 4
+		s, err := p.LoadWith(core.Options{OverapproxThreshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := p.ApplyRepresentative(s); err != nil {
+			t.Fatal(err)
+		}
+		sources := func() map[int]string {
+			t.Helper()
+			out := map[int]string{}
+			for _, pt := range s.An.PointsOf(table) {
+				if pt.Table == table {
+					out[pt.ID] = explainSource(t, s, pt.ID)
+				}
+			}
+			return out
+		}
+		before := sources()
+		var zones []*controlplane.Update
+		for port := uint64(10); s.Entries(table)+len(zones) <= threshold; port++ {
+			zones = append(zones, &controlplane.Update{Kind: controlplane.InsertEntry, Table: table, Entry: &controlplane.TableEntry{
+				Matches: []controlplane.FieldMatch{{Kind: controlplane.MatchExact, Value: sym.NewBV(9, port)}},
+				Action:  "set_zone", Params: []sym.BV{sym.NewBV(16, port)},
+			}})
+		}
+		st0 := s.Statistics()
+		for _, u := range zones {
+			if d := s.Apply(u); d.Kind == core.Rejected {
+				t.Fatal(d.Err)
+			}
+		}
+		st1 := s.Statistics()
+		if !s.Cfg.Overapproximated(table) || st1.DDFallbacks == st0.DDFallbacks {
+			t.Fatalf("%d entries in %s: overapproximated %v, %d fallbacks; want a residue that left the fragment",
+				s.Entries(table), table, s.Cfg.Overapproximated(table), st1.DDFallbacks-st0.DDFallbacks)
+		}
+		left := 0
+		for id, src := range sources() {
+			if before[id] == "dd" && src == "solver" {
+				left++
+			}
+		}
+		if left == 0 {
+			t.Fatalf("no point of %s went from a diagram to the solver: %v then %v", table, before, sources())
+		}
+		// One delete brings the table back under the threshold.
+		last := zones[len(zones)-1]
+		if d := s.Apply(&controlplane.Update{Kind: controlplane.DeleteEntry, Table: table, Entry: last.Entry}); d.Kind == core.Rejected {
+			t.Fatal(d.Err)
+		}
+		st2 := s.Statistics()
+		if got := st2.QueryDD - st1.QueryDD; got < int64(left) || st2.DDFallbacks != st1.DDFallbacks {
+			t.Fatalf("back under the threshold: %d queries answered on a diagram and %d sent to the enumeration, want the %d points that left answered on a diagram",
+				got, st2.DDFallbacks-st1.DDFallbacks, left)
+		}
+		ddAccounted(t, s, "back under the threshold")
+		for id, src := range sources() {
+			if src != before[id] {
+				t.Fatalf("point %d: Explain says %q back under the threshold, %q before the table left it", id, src, before[id])
+			}
+		}
+	})
+}
+
+// TestDiagramStoreStaysBounded: the diagram store is bounded by a
+// constant, not by update history. A freshly opened scion under a long
+// fuzzed stream in controller-sized batches never ends a call with more
+// than ddSweepFloor nodes plus what one call can add; replacing the
+// store costs no compile the stream would not have made anyway (the
+// counts are those of an engine that never replaces it: no compile of
+// these streams bails); and the end state is that of an engine without
+// diagrams.
+func TestDiagramStoreStaysBounded(t *testing.T) {
+	p := progs.Scion()
+	for _, tc := range []struct {
+		seed     uint64
+		compiles int64
+	}{{1, 930}, {42, 1196}} {
+		t.Run(fmt.Sprintf("seed-%d", tc.seed), func(t *testing.T) {
+			t.Parallel()
+			s, twin := loadDD(t, p, false), loadDD(t, p, true)
+			defer s.Close()
+			defer twin.Close()
+			stream, err := fuzz.New(s.An, tc.seed).Stream(3000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev, growth, peak := s.Statistics().DDNodes, 0, 0
+			for start := 0; start < len(stream); start += 16 {
+				batch := stream[start:min(start+16, len(stream))]
+				s.ApplyBatch(batch)
+				twin.ApplyBatch(batch)
+				n := s.Statistics().DDNodes
+				growth, peak = max(growth, n-prev), max(peak, n)
+				if n > core.DDSweepFloor+growth {
+					t.Fatalf("after update %d the store holds %d nodes; the bound is %d + %d (the largest growth of one call)",
+						start+len(batch), n, core.DDSweepFloor, growth)
+				}
+				prev = n
+			}
+			st := s.Statistics()
+			t.Logf("%d compiles, %d fallbacks, store peaked at %d nodes and ends at %d", st.DDCompiles, st.DDFallbacks, peak, st.DDNodes)
+			if st.DDCompiles != tc.compiles {
+				t.Fatalf("%d diagram compiles, want %d", st.DDCompiles, tc.compiles)
+			}
+			sameEndState(t, s, twin)
+		})
+	}
+}
+
+// TestExplainFollowsTheResidue: Explain narrates the residue the point
+// has now, by the means the update path decides it with — asserted on
+// Explain's output alone. nat44's zone table is keyed on the 9-bit
+// ingress port, narrow enough for its points to be diagram-decided;
+// emptying it folds them to literals, degrading it takes them off the
+// diagram path, and undoing either puts them back. An engine whose arena
+// (and with it the diagram store) is swept by force in between stays
+// verdict-equal to a twin that never sweeps. Then the whole catalog:
+// whatever Explain calls diagram-decided comes with evidence that holds
+// against the residue itself.
+func TestExplainFollowsTheResidue(t *testing.T) {
+	t.Run("zone-script", explainZoneScript)
+	for _, p := range progs.Catalog() {
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			explainEvidenceHolds(t, p)
+		})
+	}
+}
+
+func explainZoneScript(t *testing.T) {
 	p := progs.Nat44()
 	const table = "Ingress.nat_zone"
 	open := func() *core.Specializer {
-		s, err := p.LoadWith(core.Options{Workers: 1, RepairInterval: -1})
+		s, err := p.LoadWith(core.Options{RepairInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,27 +484,22 @@ func TestExplainNeverNarratesStaleRoot(t *testing.T) {
 		return s
 	}
 	s, twin := open(), open()
-	var held []int
+	var narrated []int
 	// The table's own points: what it taints downstream may keep its
-	// residue, and with it its root, through all of this.
+	// residue through all of this.
 	for _, pt := range s.An.PointsOf(table) {
-		if pt.Table == table && core.HoldsPublishedRoot(s, pt.ID) {
-			held = append(held, pt.ID)
+		if pt.Table == table && explainSource(t, s, pt.ID) == "dd" {
+			narrated = append(narrated, pt.ID)
 		}
 	}
-	if len(held) == 0 {
-		t.Fatalf("no point of %s holds a diagram root", table)
+	if len(narrated) == 0 {
+		t.Fatalf("Explain calls no point of %s diagram-decided", table)
 	}
-	check := func(label string, rooted bool) {
+	check := func(label, want string) {
 		t.Helper()
-		for _, id := range held {
-			ex, err := s.Explain(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := core.HoldsPublishedRoot(s, id); got != rooted || (ex.Source == "dd") != rooted {
-				t.Fatalf("%s: point %d holds a published root: %v, Explain says %q; want rooted=%v",
-					label, id, got, ex.Source, rooted)
+		for _, id := range narrated {
+			if got := explainSource(t, s, id); got != want {
+				t.Fatalf("%s: Explain says %q for point %d, want %q", label, got, id, want)
 			}
 		}
 	}
@@ -352,21 +540,76 @@ func TestExplainNeverNarratesStaleRoot(t *testing.T) {
 	}
 	lit0 := s.Statistics().QueryLiteral
 	apply(empty)
-	if got := s.Statistics().QueryLiteral - lit0; got < int64(len(held)) {
-		t.Fatalf("emptying %s answered %d queries by a literal, want the %d rooted points among them", table, got, len(held))
+	if got := s.Statistics().QueryLiteral - lit0; got < int64(len(narrated)) {
+		t.Fatalf("emptying %s answered %d queries by a literal, want the %d narrated points among them", table, got, len(narrated))
 	}
-	check("table emptied", false)
+	check("table emptied", "solver")
 	sweep("table emptied")
 	apply(fill)
-	check("table refilled", true)
+	check("table refilled", "dd")
 	sameEndState(t, s, twin)
 
 	both(func(e *core.Specializer) error { return e.Degrade(table) })
-	check("table degraded", false)
+	check("table degraded", "solver")
 	sweep("table degraded")
 	both(func(e *core.Specializer) error { _, err := e.PromoteAll(); return err })
-	check("table promoted", true)
+	check("table promoted", "dd")
 	sameEndState(t, s, twin)
+}
+
+// explainEvidenceHolds: after the program's representative
+// configuration, every point Explain calls diagram-decided has a
+// predicate path — or none because the diagram is a terminal, and then
+// the residue takes the verdict's value under the zero assignment — and
+// for a live point the witness drives the residue to true.
+func explainEvidenceHolds(t *testing.T, p *progs.Program) {
+	s, err := p.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := p.ApplyRepresentative(s); err != nil {
+		t.Fatal(err)
+	}
+	dd, live := 0, 0
+	for id := range s.An.Points {
+		ex, err := s.Explain(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Source != "dd" {
+			continue
+		}
+		dd++
+		witness := make(map[string]sym.BV, len(ex.Witness))
+		for name, val := range ex.Witness {
+			witness[name] = parseBV(t, val)
+		}
+		out, err := core.ResidueValue(s, id, witness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ex.Verdict {
+		case "live":
+			live++
+			if ex.Witness == nil || !out.IsTrue() {
+				t.Fatalf("point %d: live, but witness %v drives the residue to %s", id, ex.Witness, out)
+			}
+		case "dead":
+			if !out.IsZero() {
+				t.Fatalf("point %d: dead, but the residue is %s under the zero assignment", id, out)
+			}
+		case "const":
+			if out.String() != ex.Value {
+				t.Fatalf("point %d: const %s, but the residue is %s under the narrated assignment", id, ex.Value, out)
+			}
+		default:
+			if len(ex.Steps) == 0 {
+				t.Fatalf("point %d: verdict %s on a diagram with no predicate to vary over", id, ex.Verdict)
+			}
+		}
+	}
+	t.Logf("%d of %d points diagram-decided, %d live witnesses checked", dd, len(s.An.Points), live)
 }
 
 // parseBV reads sym.BV's String form (width 'w' 0x hex).
@@ -501,7 +744,7 @@ func TestEnvVariablesAreAtoms(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := p.LoadWith(core.Options{Workers: 1, RepairInterval: -1})
+			s, err := p.LoadWith(core.Options{RepairInterval: -1})
 			if err != nil {
 				t.Fatal(err)
 			}

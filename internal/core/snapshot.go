@@ -181,11 +181,6 @@ func (r *snapReader) bv() sym.BV {
 // Restore preserves the counter, so generations are comparable across
 // a warm restart.
 func (s *Specializer) Generation() uint64 {
-	if s.lockedReads {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return uint64(s.stats.Forwarded) + uint64(s.stats.Recompilations)
-	}
 	return s.loadEpoch().generation
 }
 
@@ -492,8 +487,8 @@ func readWitnesses(r *snapReader, b *sym.Builder, points int) []sym.Env {
 // deterministic functions of the embedded source); the configuration,
 // verdicts and witnesses are installed from the snapshot, skipping the
 // initial query pass. The snapshot dictates the verdict-shaping options
-// (quality, threshold, parser skipping); runtime options — workers,
-// observability — come from opts.
+// (quality, threshold, parser skipping); runtime options — the
+// executor, repair pacing, observability — come from opts.
 func Restore(data []byte, opts Options) (*Specializer, error) {
 	if len(data) < len(snapMagic)+8 {
 		return nil, fmt.Errorf("core: %w: input too short", flayerr.ErrSnapshotCorrupt)
@@ -587,22 +582,20 @@ func Restore(data []byte, opts Options) (*Specializer, error) {
 	}
 
 	s := &Specializer{
-		Prog:        prog,
-		Info:        info,
-		An:          an,
-		Cfg:         cfg,
-		source:      source,
-		impls:       make(map[string]*tableImpl),
-		quality:     quality,
-		workers:     opts.Workers,
-		lockedReads: opts.LockedReads,
-		exec:        opts.Exec,
-		trace:       opts.Trace,
-		audit:       opts.Audit,
-		met:         newCoreMetrics(opts.Metrics),
-		symMet:      sym.NewSolverMetrics(opts.Metrics),
-		repair:      opts.RepairInterval,
-		closedCh:    make(chan struct{}),
+		Prog:     prog,
+		Info:     info,
+		An:       an,
+		Cfg:      cfg,
+		source:   source,
+		impls:    make(map[string]*tableImpl),
+		quality:  quality,
+		exec:     opts.Exec,
+		trace:    opts.Trace,
+		audit:    opts.Audit,
+		met:      newCoreMetrics(opts.Metrics),
+		symMet:   sym.NewSolverMetrics(opts.Metrics),
+		repair:   opts.RepairInterval,
+		closedCh: make(chan struct{}),
 	}
 	if len(degraded) > 0 {
 		s.degraded = degraded
@@ -675,7 +668,6 @@ func Restore(data []byte, opts Options) (*Specializer, error) {
 		Tables:         len(an.Tables),
 		AnalysisTime:   analysisTime,
 		PreprocessTime: time.Since(t1),
-		Workers:        opts.Workers,
 		Updates:        int(counters[0]),
 		Forwarded:      int(counters[1]),
 		Recompilations: int(counters[2]),

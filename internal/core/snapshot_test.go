@@ -30,39 +30,22 @@ import (
 
 const resumeSeeds = 2
 
-// normalize strips the audit fields that legitimately differ between
-// engines answering the same stream: wall-clock time, the configured
-// pool size, and which worker happened to re-prove a point. Everything
-// else — sequence, target, decision, affected counts, per-point verdict
-// flips, component lists, implementation changes — must match exactly.
-func normalize(recs []obs.AuditRecord) []obs.AuditRecord {
-	out := make([]obs.AuditRecord, len(recs))
-	for i, r := range recs {
-		r.ElapsedNS = 0
-		r.Workers = 0
-		r.Changes = slices.Clone(r.Changes)
-		for j := range r.Changes {
-			r.Changes[j].Worker = 0
-		}
-		out[i] = r
-	}
-	return out
-}
-
+// sameAudit compares two trails on everything but wall-clock time:
+// sequence, target, decision, affected counts, per-point verdict flips,
+// component lists and implementation changes must match exactly.
 func sameAudit(t *testing.T, label string, a, b []obs.AuditRecord) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: %d audit records vs %d", label, len(a), len(b))
 	}
-	na, nb := normalize(a), normalize(b)
-	for i := range na {
-		if na[i].Seq != nb[i].Seq || na[i].Batch != nb[i].Batch ||
-			na[i].Target != nb[i].Target || na[i].Update != nb[i].Update ||
-			na[i].Decision != nb[i].Decision || na[i].Affected != nb[i].Affected ||
-			!slices.Equal(na[i].Changes, nb[i].Changes) ||
-			!slices.Equal(na[i].Components, nb[i].Components) ||
-			na[i].ImplChange != nb[i].ImplChange || na[i].Err != nb[i].Err {
-			t.Fatalf("%s: audit record %d diverged:\n  %+v\nvs\n  %+v", label, i, na[i], nb[i])
+	for i := range a {
+		if a[i].Seq != b[i].Seq || a[i].Batch != b[i].Batch ||
+			a[i].Target != b[i].Target || a[i].Update != b[i].Update ||
+			a[i].Decision != b[i].Decision || a[i].Affected != b[i].Affected ||
+			!slices.Equal(a[i].Changes, b[i].Changes) ||
+			!slices.Equal(a[i].Components, b[i].Components) ||
+			a[i].ImplChange != b[i].ImplChange || a[i].Err != b[i].Err {
+			t.Fatalf("%s: audit record %d diverged:\n  %+v\nvs\n  %+v", label, i, a[i], b[i])
 		}
 	}
 }
@@ -145,11 +128,11 @@ func TestSnapshotResumeMatchesUninterrupted(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= resumeSeeds; seed++ {
-				base, baseTrail := loadAudited(t, p, 1)
+				base, baseTrail := loadAudited(t, p)
 				stream := makeStream(t, base, seed)
 				half := len(stream) / 2
 
-				first, _ := loadAudited(t, p, 1)
+				first, _ := loadAudited(t, p)
 				for i, u := range stream {
 					d := base.Apply(u)
 					if i < half {
@@ -162,7 +145,7 @@ func TestSnapshotResumeMatchesUninterrupted(t *testing.T) {
 				}
 
 				resumedTrail := obs.NewTrail(0)
-				resumed, err := core.Restore(snap, core.Options{Workers: 1, Audit: resumedTrail})
+				resumed, err := core.Restore(snap, core.Options{Audit: resumedTrail})
 				if err != nil {
 					t.Fatalf("restore: %v", err)
 				}
@@ -204,7 +187,7 @@ func TestSnapshotUnderConcurrentBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := loadEngine(t, p, 1)
+	scratch := loadEngine(t, p)
 	schedule := tortureSchedule(t, p, scratch, 1, 128)
 	scratch.Close()
 
@@ -217,7 +200,7 @@ func TestSnapshotUnderConcurrentBatches(t *testing.T) {
 		boundaries[total] = i + 1
 	}
 
-	live, liveTrail := loadAudited(t, p, 4)
+	live, liveTrail := loadAudited(t, p)
 	done := make(chan struct{})
 	var snaps [][]byte
 	var wg sync.WaitGroup
@@ -267,7 +250,7 @@ func TestSnapshotUnderConcurrentBatches(t *testing.T) {
 	replayed := make(map[int]bool)
 	for _, data := range snaps {
 		resumedTrail := obs.NewTrail(0)
-		resumed, err := core.Restore(data, core.Options{Workers: 4, Audit: resumedTrail})
+		resumed, err := core.Restore(data, core.Options{Audit: resumedTrail})
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}

@@ -174,16 +174,11 @@ type Options struct {
 	// Quality selects the specialization aggressiveness (default
 	// QualityFull).
 	Quality Quality
-	// Workers bounds the point re-evaluation worker pool: 1 forces
-	// serial evaluation, >1 sets the pool size, and <=0 (the default)
-	// uses GOMAXPROCS. A pass under minParallelPoints stays serial
-	// whatever the bound (parallel.go).
-	Workers int
 	// NoDD disables the canonical decision-diagram query core (dd.go):
 	// every residue inside the exhaustive bound is then decided by the
-	// solver's enumeration. The diagram core is on by default; the
-	// differential suite and the flaybench dd section use the ablation
-	// to prove verdict equivalence.
+	// solver's enumeration. The diagram core is on by default; this is
+	// the reference arm the differential suite (dddiff_test.go) and the
+	// flaybench dd section hold it to.
 	NoDD bool
 
 	// Exec enables the data-plane executor (exec.go): every epoch
@@ -191,14 +186,6 @@ type Options struct {
 	// the specialized program, served wait-free by Exec/ExecBatch. Off
 	// by default — engines that never execute packets pay nothing.
 	Exec bool
-
-	// LockedReads is the pre-epoch ablation: read entry points
-	// (Verdict, Statistics, Entries, Generation, DegradedTables) take
-	// the engine read lock and read mutable state instead of loading
-	// the published epoch — the seed engine's behaviour, where every
-	// query contends with writers on one RWMutex. It exists for the
-	// scaling benchmark's baseline and costs nothing when false.
-	LockedReads bool
 
 	// RepairInterval paces the adaptive precision controller's
 	// background repair goroutine (deadline.go): after RepairInterval of
@@ -240,9 +227,7 @@ type Stats struct {
 	// the same batch — i.e. evaluation passes the batch engine elided.
 	Coalesced int
 
-	// Parallel evaluation counters.
 	EvalTime time.Duration // cumulative wall time re-evaluating points
-	Workers  int           // configured worker count (0 = GOMAXPROCS)
 
 	// Always zero: the specialization-query cache they counted is gone.
 	// They stay only because bench/ — which a PR may not edit alongside
@@ -268,8 +253,9 @@ type Stats struct {
 	// disabled), over the queries that reached a diagram — literal and
 	// width-decided queries never do. DDQueries counts verdicts answered
 	// on the diagram path, DDFallbacks queries it punted to the solver,
-	// DDCompiles root compilations, and DDNodes the interned diagram
-	// nodes.
+	// DDCompiles diagram compilations (one per query that reached the
+	// stage outside a degraded table, compile-memo hits included), and
+	// DDNodes the nodes in the current diagram store.
 	DDQueries   int64
 	DDFallbacks int64
 	DDCompiles  int64
@@ -308,8 +294,7 @@ type Stats struct {
 // points that need the full mutable state (Snapshot, DifferentialCheck,
 // SpecializedProgram) share the read lock, which is what gives them a
 // consistent cut against writers. Point re-evaluation inside a mutating
-// call fans out over the worker pool in parallel.go, grouped by taint
-// partition (shard.go).
+// call is one loop on the caller's goroutine (eval.go).
 type Specializer struct {
 	Prog *ast.Program
 	Info *typecheck.Info
@@ -335,9 +320,8 @@ type Specializer struct {
 	// once at open.
 	tablePoints map[string]*tablePoints
 
-	// co is the cross-shard coordination layer (epoch.go): the
-	// published epoch pointer, the audit-seq allocator, the arena-sweep
-	// trigger, and the taint-partition shard map.
+	// co is the coordination state (epoch.go): the published epoch
+	// pointer, the audit-seq allocator and the arena-sweep trigger.
 	co coord
 	// verdictsDirty is set (single-threaded, in reevalPoints' epilogue)
 	// when a pass changed at least one verdict; publish() clears it and
@@ -353,13 +337,9 @@ type Specializer struct {
 	imgFull    bool
 	imgTargets []string
 	machines   sync.Pool
-	// lockedReads selects the pre-epoch read path (Options.LockedReads).
-	lockedReads bool
 
-	// workers is the configured evaluation pool bound (Options.Workers);
-	// shards holds the per-worker scratch states, grown lazily.
-	workers int
-	shards  []*evalShard
+	// eval is the evaluation scratch every pass runs over (eval.go).
+	eval evalScratch
 
 	// Observability (all fields are nil-safe; nil means disabled).
 	trace  *obs.Trace
@@ -381,7 +361,7 @@ type Specializer struct {
 	witnesses []sym.Env
 
 	// pointDeps holds each point's sorted dependency targets (the taint
-	// map inverted, shard.go).
+	// map inverted, buildPointDeps).
 	pointDeps [][]string
 
 	// The decision-diagram query core (dd.go): ddc is nil when
@@ -392,7 +372,7 @@ type Specializer struct {
 	ddc  *ddCore
 	roDD atomic.Pointer[ddCore]
 	// answeredBy counts queryAny's dispatch, one slot per queryPath;
-	// workers bump them concurrently and Statistics reads them live.
+	// atomic because Statistics reads them live beside the writer.
 	answeredBy [numQueryPaths]atomic.Int64
 
 	// Adaptive precision controller state (deadline.go). costNS is the
@@ -433,21 +413,19 @@ func New(prog *ast.Program, info *typecheck.Info, opts Options) (*Specializer, e
 	cfg.OverapproxThreshold = opts.OverapproxThreshold
 	cfg.SetObserver(opts.Metrics)
 	s := &Specializer{
-		Prog:        prog,
-		Info:        info,
-		An:          an,
-		Cfg:         cfg,
-		impls:       make(map[string]*tableImpl),
-		quality:     opts.Quality,
-		workers:     opts.Workers,
-		lockedReads: opts.LockedReads,
-		exec:        opts.Exec,
-		trace:       opts.Trace,
-		audit:       opts.Audit,
-		met:         newCoreMetrics(opts.Metrics),
-		symMet:      sym.NewSolverMetrics(opts.Metrics),
-		repair:      opts.RepairInterval,
-		closedCh:    make(chan struct{}),
+		Prog:     prog,
+		Info:     info,
+		An:       an,
+		Cfg:      cfg,
+		impls:    make(map[string]*tableImpl),
+		quality:  opts.Quality,
+		exec:     opts.Exec,
+		trace:    opts.Trace,
+		audit:    opts.Audit,
+		met:      newCoreMetrics(opts.Metrics),
+		symMet:   sym.NewSolverMetrics(opts.Metrics),
+		repair:   opts.RepairInterval,
+		closedCh: make(chan struct{}),
 	}
 	if !opts.NoDD {
 		s.ddc = newDDCore(an, nil)
@@ -459,8 +437,8 @@ func New(prog *ast.Program, info *typecheck.Info, opts Options) (*Specializer, e
 		return nil, err
 	}
 	// Initial preprocessing: every point's verdict under the empty
-	// assignment, fanned out over the worker pool (the changed-IDs
-	// return is irrelevant against zero-valued verdicts).
+	// assignment (the changed-IDs return is irrelevant against
+	// zero-valued verdicts).
 	s.reevalPoints(an.Points)
 	for name := range an.Tables {
 		s.impls[name] = s.idealImpl(name)
@@ -474,7 +452,6 @@ func New(prog *ast.Program, info *typecheck.Info, opts Options) (*Specializer, e
 		Tables:         len(an.Tables),
 		AnalysisTime:   analysisTime,
 		PreprocessTime: time.Since(t1),
-		Workers:        opts.Workers,
 	}
 	// Publish the open-time epoch before the engine escapes: readers
 	// may load it the moment New returns.
@@ -511,8 +488,8 @@ func (s *Specializer) initState() error {
 	an := s.An
 	s.env = make(controlplane.Env)
 	s.pointDeps = buildPointDeps(an)
-	s.co.shards = buildShardMap(an, s.pointDeps)
-	s.met.initShards(s.co.shards.count)
+	s.eval.solver = sym.NewSolver()
+	s.eval.solver.Metrics = s.symMet
 	s.tablePoints = indexTablePoints(an)
 	s.verdicts = make([]Verdict, len(an.Points))
 	s.pointSub = make([]*sym.Expr, len(an.Points))
@@ -557,16 +534,7 @@ func (s *Specializer) initState() error {
 // unsound counters are overlaid live from their atomics; everything
 // else is the consistent cut the last mutating call published.
 func (s *Specializer) Statistics() Stats {
-	var st Stats
-	if s.lockedReads {
-		s.mu.RLock()
-		st = s.stats
-		st.DegradedTables = len(s.degraded)
-		st.ArenaNodes = s.An.Builder.NumNodes()
-		s.mu.RUnlock()
-	} else {
-		st = s.loadEpoch().stats
-	}
+	st := s.loadEpoch().stats
 	st.QueryLiteral = s.answeredBy[byLiteral].Load()
 	st.QueryWidth = s.answeredBy[byWidth].Load()
 	st.QueryDD = s.answeredBy[byDD].Load()
@@ -585,11 +553,6 @@ func (s *Specializer) Statistics() Stats {
 // epoch. Like Statistics it is wait-free and safe to call concurrently
 // with Apply/ApplyBatch.
 func (s *Specializer) Entries(table string) int {
-	if s.lockedReads {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.Cfg.NumEntries(table)
-	}
 	return s.loadEpoch().entries[table]
 }
 
@@ -610,8 +573,7 @@ func (s *Specializer) ReevaluateAll() int {
 		s.witnesses[p.ID] = nil
 	}
 	// The baseline measures the solver path: the diagram core sits the
-	// pass out. The environment did not change, so every residue comes
-	// out the pointer it was and the roots left behind stay valid.
+	// pass out.
 	ddc := s.ddc
 	s.ddc = nil
 	t0 := time.Now()
@@ -698,38 +660,22 @@ func (s *Specializer) recompileTarget(target string) error {
 // one atomic load plus an index into the epoch's frozen verdict copy,
 // wait-free against concurrent writers.
 func (s *Specializer) Verdict(id int) Verdict {
-	if s.lockedReads {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.verdicts[id]
-	}
 	return s.loadEpoch().verdicts[id]
 }
 
-// evalPointWith answers one point's specialization query using the
-// given worker shard's solver and substitution pass, in two steps:
-// substitute, then query. Hash-consing makes the substituted expression
-// a canonical pointer, so an unchanged pointer means an unchanged
-// verdict and the query is skipped; a changed one is queried (queryAny).
-//
-// A changed pointer also ends the life of the point's diagram root: a
-// root lives exactly as long as the residue it was compiled from, and
-// this is the one place that says so. Not every new residue reaches
-// rootFor to overwrite the old root — a literal is answered before the
-// diagram stage and a point under a degraded target never enters it —
-// and a root left behind would stay rooted in the arena and be narrated
-// by the wait-free Explain for a condition that no longer exists.
-func (s *Specializer) evalPointWith(sh *evalShard, p *dataplane.Point) Verdict {
-	sub := sh.pass.Subst(p.Expr)
+// evalPoint answers one point's specialization query inside the pass in
+// flight, in two steps: substitute, then query. Hash-consing makes the
+// substituted expression a canonical pointer, so an unchanged pointer
+// means an unchanged verdict and the query is skipped; a changed one is
+// queried (queryAny).
+func (s *Specializer) evalPoint(p *dataplane.Point) Verdict {
+	sub := s.eval.pass.Subst(p.Expr)
 	if s.pointSub[p.ID] == sub && sub != nil {
 		s.met.substSkips.Inc()
 		return s.verdicts[p.ID]
 	}
 	s.pointSub[p.ID] = sub
-	if s.ddc != nil {
-		s.ddc.invalidate(p.ID)
-	}
-	return s.queryAny(sh, p, sub)
+	return s.queryAny(p, sub)
 }
 
 // queryPath names how queryAny answered a query.
@@ -764,11 +710,11 @@ func constQuery(k dataplane.PointKind) bool {
 //     an exhaustive refutation and Const an exhaustive certificate, and
 //     neither the solver nor a diagram may claim one past the bound —
 //     so nothing is compiled, evaluated or kept for it;
-//   - inside the bound the diagram core answers on the point's compiled
-//     root when it can (dd.go);
+//   - inside the bound the diagram core answers on the residue's
+//     compiled diagram when it can (dd.go);
 //   - and what is left goes to the solver: the cached witness
 //     re-evaluated, then the whole domain enumerated.
-func (s *Specializer) queryAny(sh *evalShard, p *dataplane.Point, sub *sym.Expr) Verdict {
+func (s *Specializer) queryAny(p *dataplane.Point, sub *sym.Expr) Verdict {
 	isConst := constQuery(p.Kind)
 	switch {
 	case isConst && sub.IsConst():
@@ -782,7 +728,7 @@ func (s *Specializer) queryAny(sh *evalShard, p *dataplane.Point, sub *sym.Expr)
 		s.answered(byLiteral)
 		return Verdict{Kind: VerdictDead}
 	}
-	if sh.solver.Wide(sub) {
+	if s.eval.solver.Wide(sub) {
 		s.answered(byWidth)
 		if isConst {
 			return Verdict{Kind: VerdictVaries}
@@ -790,13 +736,13 @@ func (s *Specializer) queryAny(sh *evalShard, p *dataplane.Point, sub *sym.Expr)
 		return Verdict{Kind: VerdictLive}
 	}
 	if s.ddc != nil {
-		if v, ok := s.ddQuery(sh, p, sub); ok {
+		if v, ok := s.ddQuery(p, sub); ok {
 			s.answered(byDD)
 			return v
 		}
 	}
 	s.answered(byExhaustive)
-	return queryPoint(sh.solver, p, sub, s.witnesses)
+	return queryPoint(s.eval.solver, p, sub, s.witnesses)
 }
 
 // queryPoint puts the point's specialization query to the solver.
@@ -865,11 +811,7 @@ func (s *Specializer) applyLocked(ctx context.Context, u *controlplane.Update) *
 		s.met.decisionCounter(d.Kind).Inc()
 		s.met.updateNS.ObserveDuration(d.Elapsed)
 		if s.audit != nil {
-			workers := 0
-			if d.AffectedPoints > 0 {
-				workers = s.effectiveWorkers(d.AffectedPoints)
-			}
-			s.audit.Append(auditRecord(d, seq, 0, workers, s.lastChanges))
+			s.audit.Append(auditRecord(d, seq, 0, s.lastChanges))
 		}
 	}()
 	// Admission: a closed engine or an already-exhausted budget rejects
@@ -928,8 +870,7 @@ func (s *Specializer) applyLocked(ctx context.Context, u *controlplane.Update) *
 		return d
 	}
 
-	// Taint lookup → affected points → re-query, fanned out over the
-	// worker pool when the update taints enough points.
+	// Taint lookup → affected points → re-query.
 	d.AffectedPoints = len(pts)
 	te := time.Now()
 	qsp := s.trace.Start("query", sp)

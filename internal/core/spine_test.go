@@ -56,7 +56,7 @@ func widened(r *rand.Rand, e *controlplane.TableEntry) *controlplane.TableEntry 
 func TestIdealMatchKindsMatchScan(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
-			s := loadEngine(t, p, 1)
+			s := loadEngine(t, p)
 			defer s.Close()
 			gen := fuzz.New(s.An, 11)
 			r := rand.New(rand.NewSource(11))

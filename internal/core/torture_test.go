@@ -121,11 +121,11 @@ func captureOracle(oracle map[int]oracleEntry, s *core.Specializer, tables []str
 	oracle[v.Stats.Updates] = e
 }
 
-// runOracle replays the schedule sequentially (Workers:1) and records
+// runOracle replays the schedule sequentially and records
 // the state after every mutating call.
 func runOracle(t *testing.T, p *progs.Program, schedule [][]*controlplane.Update) map[int]oracleEntry {
 	t.Helper()
-	s := loadEngine(t, p, 1)
+	s := loadEngine(t, p)
 	defer s.Close()
 	oracle := make(map[int]oracleEntry, len(schedule)+1)
 	captureOracle(oracle, s, s.An.TableOrder)
@@ -184,7 +184,7 @@ func tortureRun(t *testing.T, cycles, cycleLen, readers int, snapshots bool) cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := loadEngine(t, p, 1)
+	scratch := loadEngine(t, p)
 	schedule := tortureSchedule(t, p, scratch, cycles, cycleLen)
 	scratch.Close()
 	oracle := runOracle(t, p, schedule)
@@ -195,7 +195,7 @@ func tortureRun(t *testing.T, cycles, cycleLen, readers int, snapshots bool) cor
 	}
 
 	trail := obs.NewTrail(0)
-	s, err := p.LoadWith(core.Options{Workers: 4, Audit: trail})
+	s, err := p.LoadWith(core.Options{Audit: trail})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func tortureRun(t *testing.T, cycles, cycleLen, readers int, snapshots bool) cor
 					t.Errorf("snapshotter: %v", err)
 					return
 				}
-				restored, err := core.Restore(data, core.Options{Workers: 1})
+				restored, err := core.Restore(data, core.Options{})
 				if err != nil {
 					t.Errorf("snapshotter: restore: %v", err)
 					return
@@ -413,7 +413,7 @@ func TestEntriesLinearizableAgainstAudit(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		trail := obs.NewTrail(0)
-		s, err := p.LoadWith(core.Options{Workers: 4, Audit: trail})
+		s, err := p.LoadWith(core.Options{Audit: trail})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,10 +433,11 @@ func TestEntriesLinearizableAgainstAudit(t *testing.T) {
 		}
 
 		done := make(chan struct{})
-		var wg sync.WaitGroup
+		var wg, reading sync.WaitGroup
 		observations := make([][]entriesObservation, 2)
 		for r := range observations {
 			wg.Add(1)
+			reading.Add(1)
 			go func(r int) {
 				defer wg.Done()
 				for {
@@ -450,10 +451,16 @@ func TestEntriesLinearizableAgainstAudit(t *testing.T) {
 						updates: v.Stats.Updates,
 						entries: v.Entries(p.BurstTable),
 					})
+					if len(observations[r]) == 1 {
+						reading.Done()
+					}
 					runtime.Gosched()
 				}
 			}(r)
 		}
+		// The churn is over in a few milliseconds: start it once both
+		// readers are observing, not whenever they get scheduled.
+		reading.Wait()
 		for _, batch := range cs.Batches() {
 			for i, d := range s.ApplyBatch(batch) {
 				if d.Kind == core.Rejected {
@@ -522,7 +529,7 @@ func TestEntriesLinearizableAgainstAudit(t *testing.T) {
 // call, keyed by update count.
 func runImageOracle(t *testing.T, p *progs.Program, schedule [][]*controlplane.Update) map[int]uint64 {
 	t.Helper()
-	s, err := p.LoadWith(core.Options{Workers: 1, Exec: true})
+	s, err := p.LoadWith(core.Options{Exec: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,12 +562,12 @@ func TestTortureHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := loadEngine(t, p, 1)
+	scratch := loadEngine(t, p)
 	schedule := tortureSchedule(t, p, scratch, 1, 128)
 	scratch.Close()
 	oracle := runImageOracle(t, p, schedule)
 
-	s, err := p.LoadWith(core.Options{Workers: 4, Exec: true})
+	s, err := p.LoadWith(core.Options{Exec: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,12 +650,9 @@ func TestTortureHotSwap(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // The GOMAXPROCS 1/4/8/16 equivalence re-run: a compact version of the
-// equivalence matrix at each GOMAXPROCS value. Two comparisons per
-// program: (a) the batch engine with a GOMAXPROCS-following pool
-// (Workers:0) against the single-worker batch engine — exact stats and
-// end-state equality (batch decisions are schedule-independent); and
-// (b) the batch engine against per-update serial Apply — end-state
-// equality plus matching rejection pattern (the batch theorems).
+// equivalence matrix at each GOMAXPROCS value — the batch engine
+// against per-update Apply, end-state equality plus matching rejection
+// pattern (the batch theorems).
 
 func TestMatricesAtGOMAXPROCS(t *testing.T) {
 	names := []string{"fig3"}
@@ -663,30 +667,21 @@ func TestMatricesAtGOMAXPROCS(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					seq := loadEngine(t, p, 1)
-					one := loadEngine(t, p, 1)
-					pool := loadEngine(t, p, 0)
+					seq := loadEngine(t, p)
+					bat := loadEngine(t, p)
 					stream := makeStream(t, seq, uint64(g))
 					for start := 0; start < len(stream); start += chunkSize {
 						chunk := stream[start:min(start+chunkSize, len(stream))]
-						for _, u := range chunk {
-							seq.Apply(u)
-						}
-						oneDs := one.ApplyBatch(chunk)
-						poolDs := pool.ApplyBatch(chunk)
-						for i := range chunk {
-							if oneDs[i].Kind != poolDs[i].Kind {
-								t.Fatalf("%s: update %d: batch decisions diverge across pools: %s vs %s",
-									name, start+i, oneDs[i], poolDs[i])
+						batDs := bat.ApplyBatch(chunk)
+						for i, u := range chunk {
+							if d := seq.Apply(u); (d.Kind == core.Rejected) != (batDs[i].Kind == core.Rejected) {
+								t.Fatalf("%s: update %d: rejection mismatch: %s vs %s", name, start+i, d, batDs[i])
 							}
 						}
 					}
-					sameEndState(t, one, pool)
-					sameEndState(t, seq, pool)
-					sameStats(t, name, one.Statistics(), pool.Statistics())
+					sameEndState(t, seq, bat)
 					seq.Close()
-					one.Close()
-					pool.Close()
+					bat.Close()
 				}
 			})
 		})

@@ -29,13 +29,12 @@
 // walk exceeds its budget.
 //
 // Concurrency: a Store's intern table is guarded by an internal mutex
-// (mirroring sym.Builder), so evaluation workers may compile through
-// one shared Store concurrently — pointer identity must stay global or
-// cross-point sharing would break. Nodes are immutable after creation
-// and the atom table is published through an atomic pointer, so
-// lock-free readers (epoch-based Explain) may walk any node they hold
-// without ever touching the mutex. Per-worker mutable scratch — the
-// compile and apply memos — lives in a Ctx, one per worker.
+// (mirroring sym.Builder), so several goroutines may compile through
+// one shared Store concurrently, each with a Ctx of its own — the
+// mutable scratch, the compile and apply memos, lives there. Nodes are
+// immutable after creation and the atom table is published through an
+// atomic pointer, so a reader may walk any node it holds, and read the
+// atom list and the node count, without ever touching the mutex.
 package dd
 
 import (
@@ -353,12 +352,11 @@ func cofactor(n *Node, p pred) (t, f *Node) {
 	return n, n
 }
 
-// Ctx is one worker's compilation context: the per-worker memo tables
-// over a shared Store. A Ctx is not safe for concurrent use; the
-// engine embeds one per evaluation shard and discards it when the
-// expression arena is swept (the compile memo is keyed on hash-consed
-// *sym.Expr pointers, which a sweep retires) or when the Store is
-// rebuilt.
+// Ctx is a compilation context: the memo tables of one compiling
+// goroutine over a Store. A Ctx is not safe for concurrent use; the
+// engine keeps one in its evaluation scratch and discards it with the
+// Store at every arena sweep (the compile memo is keyed on hash-consed
+// *sym.Expr pointers, which a sweep retires).
 type Ctx struct {
 	st      *Store
 	compile map[*sym.Expr]compileRes
@@ -414,9 +412,9 @@ const compileLimit = 1 << 17
 // bailErr aborts a compilation. Both flavors memoize at the top-level
 // expression — a structural bail because the residue shape can never
 // compile, a budget bail because retrying the same pointer would burn
-// the full limit again for the same answer (the memo is per-worker and
-// flushed on arena sweeps, so a genuinely changed residue — a new
-// pointer — always gets a fresh attempt).
+// the full limit again for the same answer (the memo is flushed on
+// arena sweeps, so a genuinely changed residue — a new pointer — always
+// gets a fresh attempt).
 type bailErr struct{ budget bool }
 
 func (c *Ctx) step() {
@@ -434,22 +432,17 @@ func (c *Ctx) step() {
 // residue that shares structure with previous ones — the common case
 // after an incremental update — costs only the changed region.
 func (c *Ctx) Compile(e *sym.Expr) (n *Node, ok bool) {
-	n, _, ok = c.CompileBudget(e, compileLimit)
-	return n, ok
+	return c.CompileBudget(e, compileLimit)
 }
 
 // CompileBudget is Compile under a caller-chosen work limit (clamped
-// to the package cap). used reports the steps the attempt consumed
-// whether or not it landed, so a caller re-compiling residues on every
-// update can meter real costs and stop retrying conditions that are
-// inside the fragment but too large to rebuild at update rate. A
-// budget bail is memoized against the expression pointer like any
-// other: a later call with a larger limit still reports the cached
-// failure, which is the behavior the engine wants — per-pointer
-// verdicts must be stable until a sweep retires the memo.
-func (c *Ctx) CompileBudget(e *sym.Expr, limit int) (n *Node, used int, ok bool) {
+// to the package cap). A budget bail is memoized against the expression
+// pointer like any other: a later call with a larger limit still
+// reports the cached failure, which is the behavior the engine wants —
+// per-pointer verdicts must be stable until a sweep retires the memo.
+func (c *Ctx) CompileBudget(e *sym.Expr, limit int) (n *Node, ok bool) {
 	if r, hit := c.compile[e]; hit {
-		return r.n, 0, r.ok
+		return r.n, r.ok
 	}
 	c.steps = 0
 	c.limit = min(limit, compileLimit)
@@ -462,9 +455,7 @@ func (c *Ctx) CompileBudget(e *sym.Expr, limit int) (n *Node, used int, ok bool)
 			c.compile[e] = compileRes{}
 		}
 	}()
-	defer func() { used = c.steps }()
-	n = c.rec(e)
-	return n, c.steps, true
+	return c.rec(e), true
 }
 
 // rec compiles one node, panicking with bailErr when the expression

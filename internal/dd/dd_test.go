@@ -561,6 +561,21 @@ func TestCompileBails(t *testing.T) {
 	if n, ok := h.cx.Compile(h.b.Eq(x, h.b.ConstUint(8, 1))); !ok || n.IsTerminal() {
 		t.Error("fragment compile broken after bails")
 	}
+	// A budget bail is memoized per pointer: the same context reports it
+	// again whatever the next limit, a cold one compiles the expression.
+	chain := h.b.False()
+	for i := uint64(0); i < 32; i++ {
+		chain = h.b.Or(chain, h.b.Eq(x, h.b.ConstUint(8, i)))
+	}
+	if _, ok := h.cx.CompileBudget(chain, 4); ok {
+		t.Fatal("a 32-way disjunction compiled within 4 steps")
+	}
+	if _, ok := h.cx.CompileBudget(chain, compileLimit); ok {
+		t.Error("a memoized budget bail was retried under a larger limit")
+	}
+	if n, ok := NewCtx(h.st).CompileBudget(chain, compileLimit); !ok || n.IsTerminal() {
+		t.Error("a cold context did not compile what another context bailed on")
+	}
 }
 
 // TestStoreSharedAcrossCtxs checks the cross-worker sharing contract:

@@ -8,15 +8,13 @@ import (
 
 // PointChange records one program point whose specialization verdict
 // flipped while processing an update: which query was re-answered
-// ("executable" for reachability points, "constant" for value points),
-// what the verdict moved from and to, and which evaluation worker
-// re-proved it.
+// ("executable" for reachability points, "constant" for value points)
+// and what the verdict moved from and to.
 type PointChange struct {
-	Point  int    `json:"point"`
-	Query  string `json:"query"`
-	Old    string `json:"old"`
-	New    string `json:"new"`
-	Worker int    `json:"worker"`
+	Point int    `json:"point"`
+	Query string `json:"query"`
+	Old   string `json:"old"`
+	New   string `json:"new"`
 }
 
 // AuditRecord is the audit trail's entry for one control-plane update:
@@ -34,7 +32,6 @@ type AuditRecord struct {
 	Components []string      `json:"components,omitempty"`
 	ImplChange string        `json:"impl_change,omitempty"`
 	ElapsedNS  int64         `json:"elapsed_ns"`
-	Workers    int           `json:"workers"`
 	// Precision marks decisions evaluated under a degraded
 	// (deadline-forced overapproximated) assignment, and the adaptive
 	// precision controller's own degrade/promote transition records.

@@ -220,7 +220,7 @@ func TestTrailJSONLAndCounts(t *testing.T) {
 	tr := NewTrail(0)
 	tr.Append(AuditRecord{Seq: 1, Target: "Ingress.t", Decision: "forward", Affected: 3})
 	tr.Append(AuditRecord{Seq: 2, Target: "Ingress.t", Decision: "recompile",
-		Changes: []PointChange{{Point: 9, Query: "executable", Old: "dead", New: "live", Worker: 2}}})
+		Changes: []PointChange{{Point: 9, Query: "executable", Old: "dead", New: "live"}}})
 	tr.Append(AuditRecord{Seq: 3, Target: "Ingress.u", Decision: "rejected", Err: "bad entry"})
 
 	counts := tr.CountByDecision()

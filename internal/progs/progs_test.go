@@ -3,10 +3,8 @@ package progs
 import (
 	"testing"
 
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/devcompiler"
-	"repro/internal/obs"
 	"repro/internal/p4/ast"
 	"repro/internal/p4/parser"
 	"repro/internal/p4/typecheck"
@@ -199,40 +197,5 @@ func TestFig3UpdatesReplayCleanly(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Fatalf("fig3 step %d: %v, want %v (all: %v)", i+1, kinds[i], want[i], kinds)
 		}
-	}
-}
-
-// TestCatalogPassesStaySerial pins the fan-out policy at the threshold
-// the engine ships with (internal/core's own tests lower it to keep the
-// pool exercised): a re-evaluation pass over a catalog program's points
-// costs less than waking a worker thread, so even a pooled engine runs
-// the SCION burst — single updates and a coalesced batch — on the
-// caller's goroutine, and says so in the audit trail.
-func TestCatalogPassesStaySerial(t *testing.T) {
-	p := Scion()
-	trail := obs.NewTrail(0)
-	s, err := p.LoadWith(core.Options{Workers: 4, Audit: trail})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := p.ApplyRepresentative(s); err != nil {
-		t.Fatal(err)
-	}
-	var batch []*controlplane.Update
-	for i := 0; i < 64; i++ {
-		batch = append(batch, ScionBurstEntry(i))
-	}
-	s.Apply(batch[0])
-	s.ApplyBatch(batch[1:])
-	widest := 0
-	for _, r := range trail.Records() {
-		widest = max(widest, r.Affected)
-		if r.Workers > 1 {
-			t.Errorf("update %d (%s): %d points fanned out over %d workers", r.Seq, r.Target, r.Affected, r.Workers)
-		}
-	}
-	if widest < 8 {
-		t.Fatalf("widest pass covered %d points; the burst no longer exercises the threshold", widest)
 	}
 }

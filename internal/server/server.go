@@ -459,15 +459,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	opts := []goflay.Option{
 		goflay.WithOverapproxThreshold(req.OverapproxThreshold),
 		goflay.WithQuality(quality),
-		goflay.WithWorkers(req.Workers),
 		goflay.WithMetrics(s.met),
 		goflay.WithAudit(trail),
 	}
 	if req.SkipParser {
 		opts = append(opts, goflay.WithSkipParser())
-	}
-	if req.NoDD {
-		opts = append(opts, goflay.WithNoDD())
 	}
 	if req.Exec {
 		opts = append(opts, goflay.WithExec())
@@ -665,9 +661,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleExplain reports decision-diagram explanations of program
 // points: ?table=NAME explains every point the named table influences;
 // adding &point=N narrows to one point (with membership checked);
-// ?point=N alone explains one point by ID. Like stats and exec, it is a
-// wait-free read against the published epoch — it never queues behind
-// control-plane writes.
+// ?point=N alone explains one point by ID. Like stats and exec it does
+// not go through the session's write queue, but it is not wait-free:
+// each point's residue is re-derived under the engine read lock, so it
+// waits for the update in flight.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.named(w, r)
 	if !ok {

@@ -156,37 +156,21 @@ func sameQueries(t *testing.T, label string, got wire.Stats, want core.Stats) {
 	}
 }
 
-// normalizeAudit strips the fields that legitimately differ between two
-// engines answering the same stream (wall time, pool size, which worker
-// proved a point) — same contract as the core equivalence suites.
-func normalizeAudit(recs []obs.AuditRecord) []obs.AuditRecord {
-	out := make([]obs.AuditRecord, len(recs))
-	for i, r := range recs {
-		r.ElapsedNS = 0
-		r.Workers = 0
-		r.Changes = slices.Clone(r.Changes)
-		for j := range r.Changes {
-			r.Changes[j].Worker = 0
-		}
-		out[i] = r
-	}
-	return out
-}
-
+// sameAuditRecords compares two trails on everything but wall time — the
+// same contract as the core equivalence suites.
 func sameAuditRecords(t *testing.T, label string, got, want []obs.AuditRecord) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d audit records vs local %d", label, len(got), len(want))
 	}
-	ng, nw := normalizeAudit(got), normalizeAudit(want)
-	for i := range ng {
-		if ng[i].Seq != nw[i].Seq || ng[i].Batch != nw[i].Batch ||
-			ng[i].Target != nw[i].Target || ng[i].Update != nw[i].Update ||
-			ng[i].Decision != nw[i].Decision || ng[i].Affected != nw[i].Affected ||
-			!slices.Equal(ng[i].Changes, nw[i].Changes) ||
-			!slices.Equal(ng[i].Components, nw[i].Components) ||
-			ng[i].ImplChange != nw[i].ImplChange || ng[i].Err != nw[i].Err {
-			t.Fatalf("%s: audit record %d diverged:\n  server %+v\nvs local %+v", label, i, ng[i], nw[i])
+	for i := range got {
+		if got[i].Seq != want[i].Seq || got[i].Batch != want[i].Batch ||
+			got[i].Target != want[i].Target || got[i].Update != want[i].Update ||
+			got[i].Decision != want[i].Decision || got[i].Affected != want[i].Affected ||
+			!slices.Equal(got[i].Changes, want[i].Changes) ||
+			!slices.Equal(got[i].Components, want[i].Components) ||
+			got[i].ImplChange != want[i].ImplChange || got[i].Err != want[i].Err {
+			t.Fatalf("%s: audit record %d diverged:\n  server %+v\nvs local %+v", label, i, got[i], want[i])
 		}
 	}
 }
@@ -620,6 +604,19 @@ func TestAPIErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("malformed body %q: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
+	// A create request carrying a removed engine option is refused, not
+	// silently served without it.
+	for _, removed := range []string{`"workers":4`, `"no_dd":true`} {
+		body := `{"name":"gone","catalog":"fig3",` + removed + `}`
+		resp, err := http.Post(d.ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create with %s: HTTP %d, want 400", removed, resp.StatusCode)
 		}
 	}
 	// Oversized body.

@@ -170,9 +170,10 @@ type exprKey struct {
 
 // Builder creates and owns hash-consed expressions. Interning is guarded
 // by an internal mutex, so goroutines may build expressions through the
-// same Builder concurrently (the parallel update-analysis engine relies
-// on this: hash-consing must stay global or pointer identity — and with
-// it every memo keyed on *Expr — would break across workers). All other
+// same Builder concurrently (the engine's read-locked entry points —
+// Explain, DifferentialCheck, Snapshot — substitute beside each other:
+// hash-consing must stay global or pointer identity, and with it every
+// memo keyed on *Expr, would break between them). All other
 // per-traversal state is external: concurrent substitution goes through
 // SubstWith with one SubstScratch per goroutine. The zero value is not
 // usable — call NewBuilder.

@@ -7,7 +7,8 @@ import "repro/internal/obs"
 // the expressions reaching the solver are after simplification. A nil
 // *SolverMetrics (the default) disables everything at zero cost; the
 // counters themselves are atomic, so one SolverMetrics may be shared by
-// every per-worker solver of an evaluation pool.
+// solvers running on different goroutines (the engine's evaluation
+// scratch and its read-locked differential check).
 type SolverMetrics struct {
 	// Check/CheckWitness accounting.
 	Queries     *obs.Counter // satisfiability queries answered

@@ -5,10 +5,10 @@ import "sort"
 // SubstScratch holds the memo of a substitution: result and
 // generation-mark arrays indexed by the Builder's dense node ids. The
 // zero value is ready to use. A SubstScratch may not be shared between
-// concurrently substituting goroutines; give each worker its own and
-// they can all rewrite through the same Builder (interning has its own
-// lock, and substitution results are hash-consed so every worker arrives
-// at the identical node pointers).
+// concurrently substituting goroutines; give each its own and they can
+// all rewrite through the same Builder (interning has its own lock, and
+// substitution results are hash-consed so every goroutine arrives at the
+// identical node pointers).
 type SubstScratch struct {
 	val   []*Expr
 	mark  []uint32

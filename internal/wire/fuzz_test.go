@@ -24,7 +24,7 @@ func FuzzWireDecode(f *testing.F) {
 		`{"updates":[{"kind":"fill-register","register":"r","fill":{"w":1,"hex":"3"}}]}`,
 		`{"updates":[{"kind":"insert","table":"t","entry":{"matches":[{"kind":"exact","value":{"w":999,"hex":"00"}}],"action":"a"}}]}`,
 		`{"name":"s","catalog":"fig3"}`,
-		`{"name":"s","source":"parser p(){}","workers":-3,"quality":"dce-only"}`,
+		`{"name":"s","source":"parser p(){}","overapprox_threshold":-3,"quality":"dce-only"}`,
 		`{"name":"s","snapshot":"AAECAw=="}`,
 		`{"updates":[{"kind":"insert"`,
 		`[1,2,3]`,

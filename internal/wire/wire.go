@@ -127,10 +127,6 @@ type CreateSessionRequest struct {
 	SkipParser          bool   `json:"skip_parser,omitempty"`
 	OverapproxThreshold int    `json:"overapprox_threshold,omitempty"`
 	Quality             string `json:"quality,omitempty"` // full | no-narrowing | dce-only | none
-	Workers             int    `json:"workers,omitempty"`
-	// NoDD disables the canonical decision-diagram query core (ablation;
-	// every point query runs the probe-solver path).
-	NoDD bool `json:"no_dd,omitempty"`
 	// Exec enables the data-plane executor for the session, making
 	// POST /v1/sessions/{name}/exec available.
 	Exec bool `json:"exec,omitempty"`
@@ -151,7 +147,6 @@ type Stats struct {
 	BatchedUpdates int   `json:"batched_updates"`
 	Coalesced      int   `json:"coalesced"`
 	EvalNS         int64 `json:"eval_ns"`
-	Workers        int   `json:"workers"`
 	// Always zero, like the core.Stats fields they mirror: kept only for
 	// bench/fleet_small.go, which still reads them for
 	// core.cache_hit_share, until the ROADMAP item that retires the
@@ -159,8 +154,7 @@ type Stats struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 
-	// Decision-diagram query-core counters (all zero when the core is
-	// disabled with no_dd).
+	// Decision-diagram query-core counters.
 	DDQueries   int64 `json:"dd_queries,omitempty"`
 	DDFallbacks int64 `json:"dd_fallbacks,omitempty"`
 	DDCompiles  int64 `json:"dd_compiles,omitempty"`
@@ -189,7 +183,6 @@ func FromStats(s core.Stats) Stats {
 		BatchedUpdates:  s.BatchedUpdates,
 		Coalesced:       s.Coalesced,
 		EvalNS:          s.EvalTime.Nanoseconds(),
-		Workers:         s.Workers,
 		CacheHits:       s.CacheHits,
 		CacheMisses:     s.CacheMisses,
 		DDQueries:       s.DDQueries,
@@ -234,8 +227,8 @@ type SessionList struct {
 type Explanation = core.Explanation
 
 // ExplainResponse is the GET /v1/sessions/{name}/explain response:
-// introspection records for every requested program point, cut from the
-// published epoch named in each record.
+// introspection records for every requested program point, each derived
+// under the engine read lock from the published epoch it names.
 type ExplainResponse struct {
 	// Table echoes the ?table= filter, empty for a point-only query.
 	Table  string         `json:"table,omitempty"`

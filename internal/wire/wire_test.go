@@ -201,11 +201,13 @@ func TestDecodeStrictness(t *testing.T) {
 	// A removed engine option is an unknown field like any other: the
 	// server answers such a create request 400, it does not ignore it.
 	var create CreateSessionRequest
-	if err := DecodeBytes([]byte(`{"name":"s","catalog":"fig3","no_dd":true}`), &create); err != nil {
+	if err := DecodeBytes([]byte(`{"name":"s","catalog":"fig3","exec":true}`), &create); err != nil {
 		t.Fatalf("create request with a live option rejected: %v", err)
 	}
-	if err := DecodeBytes([]byte(`{"name":"s","catalog":"fig3","no_cache":true}`), &create); err == nil {
-		t.Fatal("create request carrying a removed option accepted")
+	for _, removed := range []string{`"no_cache":true`, `"no_dd":true`, `"workers":4`} {
+		if err := DecodeBytes([]byte(`{"name":"s","catalog":"fig3",`+removed+`}`), &create); err == nil {
+			t.Fatalf("create request carrying the removed option %s accepted", removed)
+		}
 	}
 	if err := DecodeBytes([]byte(`{"updates":[]}{"updates":[]}`), &req); !errors.Is(err, ErrTrailing) {
 		t.Fatalf("trailing data: got %v, want ErrTrailing", err)
