@@ -10,7 +10,7 @@ COVER_PKGS = ./internal/core ./internal/sym ./internal/dd ./internal/obs ./inter
 # Seconds of native fuzzing per target in the `make race` smoke.
 FUZZ_SMOKE ?= 5s
 
-.PHONY: all help build test race bench bench-e2e cover bench-json bench-pps pps-smoke bench-dd fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
+.PHONY: all help build test race fmt-check bench bench-e2e cover bench-json bench-pps pps-smoke bench-dd fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
 
 # Soak-run knobs: where the daemon listens and how many updates
 # flayload drives through it.
@@ -40,7 +40,8 @@ all: tier1
 help:
 	@echo "goflay make targets:"
 	@echo "  tier1       build + test (the baseline gate; default)"
-	@echo "  race        vet + race-detector suite + fuzz smoke (slow, load-bearing)"
+	@echo "  race        gofmt check + vet + race-detector suite + fuzz smoke (slow, load-bearing)"
+	@echo "  fmt-check   fails if gofmt -l lists any file"
 	@echo "  cover       per-package coverage, fails under $(COVER_MIN)% for core/sym/obs/controlplane"
 	@echo "  bench-e2e   THE benchmark (bench/, BENCHMARK.json): four workloads, six end-to-end"
 	@echo "              metrics each, correctness-gated; one stamped JSON line per workload."
@@ -94,9 +95,15 @@ test:
 # where the race detector gets no parallelism to hide behind and
 # internal/core alone can exceed go test's 10m default.
 RACE_TIMEOUT ?= 45m
-race: fuzz-smoke soak-churn-smoke soak-cluster-smoke torture-smoke dd-smoke spine-smoke pps-smoke
+race: fmt-check fuzz-smoke soak-churn-smoke soak-cluster-smoke torture-smoke dd-smoke spine-smoke pps-smoke
 	$(GO) vet ./...
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./...
+
+# fmt-check: the tree is gofmt-clean. First in the race tier: it takes a
+# second and the rest takes minutes.
+fmt-check:
+	@out=$$(gofmt -l .); \
+	test -z "$$out" || { echo "FAIL: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # torture-smoke: the epoch-read concurrency torture suite's smoke
 # slice under the race detector, run first so a broken lock-free read

@@ -101,10 +101,11 @@ func (s *Specializer) sweepArena() {
 	// The sweep reassigned the arena ids of the surviving nodes and
 	// retired the rest. The diagram compile memo is keyed on expression
 	// pointers and goes, and the diagram store — which nothing but that
-	// memo references — goes with it; the substitution memo is indexed
-	// by id and needs nothing — the next evaluation pass opens a new
-	// generation (reevalPoints), which retires every entry of the old
-	// numbering.
+	// memo references — goes with it. The substitution memo is indexed
+	// by id and names residues of passes long past, which are no roots:
+	// it goes too, and the next pass rewrites every node it visits once
+	// (the Builder drops its own k == ite memo inside Sweep).
+	s.eval.sub.Reset()
 	s.ddReplaceStore()
 	live := b.NumNodes()
 	s.stats.ArenaSweeps++

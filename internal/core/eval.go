@@ -19,10 +19,13 @@ import (
 //
 // Every mutating call compiles the assignments it touches first and
 // re-evaluates afterwards, so the environment is fixed while points are
-// evaluated: reevalPoints opens one substitution generation
-// (sym.SubstPass) that all of the pass's points substitute inside. The
-// next pass opens the next generation, which also retires whatever an
-// arena sweep in between renumbered.
+// evaluated: reevalPoints opens one substitution pass (sym.SubstPass)
+// that all of the pass's points substitute inside. The memo outlives
+// the pass: recompileTarget, the one place the environment is written,
+// reports the control targets whose assignment it changed, and the next
+// pass rewrites only the nodes those targets occur in — every other
+// node's residue is found where the pass that computed it left it
+// (sym.SubstScratch; DESIGN §4.4). An arena sweep drops the memo.
 //
 // Nothing on the query path is randomized: Dead needs a literal false
 // or an exhaustive refutation and Const a literal or an exhaustive
@@ -31,14 +34,17 @@ import (
 
 // evalScratch is the engine's one evaluation scratch, used only under
 // the write lock: the solver (evaluation and width-walk scratch), the
-// substitution memo with the generation of the pass in flight, and the
-// diagram compile memo (created on first use, dropped with the store it
-// compiles into).
+// substitution memo with the pass in flight and the targets written
+// since the last one, and the diagram compile memo (created on first
+// use, dropped with the store it compiles into).
 type evalScratch struct {
 	solver *sym.Solver
 	sub    sym.SubstScratch
 	pass   sym.SubstPass
-	dd     *dd.Ctx
+	// changed is the union of the CtrlMasks of the environment keys
+	// reassigned since the last pass opened (recompileTarget).
+	changed uint64
+	dd      *dd.Ctx
 }
 
 // reevalPoints re-evaluates the given points (deduplicated, in ID
@@ -47,7 +53,9 @@ type evalScratch struct {
 func (s *Specializer) reevalPoints(pts []*dataplane.Point) []int {
 	s.met.pointsEvaluated.Add(int64(len(pts)))
 	s.lastChanges = s.lastChanges[:0]
-	s.eval.pass = s.An.Builder.BeginSubst(&s.eval.sub, s.env)
+	s.eval.pass = s.An.Builder.ResumeSubst(&s.eval.sub, s.env, s.eval.changed)
+	s.eval.changed = 0
+	rewrote := s.eval.sub.Rewritten()
 	var changed []int
 	for _, p := range pts {
 		old := s.verdicts[p.ID]
@@ -64,6 +72,7 @@ func (s *Specializer) reevalPoints(pts []*dataplane.Point) []int {
 			})
 		}
 	}
+	s.met.substNodes.Add(s.eval.sub.Rewritten() - rewrote)
 	s.met.pointsChanged.Add(int64(len(changed)))
 	if len(changed) > 0 {
 		s.verdictsDirty = true

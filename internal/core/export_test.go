@@ -19,9 +19,10 @@ func ProjectedCost(s *Specializer, target string) time.Duration {
 
 // CheckAgainstPerPointSubst is the reference the pass-wide substitution
 // memo is held to: every point's residue re-derived by a substitution
-// of its own (SubstWith opens a generation per call) and put to a fresh
-// solver. The engine's verdict vector must equal the reference's, and
-// every residue pointer the engine kept must be the reference's pointer.
+// of its own (SubstWith promises nothing about the pass before) and put
+// to a fresh solver. The engine's verdict vector must equal the
+// reference's, and every residue pointer the engine kept must be the
+// reference's pointer.
 func CheckAgainstPerPointSubst(s *Specializer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -34,6 +35,31 @@ func CheckAgainstPerPointSubst(s *Specializer) error {
 		}
 		if got, want := s.verdicts[p.ID], queryPoint(solver, p, sub, nil); got != want {
 			return fmt.Errorf("point %d: engine verdict %s, reference %s on residue %s", p.ID, got, want, sub)
+		}
+	}
+	return nil
+}
+
+// CheckIncrementalPass holds the substitution memo the engine carries
+// from pass to pass to a pass that starts from nothing: every point's
+// residue on a fresh scratch must be the pointer the engine kept for it
+// and the pointer the engine's next pass — resumed here, over every
+// point rather than the tainted ones — finds or rewrites.
+func CheckIncrementalPass(s *Specializer) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.An.Builder
+	var scratch sym.SubstScratch
+	fresh := b.BeginSubst(&scratch, s.env)
+	next := b.ResumeSubst(&s.eval.sub, s.env, s.eval.changed)
+	s.eval.changed = 0
+	for _, p := range s.An.Points {
+		want := fresh.Subst(p.Expr)
+		if got := s.pointSub[p.ID]; got != nil && got != want {
+			return fmt.Errorf("point %d: engine kept residue %s, a fresh pass yields %s", p.ID, got, want)
+		}
+		if got := next.Subst(p.Expr); got != want {
+			return fmt.Errorf("point %d: the engine's memo yields %s, a fresh pass %s", p.ID, got, want)
 		}
 	}
 	return nil

@@ -140,8 +140,8 @@ func (s *Specializer) idealImpl(table string) *tableImpl {
 			params := make([]sym.BV, len(act.Params))
 			ok := true
 			for i, pv := range act.Params {
-				sub := an.Builder.Subst(pv, s.env)
-				res := s.eval.solver.ConstValue(sub)
+				// A table's compile assigns every parameter placeholder.
+				res := s.eval.solver.ConstValue(s.env[pv])
 				if !res.Known || !res.IsConst {
 					ok = false
 					break

@@ -22,6 +22,7 @@ type coreMetrics struct {
 	pointsEvaluated *obs.Counter // program points re-queried
 	pointsChanged   *obs.Counter // verdict flips observed
 	substSkips      *obs.Counter // pointer-equal substitutions (query skipped)
+	substNodes      *obs.Counter // expression nodes the passes rewrote (the substitute stage)
 
 	// How queryAny answered each query that got past the substitution
 	// skip, indexed by queryPath (core.query.literal, .width, .dd,
@@ -70,6 +71,7 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		pointsEvaluated: r.Counter("core.points_evaluated"),
 		pointsChanged:   r.Counter("core.points_changed"),
 		substSkips:      r.Counter("core.subst_skips"),
+		substNodes:      r.Counter("core.subst_nodes"),
 		answeredBy: [numQueryPaths]*obs.Counter{
 			byLiteral:    r.Counter("core.query.literal"),
 			byWidth:      r.Counter("core.query.width"),

@@ -647,8 +647,14 @@ func (s *Specializer) recompileTarget(target string) error {
 	default:
 		frag = s.Cfg.CompileValueSet(b, target)
 	}
+	// The one place the environment is written, so the one place the
+	// substitution memo learns what moved: an assignment that is the
+	// pointer it was invalidates nothing.
 	for k, v := range frag {
-		s.env[k] = v
+		if s.env[k] != v {
+			s.env[k] = v
+			s.eval.changed |= k.CtrlMask()
+		}
 	}
 	if s.ddc != nil && freshVars {
 		s.ddc.ensureAtoms(frag)

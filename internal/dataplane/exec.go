@@ -69,6 +69,23 @@ type analyzer struct {
 	slotSeq int
 	vsSeq   map[string]int
 	regSeq  map[string]int
+	// targets numbers the control targets — qualified tables, registers
+	// and value sets, the units the control plane assigns — in order of
+	// first appearance (ctrl).
+	targets map[string]int
+}
+
+// ctrl makes a placeholder of control target q. Every placeholder of a
+// target carries the target's number into the expression masks
+// (sym.CtrlOf), which is how a substitution pass knows what a write to q
+// can reach.
+func (a *analyzer) ctrl(q, name string, w uint16) *sym.Expr {
+	n, ok := a.targets[q]
+	if !ok {
+		n = len(a.targets)
+		a.targets[q] = n
+	}
+	return a.b.CtrlOf(n, name, w)
 }
 
 // binding resolves an identifier: either to a store slot (variables,
@@ -99,6 +116,7 @@ func (a *analyzer) run() error {
 	}
 	a.vsSeq = make(map[string]int)
 	a.regSeq = make(map[string]int)
+	a.targets = make(map[string]int)
 
 	// Bind every block's parameters up front; identical names share
 	// storage, which is how state flows parser → ingress → egress.
@@ -424,7 +442,7 @@ func (a *analyzer) keysetCond(ctx *execCtx, pd *ast.ParserDecl, ks ast.Keyset, k
 		}
 		site := a.vsSeq[q]
 		a.vsSeq[q] = site + 1
-		mv := b.Ctrl(fmt.Sprintf("%s#%d", q, site), 1)
+		mv := a.ctrl(q, fmt.Sprintf("%s#%d", q, site), 1)
 		vi := &ValueSetInfo{
 			Name:     q,
 			Parser:   pd.Name,
@@ -654,7 +672,7 @@ func (a *analyzer) execCall(ctx *execCtx, call *ast.CallExpr) error {
 			ri := a.an.Registers[q]
 			site := a.regSeq[q]
 			a.regSeq[q] = site + 1
-			rv := a.b.Ctrl(fmt.Sprintf("%s#%d", q, site), ri.Width)
+			rv := a.ctrl(q, fmt.Sprintf("%s#%d", q, site), ri.Width)
 			ri.ReadVars = append(ri.ReadVars, rv)
 			a.an.VarOwner[rv] = q
 			dst, err := a.lvaluePath(ctx, call.Args[0])
@@ -734,7 +752,7 @@ func (a *analyzer) tableOfApply(ctx *execCtx, call *ast.CallExpr) (*TableInfo, e
 				if pt.Kind == typecheck.KBool {
 					w = 1
 				}
-				pv := a.b.Ctrl(fmt.Sprintf("%s.%s.%s", q, ar.Name, p.Name), w)
+				pv := a.ctrl(q, fmt.Sprintf("%s.%s.%s", q, ar.Name, p.Name), w)
 				ai.Params = append(ai.Params, pv)
 				ai.ParamWidths = append(ai.ParamWidths, w)
 				a.an.VarOwner[pv] = q
@@ -762,8 +780,8 @@ func (a *analyzer) tableOfApply(ctx *execCtx, call *ast.CallExpr) (*TableInfo, e
 			ti.DefaultArgs = append(ti.DefaultArgs, sym.NewBV2(uint16(t.Width), lit.Hi, lit.Lo))
 		}
 	}
-	ti.ActionVar = a.b.Ctrl(q+".$action", 8)
-	ti.HitVar = a.b.Ctrl(q+".$hit", 1)
+	ti.ActionVar = a.ctrl(q, q+".$action", 8)
+	ti.HitVar = a.ctrl(q, q+".$hit", 1)
 	a.an.VarOwner[ti.ActionVar] = q
 	a.an.VarOwner[ti.HitVar] = q
 	a.an.Tables[q] = ti

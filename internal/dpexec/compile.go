@@ -115,8 +115,8 @@ func cerr(format string, args ...any) error {
 	return fmt.Errorf("dpexec: %s", fmt.Sprintf(format, args...))
 }
 
-func (c *compiler) pushScope()             { c.scopes = append(c.scopes, make(map[string]binding)) }
-func (c *compiler) popScope()              { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *compiler) pushScope()                  { c.scopes = append(c.scopes, make(map[string]binding)) }
+func (c *compiler) popScope()                   { c.scopes = c.scopes[:len(c.scopes)-1] }
 func (c *compiler) bind(name string, b binding) { c.scopes[len(c.scopes)-1][name] = b }
 
 func (c *compiler) lookup(name string) (binding, bool) {
@@ -187,13 +187,13 @@ func Compile(prog *ast.Program, info *typecheck.Info, cfg *controlplane.Config) 
 
 	cc := &compileCtx{prog: prog, info: info, slots: make(map[string]int32)}
 	img = &Image{
-		cc:        cc,
-		tableIdx:  make(map[string]int),
-		vsetIdx:   make(map[string]int),
-		regIdx:    make(map[string]int),
-		dropSlot:  -1,
+		cc:         cc,
+		tableIdx:   make(map[string]int),
+		vsetIdx:    make(map[string]int),
+		regIdx:     make(map[string]int),
+		dropSlot:   -1,
 		egressSlot: -1,
-		mcastSlot: -1,
+		mcastSlot:  -1,
 	}
 	c := &compiler{
 		cc:      cc,

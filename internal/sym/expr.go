@@ -84,6 +84,7 @@ type Expr struct {
 
 	id    uint64 // dense id assigned by the Builder, for deterministic ordering
 	depth uint32 // 1 + max child depth, assigned at intern time
+	mask  uint64 // control targets occurring at or below, assigned at intern time
 }
 
 // ID returns the builder-assigned dense id of the node. IDs increase in
@@ -96,6 +97,16 @@ func (e *Expr) ID() uint64 { return e.id }
 // observability layer uses it to report how deep the post-simplification
 // residue reaching the solver is.
 func (e *Expr) Depth() int { return int(e.depth) }
+
+// CtrlMask returns the set of control targets whose variables occur at
+// or below e, one bit per target as CtrlOf numbered them (targets 64
+// apart share a bit, and a variable made by plain Ctrl sets every bit).
+// It is fixed at construction. Substituting an environment that assigns
+// only control variables leaves an expression with an empty mask as it
+// stands, and an expression's residue can only move when the assignment
+// of a target in its mask does — the rule SubstScratch validates its
+// memo by.
+func (e *Expr) CtrlMask() uint64 { return e.mask }
 
 // IsConst reports whether e is a literal.
 func (e *Expr) IsConst() bool { return e.Op == OpConst }
@@ -187,13 +198,26 @@ type Builder struct {
 	// contending on the intern mutex.
 	live atomic.Int64
 
+	// eqIte memoizes the distribution of k == ite(c, t, e) (Eq) per
+	// (constant, ite) pair, guarded by mu. A table's selector is a chain
+	// of ites as long as the table, every action-compare point distributes
+	// its constant down it, and an update at the head leaves every suffix
+	// of the chain the node it was: with the memo the distribution over
+	// the new head takes one step and finds what the previous update left.
+	// Results are hash-consed pointers, so a hit returns what recomputing
+	// would; Sweep drops the memo with the nodes it un-interns.
+	eqIte map[eqIteKey]*Expr
+
 	// Substitution memo for the single-threaded Subst entry point.
 	sub SubstScratch
 }
 
+// eqIteKey names one k == ite distribution: the constant and the ite.
+type eqIteKey struct{ k, ite *Expr }
+
 // NewBuilder returns an empty expression arena.
 func NewBuilder() *Builder {
-	return &Builder{nodes: make(map[exprKey]*Expr, 1024)}
+	return &Builder{nodes: make(map[exprKey]*Expr, 1024), eqIte: make(map[eqIteKey]*Expr)}
 }
 
 // NumNodes returns how many distinct nodes the builder has interned; it
@@ -222,10 +246,14 @@ func (b *Builder) LiveNodes() int { return int(b.live.Load()) }
 // retained expression for the duration of the call (the engine runs
 // Sweep under its write lock, between passes): ids are reassigned, and
 // any *Expr held outside roots becomes a stale alias that must never be
-// compared against newly interned nodes.
+// compared against newly interned nodes. The Builder's own memos — the
+// k == ite distribution and Subst's scratch — hold such aliases and are
+// dropped here; a caller-owned SubstScratch is the caller's to Reset.
 func (b *Builder) Sweep(roots []*Expr) (swept int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.eqIte = make(map[eqIteKey]*Expr)
+	b.sub.Reset()
 	live := make(map[*Expr]bool, len(b.nodes)/2)
 	stack := make([]*Expr, 0, 64)
 	for _, r := range roots {
@@ -262,15 +290,23 @@ func (b *Builder) Sweep(roots []*Expr) (swept int) {
 	return swept
 }
 
-func (b *Builder) intern(k exprKey) *Expr {
+func (b *Builder) intern(k exprKey) *Expr { return b.internMasked(k, 0) }
+
+// internMasked interns k; a node it creates carries own — a variable's
+// control target — on top of its operands' masks.
+func (b *Builder) internMasked(k exprKey, own uint64) *Expr {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e, ok := b.nodes[k]; ok {
 		return e
 	}
-	depth := uint32(0)
+	depth, mask := uint32(0), own
 	for _, ch := range [...]*Expr{k.a, k.b, k.c} {
-		if ch != nil && ch.depth > depth {
+		if ch == nil {
+			continue
+		}
+		mask |= ch.mask
+		if ch.depth > depth {
 			depth = ch.depth
 		}
 	}
@@ -279,7 +315,7 @@ func (b *Builder) intern(k exprKey) *Expr {
 		Val:  BV{Hi: k.valHi, Lo: k.valLo, W: k.width},
 		Name: k.name, Class: k.class,
 		A: k.a, B: k.b, C: k.c,
-		id: b.nextID, depth: depth + 1,
+		id: b.nextID, depth: depth + 1, mask: mask,
 	}
 	if k.op != OpConst {
 		e.Val = BV{}
@@ -308,10 +344,18 @@ func (b *Builder) False() *Expr { return b.Const(Bool(false)) }
 // width. The same (class, name, width) triple always yields the same
 // node.
 func (b *Builder) Var(class VarClass, name string, w uint16) *Expr {
+	mask := uint64(0)
+	if class == CtrlVar {
+		mask = ^mask // of no known target: a change to any may concern it
+	}
+	return b.varMasked(class, name, w, mask)
+}
+
+func (b *Builder) varMasked(class VarClass, name string, w uint16, mask uint64) *Expr {
 	if w < 1 || w > MaxWidth {
 		panic(fmt.Sprintf("sym: invalid variable width %d for %q", w, name))
 	}
-	return b.intern(exprKey{op: OpVar, width: w, class: class, name: name})
+	return b.internMasked(exprKey{op: OpVar, width: w, class: class, name: name}, mask)
 }
 
 // Data returns the data-plane variable @name@ of width w.
@@ -319,3 +363,13 @@ func (b *Builder) Data(name string, w uint16) *Expr { return b.Var(DataVar, name
 
 // Ctrl returns the control-plane variable |name| of width w.
 func (b *Builder) Ctrl(name string, w uint16) *Expr { return b.Var(CtrlVar, name, w) }
+
+// CtrlOf returns the control-plane variable |name| of the control
+// target — a table, a register, a value set: whatever is assigned as
+// one — that the caller numbered target. The number picks the variable's
+// CtrlMask bit, target mod 64: targets sharing a bit are told apart by
+// nobody, which costs a substitution pass some reuse and never a result.
+// The first call for a name fixes its mask.
+func (b *Builder) CtrlOf(target int, name string, w uint16) *Expr {
+	return b.varMasked(CtrlVar, name, w, 1<<(uint(target)%64))
+}

@@ -291,17 +291,39 @@ func (b *Builder) Eq(x, y *Expr) *Expr {
 				default:
 					return b.False()
 				}
-			case tc && !y.B.Val.Eq(x.Val):
-				// k == ite(c, t≠k, e) => ~c & (k == e)
-				return b.And(b.Not(y.A), b.Eq(x, y.C))
-			case ec && !y.C.Val.Eq(x.Val):
-				// k == ite(c, t, e≠k) => c & (k == t)
-				return b.And(y.A, b.Eq(x, y.B))
+			case tc && !y.B.Val.Eq(x.Val), ec && !y.C.Val.Eq(x.Val):
+				return b.distributeEq(x, y, tc)
 			}
 		}
 	}
 	x, y = orderCommutative(x, y)
 	return b.intern(exprKey{op: OpEq, width: 1, a: x, b: y})
+}
+
+// distributeEq is k == ite(c, t, e) with one branch a constant other
+// than k, the then-branch if thenConst: the comparison moves into the
+// branch that can still equal k. Down a chain of ites it recurses once
+// per link, so the result is memoized per (k, ite) pair; see
+// Builder.eqIte.
+func (b *Builder) distributeEq(k, ite *Expr, thenConst bool) *Expr {
+	key := eqIteKey{k, ite}
+	b.mu.Lock()
+	r, ok := b.eqIte[key]
+	b.mu.Unlock()
+	if ok {
+		return r
+	}
+	if thenConst {
+		// k == ite(c, t≠k, e) => ~c & (k == e)
+		r = b.And(b.Not(ite.A), b.Eq(k, ite.C))
+	} else {
+		// k == ite(c, t, e≠k) => c & (k == t)
+		r = b.And(ite.A, b.Eq(k, ite.B))
+	}
+	b.mu.Lock()
+	b.eqIte[key] = r
+	b.mu.Unlock()
+	return r
 }
 
 // Ne returns x != y.

@@ -1,31 +1,77 @@
 package sym
 
-import "sort"
+import (
+	"math"
+	"math/bits"
+	"sort"
+)
 
-// SubstScratch holds the memo of a substitution: result and
-// generation-mark arrays indexed by the Builder's dense node ids. The
-// zero value is ready to use. A SubstScratch may not be shared between
-// concurrently substituting goroutines; give each its own and they can
-// all rewrite through the same Builder (interning has its own lock, and
-// substitution results are hash-consed so every goroutine arrives at the
-// identical node pointers).
+// SubstScratch holds the memo of substitution, indexed by the Builder's
+// dense node ids, and keeps it from one pass to the next: an entry is a
+// node's residue and the pass it was last known to hold at, and it holds
+// for as long as no control target in the node's CtrlMask has been
+// reported changed since (ResumeSubst). A pass therefore rewrites the
+// nodes the changed targets reach and finds the rest. Residues are
+// hash-consed, so a reused entry is the very pointer a rewrite would
+// arrive at; targets sharing a mask bit are reported changed together,
+// which rewrites more and changes nothing.
+//
+// The memo lives until Reset: whoever sweeps the Builder resets every
+// scratch used on it (a sweep renumbers the ids and un-interns residues
+// the memo still names). The zero value is ready to use. A SubstScratch
+// may not be shared between concurrently substituting goroutines; give
+// each its own and they can all rewrite through the same Builder
+// (interning has its own lock, and substitution results are hash-consed
+// so every goroutine arrives at the identical node pointers).
 type SubstScratch struct {
-	val   []*Expr
-	mark  []uint32
-	epoch uint32
+	// val[id] is node id's residue as of pass at[id]; zero is never.
+	val []*Expr
+	at  []uint32
+	// gen numbers the pass in flight; last[b] is the pass that last
+	// reported mask bit b changed.
+	gen  uint32
+	last [64]uint32
+	// dataKeys: the environment assigns something no mask bit tracks (a
+	// data variable), so an empty mask proves nothing. Derived from the
+	// environment by every pass that may change it.
+	dataKeys bool
+	rewrote  int64
 }
+
+// Reset drops the memo; the next pass on sc starts from nothing.
+func (sc *SubstScratch) Reset() {
+	clear(sc.val)
+	clear(sc.at)
+	sc.gen, sc.last, sc.dataKeys = 0, [64]uint32{}, false
+}
+
+// Rewritten returns how many nodes the passes on sc have rewritten so
+// far — computed through the smart constructors rather than found in the
+// memo or returned as they stand.
+func (sc *SubstScratch) Rewritten() int64 { return sc.rewrote }
 
 func (sc *SubstScratch) ensure(id uint64) {
 	if int(id) < len(sc.val) {
 		return
 	}
 	n := grown(len(sc.val), id)
-	vals := make([]*Expr, n)
-	copy(vals, sc.val)
-	sc.val = vals
-	marks := make([]uint32, n)
-	copy(marks, sc.mark)
-	sc.mark = marks
+	val := make([]*Expr, n)
+	copy(val, sc.val)
+	sc.val = val
+	at := make([]uint32, n)
+	copy(at, sc.at)
+	sc.at = at
+}
+
+// holds reports whether a residue last known to hold at pass gen still
+// does: no target in mask changed after it.
+func (sc *SubstScratch) holds(mask uint64, gen uint32) bool {
+	for ; mask != 0; mask &= mask - 1 {
+		if sc.last[bits.TrailingZeros64(mask)] > gen {
+			return false
+		}
+	}
+	return true
 }
 
 // Subst rewrites e by replacing every variable that appears as a key in
@@ -48,7 +94,7 @@ func (b *Builder) SubstWith(sc *SubstScratch, e *Expr, env map[*Expr]*Expr) *Exp
 	return b.BeginSubst(sc, env).Subst(e)
 }
 
-// SubstPass is one substitution generation: every expression rewritten
+// SubstPass is one substitution pass: every expression rewritten
 // through it shares one memo, so a sub-DAG common to several of them —
 // the path conditions the program points of one control block share —
 // is rewritten once for the whole pass, not once per expression.
@@ -58,16 +104,42 @@ type SubstPass struct {
 	env map[*Expr]*Expr
 }
 
-// BeginSubst opens a new memo generation on sc for substituting env and
-// retires the previous one. The pass is valid as long as env is not
-// mutated, sc is used by no other goroutine, and the Builder is not
-// swept (a sweep renumbers the node ids the memo is indexed by): open a
-// new pass after any of the three. Any number of goroutines may run
-// passes through the same Builder as long as each brings its own
-// SubstScratch.
+// BeginSubst opens a pass on sc for substituting an environment that
+// has nothing to do with the last one sc saw: ResumeSubst with every
+// target changed. The pass is valid as long as env is not mutated, sc is
+// used by no other goroutine, and the Builder is not swept. Any number
+// of goroutines may run passes through the same Builder as long as each
+// brings its own SubstScratch.
 func (b *Builder) BeginSubst(sc *SubstScratch, env map[*Expr]*Expr) SubstPass {
-	// Generation-marked memo indexed by dense node id: nothing to clear.
-	sc.epoch++
+	return b.ResumeSubst(sc, env, ^uint64(0))
+}
+
+// ResumeSubst opens the next pass on sc. The caller promises that env
+// assigns every variable whose CtrlMask lies outside changed what the
+// previous pass's environment assigned it; the pass reuses what that
+// leaves standing of the memo. Every bit set promises nothing, about
+// variables no bit tracks either — that is BeginSubst, and what a first
+// pass on sc always is.
+func (b *Builder) ResumeSubst(sc *SubstScratch, env map[*Expr]*Expr, changed uint64) SubstPass {
+	if sc.gen == math.MaxUint32 {
+		sc.Reset() // pass numbers are compared by order: start over, never wrap
+	}
+	if sc.gen == 0 {
+		changed = ^uint64(0) // nothing to resume
+	}
+	sc.gen++
+	if changed == ^uint64(0) {
+		sc.dataKeys = false
+		for k := range env {
+			if k.mask == 0 {
+				sc.dataKeys = true
+				break
+			}
+		}
+	}
+	for m := changed; m != 0; m &= m - 1 {
+		sc.last[bits.TrailingZeros64(m)] = sc.gen
+	}
 	return SubstPass{b: b, sc: sc, env: env}
 }
 
@@ -76,59 +148,64 @@ func (p SubstPass) Subst(e *Expr) *Expr {
 	if len(p.env) == 0 {
 		return e
 	}
-	return p.b.subst(p.sc, e, p.env)
+	return p.subst(e)
 }
 
-func (b *Builder) subst(sc *SubstScratch, e *Expr, env map[*Expr]*Expr) *Expr {
-	id := e.id
+func (p SubstPass) subst(e *Expr) *Expr {
+	b, sc, id := p.b, p.sc, e.id
+	if e.mask == 0 && !sc.dataKeys {
+		return e // nothing the environment assigns occurs below
+	}
 	sc.ensure(id)
-	if sc.mark[id] == sc.epoch {
+	// An entry of this pass holds; one of an earlier pass holds when the
+	// mask vouches for it (an empty mask vouches for nothing: what made
+	// it matter, a data-variable key, is tracked by no bit).
+	if at := sc.at[id]; at == sc.gen || e.mask != 0 && sc.holds(e.mask, at) {
+		sc.at[id] = sc.gen
 		return sc.val[id]
 	}
+	sc.rewrote++
 	var r *Expr
 	switch e.Op {
 	case OpConst:
 		r = e
 	case OpVar:
-		if repl, ok := env[e]; ok {
+		if repl, ok := p.env[e]; ok {
 			r = repl
 		} else {
 			r = e
 		}
 	case OpNot:
-		r = b.Not(b.subst(sc, e.A, env))
+		r = b.Not(p.subst(e.A))
 	case OpAnd:
-		r = b.And(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.And(p.subst(e.A), p.subst(e.B))
 	case OpOr:
-		r = b.Or(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Or(p.subst(e.A), p.subst(e.B))
 	case OpXor:
-		r = b.Xor(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Xor(p.subst(e.A), p.subst(e.B))
 	case OpAdd:
-		r = b.Add(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Add(p.subst(e.A), p.subst(e.B))
 	case OpSub:
-		r = b.Sub(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Sub(p.subst(e.A), p.subst(e.B))
 	case OpShl:
-		r = b.Shl(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Shl(p.subst(e.A), p.subst(e.B))
 	case OpLshr:
-		r = b.Lshr(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Lshr(p.subst(e.A), p.subst(e.B))
 	case OpConcat:
-		r = b.Concat(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Concat(p.subst(e.A), p.subst(e.B))
 	case OpExtract:
-		r = b.Extract(b.subst(sc, e.A, env), e.Hi, e.Lo)
+		r = b.Extract(p.subst(e.A), e.Hi, e.Lo)
 	case OpEq:
-		r = b.Eq(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Eq(p.subst(e.A), p.subst(e.B))
 	case OpUlt:
-		r = b.Ult(b.subst(sc, e.A, env), b.subst(sc, e.B, env))
+		r = b.Ult(p.subst(e.A), p.subst(e.B))
 	case OpIte:
-		r = b.Ite(b.subst(sc, e.A, env), b.subst(sc, e.B, env), b.subst(sc, e.C, env))
+		r = b.Ite(p.subst(e.A), p.subst(e.B), p.subst(e.C))
 	default:
 		panic("sym: unknown op in subst")
 	}
-	// The smart constructors above may have grown the arena past the
-	// point this node was checked; re-ensure before writing.
-	sc.ensure(id)
-	sc.mark[id] = sc.epoch
-	sc.val[id] = r
+	// The recursion above may have grown the memo and moved it.
+	sc.val[id], sc.at[id] = r, sc.gen
 	return r
 }
 
