@@ -42,7 +42,8 @@ help:
 	@echo "  tier1       build + test (the baseline gate; default)"
 	@echo "  race        gofmt check + vet + race-detector suite + fuzz smoke (slow, load-bearing)"
 	@echo "  fmt-check   fails if gofmt -l lists any file"
-	@echo "  cover       per-package coverage, fails under $(COVER_MIN)% for core/sym/obs/controlplane"
+	@echo "  cover       per-package coverage, fails under $(COVER_MIN)% for any of COVER_PKGS:"
+	@echo "              $(COVER_PKGS)"
 	@echo "  bench-e2e   THE benchmark (bench/, BENCHMARK.json): four workloads, six end-to-end"
 	@echo "              metrics each, correctness-gated; one stamped JSON line per workload."
 	@echo "              Performance claims are judged here and nowhere else; pass flags with"
@@ -88,12 +89,14 @@ test:
 
 # Race tier: vet plus the full suite under the race detector, plus a
 # short native-fuzz smoke of the frontend and the solver. The
-# equivalence suites in internal/core double as the concurrency
-# soundness proof of the parallel batch engine, the audit capture path
-# and the degrade/promote matrix, so this tier is slow (minutes) but
-# load-bearing. The explicit timeout covers single-core machines,
-# where the race detector gets no parallelism to hide behind and
-# internal/core alone can exceed go test's 10m default.
+# equivalence suites in internal/core hold the batch shape of the update
+# path to the sequential one (the engine has no worker pool: a pass is
+# one loop on the caller's goroutine), and under the detector they are
+# what races the wait-free readers, the audit capture path and the
+# degrade/promote matrix against the one writer — so this tier is slow
+# (minutes) but load-bearing. The explicit timeout covers single-core
+# machines, where the race detector gets no parallelism to hide behind
+# and internal/core alone can exceed go test's 10m default.
 RACE_TIMEOUT ?= 45m
 race: fmt-check fuzz-smoke soak-churn-smoke soak-cluster-smoke torture-smoke dd-smoke spine-smoke pps-smoke
 	$(GO) vet ./...

@@ -175,8 +175,10 @@ func BenchmarkTable3UpdateScaling(b *testing.B) {
 					for i := range batch {
 						batch[i] = progs.MiddleblockACLEntry(i)
 					}
-					if err := s.Preload(batch); err != nil {
-						b.Fatal(err)
+					for _, d := range s.ApplyBatch(batch) {
+						if d.Kind == core.Rejected {
+							b.Fatal(d.Err)
+						}
 					}
 					// Each op inserts a probe entry and deletes it again, so
 					// the installed count stays at n across iterations

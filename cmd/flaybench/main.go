@@ -495,8 +495,10 @@ func table3Measure(n, threshold int, deep bool) time.Duration {
 	for i := range batch {
 		batch[i] = progs.MiddleblockACLEntry(i)
 	}
-	if err := s.Preload(batch); err != nil {
-		log.Fatal(err)
+	for _, d := range s.ApplyBatch(batch) {
+		if d.Kind == core.Rejected {
+			log.Fatal(d.Err)
+		}
 	}
 	probe := progs.MiddleblockACLEntry(n)
 	if deep {

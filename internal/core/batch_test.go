@@ -70,6 +70,19 @@ func TestApplyBatchMidRejected(t *testing.T) {
 	if st.Forwarded+st.Recompilations+st.Rejected != st.Updates {
 		t.Fatalf("outcome partition broken: %+v", st)
 	}
+
+	// A call that accepts nothing ends after validation, one update or
+	// several: no pass is opened and no analysis time is booked.
+	s.ApplyBatch([]*controlplane.Update{insert(good1), insert(good2)})
+	s.Apply(insert(good1))
+	after := s.Statistics()
+	if after.Rejected != st.Rejected+3 {
+		t.Fatalf("rejected = %d, want %d", after.Rejected, st.Rejected+3)
+	}
+	if after.UpdateTime != st.UpdateTime || after.EvalTime != st.EvalTime {
+		t.Fatalf("all-rejected calls booked analysis time: update %v→%v, eval %v→%v",
+			st.UpdateTime, after.UpdateTime, st.EvalTime, after.EvalTime)
+	}
 }
 
 // TestApplyBatchCoalescing: a burst targeting one table coalesces to a

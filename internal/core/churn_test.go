@@ -72,6 +72,7 @@ func TestChurnPatternsMatrix(t *testing.T) {
 						if d := seq.Apply(u); d.Kind == core.Rejected {
 							t.Fatalf("sequential update %d (%s) rejected: %v", i, u, d.Err)
 						}
+						checkIdeal(t, u.String(), seq)
 					}
 					applied := 0
 					for _, batch := range cs.Batches() {
@@ -81,6 +82,7 @@ func TestChurnPatternsMatrix(t *testing.T) {
 							}
 						}
 						applied += len(batch)
+						checkIdeal(t, "batch", bat)
 					}
 					if applied != churnLen {
 						t.Fatalf("batches covered %d of %d updates", applied, churnLen)

@@ -438,7 +438,7 @@ func sortedNames[T any](m map[string]T) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/controlplane"
@@ -103,15 +104,8 @@ func (s *Specializer) admit(ctx context.Context) error {
 	}
 }
 
-// observeCost feeds one precise pass (assignment compile + point
-// re-evaluation over npts points) into the estimator.
-func (s *Specializer) observeCost(target string, elapsed time.Duration, npts int) {
-	if npts < 1 {
-		npts = 1
-	}
-	s.observePerPoint(target, float64(elapsed.Nanoseconds())/float64(npts))
-}
-
+// observePerPoint feeds one precise pass's cost per tainted point
+// (assignment compile + point re-evaluation) into the estimator.
 func (s *Specializer) observePerPoint(target string, perNS float64) {
 	if perNS <= 0 {
 		return
@@ -161,29 +155,11 @@ func (s *Specializer) degradable(target string) bool {
 	return s.Cfg.NumEntries(target) <= s.Cfg.Threshold()
 }
 
-// maybeDegrade applies the deadline policy for a single-update Apply:
-// degrade the target when the projected precise cost does not fit the
-// remaining budget. Reports whether it degraded.
-func (s *Specializer) maybeDegrade(ctx context.Context, target string, npts int) bool {
-	deadline, ok := ctx.Deadline()
-	if !ok || !s.degradable(target) {
-		return false
-	}
-	proj := s.projectNS(target, npts)
-	if proj <= 0 {
-		return false
-	}
-	if proj <= deadlineHeadroom*float64(time.Until(deadline).Nanoseconds()) {
-		return false
-	}
-	s.degradeLocked(target, causeDeadline)
-	return true
-}
-
-// shedForBatch applies the deadline policy for ApplyBatch: project the
-// precise cost of every live target, and degrade the most expensive
-// degradable ones until the projected total fits the remaining budget.
-func (s *Specializer) shedForBatch(ctx context.Context, targets []string) {
+// shed is the deadline policy: project the precise cost of every target
+// the call touches, and degrade the most expensive degradable ones
+// until the projected total fits the remaining budget. For one target
+// that is: degrade it when its projection does not fit.
+func (s *Specializer) shed(ctx context.Context, targets []string) {
 	deadline, ok := ctx.Deadline()
 	if !ok {
 		return
@@ -202,7 +178,7 @@ func (s *Specializer) shedForBatch(ctx context.Context, targets []string) {
 		}
 	}
 	budget := deadlineHeadroom * float64(time.Until(deadline).Nanoseconds())
-	sort.Slice(cands, func(i, j int) bool { return cands[i].proj > cands[j].proj })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(b.proj, a.proj) })
 	for _, c := range cands {
 		if total <= budget {
 			return
@@ -245,45 +221,44 @@ func (s *Specializer) Degrade(table string) error {
 		return nil
 	}
 	s.degradeLocked(table, causeManual)
-	if err := s.recompileTarget(table); err != nil {
+	changed, err := s.reanalyse([]string{table}, 0)
+	if err != nil {
 		return err
 	}
-	changed := s.reevalPoints(s.An.PointsOf(table))
-	s.adoptImpls(table, changed)
+	s.adopt(table, changed)
 	return nil
 }
 
 // promoteLocked returns one degraded table to the precise assignment:
-// recompile precisely, re-run the affected queries, and verify that
-// every verdict flip is in the conservative direction (degraded Live →
-// precise Dead, degraded Varies → precise Const). Flips the other way
-// are unsound and counted. The fresh precise pass also re-seeds the
-// cost estimator.
+// re-analyse it precisely and verify that every verdict flip is in the
+// conservative direction (degraded Live → precise Dead, degraded Varies
+// → precise Const). Flips the other way are unsound and counted. The
+// fresh precise pass also re-seeds the cost estimator.
 func (s *Specializer) promoteLocked(target, cause string) (unsound int, err error) {
 	s.imgMarkFull() // precision changes can reshape the specialized program
 	s.Cfg.ForceOverapprox(target, false)
-	t0 := time.Now()
-	if err := s.recompileTarget(target); err != nil {
-		s.Cfg.ForceOverapprox(target, true)
-		return 0, err
-	}
 	// The table is precise from here on: its points go back on the
 	// diagram path in this very pass (ddQuery sits out only the points
 	// under a degraded table).
+	degradedBy := s.degraded[target]
 	delete(s.degraded, target)
 	pts := s.An.PointsOf(target)
 	before := make([]Verdict, len(pts))
 	for i, p := range pts {
 		before[i] = s.verdicts[p.ID]
 	}
-	changed := s.reevalPoints(pts)
-	s.observeCost(target, time.Since(t0), len(pts))
+	changed, err := s.reanalyse([]string{target}, 0)
+	if err != nil {
+		s.Cfg.ForceOverapprox(target, true)
+		s.degraded[target] = degradedBy
+		return 0, err
+	}
 	for i, p := range pts {
 		if unsoundFlip(before[i], s.verdicts[p.ID]) {
 			unsound++
 		}
 	}
-	s.adoptImpls(target, changed)
+	s.adopt(target, changed)
 	s.stats.Promotions++
 	s.stats.DegradedTables = len(s.degraded)
 	s.unsound.Add(int64(unsound))
@@ -294,22 +269,6 @@ func (s *Specializer) promoteLocked(target, cause string) (unsound int, err erro
 	return unsound, nil
 }
 
-// adoptImpls refreshes the installed implementations after a precision
-// transition's re-evaluation, preserving the engine invariant that the
-// installed implementation equals the ideal one: the target itself
-// (idealMatchKinds consults the overapproximation state even when no
-// verdict flips) plus the table of every flipped point.
-func (s *Specializer) adoptImpls(target string, changed []int) {
-	if _, ok := s.An.Tables[target]; ok {
-		s.impls[target] = s.idealImpl(target)
-	}
-	for _, id := range changed {
-		if t := s.An.Points[id].Table; t != "" && t != target {
-			s.impls[t] = s.idealImpl(t)
-		}
-	}
-}
-
 // PromoteAll promotes every degraded table back to precise now,
 // returning the number of unsound flips observed (zero on a healthy
 // engine). The deterministic counterpart of the background repair loop,
@@ -318,7 +277,7 @@ func (s *Specializer) PromoteAll() (unsound int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.publish()
-	for _, target := range sortedKeys(s.degraded) {
+	for _, target := range sortedNames(s.degraded) {
 		u, e := s.promoteLocked(target, causeManual)
 		unsound += u
 		if e != nil && err == nil {
@@ -332,15 +291,6 @@ func (s *Specializer) PromoteAll() (unsound int, err error) {
 // other query-path readers it serves the published epoch wait-free.
 func (s *Specializer) DegradedTables() []string {
 	return append([]string(nil), s.loadEpoch().degraded...)
-}
-
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortStrings(out)
-	return out
 }
 
 // unsoundFlip classifies one verdict transition from a degraded to a
@@ -367,7 +317,7 @@ func unsoundFlip(degraded, precise Verdict) bool {
 func (s *Specializer) DifferentialCheck() (checked, unsoundCount int, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	targets := sortedKeys(s.degraded)
+	targets := sortedNames(s.degraded)
 	if len(targets) == 0 {
 		return 0, 0, nil
 	}
@@ -453,7 +403,7 @@ func (s *Specializer) repairLoop() {
 			s.mu.Unlock()
 			return
 		}
-		if targets := sortedKeys(s.degraded); len(targets) > 0 {
+		if targets := sortedNames(s.degraded); len(targets) > 0 {
 			// Errors leave the table degraded; the next tick retries.
 			_, _ = s.promoteLocked(targets[0], "quiescent")
 			s.publish()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/flayerr"
 	"repro/internal/obs"
@@ -119,6 +120,57 @@ func TestDeadlineDegradesMidFlight(t *testing.T) {
 	}
 }
 
+// TestDeadlineRuleOneOrBatchOfOne: the engine has one deadline rule, so
+// an ApplyCtx and an ApplyBatchCtx of the same single update, under the
+// same too-short budget, degrade the same table — and, the degraded pass
+// having run the flat path, leave the cost estimate where it was.
+func TestDeadlineRuleOneOrBatchOfOne(t *testing.T) {
+	const aclTable = "Ingress.acl_pre_ingress"
+	for _, call := range []struct {
+		name string
+		do   func(context.Context, *core.Specializer, *controlplane.Update) *core.Decision
+	}{
+		{"apply", func(ctx context.Context, s *core.Specializer, u *controlplane.Update) *core.Decision {
+			return s.ApplyCtx(ctx, u)
+		}},
+		{"batch", func(ctx context.Context, s *core.Specializer, u *controlplane.Update) *core.Decision {
+			return s.ApplyBatchCtx(ctx, []*controlplane.Update{u})[0]
+		}},
+	} {
+		t.Run(call.name, func(t *testing.T) {
+			s, err := progs.Middleblock().LoadWith(preciseOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 60; i++ {
+				accepted(t, s.Apply(progs.MiddleblockACLEntry(i)))
+			}
+			projected := core.ProjectedCost(s, aclTable)
+			if projected <= 0 {
+				t.Fatalf("estimator projects %v after 60 precise updates", projected)
+			}
+			// As in TestDeadlineDegradesMidFlight, a budget this short can
+			// run out before admission; such a call is made again.
+			var d *core.Decision
+			for attempt := 0; attempt < 50; attempt++ {
+				ctx, cancel := context.WithTimeout(context.Background(), projected/4)
+				d = call.do(ctx, s, progs.MiddleblockACLEntry(60))
+				cancel()
+				if !errors.Is(d.Err, flayerr.ErrDeadlineExceeded) {
+					break
+				}
+			}
+			accepted(t, d)
+			if got := s.DegradedTables(); !d.Degraded || len(got) != 1 || got[0] != aclTable {
+				t.Fatalf("decision degraded = %v, DegradedTables() = %v, want true and [%s]", d.Degraded, got, aclTable)
+			}
+			if got := core.ProjectedCost(s, aclTable); got != projected {
+				t.Fatalf("a degraded pass moved the estimate: %v, was %v", got, projected)
+			}
+		})
+	}
+}
+
 // TestDegradePromoteMatrix is the soundness matrix from the acceptance
 // bar: for every catalog program × fuzzer seed, degrade
 // every table mid-stream, finish the stream degraded, verify zero
@@ -127,7 +179,7 @@ func TestDeadlineDegradesMidFlight(t *testing.T) {
 // that never degraded.
 func TestDegradePromoteMatrix(t *testing.T) {
 	const half = 16
-	for _, p := range progs.Catalog() {
+	for _, p := range equivPrograms() {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(1); seed <= 2; seed++ {
@@ -143,15 +195,18 @@ func TestDegradePromoteMatrix(t *testing.T) {
 				for _, u := range stream[:half] {
 					s.Apply(u)
 					control.Apply(u)
+					checkIdeal(t, u.String(), s)
 				}
 				for _, table := range s.An.TableOrder {
 					if err := s.Degrade(table); err != nil {
 						t.Fatalf("Degrade(%s): %v", table, err)
 					}
+					checkIdeal(t, "degrade "+table, s)
 				}
 				for i, u := range stream[half:] {
 					ds := s.Apply(u)
 					dc := control.Apply(u)
+					checkIdeal(t, u.String(), s, control)
 					if (ds.Kind == core.Rejected) != (dc.Kind == core.Rejected) {
 						t.Fatalf("seed %d update %d: rejection mismatch degraded=%s control=%s",
 							seed, half+i, ds.Kind, dc.Kind)
@@ -167,6 +222,7 @@ func TestDegradePromoteMatrix(t *testing.T) {
 				if unsound, err := s.PromoteAll(); err != nil || unsound != 0 {
 					t.Fatalf("seed %d: PromoteAll unsound=%d err=%v", seed, unsound, err)
 				}
+				checkIdeal(t, "promote", s)
 				sameEndState(t, control, s)
 				if st := s.Statistics(); st.UnsoundDegraded != 0 {
 					t.Fatalf("UnsoundDegraded = %d", st.UnsoundDegraded)

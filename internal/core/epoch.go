@@ -103,7 +103,7 @@ func (s *Specializer) publish() {
 	prev := s.co.cur.Load()
 	e := &epoch{
 		seq:      s.co.epochSeq + 1,
-		degraded: sortedKeys(s.degraded),
+		degraded: sortedNames(s.degraded),
 	}
 	if prev != nil && !s.verdictsDirty {
 		e.verdicts = prev.verdicts

@@ -10,6 +10,7 @@ package core_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/fuzz"
 	"repro/internal/p4/ast"
 	"repro/internal/progs"
+	"repro/internal/sym"
 	"repro/internal/trace"
 )
 
@@ -35,6 +37,27 @@ func loadEngine(t *testing.T, p *progs.Program) *core.Specializer {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
 	return s
+}
+
+// gateProgram is core's two-table test program (core.GateSrc) as a
+// catalog-shaped entry, so the matrices take it as one more input.
+func gateProgram() *progs.Program {
+	return &progs.Program{Name: "gate", Source: core.GateSrc}
+}
+
+// equivPrograms is the catalog plus the gate program.
+func equivPrograms() []*progs.Program {
+	return append(progs.Catalog(), gateProgram())
+}
+
+// checkIdeal asserts installed == ideal for every table of each engine.
+func checkIdeal(t *testing.T, when string, engines ...*core.Specializer) {
+	t.Helper()
+	for _, s := range engines {
+		if err := core.CheckInstalledIsIdeal(s); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
 }
 
 func makeStream(t *testing.T, s *core.Specializer, seed uint64) []*controlplane.Update {
@@ -101,7 +124,7 @@ func sameEndState(t *testing.T, a, b *core.Specializer) {
 //     sequential Recompile (coalescing may hide transient changes, but
 //     never invents one).
 func TestBatchMatchesSequential(t *testing.T) {
-	for _, p := range progs.Catalog() {
+	for _, p := range equivPrograms() {
 		t.Run(p.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= equivSeeds; seed++ {
 				seq := loadEngine(t, p)
@@ -112,8 +135,10 @@ func TestBatchMatchesSequential(t *testing.T) {
 					seqDs := make([]*core.Decision, len(chunk))
 					for i, u := range chunk {
 						seqDs[i] = seq.Apply(u)
+						checkIdeal(t, u.String(), seq)
 					}
 					batDs := bat.ApplyBatch(chunk)
+					checkIdeal(t, "batch", bat)
 					if len(batDs) != len(chunk) {
 						t.Fatalf("chunk at %d: %d decisions for %d updates", start, len(batDs), len(chunk))
 					}
@@ -190,7 +215,7 @@ func TestTraceReplayBatchedPerBurst(t *testing.T) {
 // sequential decision — same kind, same changed points, same
 // components — for a whole stream, on every catalog program.
 func TestSingletonBatchExact(t *testing.T) {
-	for _, p := range progs.Catalog() {
+	for _, p := range equivPrograms() {
 		t.Run(p.Name, func(t *testing.T) {
 			seq := loadEngine(t, p)
 			bat := loadEngine(t, p)
@@ -203,6 +228,153 @@ func TestSingletonBatchExact(t *testing.T) {
 				sameDecision(t, i, sd, bds[0])
 			}
 			sameEndState(t, seq, bat)
+		})
+	}
+}
+
+// writePath is one way of getting an update into an engine; it returns
+// the engine to go on with.
+type writePath struct {
+	name  string
+	write func(t *testing.T, s *core.Specializer, u *controlplane.Update) *core.Specializer
+}
+
+func accepted(t *testing.T, d *core.Decision) {
+	t.Helper()
+	if d.Kind == core.Rejected {
+		t.Fatalf("%s rejected: %v", d.Update, d.Err)
+	}
+}
+
+// install applies updates as one batch, none of which may be rejected:
+// how a test sets a table up when the set-up is not what it looks at.
+func install(t *testing.T, s *core.Specializer, updates []*controlplane.Update) {
+	t.Helper()
+	for _, d := range s.ApplyBatch(updates) {
+		accepted(t, d)
+	}
+}
+
+// writePaths are the ways a write reaches the engine: Apply, ApplyBatch,
+// Apply under a degraded target that is promoted afterwards, and Apply
+// on an engine that goes through Snapshot/Restore.
+func writePaths() []writePath {
+	return []writePath{
+		{"apply", func(t *testing.T, s *core.Specializer, u *controlplane.Update) *core.Specializer {
+			accepted(t, s.Apply(u))
+			return s
+		}},
+		{"batch", func(t *testing.T, s *core.Specializer, u *controlplane.Update) *core.Specializer {
+			accepted(t, s.ApplyBatch([]*controlplane.Update{u})[0])
+			return s
+		}},
+		{"degrade-promote", func(t *testing.T, s *core.Specializer, u *controlplane.Update) *core.Specializer {
+			if err := s.Degrade(u.Target()); err != nil {
+				t.Fatal(err)
+			}
+			checkIdeal(t, "degraded", s)
+			accepted(t, s.Apply(u))
+			checkIdeal(t, "written degraded", s)
+			if unsound, err := s.PromoteAll(); err != nil || unsound != 0 {
+				t.Fatalf("PromoteAll: unsound=%d err=%v", unsound, err)
+			}
+			return s
+		}},
+		{"snapshot-restore", func(t *testing.T, s *core.Specializer, u *controlplane.Update) *core.Specializer {
+			accepted(t, s.Apply(u))
+			snap, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := core.Restore(snap, preciseOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return restored
+		}},
+	}
+}
+
+// TestWriteFlipsAnotherTable: a write to one table that flips a point of
+// another must bring that other table's installed implementation along,
+// whichever way the write came in. On the gate program, inserting gate's
+// only entry makes second appear (its default action drops — a
+// specialized program without it is not the original's equal) and
+// deleting the entry removes it again.
+func TestWriteFlipsAnotherTable(t *testing.T) {
+	entry := &controlplane.TableEntry{
+		Matches: []controlplane.FieldMatch{{Kind: controlplane.MatchExact, Value: sym.NewBV(8, 7)}},
+		Action:  "raise",
+	}
+	for _, path := range writePaths() {
+		t.Run(path.name, func(t *testing.T) {
+			s, err := gateProgram().LoadWith(preciseOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 2; round++ {
+				for _, step := range []struct {
+					kind   controlplane.UpdateKind
+					second bool
+				}{{controlplane.InsertEntry, true}, {controlplane.DeleteEntry, false}} {
+					s = path.write(t, s, &controlplane.Update{Kind: step.kind, Table: "Ingress.gate", Entry: entry})
+					checkIdeal(t, step.kind.String(), s)
+					if got := strings.Contains(source(s), "mark_to_drop"); got != step.second {
+						t.Fatalf("round %d, after %s: second's drop present = %v, want %v:\n%s",
+							round, step.kind, got, step.second, source(s))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestL4LBDefaultFlipsBackendPool is the one catalog step found (over
+// twelve programs, three seeds and 300-update streams) whose write flips
+// a point of a table it does not target: after l4lb's representative
+// configuration, seed 1's first set-default on Ingress.conn_affinity
+// respecializes Ingress.backend_pool.
+func TestL4LBDefaultFlipsBackendPool(t *testing.T) {
+	const written, flipped = "Ingress.conn_affinity", "Ingress.backend_pool"
+	p, err := progs.ByName("l4lb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range writePaths() {
+		t.Run(path.name, func(t *testing.T) {
+			ref, err := p.LoadWith(preciseOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := p.LoadWith(preciseOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.ApplyRepresentative(ref); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.ApplyRepresentative(s); err != nil {
+				t.Fatal(err)
+			}
+			stream, err := fuzz.New(ref.An, 1).Stream(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range stream {
+				d := ref.Apply(u)
+				if u.Kind != controlplane.SetDefault || u.Table != written {
+					accepted(t, s.Apply(u))
+					continue
+				}
+				if d.Kind != core.Recompile || !slices.Contains(d.Components, flipped) {
+					t.Fatalf("update %d (%s): %s — no longer flips a point of %s", i, u, d, flipped)
+				}
+				s = path.write(t, s, u)
+				checkIdeal(t, u.String(), ref, s)
+				sameEndState(t, ref, s)
+				return
+			}
+			t.Fatalf("seed 1's stream has no set-default on %s in its first %d updates", written, len(stream))
 		})
 	}
 }

@@ -12,9 +12,9 @@
 //     to the table. This is the executable analogue of the paper's
 //     "forward the update to the device" fast path;
 //   - anything that may have reshaped the specialized program — a
-//     respecializing update or batch group, a preload, a degradation or
-//     promotion, ReevaluateAll — recompiles the image from the fresh
-//     specialized program;
+//     respecializing update or batch group, a degradation or promotion,
+//     ReevaluateAll — recompiles the image from the fresh specialized
+//     program;
 //   - a call that changed nothing (every update rejected by validation,
 //     an empty batch) republishes the previous image untouched.
 //
@@ -45,8 +45,8 @@ func (s *Specializer) imgMark(target string) {
 
 // imgMarkFull forces the next publication to recompile the image from
 // the specialized program. Any mutation that may have changed the
-// program's shape (respecialization, preloads, precision changes)
-// routes here.
+// program's shape (respecialization, precision changes, a full
+// re-evaluation) routes here.
 func (s *Specializer) imgMarkFull() {
 	if !s.exec {
 		return

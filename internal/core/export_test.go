@@ -8,6 +8,25 @@ import (
 	"repro/internal/sym"
 )
 
+// GateSrc is the two-table program whose first table's entries decide
+// whether the second is reachable (specializer_test.go).
+const GateSrc = gateSrc
+
+// CheckInstalledIsIdeal asserts the invariant every mutating call must
+// leave behind: each table's installed implementation is the ideal one
+// under the verdicts and configuration now in force. It takes the write
+// lock because idealImpl uses the engine's solver scratch.
+func CheckInstalledIsIdeal(s *Specializer) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, table := range s.An.TableOrder {
+		if cur, ideal := s.impls[table], s.idealImpl(table); !cur.equal(ideal) {
+			return fmt.Errorf("table %s: installed implementation is stale: %s", table, cur.diff(ideal))
+		}
+	}
+	return nil
+}
+
 // ProjectedCost exposes the precision controller's estimate of what one
 // precise update to target would cost right now (deadline.go projectNS),
 // so tests can size a budget relative to it instead of to the clock.

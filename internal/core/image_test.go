@@ -105,9 +105,7 @@ func natEngine(t *testing.T, n int, opts core.Options) *core.Specializer {
 	for i := s.Entries(p.BurstTable); i < n; i++ {
 		sessions = append(sessions, progs.Nat44SessionEntry(i))
 	}
-	if err := s.Preload(sessions); err != nil {
-		t.Fatal(err)
-	}
+	install(t, s, sessions)
 	if got := s.Entries(p.BurstTable); got != n {
 		t.Fatalf("%s holds %d sessions, want %d", p.BurstTable, got, n)
 	}

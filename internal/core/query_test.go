@@ -101,9 +101,7 @@ func aclEngine(t *testing.T, n int) (*core.Specializer, *obs.Registry) {
 	for i := s.Entries(p.ACLTable); i < n; i++ {
 		acl = append(acl, progs.MiddleblockACLEntry(i))
 	}
-	if err := s.Preload(acl); err != nil {
-		t.Fatal(err)
-	}
+	install(t, s, acl)
 	if got := s.Entries(p.ACLTable); got != n {
 		t.Fatalf("%s holds %d entries, want %d", p.ACLTable, got, n)
 	}

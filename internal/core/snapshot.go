@@ -210,7 +210,7 @@ func (s *Specializer) Snapshot() ([]byte, error) {
 	// The degraded-table set (adaptive precision controller): names with
 	// causes, sorted, so a restored engine resumes with the same tables
 	// pinned to the overapproximation and the repair loop re-armed.
-	degraded := sortedKeys(s.degraded)
+	degraded := sortedNames(s.degraded)
 	w.n(len(degraded))
 	for _, name := range degraded {
 		w.str(name)

@@ -8,8 +8,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,8 +286,8 @@ type Stats struct {
 // Specializer is the incremental specializing compiler.
 //
 // A Specializer is safe for concurrent use: mutating entry points
-// (Apply, ApplyBatch, Preload, ReevaluateAll) serialize behind a write
-// lock and end by publishing an immutable epoch (epoch.go), while the
+// (Apply, ApplyBatch, Degrade, PromoteAll, ReevaluateAll) serialize behind a
+// write lock and end by publishing an immutable epoch (epoch.go), while the
 // query-path readers (Verdict, Statistics, Entries, Generation,
 // DegradedTables) load the published epoch wait-free — they never
 // block a writer and a writer never blocks them. Heavy read entry
@@ -338,8 +338,10 @@ type Specializer struct {
 	imgTargets []string
 	machines   sync.Pool
 
-	// eval is the evaluation scratch every pass runs over (eval.go).
-	eval evalScratch
+	// eval is the evaluation scratch every pass runs over (eval.go);
+	// grouping is the update path's bookkeeping (batch.go).
+	eval     evalScratch
+	grouping grouping
 
 	// Observability (all fields are nil-safe; nil means disabled).
 	trace  *obs.Trace
@@ -513,7 +515,7 @@ func (s *Specializer) initState() error {
 			vsNames = append(vsNames, vi.Name)
 		}
 	}
-	sortStrings(vsNames)
+	slices.Sort(vsNames)
 	for _, name := range vsNames {
 		if err := s.recompileTarget(name); err != nil {
 			return err
@@ -581,46 +583,6 @@ func (s *Specializer) ReevaluateAll() int {
 	s.stats.EvalTime += time.Since(t0)
 	s.ddc = ddc
 	return len(changed)
-}
-
-// Preload installs a batch of updates as initial configuration state,
-// without per-update incremental analysis: the configuration is applied
-// first, then the affected assignments and point verdicts are
-// recomputed once. This mirrors the paper's Tbl.-3 methodology
-// ("initialize this ACL table with varying number of entries, then send
-// a single update and measure") — initialization is not what is being
-// timed. The first invalid update aborts with an error; already-applied
-// updates stay applied (their verdicts are still refreshed).
-func (s *Specializer) Preload(updates []*controlplane.Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.publish()
-	s.imgMarkFull()
-	targets := make(map[string]bool)
-	var firstErr error
-	for _, u := range updates {
-		if err := s.Cfg.Apply(u); err != nil {
-			firstErr = err
-			break
-		}
-		targets[u.Target()] = true
-	}
-	names := make([]string, 0, len(targets))
-	for target := range targets {
-		names = append(names, target)
-		if err := s.recompileTarget(target); err != nil {
-			return err
-		}
-	}
-	t0 := time.Now()
-	s.reevalPoints(s.An.PointsOfTargets(names))
-	s.stats.EvalTime += time.Since(t0)
-	for target := range targets {
-		if _, ok := s.An.Tables[target]; ok {
-			s.impls[target] = s.idealImpl(target)
-		}
-	}
-	return firstErr
 }
 
 // recompileTarget recompiles the environment fragment of one touched
@@ -775,195 +737,4 @@ func queryPoint(solver *sym.Solver, p *dataplane.Point, sub *sym.Expr, witnesses
 		witnesses[p.ID] = witness
 	}
 	return Verdict{Kind: VerdictLive}
-}
-
-// Apply processes one control-plane update: validate, route through the
-// taint map, re-evaluate only the affected points, and decide Forward
-// vs Recompile (paper Fig. 2). Equivalent to ApplyCtx with a background
-// context (no latency budget: the analysis always runs precise).
-func (s *Specializer) Apply(u *controlplane.Update) *Decision {
-	return s.ApplyCtx(context.Background(), u)
-}
-
-// ApplyCtx is Apply with a latency budget: when ctx carries a deadline
-// and the projected precise analysis cost of the update does not fit
-// the remaining budget, the adaptive precision controller (deadline.go)
-// degrades the target table to the overapproximated assignment before
-// analysing — keeping the call under its budget at the price of a
-// conservative (never wrong) verdict. A context that is already done on
-// entry rejects the update with flayerr.ErrDeadlineExceeded (or the
-// cancellation cause) without touching any state.
-func (s *Specializer) ApplyCtx(ctx context.Context, u *controlplane.Update) *Decision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.lastApply.Store(time.Now().UnixNano())
-	defer s.publish() // runs after the sweep: the epoch sees final arena counts
-	defer s.maybeSweepArena()
-	return s.applyLocked(ctx, u)
-}
-
-func (s *Specializer) applyLocked(ctx context.Context, u *controlplane.Update) *Decision {
-	t0 := time.Now()
-	d := &Decision{Update: u}
-	seq := s.co.nextSeq()
-	s.stats.Updates = seq
-	s.met.updates.Inc()
-	s.lastChanges = s.lastChanges[:0]
-	sp := s.trace.Start("update", 0)
-	defer func() {
-		s.trace.Attr(sp, "seq", int64(seq))
-		s.trace.Attr(sp, "decision", int64(d.Kind))
-		s.trace.End(sp)
-		s.met.decisionCounter(d.Kind).Inc()
-		s.met.updateNS.ObserveDuration(d.Elapsed)
-		if s.audit != nil {
-			s.audit.Append(auditRecord(d, seq, 0, s.lastChanges))
-		}
-	}()
-	// Admission: a closed engine or an already-exhausted budget rejects
-	// the update before any configuration state is touched.
-	if err := s.admit(ctx); err != nil {
-		s.stats.Rejected++
-		d.Kind = Rejected
-		d.Err = err
-		d.Elapsed = time.Since(t0)
-		return d
-	}
-	if err := s.Cfg.Apply(u); err != nil {
-		s.stats.Rejected++
-		d.Kind = Rejected
-		d.Err = err
-		d.Elapsed = time.Since(t0)
-		return d
-	}
-	target := u.Target()
-
-	// With specialization disabled the installed implementation is the
-	// original program; nothing a valid update does can invalidate it.
-	if s.quality == QualityNone {
-		s.imgMark(target)
-		s.stats.Forwarded++
-		d.Kind = Forward
-		d.Elapsed = time.Since(t0)
-		s.stats.UpdateTime += d.Elapsed
-		return d
-	}
-
-	// Deadline policy (deadline.go): if the projected precise analysis
-	// cost of this update does not fit the remaining budget, pin the
-	// target to the overapproximated assignment before compiling, so the
-	// expensive precise ite chain is never built.
-	pts := s.An.PointsOf(target)
-	s.maybeDegrade(ctx, target, len(pts))
-	if _, deg := s.degraded[target]; deg {
-		d.Degraded = true
-	}
-
-	// Recompile the assignment for the touched object only; the rest of
-	// the environment is unchanged.
-	tc := time.Now()
-	csp := s.trace.Start("assign-compile", sp)
-	err := s.recompileTarget(target)
-	s.trace.End(csp)
-	if err != nil {
-		// The configuration already changed: the next image must not
-		// assume the previous epoch's is patchable.
-		s.imgMarkFull()
-		s.stats.Rejected++
-		d.Kind = Rejected
-		d.Err = err
-		d.Elapsed = time.Since(t0)
-		return d
-	}
-
-	// Taint lookup → affected points → re-query.
-	d.AffectedPoints = len(pts)
-	te := time.Now()
-	qsp := s.trace.Start("query", sp)
-	d.ChangedPoints = s.reevalPoints(pts)
-	s.trace.Attr(qsp, "points", int64(len(pts)))
-	s.trace.Attr(qsp, "changed", int64(len(d.ChangedPoints)))
-	s.trace.End(qsp)
-	evalElapsed := time.Since(te)
-	s.stats.EvalTime += evalElapsed
-	s.met.evalNS.ObserveDuration(evalElapsed)
-	// A precise pass (assignment compile + re-evaluation) feeds the
-	// cost estimator; degraded and statically overapproximated passes
-	// run the flat path and would poison it.
-	if !s.Cfg.Overapproximated(target) {
-		s.observeCost(target, time.Since(tc), len(pts))
-	}
-
-	// Implementation-assumption check: a narrowed implementation may be
-	// invalidated by an update even when no query verdict flips (the
-	// Fig. 3 C→D step: a masked entry forces the table back to
-	// ternary).
-	changedImpls := s.changedImpls(target, d)
-
-	if len(d.ChangedPoints) == 0 && len(changedImpls) == 0 {
-		// Forward: the specialized program is unchanged, so the image
-		// only needs the touched target patched.
-		s.imgMark(target)
-		s.stats.Forwarded++
-		d.Kind = Forward
-		d.Elapsed = time.Since(t0)
-		s.stats.UpdateTime += d.Elapsed
-		return d
-	}
-
-	// Respecialization: adopt the new ideal implementations for the
-	// affected components.
-	s.imgMarkFull()
-	d.Kind = Recompile
-	s.stats.Recompilations++
-	comps := map[string]bool{}
-	for name := range changedImpls {
-		comps[name] = true
-		s.impls[name] = changedImpls[name]
-	}
-	for _, id := range d.ChangedPoints {
-		p := s.An.Points[id]
-		switch {
-		case p.Table != "":
-			comps[p.Table] = true
-			s.impls[p.Table] = s.idealImpl(p.Table)
-		case p.ParserState != "":
-			comps[p.Control+".parser"] = true
-		default:
-			comps[p.Control] = true
-		}
-	}
-	for c := range comps {
-		d.Components = append(d.Components, c)
-	}
-	sortStrings(d.Components)
-	d.Elapsed = time.Since(t0)
-	s.stats.UpdateTime += d.Elapsed
-	return d
-}
-
-// changedImpls compares the installed implementation of the update's
-// target table against the ideal one.
-func (s *Specializer) changedImpls(target string, d *Decision) map[string]*tableImpl {
-	out := make(map[string]*tableImpl)
-	if _, ok := s.An.Tables[target]; !ok {
-		return out
-	}
-	ideal := s.idealImpl(target)
-	cur := s.impls[target]
-	if cur == nil || !cur.equal(ideal) {
-		out[target] = ideal
-		if cur != nil {
-			d.ImplementationChange = cur.diff(ideal)
-		}
-	}
-	return out
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
-	}
 }

@@ -49,6 +49,50 @@ control Ingress(inout headers hdr, inout metadata meta, inout standard_metadata_
 
 const tbl = "Ingress.eth_table"
 
+// gateSrc is the smallest program in which a write to one table flips
+// a point of another: second is reachable only while gate holds an
+// entry, and what it does when reached — its default action drops — is
+// something the empty-gate specialization has removed.
+const gateSrc = `
+header probe_t {
+    bit<8> k;
+}
+struct headers { probe_t h; }
+struct metadata { bit<1> flag; }
+parser MyParser(packet_in pkt, out headers hdr, inout metadata meta, inout standard_metadata_t std) {
+    state start {
+        pkt.extract(hdr.h);
+        transition accept;
+    }
+}
+control Ingress(inout headers hdr, inout metadata meta, inout standard_metadata_t std) {
+    action raise() {
+        meta.flag = 1w1;
+    }
+    action drop() {
+        mark_to_drop(std);
+    }
+    action noop() { }
+    table gate {
+        key = { hdr.h.k: exact; }
+        actions = { raise; noop; }
+        default_action = noop;
+    }
+    table second {
+        key = { hdr.h.k: exact; }
+        actions = { drop; noop; }
+        default_action = drop;
+    }
+    apply {
+        meta.flag = 1w0;
+        gate.apply();
+        if (meta.flag == 1w1) {
+            second.apply();
+        }
+    }
+}
+`
+
 func newSpec(t *testing.T, src string, opts Options) *Specializer {
 	t.Helper()
 	s, err := NewFromSource("test", src, opts)

@@ -133,9 +133,7 @@ func TestHeadWriteRebuildsOneLink(t *testing.T) {
 		for i := range load {
 			load[i] = progs.MiddleblockACLEntry(i)
 		}
-		if err := s.Preload(load); err != nil {
-			t.Fatal(err)
-		}
+		install(t, s, load)
 		rebuilt, links := reg.Counter("cp.chain_links_rebuilt"), reg.Gauge("cp.chain_links")
 		if got := links.Value(); got != int64(n) {
 			t.Fatalf("%d entries: cp.chain_links = %d", n, got)

@@ -136,6 +136,7 @@ func runOracle(t *testing.T, p *progs.Program, schedule [][]*controlplane.Update
 			}
 		}
 		captureOracle(oracle, s, s.An.TableOrder)
+		checkIdeal(t, "oracle", s)
 	}
 	return oracle
 }
@@ -332,6 +333,7 @@ func tortureRun(t *testing.T, cycles, cycleLen, readers int, snapshots bool) cor
 		t.Fatalf("final update count %d, schedule had %d", final.Stats.Updates, total)
 	}
 	checkView(t, "final", final, oracle, tables)
+	checkIdeal(t, "final", s)
 	recs := trail.Records()
 	if len(recs) != total {
 		t.Fatalf("audit trail has %d records for %d updates", len(recs), total)

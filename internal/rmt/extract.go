@@ -2,6 +2,7 @@ package rmt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/p4/ast"
 	"repro/internal/p4/typecheck"
@@ -157,7 +158,7 @@ func (x *extractor) applyTable(fun *ast.Member, guard set) (string, error) {
 	for d := range deps {
 		req.Deps = append(req.Deps, d)
 	}
-	sortStrings(req.Deps)
+	slices.Sort(req.Deps)
 
 	// Action data width and written fields.
 	maxData := 0
@@ -258,12 +259,4 @@ func phvDemand(prog *ast.Program, info *typecheck.Info) int {
 func headerPathKey(e ast.Expr) string {
 	p, _ := typecheck.FieldPath(e)
 	return p
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
-	}
 }
