@@ -132,12 +132,16 @@ dd-smoke:
 spine-smoke:
 	$(GO) test -race -count=3 -run 'TestDifferentialCheckBesideWriter' ./internal/core
 
+# fuzz-smoke: FuzzSnapshot seals the payloads it mutates, so new
+# coverage is found from the first second; -fuzzminimizetime=1x keeps the
+# smoke from spending its few seconds minimizing 1 KB inputs instead of
+# running them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzP4Parse -fuzztime=$(FUZZ_SMOKE) ./internal/p4/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzSolver$$' -fuzztime=$(FUZZ_SMOKE) ./internal/sym
 	$(GO) test -run='^$$' -fuzz='^FuzzSolverOracle$$' -fuzztime=$(FUZZ_SMOKE) ./internal/sym
 	$(GO) test -run='^$$' -fuzz=FuzzChainMatchesFresh -fuzztime=$(FUZZ_SMOKE) ./internal/controlplane
-	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=$(FUZZ_SMOKE) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=$(FUZZ_SMOKE) -fuzzminimizetime=1x ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZ_SMOKE) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzBinFrameDecode -fuzztime=$(FUZZ_SMOKE) ./internal/wire/binproto
 	$(GO) test -run='^$$' -fuzz=FuzzDpexecVsBmv2 -fuzztime=$(FUZZ_SMOKE) ./internal/dpexec

@@ -21,14 +21,14 @@
 //	-restore FILE       warm-restart from a snapshot instead of opening a source
 //
 // With -restore the positional source argument is omitted: the
-// snapshot embeds the program, the installed configuration, the verdict
-// map and the liveness witnesses, so e.g.
+// snapshot embeds the program, the installed configuration and the
+// decision counters, so e.g.
 //
-//	flay -representative -snapshot scion.snap demo catalog:scion
+//	flay -snapshot scion.snap demo catalog:scion
 //	flay -restore scion.snap specialize
 //
-// resumes the stream without re-running the initial specialization
-// pass.
+// resumes the stream without replaying it; verdicts are computed from
+// the restored configuration, not read from the file.
 package main
 
 import (

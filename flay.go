@@ -388,20 +388,22 @@ func (p *Pipeline) Generation() uint64 { return p.spec.Generation() }
 // Epoch values observed the same consistent state.
 func (p *Pipeline) Epoch() uint64 { return p.spec.EpochSeq() }
 
-// Snapshot serializes the pipeline's complete warm state — program,
-// installed configuration, verdict map and liveness witnesses — to
-// portable bytes. Restore rebuilds an equivalent pipeline
-// from them, skipping the initial specialization pass; replaying the
-// remaining update stream on the restored pipeline yields exactly the
-// decisions the uninterrupted run would have produced.
+// Snapshot serializes what the pipeline is a function of — program,
+// verdict-shaping options, installed configuration, degraded tables and
+// decision counters — to portable bytes. It holds no verdicts: Restore
+// opens the program with that configuration installed and computes
+// them, so replaying the remaining update stream on the restored
+// pipeline yields exactly the decisions the uninterrupted run would
+// have produced.
 func (p *Pipeline) Snapshot() ([]byte, error) { return p.spec.Snapshot() }
 
 // Restore rebuilds a pipeline from Snapshot bytes. The snapshot
 // dictates the verdict-shaping options (quality, overapproximation
 // threshold, parser skipping); runtime options — Target, Exec, repair
-// pacing, observability — come from opts. Corrupted or truncated input, or a
-// snapshot written in an earlier format version, yields an error
-// satisfying errors.Is(err, ErrSnapshotCorrupt), never a panic.
+// pacing, observability — come from opts. Corrupted, truncated or
+// tampered input, or a snapshot written in an earlier format version,
+// yields an error satisfying errors.Is(err, ErrSnapshotCorrupt), never a
+// panic.
 func Restore(data []byte, opts ...Option) (*Pipeline, error) {
 	o := resolveOptions(opts)
 	s, err := core.Restore(data, core.Options{

@@ -87,20 +87,19 @@ type ddCore struct {
 // name), so the hottest match keys sit near the root and cross-point
 // sharing is maximal. Variables that only appear through assignments
 // (table keys, value-set keys, register read sites) follow, in
-// deterministic name order. order, when non-nil, is a persisted
-// variable order from a snapshot and is registered verbatim instead —
-// a resumed engine must walk its diagrams in the exact order the
-// snapshotting engine used, or the rebuilt witnesses would diverge.
+// deterministic name order. order, when not empty, is a snapshot's
+// variable order and is registered verbatim instead: a resumed engine
+// builds the diagrams, and Explain narrates the paths, of the engine
+// that was snapshotted. A snapshot of an engine without the core has
+// none, and the order is derived.
 func newDDCore(an *dataplane.Analysis, order []dd.Atom) *ddCore {
 	d := &ddCore{}
 	st := dd.NewStore()
 	d.store.Store(st)
 	vars := make(map[string]*sym.Expr)
-	if order != nil {
-		b := an.Builder
+	if len(order) > 0 {
 		for _, a := range order {
-			v := b.Data(a.Name, a.Width)
-			d.register(st, v)
+			d.register(st, an.Builder.Data(a.Name, a.Width))
 		}
 		return d
 	}

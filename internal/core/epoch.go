@@ -91,7 +91,7 @@ type coord struct {
 func (c *coord) nextSeq() int { return int(c.seq.Add(1)) }
 
 // publish cuts a new epoch from the engine's current state and installs
-// it. Caller holds the write lock (or is inside New/Restore before the
+// it. Caller holds the write lock (or is inside open, before the
 // engine escapes). verdictsDirty tracks whether any verdict changed
 // since the last publication; when clean, the previous epoch's frozen
 // verdict copy is re-used instead of re-copied — the Forward fast path
@@ -126,8 +126,8 @@ func (s *Specializer) publish() {
 	s.met.epoch.Set(int64(e.seq))
 }
 
-// loadEpoch returns the current epoch. It never returns nil: New and
-// Restore publish before the engine escapes the constructor.
+// loadEpoch returns the current epoch. It never returns nil: open
+// publishes before the engine escapes it.
 func (s *Specializer) loadEpoch() *epoch { return s.co.cur.Load() }
 
 // EpochSeq returns the sequence number of the currently published

@@ -219,3 +219,23 @@ func CheckSpinesRooted(s *Specializer) error {
 
 // DDSweepFloor is the diagram store's bound.
 const DDSweepFloor = ddSweepFloor
+
+// SealSnapshot frames a snapshot payload the way Snapshot does: magic
+// before, checksum after.
+func SealSnapshot(payload []byte) []byte { return sealSnapshot(payload) }
+
+// SnapshotCounterNames names the counters a snapshot carries, in wire
+// order.
+var SnapshotCounterNames = snapCounterNames[:]
+
+// EditSnapshot decodes a valid snapshot, hands edit its flags and its
+// counters, and seals what it re-encodes: the bytes of a writer other
+// than Snapshot, which no checksum stops.
+func EditSnapshot(snap []byte, edit func(flags *uint64, counters []int64)) ([]byte, error) {
+	img, err := decodeSnapshot(snap)
+	if err != nil {
+		return nil, err
+	}
+	edit(&img.flags, img.boot.counters[:])
+	return sealSnapshot(img.encode()), nil
+}

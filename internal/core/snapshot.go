@@ -1,63 +1,94 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"time"
 
 	"repro/internal/controlplane"
-	"repro/internal/dataplane"
 	"repro/internal/dd"
 	"repro/internal/flayerr"
-	"repro/internal/p4/parser"
-	"repro/internal/p4/typecheck"
 	"repro/internal/sym"
 )
 
-// Engine snapshots: the full warm state of a Specializer serialized to
+// Engine snapshots: what an engine is a function of, serialized to
 // bytes, so a controller can checkpoint a stream and warm-restart it —
 // in another process — without replaying the control-plane history.
 //
 // A snapshot carries the program source, the engine options that shape
 // verdicts (quality, overapproximation threshold, parser skipping), the
-// installed configuration (controlplane.State), the cumulative decision
-// counters, the verdict map and the per-point liveness witnesses.
-// Everything expression-valued travels through the portable encoding
-// (sym.EncodeExprs), never builder pointers, which is what makes the
-// bytes portable.
-//
-// Restore re-runs parsing, type-checking and the data-plane analysis —
-// all deterministic, so points, taint and placeholders line up with the
-// snapshotting engine — then installs the saved state instead of
-// recomputing it: the initial-preprocessing query pass, the dominant
-// open cost after analysis, is skipped entirely. What a restored engine
-// does not have is the per-point residue memo (pointSub): the first
-// write to each target re-queries the points it taints once, and the
-// width rule, a literal or the diagram memo settle those.
+// installed configuration (controlplane.State), the degraded-table set,
+// the diagram variable order and the cumulative decision counters. It
+// holds nothing derived: verdicts, witnesses, residues and installed
+// implementations are functions of (program, configuration), and Restore
+// computes them the way NewFromSource does — by the open pass (open,
+// specializer.go) — with the snapshot's configuration installed first.
+// Bytes a loader cannot check therefore never decide what the device
+// runs, and the pass is a few per cent of a restore that re-runs
+// parsing, type-checking and the data-plane analysis (DESIGN §4.9 has
+// the table).
 //
 // Wire format: magic, then uvarint/varint-packed sections in fixed
-// order, then an FNV-64a checksum of everything before it. The loader
+// order, then an FNV-64a checksum of everything between. The loader
 // re-validates every field against the freshly built analysis (a
 // snapshot is untrusted input) and returns errors — never panics — on
 // corruption; FuzzSnapshot holds it to that.
 
 // snapMagic identifies snapshot bytes; the trailing byte is the format
-// version. Version 2 added the adaptive-precision sections: the
-// degraded-table set (after the threshold) and three more cumulative
-// counters (degradations, promotions, unsound degraded verdicts).
-// Version 3 added the decision-diagram variable order (after the
-// degraded set): atom names and widths in registration order, so a
-// restored engine rebuilds its diagrams — they are never serialized —
-// under the exact order the snapshotting engine walked. Version 4 is
-// version 3 without its last section, the specialization-query cache,
-// which left the engine; older bytes fail the magic check.
-var snapMagic = []byte("goflay-snap\x04")
+// version. Version 5 is version 4 without the verdict section, the
+// witness section and the two open-time timings; older bytes fail the
+// magic check.
+var snapMagic = []byte("goflay-snap\x05")
 
-// snapMaxWitnessVars bounds decoded witness tables against hostile
-// length prefixes.
-const snapMaxWitnessVars = 1 << 20
+// The cumulative counters a snapshot carries, in wire order.
+const (
+	snapUpdates = iota
+	snapForwarded
+	snapRecompilations
+	snapRejected
+	snapBatches
+	snapBatchedUpdates
+	snapCoalesced
+	snapUpdateTime
+	snapEvalTime
+	snapDegradations
+	snapPromotions
+	snapUnsound
+	numSnapCounters
+)
+
+var snapCounterNames = [numSnapCounters]string{
+	"updates", "forwarded", "recompilations", "rejected", "batches",
+	"batched_updates", "coalesced", "update_ns", "eval_ns",
+	"degradations", "promotions", "unsound",
+}
+
+// snapSkipParser is the one flag bit: the analysis skipped the parser.
+const snapSkipParser = 1
+
+// image is a snapshot decoded: the program, the options that shape
+// verdicts, and what the open pass starts from.
+type image struct {
+	name, source string
+	flags        uint64
+	quality      Quality
+	threshold    int
+	boot         boot
+}
+
+// boot is what a snapshot adds to an open (open, specializer.go): the
+// configuration to install before the first pass, the tables to re-pin
+// to the overapproximation, the diagram variable order (Explain's
+// narrative is a function of it) and the cumulative counters, so
+// sequence numbers — and with them audit records — continue where the
+// snapshotting engine stopped.
+type boot struct {
+	state    controlplane.State
+	degraded map[string]string
+	order    []dd.Atom
+	counters [numSnapCounters]int64
+}
 
 // snapWriter appends the primitive wire types.
 type snapWriter struct{ buf []byte }
@@ -68,10 +99,6 @@ func (w *snapWriter) n(v int)    { w.u(uint64(v)) }
 func (w *snapWriter) str(s string) {
 	w.n(len(s))
 	w.buf = append(w.buf, s...)
-}
-func (w *snapWriter) bytes(b []byte) {
-	w.n(len(b))
-	w.buf = append(w.buf, b...)
 }
 func (w *snapWriter) bv(v sym.BV) {
 	w.u(uint64(v.W))
@@ -139,16 +166,6 @@ func (r *snapReader) str() string {
 	return s
 }
 
-func (r *snapReader) bytes() []byte {
-	n := r.n()
-	if r.err != nil {
-		return nil
-	}
-	b := r.buf[:n:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
 // bv reads a bitvector and enforces the package invariant that bits
 // above the width are zero (arithmetic downstream depends on it).
 func (r *snapReader) bv() sym.BV {
@@ -184,78 +201,149 @@ func (s *Specializer) Generation() uint64 {
 	return s.loadEpoch().generation
 }
 
-// Snapshot serializes the engine's complete warm state. It takes the
+// Snapshot serializes what the engine is a function of. It takes the
 // read lock, so it can run concurrently with other readers (and
 // coherently between updates).
 func (s *Specializer) Snapshot() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.source == "" {
-		return nil, fmt.Errorf("core: snapshot: engine was not opened from source (use NewFromSource)")
+	st := s.stats
+	img := image{
+		name:      s.Prog.Name,
+		source:    s.source,
+		quality:   s.quality,
+		threshold: s.Cfg.OverapproxThreshold,
+		boot: boot{
+			state:    s.Cfg.State(),
+			degraded: s.degraded,
+			order:    s.variableOrder(),
+			counters: [numSnapCounters]int64{
+				snapUpdates:        int64(st.Updates),
+				snapForwarded:      int64(st.Forwarded),
+				snapRecompilations: int64(st.Recompilations),
+				snapRejected:       int64(st.Rejected),
+				snapBatches:        int64(st.Batches),
+				snapBatchedUpdates: int64(st.BatchedUpdates),
+				snapCoalesced:      int64(st.Coalesced),
+				snapUpdateTime:     int64(st.UpdateTime),
+				snapEvalTime:       int64(st.EvalTime),
+				snapDegradations:   int64(st.Degradations),
+				snapPromotions:     int64(st.Promotions),
+				snapUnsound:        s.unsound.Load(),
+			},
+		},
 	}
-
-	w := &snapWriter{buf: append([]byte(nil), snapMagic...)}
-	payloadStart := len(w.buf)
-
-	w.str(s.Prog.Name)
-	w.str(s.source)
-	flags := uint64(0)
 	if s.An.SkippedParser {
-		flags |= 1
+		img.flags = snapSkipParser
 	}
-	w.u(flags)
-	w.u(uint64(s.quality))
-	w.i(int64(s.Cfg.OverapproxThreshold))
+	return sealSnapshot(img.encode()), nil
+}
 
-	// The degraded-table set (adaptive precision controller): names with
-	// causes, sorted, so a restored engine resumes with the same tables
-	// pinned to the overapproximation and the repair loop re-armed.
-	degraded := sortedNames(s.degraded)
+// sealSnapshot frames a payload: the magic before it, its checksum
+// after.
+func sealSnapshot(payload []byte) []byte {
+	sum := fnv.New64a()
+	sum.Write(payload)
+	out := make([]byte, 0, len(snapMagic)+len(payload)+sum.Size())
+	return sum.Sum(append(append(out, snapMagic...), payload...))
+}
+
+// encode writes the payload sections in wire order. Map-held sections
+// are written sorted and the State is already deterministically
+// ordered, so identical engines serialize identically.
+func (img *image) encode() []byte {
+	w := &snapWriter{}
+	w.str(img.name)
+	w.str(img.source)
+	w.u(img.flags)
+	w.u(uint64(img.quality))
+	w.i(int64(img.threshold))
+	degraded := sortedNames(img.boot.degraded)
 	w.n(len(degraded))
 	for _, name := range degraded {
 		w.str(name)
-		w.str(s.degraded[name])
+		w.str(img.boot.degraded[name])
 	}
-
-	// The diagram core's variable order (dd.go). Diagrams rebuild from
-	// the residues on restore; only the order — which fixes canonical
-	// form and walk-witness determinism — travels. Empty when the core
-	// is disabled.
-	order := s.variableOrder()
-	w.n(len(order))
-	for _, a := range order {
+	// Diagrams are rebuilt from the residues; only the order — which
+	// fixes their canonical form — travels. Empty when the core is
+	// disabled.
+	w.n(len(img.boot.order))
+	for _, a := range img.boot.order {
 		w.str(a.Name)
 		w.u(uint64(a.Width))
 	}
-
-	writeConfigState(w, s.Cfg.State())
-
-	// Cumulative counters, so sequence numbers (and with them audit
-	// records) continue exactly where the snapshotting engine stopped.
-	st := s.stats
-	for _, v := range []int64{
-		int64(st.Updates), int64(st.Forwarded), int64(st.Recompilations),
-		int64(st.Rejected), int64(st.Batches), int64(st.BatchedUpdates),
-		int64(st.Coalesced),
-		int64(st.AnalysisTime), int64(st.PreprocessTime),
-		int64(st.UpdateTime), int64(st.EvalTime),
-		int64(st.Degradations), int64(st.Promotions), s.unsound.Load(),
-	} {
+	writeConfigState(w, img.boot.state)
+	for _, v := range img.boot.counters {
 		w.i(v)
 	}
+	return w.buf
+}
 
-	w.n(len(s.verdicts))
-	for _, v := range s.verdicts {
-		w.u(uint64(v.Kind))
-		w.bv(v.Val)
+// decodeSnapshot checks the frame and every field that can be checked
+// without the program: the checksum catches accidents, the field checks
+// what a writer other than Snapshot could have produced.
+func decodeSnapshot(data []byte) (*image, error) {
+	if len(data) < len(snapMagic)+8 {
+		return nil, fmt.Errorf("core: %w: input too short", flayerr.ErrSnapshotCorrupt)
+	}
+	if !bytes.Equal(data[:len(snapMagic)], snapMagic) {
+		return nil, fmt.Errorf("core: %w: bad magic (not a goflay snapshot, or wrong version)",
+			flayerr.ErrSnapshotCorrupt)
+	}
+	payload := data[len(snapMagic) : len(data)-8]
+	sum := fnv.New64a()
+	sum.Write(payload)
+	if got := binary.BigEndian.Uint64(data[len(data)-8:]); got != sum.Sum64() {
+		return nil, fmt.Errorf("core: %w: checksum mismatch", flayerr.ErrSnapshotCorrupt)
 	}
 
-	writeWitnesses(w, s.witnesses)
-
-	sum := fnv.New64a()
-	sum.Write(w.buf[payloadStart:])
-	w.buf = sum.Sum(w.buf)
-	return w.buf, nil
+	r := &snapReader{buf: payload}
+	img := &image{name: r.str(), source: r.str(), flags: r.u()}
+	quality := r.u()
+	img.quality = Quality(quality)
+	img.threshold = int(r.i())
+	if n := r.n(); n > 0 {
+		img.boot.degraded = make(map[string]string, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			img.boot.degraded[r.str()] = r.str()
+		}
+	}
+	for i, n := 0, r.n(); i < n && r.err == nil; i++ {
+		name, width := r.str(), r.u()
+		if r.err == nil && (width < 1 || width > sym.MaxWidth) {
+			r.fail("atom %q has width %d", name, width)
+		}
+		img.boot.order = append(img.boot.order, dd.Atom{Name: name, Width: uint16(width)})
+	}
+	img.boot.state = readConfigState(r)
+	c := &img.boot.counters
+	for i := range c {
+		c[i] = r.i()
+		if r.err == nil && c[i] < 0 {
+			r.fail("counter %s is %d", snapCounterNames[i], c[i])
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	switch {
+	case len(r.buf) != 0:
+		r.fail("%d trailing bytes", len(r.buf))
+	case img.flags&^snapSkipParser != 0:
+		r.fail("unknown flags %#x", img.flags)
+	case quality > uint64(QualityNone):
+		r.fail("invalid quality %d", quality)
+	// The documented partition, written so that no sum can overflow.
+	case c[snapForwarded] > c[snapUpdates] ||
+		c[snapRecompilations] > c[snapUpdates]-c[snapForwarded] ||
+		c[snapRejected] != c[snapUpdates]-c[snapForwarded]-c[snapRecompilations]:
+		r.fail("%d updates are not %d forwarded + %d recompilations + %d rejected",
+			c[snapUpdates], c[snapForwarded], c[snapRecompilations], c[snapRejected])
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return img, nil
 }
 
 // writeConfigState serializes a controlplane.State. The State is
@@ -369,327 +457,23 @@ func readConfigState(r *snapReader) controlplane.State {
 	return st
 }
 
-// writeWitnesses serializes the per-point liveness witnesses: one
-// shared variable table (canonically encoded, sorted builder-
-// independently by class/name/width) followed by per-point assignments
-// referencing it by index.
-func writeWitnesses(w *snapWriter, witnesses []sym.Env) {
-	varIndex := make(map[*sym.Expr]int)
-	var vars []*sym.Expr
-	for _, env := range witnesses {
-		for v := range env {
-			if _, ok := varIndex[v]; !ok {
-				varIndex[v] = 0 // placeholder; assigned after sorting
-				vars = append(vars, v)
-			}
-		}
-	}
-	sort.Slice(vars, func(i, j int) bool {
-		a, b := vars[i], vars[j]
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Width < b.Width
-	})
-	for i, v := range vars {
-		varIndex[v] = i
-	}
-	blob, _ := sym.EncodeExprs(vars) // vars are interned nodes, never nil
-	w.bytes(blob)
-
-	withWitness := 0
-	for _, env := range witnesses {
-		if len(env) > 0 {
-			withWitness++
-		}
-	}
-	w.n(withWitness)
-	for id, env := range witnesses {
-		if len(env) == 0 {
-			continue
-		}
-		w.n(id)
-		w.n(len(env))
-		// Deterministic order via the sorted variable table.
-		idxs := make([]int, 0, len(env))
-		byIdx := make(map[int]sym.BV, len(env))
-		for v, val := range env {
-			idxs = append(idxs, varIndex[v])
-			byIdx[varIndex[v]] = val
-		}
-		sort.Ints(idxs)
-		for _, ix := range idxs {
-			w.n(ix)
-			w.bv(byIdx[ix])
-		}
-	}
-}
-
-func readWitnesses(r *snapReader, b *sym.Builder, points int) []sym.Env {
-	blob := r.bytes()
-	if r.err != nil {
-		return nil
-	}
-	vars, err := sym.DecodeExprs(b, blob)
-	if err != nil {
-		r.fail("witness variable table: %v", err)
-		return nil
-	}
-	if len(vars) > snapMaxWitnessVars {
-		r.fail("witness variable table too large")
-		return nil
-	}
-	for _, v := range vars {
-		if v.Op != sym.OpVar {
-			r.fail("witness table entry is not a variable")
-			return nil
-		}
-	}
-	out := make([]sym.Env, points)
-	n := r.n()
-	for i := 0; i < n && r.err == nil; i++ {
-		id := int(r.u())
-		if r.err != nil {
-			return nil
-		}
-		if id >= points {
-			r.fail("witness references point %d of %d", id, points)
-			return nil
-		}
-		nv := r.n()
-		env := make(sym.Env, nv)
-		for k := 0; k < nv && r.err == nil; k++ {
-			ix := int(r.u())
-			val := r.bv()
-			if r.err != nil {
-				return nil
-			}
-			if ix >= len(vars) {
-				r.fail("witness references variable %d of %d", ix, len(vars))
-				return nil
-			}
-			if val.W != vars[ix].Width {
-				r.fail("witness value width %d for variable of width %d", val.W, vars[ix].Width)
-				return nil
-			}
-			env[vars[ix]] = val
-		}
-		out[id] = env
-	}
-	return out
-}
-
-// Restore rebuilds a Specializer from Snapshot bytes. Parsing,
-// type-checking and the data-plane analysis re-run (they are
-// deterministic functions of the embedded source); the configuration,
-// verdicts and witnesses are installed from the snapshot, skipping the
-// initial query pass. The snapshot dictates the verdict-shaping options
-// (quality, threshold, parser skipping); runtime options — the
+// Restore rebuilds a Specializer from Snapshot bytes: it is
+// NewFromSource on the embedded program with the snapshot's
+// configuration, degraded set, variable order and counters in place
+// before the first pass. The snapshot dictates the verdict-shaping
+// options (quality, threshold, parser skipping); runtime options — the
 // executor, repair pacing, observability — come from opts.
 func Restore(data []byte, opts Options) (*Specializer, error) {
-	if len(data) < len(snapMagic)+8 {
-		return nil, fmt.Errorf("core: %w: input too short", flayerr.ErrSnapshotCorrupt)
-	}
-	for i, b := range snapMagic {
-		if data[i] != b {
-			return nil, fmt.Errorf("core: %w: bad magic (not a goflay snapshot, or wrong version)",
-				flayerr.ErrSnapshotCorrupt)
-		}
-	}
-	payload := data[len(snapMagic) : len(data)-8]
-	sum := fnv.New64a()
-	sum.Write(payload)
-	if got := binary.BigEndian.Uint64(data[len(data)-8:]); got != sum.Sum64() {
-		return nil, fmt.Errorf("core: %w: checksum mismatch", flayerr.ErrSnapshotCorrupt)
-	}
-
-	r := &snapReader{buf: payload}
-	name := r.str()
-	source := r.str()
-	flags := r.u()
-	quality := Quality(r.u())
-	threshold := int(r.i())
-	ndeg := r.n()
-	degraded := make(map[string]string, ndeg)
-	for i := 0; i < ndeg && r.err == nil; i++ {
-		degraded[r.str()] = r.str()
-	}
-	norder := r.n()
-	order := make([]dd.Atom, 0, norder)
-	for i := 0; i < norder && r.err == nil; i++ {
-		a := dd.Atom{Name: r.str(), Width: uint16(r.u())}
-		if a.Width < 1 || a.Width > sym.MaxWidth {
-			return nil, fmt.Errorf("core: %w: atom %q has width %d",
-				flayerr.ErrSnapshotCorrupt, a.Name, a.Width)
-		}
-		order = append(order, a)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if quality > QualityNone {
-		return nil, fmt.Errorf("core: %w: invalid quality %d", flayerr.ErrSnapshotCorrupt, quality)
-	}
-
-	root := opts.Trace.Start("restore", 0)
-	defer opts.Trace.End(root)
-	t0 := time.Now()
-	sp := opts.Trace.Start("parse", root)
-	prog, err := parser.Parse(name, source)
-	opts.Trace.End(sp)
+	img, err := decodeSnapshot(data)
 	if err != nil {
-		return nil, fmt.Errorf("core: snapshot: embedded program: %w", err)
+		return nil, err
 	}
-	sp = opts.Trace.Start("typecheck", root)
-	info, err := typecheck.Check(prog)
-	opts.Trace.End(sp)
+	opts.SkipParser = img.flags&snapSkipParser != 0
+	opts.Quality = img.quality
+	opts.OverapproxThreshold = img.threshold
+	s, err := open(img.name, img.source, opts, &img.boot)
 	if err != nil {
-		return nil, fmt.Errorf("core: snapshot: embedded program: %w", err)
-	}
-	an, err := dataplane.Analyze(prog, info, dataplane.Options{
-		SkipParser: flags&1 != 0,
-		Trace:      opts.Trace,
-		Parent:     root,
-		Metrics:    opts.Metrics,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot: embedded program: %w", err)
-	}
-	analysisTime := time.Since(t0)
-
-	cfg := controlplane.NewConfig(an)
-	cfg.OverapproxThreshold = threshold
-	cfg.SetObserver(opts.Metrics)
-	if err := cfg.SetState(readConfigState(r)); err != nil {
-		if r.err != nil {
-			return nil, r.err
-		}
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
-
-	// Re-pin the degraded tables before initState so their assignments
-	// compile overapproximated — the state the saved verdicts were
-	// computed under.
-	for tname := range degraded {
-		if an.Tables[tname] == nil {
-			return nil, fmt.Errorf("core: %w: degraded table %q not in program",
-				flayerr.ErrSnapshotCorrupt, tname)
-		}
-		cfg.ForceOverapprox(tname, true)
-	}
-
-	s := &Specializer{
-		Prog:     prog,
-		Info:     info,
-		An:       an,
-		Cfg:      cfg,
-		source:   source,
-		impls:    make(map[string]*tableImpl),
-		quality:  quality,
-		exec:     opts.Exec,
-		trace:    opts.Trace,
-		audit:    opts.Audit,
-		met:      newCoreMetrics(opts.Metrics),
-		symMet:   sym.NewSolverMetrics(opts.Metrics),
-		repair:   opts.RepairInterval,
-		closedCh: make(chan struct{}),
-	}
-	if len(degraded) > 0 {
-		s.degraded = degraded
-	}
-	if !opts.NoDD {
-		if len(order) > 0 {
-			s.ddc = newDDCore(an, order)
-		} else {
-			// Snapshot from a core-disabled engine: derive a fresh order.
-			s.ddc = newDDCore(an, nil)
-		}
-		s.roDD.Store(s.ddc)
-	}
-
-	var counters [14]int64
-	for i := range counters {
-		counters[i] = r.i()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	t1 := time.Now()
-	rsp := s.trace.Start("reinstall", root)
-	if err := s.initState(); err != nil {
-		return nil, fmt.Errorf("core: snapshot: %w", err)
-	}
-
-	nv := r.n()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nv != len(an.Points) {
-		return nil, fmt.Errorf("core: %w: %d verdicts for %d program points",
-			flayerr.ErrSnapshotCorrupt, nv, len(an.Points))
-	}
-	for i := 0; i < nv; i++ {
-		kind := VerdictKind(r.u())
-		val := r.bv()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if kind > VerdictVaries {
-			return nil, fmt.Errorf("core: %w: invalid verdict kind %d", flayerr.ErrSnapshotCorrupt, kind)
-		}
-		s.verdicts[i] = Verdict{Kind: kind, Val: val}
-	}
-
-	s.witnesses = readWitnesses(r, an.Builder, len(an.Points))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("core: %w: %d trailing bytes", flayerr.ErrSnapshotCorrupt, len(r.buf))
-	}
-
-	// Installed implementations: at rest the engine's invariant is
-	// cur.equal(ideal) (Apply adopts the ideal on every change and
-	// equal() compares every field), so rebuilding from the restored
-	// verdicts reproduces them exactly.
-	for tname := range an.Tables {
-		s.impls[tname] = s.idealImpl(tname)
-	}
-	s.trace.End(rsp)
-
-	s.met.points.Set(int64(len(an.Points)))
-	s.met.tables.Set(int64(len(an.Tables)))
-	s.stats = Stats{
-		Points:         len(an.Points),
-		Tables:         len(an.Tables),
-		AnalysisTime:   analysisTime,
-		PreprocessTime: time.Since(t1),
-		Updates:        int(counters[0]),
-		Forwarded:      int(counters[1]),
-		Recompilations: int(counters[2]),
-		Rejected:       int(counters[3]),
-		Batches:        int(counters[4]),
-		BatchedUpdates: int(counters[5]),
-		Coalesced:      int(counters[6]),
-		UpdateTime:     time.Duration(counters[9]),
-		EvalTime:       time.Duration(counters[10]),
-		Degradations:   int(counters[11]),
-		Promotions:     int(counters[12]),
-		DegradedTables: len(degraded),
-	}
-	s.unsound.Store(counters[13])
-	s.met.degradedTables.Set(int64(len(degraded)))
-	// Sequence numbers continue where the snapshotting engine stopped,
-	// and the restored state is published as the engine's first epoch
-	// before it escapes.
-	s.co.seq.Store(int64(s.stats.Updates))
-	s.publish()
-	// A restored engine with degraded tables resumes repair where the
-	// snapshotting one left off.
-	s.ensureRepairLocked()
 	return s, nil
 }

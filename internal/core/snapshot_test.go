@@ -5,15 +5,17 @@
 // process further updates identically. An engine resumed from a
 // mid-stream snapshot must finish the stream exactly like the engine
 // that never stopped, audit tail and sequence numbers included, also
-// when the snapshot was cut beside a live writer. FuzzSnapshot feeds the
-// loader corrupted, truncated and mutated bytes: Restore must reject
-// them with an error, never panic, because snapshots cross process and
-// machine boundaries.
+// when the snapshot was cut beside a live writer. A snapshot holds no
+// derived state, so no byte of it can make a restored engine disagree
+// with its own configuration. FuzzSnapshot feeds the loader corrupted,
+// truncated and mutated bytes: Restore must reject them with an error,
+// never panic, because snapshots cross process and machine boundaries.
 package core_test
 
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -97,18 +99,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("analysis shape diverged: %+v vs %+v", ss, rs)
 			}
 
-			// A second snapshot of the restored engine must describe the
-			// same engine state (timings differ, so compare via a second
-			// restore, not byte equality).
+			// The restored engine is a function of the bytes and nothing
+			// else: its own snapshot is the one it was restored from.
 			snap2, err := r.Snapshot()
 			if err != nil {
 				t.Fatalf("re-snapshot: %v", err)
 			}
-			r2, err := core.Restore(snap2, core.Options{})
-			if err != nil {
-				t.Fatalf("re-restore: %v", err)
+			if !bytes.Equal(snap, snap2) {
+				t.Fatalf("Restore(snap).Snapshot() differs from snap (%d vs %d bytes)", len(snap2), len(snap))
 			}
-			sameEndState(t, r, r2)
+			checkIdeal(t, "restored", r)
+			if n := r.ReevaluateAll(); n != 0 {
+				t.Fatalf("a full pass over the restored engine moved %d verdicts", n)
+			}
 
 			// Replaying the remainder must keep the pair in lockstep.
 			for i, u := range stream[half:] {
@@ -283,7 +286,10 @@ func TestSnapshotUnderConcurrentBatches(t *testing.T) {
 
 // TestSnapshotRejectsTampering pins the integrity check: flipping any
 // single byte of a valid snapshot must fail restore (the payload is
-// checksummed), as must truncation at every section boundary class.
+// checksummed), as must truncation at every section boundary class —
+// and so must the fields a checksum cannot vouch for, sealed here under
+// a correct one: a negative counter (Updates seeds the audit sequence),
+// counters off the documented partition, a flag bit nobody defined.
 func TestSnapshotRejectsTampering(t *testing.T) {
 	snap := fig3Snapshot(t)
 	if _, err := core.Restore(nil, core.Options{}); err == nil {
@@ -306,23 +312,90 @@ func TestSnapshotRejectsTampering(t *testing.T) {
 			t.Fatalf("restore of snapshot with byte %d flipped succeeded", off)
 		}
 	}
+
+	type edit = func(flags *uint64, counters []int64)
+	type tamper struct {
+		name string
+		edit edit
+	}
+	cases := []tamper{{"flags/unknown-bit", func(flags *uint64, _ []int64) { *flags |= 2 }}}
+	for i, name := range core.SnapshotCounterNames {
+		cases = append(cases, tamper{name + "/negative", func(_ *uint64, c []int64) { c[i] = -1 }})
+	}
+	// The partition Updates == Forwarded + Recompilations + Rejected,
+	// broken from each side, and by a sum that wraps.
+	for i, name := range core.SnapshotCounterNames[:4] {
+		cases = append(cases, tamper{name + "/off-partition", func(_ *uint64, c []int64) { c[i]++ }})
+	}
+	cases = append(cases, tamper{"forwarded/overflows-partition", func(_ *uint64, c []int64) {
+		c[1], c[2] = math.MaxInt64, math.MaxInt64
+	}})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mut, err := core.EditSnapshot(snap, tc.edit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.Restore(mut, core.Options{}); !errors.Is(err, flayerr.ErrSnapshotCorrupt) {
+				t.Fatalf("restore returned %v, want ErrSnapshotCorrupt", err)
+			}
+		})
+	}
+	// The harness itself: an edit that changes nothing restores.
+	same, err := core.EditSnapshot(snap, func(*uint64, []int64) {})
+	if err != nil || !bytes.Equal(same, snap) {
+		t.Fatalf("decode + encode + seal of a valid snapshot: %v, %d bytes vs %d", err, len(same), len(snap))
+	}
+}
+
+// TestSnapshotBytesCannotMoveVerdicts: a snapshot carries what verdicts
+// are computed from, never a verdict. Every byte of the Fig. 3
+// snapshot's payload is mutated — each bit flipped, then all eight —
+// under a correct checksum; whatever
+// still restores — a different entry, threshold, counter or variable
+// order — is an engine whose installed state is the one a full pass
+// over its own configuration produces.
+func TestSnapshotBytesCannotMoveVerdicts(t *testing.T) {
+	snap := fig3Snapshot(t)
+	payload := snapshotPayload(snap)
+	restored := 0
+	for off := range payload {
+		for _, flip := range []byte{1, 2, 4, 8, 16, 32, 64, 128, 0xff} {
+			mut := bytes.Clone(payload)
+			mut[off] ^= flip
+			r, err := core.Restore(core.SealSnapshot(mut), core.Options{RepairInterval: -1})
+			if err != nil {
+				continue
+			}
+			restored++
+			checkIdeal(t, "mutated snapshot", r)
+			if n := r.ReevaluateAll(); n != 0 {
+				t.Fatalf("payload byte %d ^ %#x: restored, and a full pass moved %d verdicts", off, flip, n)
+			}
+			r.Close()
+		}
+	}
+	if restored == 0 {
+		t.Fatal("no mutation restored: the test checks nothing")
+	}
+	t.Logf("%d of %d mutations restored", restored, 9*len(payload))
 }
 
 // versionByte is where the format version sits in the magic.
 const versionByte = len("goflay-snap")
 
 // TestSnapshotRejectsOlderVersions: bytes written by an earlier format
-// version are outside input like any other — version 3 carried a
-// query-cache section this engine has no reader for. The version byte
+// version are outside input like any other — versions up to 4 carried
+// verdict and witness sections this engine has no reader for. The version byte
 // alone must stop them (the checksum does not cover the magic, so
 // everything else about these bytes is valid), with the typed error and
 // the message an operator greps for, never a panic.
 func TestSnapshotRejectsOlderVersions(t *testing.T) {
 	snap := fig3Snapshot(t)
-	if snap[versionByte] != 4 {
-		t.Fatalf("snapshot format version is %d; this test knows 4", snap[versionByte])
+	if snap[versionByte] != 5 {
+		t.Fatalf("snapshot format version is %d; this test knows 5", snap[versionByte])
 	}
-	for v := byte(1); v < 4; v++ {
+	for v := byte(1); v < 5; v++ {
 		old := bytes.Clone(snap)
 		old[versionByte] = v
 		_, err := core.Restore(old, core.Options{})
@@ -335,7 +408,8 @@ func TestSnapshotRejectsOlderVersions(t *testing.T) {
 	}
 }
 
-func fig3Snapshot(t *testing.T) []byte {
+// fig3Snapshot is the Fig. 3 engine after the figure's updates.
+func fig3Snapshot(t testing.TB) []byte {
 	t.Helper()
 	p := progs.Fig3()
 	s, err := p.LoadWith(core.Options{})
@@ -352,49 +426,63 @@ func fig3Snapshot(t *testing.T) []byte {
 	return snap
 }
 
-// FuzzSnapshot throws arbitrary bytes at the loader. The contract under
-// test: Restore returns an error for anything that is not a valid
-// snapshot and never panics; when a mutation happens to survive the
-// checksum (the fuzzer can recompute it), the restored engine must
-// still be fully usable.
-func FuzzSnapshot(f *testing.F) {
-	p := progs.Fig3()
-	s, err := p.LoadWith(core.Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, u := range progs.Fig3Updates() {
-		s.Apply(u)
-	}
-	valid, err := s.Snapshot()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte{})
-	v3 := bytes.Clone(valid)
-	v3[versionByte] = 3
-	f.Add(v3)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len(valid)-8])
-	mut := bytes.Clone(valid)
-	mut[len(mut)/2] ^= 0xFF
-	f.Add(mut)
+// snapshotPayload is what sits between the magic and the checksum.
+func snapshotPayload(snap []byte) []byte {
+	return snap[versionByte+1 : len(snap)-8]
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := core.Restore(data, core.Options{})
+// FuzzSnapshot fuzzes the loader behind the frame. A payload goes in
+// sealed — magic before, a correct checksum after — so mutations reach
+// the section readers, the field checks, the configuration validation
+// and the open pass instead of dying at the checksum; a few raw seeds
+// keep the frame checks themselves under test. The contract: Restore
+// returns an error for anything that is not a valid snapshot and never
+// panics, and whatever it accepts is a consistent engine — installed ==
+// ideal, a full pass moves nothing, the outcome counters partition —
+// that keeps processing updates.
+func FuzzSnapshot(f *testing.F) {
+	valid := fig3Snapshot(f)
+	payload := snapshotPayload(valid)
+	f.Add(payload, true)
+	f.Add(payload[:len(payload)/2], true)
+	f.Add([]byte{}, false)
+	f.Add(valid[:len(valid)/2], false)
+	v4 := bytes.Clone(valid)
+	v4[versionByte] = 4
+	f.Add(v4, false)
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)-1] ^= 0xFF
+	f.Add(flipped, false)
+
+	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
+		if seal {
+			data = core.SealSnapshot(data)
+		}
+		r, err := core.Restore(data, core.Options{RepairInterval: -1})
 		if err != nil {
 			return // rejected, as it should be for junk
 		}
-		// The loader accepted it: the engine must be coherent enough to
-		// answer every read-only query and keep processing updates.
-		st := r.Statistics()
-		if st.Points <= 0 {
-			t.Fatalf("restored engine reports %d points", st.Points)
+		defer r.Close()
+		check := func(when string) {
+			checkIdeal(t, when, r)
+			st := r.Statistics()
+			if st.Points <= 0 {
+				t.Fatalf("%s: engine reports %d points", when, st.Points)
+			}
+			if st.Updates != st.Forwarded+st.Recompilations+st.Rejected {
+				t.Fatalf("%s: outcome counters do not partition: %+v", when, st)
+			}
+		}
+		check("restored")
+		if n := r.ReevaluateAll(); n != 0 {
+			t.Fatalf("a full pass over the restored engine moved %d verdicts", n)
 		}
 		_ = ast.Print(r.SpecializedProgram())
+		// The mutation may have changed the program or filled its tables:
+		// a Fig. 3 update may be rejected, never mishandled.
 		for _, u := range progs.Fig3Updates() {
 			r.Apply(u)
 		}
+		check("after the Fig. 3 updates")
 	})
 }

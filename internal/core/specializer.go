@@ -16,6 +16,8 @@ import (
 
 	"repro/internal/controlplane"
 	"repro/internal/dataplane"
+	"repro/internal/dd"
+	"repro/internal/flayerr"
 	"repro/internal/obs"
 	"repro/internal/p4/ast"
 	"repro/internal/p4/parser"
@@ -301,9 +303,8 @@ type Specializer struct {
 	An   *dataplane.Analysis
 	Cfg  *controlplane.Config
 
-	// source is the program text the engine was opened from
-	// (NewFromSource); snapshots embed it so Restore can re-run the
-	// deterministic front half of the pipeline.
+	// source is the program text the engine was opened from; snapshots
+	// embed it so Restore can open it again.
 	source string
 
 	// mu guards every field below as well as Cfg and the Builder's
@@ -366,13 +367,10 @@ type Specializer struct {
 	// map inverted, buildPointDeps).
 	pointDeps [][]string
 
-	// The decision-diagram query core (dd.go): ddc is nil when
-	// disabled; roDD is the wait-free readers' handle on the same core —
-	// set once at construction and never swapped, so Statistics can read
-	// its atomics without the lock even while ReevaluateAll temporarily
-	// nils the locked handle for its ablation pass.
-	ddc  *ddCore
-	roDD atomic.Pointer[ddCore]
+	// The decision-diagram query core (dd.go): nil when disabled, set
+	// once in open and never swapped, so the wait-free Statistics reads
+	// its atomics without the lock.
+	ddc *ddCore
 	// answeredBy counts queryAny's dispatch, one slot per queryPath;
 	// atomic because Statistics reads them live beside the writer.
 	answeredBy [numQueryPaths]atomic.Int64
@@ -393,10 +391,32 @@ type Specializer struct {
 	closeOnce    sync.Once
 }
 
-// New builds a Specializer from parsed+checked inputs: it runs the
-// data-plane analysis and the initial specialization pass under the
-// empty (device-spec) configuration.
-func New(prog *ast.Program, info *typecheck.Info, opts Options) (*Specializer, error) {
+// NewFromSource opens an engine on a program under the empty
+// (device-spec) configuration.
+func NewFromSource(name, src string, opts Options) (*Specializer, error) {
+	return open(name, src, opts, nil)
+}
+
+// open is the one producer of an engine and of everything an engine
+// derives: parse, type-check, analyse, compile the assignments of the
+// configuration in force, evaluate every point (fullPass), install each
+// table's ideal implementation, publish. boot is nil for a fresh open;
+// a snapshot's (Restore) puts a configuration, a degraded set, a
+// variable order and counters in place before the pass — the pass does
+// not know which it runs under.
+func open(name, src string, opts Options, boot *boot) (*Specializer, error) {
+	sp := opts.Trace.Start("parse", 0)
+	prog, err := parser.Parse(name, src)
+	opts.Trace.End(sp)
+	if err != nil {
+		return nil, err
+	}
+	sp = opts.Trace.Start("typecheck", 0)
+	info, err := typecheck.Check(prog)
+	opts.Trace.End(sp)
+	if err != nil {
+		return nil, err
+	}
 	root := opts.Trace.Start("open", 0)
 	defer opts.Trace.End(root)
 	t0 := time.Now()
@@ -419,6 +439,7 @@ func New(prog *ast.Program, info *typecheck.Info, opts Options) (*Specializer, e
 		Info:     info,
 		An:       an,
 		Cfg:      cfg,
+		source:   src,
 		impls:    make(map[string]*tableImpl),
 		quality:  opts.Quality,
 		exec:     opts.Exec,
@@ -429,63 +450,72 @@ func New(prog *ast.Program, info *typecheck.Info, opts Options) (*Specializer, e
 		repair:   opts.RepairInterval,
 		closedCh: make(chan struct{}),
 	}
+	var order []dd.Atom
+	if boot != nil {
+		if err := cfg.SetState(boot.state); err != nil {
+			return nil, err
+		}
+		// Pinned before the assignments compile, so a degraded table's
+		// compiles overapproximated.
+		for table := range boot.degraded {
+			if an.Tables[table] == nil {
+				return nil, fmt.Errorf("%w: degraded table %q not in program",
+					flayerr.ErrSnapshotCorrupt, table)
+			}
+			cfg.ForceOverapprox(table, true)
+		}
+		s.degraded = boot.degraded
+		order = boot.order
+		c := &boot.counters
+		s.stats = Stats{
+			Updates:        int(c[snapUpdates]),
+			Forwarded:      int(c[snapForwarded]),
+			Recompilations: int(c[snapRecompilations]),
+			Rejected:       int(c[snapRejected]),
+			Batches:        int(c[snapBatches]),
+			BatchedUpdates: int(c[snapBatchedUpdates]),
+			Coalesced:      int(c[snapCoalesced]),
+			UpdateTime:     time.Duration(c[snapUpdateTime]),
+			EvalTime:       time.Duration(c[snapEvalTime]),
+			Degradations:   int(c[snapDegradations]),
+			Promotions:     int(c[snapPromotions]),
+		}
+		s.unsound.Store(c[snapUnsound])
+		// Sequence numbers continue where the snapshotting engine stopped.
+		s.co.seq.Store(c[snapUpdates])
+	}
 	if !opts.NoDD {
-		s.ddc = newDDCore(an, nil)
-		s.roDD.Store(s.ddc)
+		s.ddc = newDDCore(an, order)
 	}
 	t1 := time.Now()
-	sp := s.trace.Start("preprocess", root)
+	sp = s.trace.Start("preprocess", root)
 	if err := s.initState(); err != nil {
 		return nil, err
 	}
-	// Initial preprocessing: every point's verdict under the empty
-	// assignment (the changed-IDs return is irrelevant against
-	// zero-valued verdicts).
-	s.reevalPoints(an.Points)
-	for name := range an.Tables {
-		s.impls[name] = s.idealImpl(name)
+	s.fullPass()
+	for table := range an.Tables {
+		s.impls[table] = s.idealImpl(table)
 	}
 	s.trace.Attr(sp, "points", int64(len(an.Points)))
 	s.trace.End(sp)
 	s.met.points.Set(int64(len(an.Points)))
 	s.met.tables.Set(int64(len(an.Tables)))
-	s.stats = Stats{
-		Points:         len(an.Points),
-		Tables:         len(an.Tables),
-		AnalysisTime:   analysisTime,
-		PreprocessTime: time.Since(t1),
-	}
-	// Publish the open-time epoch before the engine escapes: readers
-	// may load it the moment New returns.
+	s.met.degradedTables.Set(int64(len(s.degraded)))
+	s.stats.Points = len(an.Points)
+	s.stats.Tables = len(an.Tables)
+	s.stats.AnalysisTime = analysisTime
+	s.stats.PreprocessTime = time.Since(t1)
+	// Publish the open-time epoch before the engine escapes: readers may
+	// load it the moment open returns.
 	s.publish()
-	return s, nil
-}
-
-// NewFromSource parses, checks and analyzes a program in one call.
-func NewFromSource(name, src string, opts Options) (*Specializer, error) {
-	sp := opts.Trace.Start("parse", 0)
-	prog, err := parser.Parse(name, src)
-	opts.Trace.End(sp)
-	if err != nil {
-		return nil, err
-	}
-	sp = opts.Trace.Start("typecheck", 0)
-	info, err := typecheck.Check(prog)
-	opts.Trace.End(sp)
-	if err != nil {
-		return nil, err
-	}
-	s, err := New(prog, info, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.source = src
+	// A degraded set resumes repair where the snapshotting engine left
+	// off.
+	s.ensureRepairLocked()
 	return s, nil
 }
 
 // initState allocates the per-point state and compiles the full
-// control-plane environment one target at a time (New and Restore share
-// it).
+// control-plane environment one target at a time.
 func (s *Specializer) initState() error {
 	an := s.An
 	s.env = make(controlplane.Env)
@@ -542,7 +572,7 @@ func (s *Specializer) Statistics() Stats {
 	st.QueryDD = s.answeredBy[byDD].Load()
 	st.QueryExhaustive = s.answeredBy[byExhaustive].Load()
 	st.DDQueries = st.QueryDD
-	if d := s.roDD.Load(); d != nil {
+	if d := s.ddc; d != nil {
 		st.DDFallbacks = d.fallbacks.Load()
 		st.DDCompiles = d.compiles.Load()
 		st.DDNodes = d.store.Load().NumNodes()
@@ -559,30 +589,30 @@ func (s *Specializer) Entries(table string) int {
 }
 
 // ReevaluateAll recomputes every program point's verdict from scratch,
-// bypassing the taint map and the per-point memos. It exists as the
-// ablation baseline: this is the work a non-incremental specializing
-// compiler performs on every control-plane update (§2: "recompiling the
-// data-plane program every time the control-plane issues an update").
-// It returns the number of points whose verdict differs from the cached
-// one (always zero when the engine is consistent).
+// bypassing the taint map and the per-point memos — the pass open runs.
+// It exists as the ablation baseline: this is the work a non-incremental
+// specializing compiler performs on every control-plane update (§2:
+// "recompiling the data-plane program every time the control-plane
+// issues an update"). It returns the number of points whose verdict
+// differs from the cached one (always zero when the engine is
+// consistent).
 func (s *Specializer) ReevaluateAll() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.publish()
 	s.imgMarkFull()
-	for _, p := range s.An.Points {
-		s.pointSub[p.ID] = nil
-		s.witnesses[p.ID] = nil
-	}
-	// The baseline measures the solver path: the diagram core sits the
-	// pass out.
-	ddc := s.ddc
-	s.ddc = nil
 	t0 := time.Now()
-	changed := s.reevalPoints(s.An.Points)
+	changed := s.fullPass()
 	s.stats.EvalTime += time.Since(t0)
-	s.ddc = ddc
 	return len(changed)
+}
+
+// fullPass evaluates every point as if for the first time: no residue
+// pointer to compare against, no witness to try first.
+func (s *Specializer) fullPass() []int {
+	clear(s.pointSub)
+	clear(s.witnesses)
+	return s.reevalPoints(s.An.Points)
 }
 
 // recompileTarget recompiles the environment fragment of one touched

@@ -221,3 +221,15 @@ func (v BV) String() string {
 	}
 	return fmt.Sprintf("%dw0x%x", v.W, v.Lo)
 }
+
+// Mix64 is a splitmix64-style avalanche: every input bit influences
+// every output bit. The control plane's tuple-space buckets hash BV
+// words with it.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
