@@ -10,7 +10,7 @@ COVER_PKGS = ./internal/core ./internal/sym ./internal/dd ./internal/obs ./inter
 # Seconds of native fuzzing per target in the `make race` smoke.
 FUZZ_SMOKE ?= 5s
 
-.PHONY: all help build test race fmt-check bench bench-e2e cover bench-json bench-pps pps-smoke bench-dd fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
+.PHONY: all help build test race fmt-check bench bench-e2e cover fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
 
 # Soak-run knobs: where the daemon listens and how many updates
 # flayload drives through it.
@@ -50,22 +50,7 @@ help:
 	@echo "              BENCH_ARGS='-seed 2 -trace 1', append to bench/history.jsonl with"
 	@echo "              BENCH_ARGS=-record"
 	@echo "  bench       run the Go benchmarks"
-	@echo "  bench-json  (legacy artefact) flaybench with observability on; writes BENCH_flay.json."
-	@echo "              Its precision section drives the ACL burst rank-deep (descending"
-	@echo "              priorities: every insert lands under the installed chain, the one"
-	@echo "              write whose precise cost still grows with the table) under a 5 ms"
-	@echo "              budget and still requires >= 1 degradation, p99 under budget and"
-	@echo "              zero unsound verdicts"
-	@echo "  bench-dd    (legacy artefact) diagram engine vs solver-only engine on the precise"
-	@echo "              middleblock ACL burst: verdicts and specialized source cross-checked,"
-	@echo "              query-pass times reported; the old >= 3x ratio gate is gone (its"
-	@echo "              denominator was solver probing that no longer exists)"
-	@echo "  bench-pps   (legacy artefact) packets/sec: bytecode executor vs reference"
-	@echo "              interpreter across the catalog, differentially verified, gated >= 2x"
-	@echo "              on >= 3 programs; writes BENCH_pps.json"
-	@echo "  pps-smoke   the same run and gate as the hot-swap smoke inside 'make race';"
-	@echo "              its report goes to a temp file, the tree is left as it was"
-	@echo "  torture-smoke  epoch-read concurrency torture suite, smoke slice, under -race"
+	@echo "  torture-smoke  epoch-read and image hot-swap torture tests, smoke slice, under -race"
 	@echo "  spine-smoke the read-lock differential check beside a writer (table spines must"
 	@echo "              not be written under the read lock), -race -count=3"
 	@echo "  fuzz-smoke  $(FUZZ_SMOKE) of native fuzzing per target (FuzzP4Parse, FuzzSolver, FuzzSolverOracle, FuzzChainMatchesFresh, FuzzSnapshot, FuzzWireDecode, FuzzDpexecVsBmv2)"
@@ -98,7 +83,7 @@ test:
 # machines, where the race detector gets no parallelism to hide behind
 # and internal/core alone can exceed go test's 10m default.
 RACE_TIMEOUT ?= 45m
-race: fmt-check fuzz-smoke soak-churn-smoke soak-cluster-smoke torture-smoke dd-smoke spine-smoke pps-smoke
+race: fmt-check fuzz-smoke soak-churn-smoke soak-cluster-smoke torture-smoke dd-smoke spine-smoke
 	$(GO) vet ./...
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./...
 
@@ -109,12 +94,13 @@ fmt-check:
 	test -z "$$out" || { echo "FAIL: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # torture-smoke: the epoch-read concurrency torture suite's smoke
-# slice under the race detector, run first so a broken lock-free read
-# path fails fast instead of at the end of the full -race sweep. The
-# full suite (long mode, GOMAXPROCS grid) runs without -short inside
-# `make race`'s package sweep above.
+# slice and the executable-image hot swap under the race detector, run
+# first so a broken lock-free read path or image swap fails fast
+# instead of at the end of the full -race sweep. The full suite (long
+# mode, GOMAXPROCS grid) runs without -short inside `make race`'s
+# package sweep above.
 torture-smoke:
-	$(GO) test -race -short -run 'TestTortureConcurrency' ./internal/core
+	$(GO) test -race -short -run 'TestTortureConcurrency|TestTortureHotSwap' ./internal/core
 
 # dd-smoke: the diagram-vs-solver differential proof under the race
 # detector, run early so a diverging diagram verdict (or a data race
@@ -236,47 +222,11 @@ bench:
 # bench-e2e: the repository's one benchmark (bench/README.md). Builds
 # the command from this checkout and runs all four workloads; every
 # performance claim is a paired comparison of this command's output on
-# two commits. The flaybench targets below predate it and are kept as
-# artefacts and smokes, not as evidence.
+# two commits. `go run ./cmd/flaybench` prints the paper's tables and
+# figures; it gates nothing.
 BENCH_ARGS ?=
 bench-e2e:
 	bench/run.sh run $(BENCH_ARGS)
-
-# bench-json (legacy artefact): the machine-readable evaluation artifact. Runs the burst
-# section with the metrics registry and audit trail enabled, plus the
-# adaptive-precision section; flaybench cross-checks their accounting
-# against the engine's Statistics (the precision section's
-# at-least-one-degradation, p99-under-deadline and zero-unsound-verdict
-# bars on a rank-deep burst) and exits non-zero on any mismatch.
-bench-json:
-	$(GO) run ./cmd/flaybench -only burst,batch,dd,precision,churn,cluster -json -o BENCH_flay.json
-
-# bench-dd (legacy artefact): the decision-diagram query-core artifact. Replays the
-# precise-mode middleblock ACL burst through a diagram engine and a
-# solver-only engine and cross-checks every point verdict and the
-# specialized source byte-for-byte between the two; exits non-zero on
-# any divergence. The two query-pass times are reported, their ratio is
-# no longer gated (it measured the solver's probing past the exhaustive
-# bound, which neither engine does any more).
-bench-dd:
-	$(GO) run ./cmd/flaybench -only dd -json -o BENCH_flay.json
-
-# bench-pps (legacy artefact): the packet-execution artifact. Measures packets/sec for
-# the flattened bytecode executor against the tree-walking reference
-# interpreter across the production-shaped catalog programs, each cell
-# differentially verified packet-for-packet (before and after a
-# concurrent-churn arm with gap-free audit and monotone epochs), and
-# gated: the executor must beat the interpreter by >= 2x on at least
-# three programs.
-bench-pps:
-	$(GO) run ./cmd/flaybench -only pps -json -o BENCH_pps.json
-
-# pps-smoke: the same run and gate as the hot-swap smoke of `make race`.
-# The report goes to a temp file, so the race tier leaves the committed
-# BENCH_pps.json — and with it `git status` — as it found them.
-pps-smoke:
-	@tmp=$$(mktemp); trap 'rm -f $$tmp' EXIT; \
-	$(GO) run ./cmd/flaybench -only pps -json -o $$tmp
 
 # cover: enforce the coverage floor on the engine packages. Written
 # for a POSIX shell (no pipefail): the summary goes to a temp file and

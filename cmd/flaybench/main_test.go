@@ -18,12 +18,12 @@ func TestSelectSections(t *testing.T) {
 		t.Fatalf("empty -only: want=%v err=%v, want nil/nil (all sections)", want, err)
 	}
 
-	want, err := selectSections("burst, churn", known)
+	want, err := selectSections("burst, table3", known)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 2 || !want["burst"] || !want["churn"] {
-		t.Fatalf("selection = %v, want {burst, churn}", want)
+	if len(want) != 2 || !want["burst"] || !want["table3"] {
+		t.Fatalf("selection = %v, want {burst, table3}", want)
 	}
 
 	if _, err := selectSections("bursty", known); err == nil {
@@ -40,14 +40,13 @@ func TestSelectSections(t *testing.T) {
 		t.Fatal("a selection of only separators must be an error")
 	}
 
-	if w, err := selectSections("churn,", known); err != nil || len(w) != 1 {
-		t.Fatalf("trailing comma: want={churn} err=%v", err)
+	if w, err := selectSections("table3,", known); err != nil || len(w) != 1 {
+		t.Fatalf("trailing comma: want={table3} err=%v", err)
 	}
 }
 
-// TestSectionRegistry: every documented section is registered, exactly
-// once, and the churn section (the bench-json artifact the soak recipe
-// references) is present.
+// TestSectionRegistry: every section is registered exactly once, and
+// each of the paper's tables and figures has one.
 func TestSectionRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range benchSections {
@@ -59,7 +58,7 @@ func TestSectionRegistry(t *testing.T) {
 		}
 		seen[s.name] = true
 	}
-	for _, required := range []string{"table1", "table2", "table3", "burst", "batch", "dd", "precision", "churn", "ablation", "pps"} {
+	for _, required := range []string{"table1", "fig1", "fig3", "fig5", "table2", "table3", "stages", "burst", "ablation"} {
 		if !seen[required] {
 			t.Fatalf("section %q missing from registry", required)
 		}

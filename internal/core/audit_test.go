@@ -16,14 +16,22 @@ import (
 	"repro/internal/progs"
 )
 
-func loadAudited(t *testing.T, p *progs.Program) (*core.Specializer, *obs.Trail) {
+// audited is an engine's audit trail together with the metrics
+// registry it reports into, so the two can be checked against each
+// other and against Statistics.
+type audited struct {
+	*obs.Trail
+	reg *obs.Registry
+}
+
+func loadAudited(t *testing.T, p *progs.Program) (*core.Specializer, audited) {
 	t.Helper()
-	trail := obs.NewTrail(0)
-	s, err := p.LoadWith(core.Options{Audit: trail})
+	a := audited{obs.NewTrail(0), obs.NewRegistry()}
+	s, err := p.LoadWith(core.Options{Audit: a.Trail, Metrics: a.reg})
 	if err != nil {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
-	return s, trail
+	return s, a
 }
 
 // checkRecord asserts one audit record is an exact transcript of the
@@ -73,8 +81,9 @@ func checkRecord(t *testing.T, s *core.Specializer, i int, d *core.Decision, rec
 }
 
 // checkTrailTotals asserts the trail's decision tally is exactly the
-// engine's outcome counters — the flaybench cross-check, as a test.
-func checkTrailTotals(t *testing.T, s *core.Specializer, trail *obs.Trail) {
+// engine's outcome counters, and that the metrics registry counted and
+// timed every update Statistics did.
+func checkTrailTotals(t *testing.T, s *core.Specializer, trail audited) {
 	t.Helper()
 	st := s.Statistics()
 	if got := trail.Total(); got != int64(st.Updates) {
@@ -84,6 +93,12 @@ func checkTrailTotals(t *testing.T, s *core.Specializer, trail *obs.Trail) {
 	if by["forward"] != st.Forwarded || by["recompile"] != st.Recompilations || by["rejected"] != st.Rejected {
 		t.Fatalf("trail tally %v, engine counters forwarded=%d recompiled=%d rejected=%d",
 			by, st.Forwarded, st.Recompilations, st.Rejected)
+	}
+	if got := trail.reg.Counter("core.updates").Value(); got != int64(st.Updates) {
+		t.Fatalf("core.updates counter %d, engine processed %d updates", got, st.Updates)
+	}
+	if got := trail.reg.Histogram("core.update_ns").Count(); got != int64(st.Updates) {
+		t.Fatalf("core.update_ns holds %d samples, engine processed %d updates", got, st.Updates)
 	}
 }
 

@@ -618,7 +618,7 @@ func (s *Specializer) variableOrder() []dd.Atom {
 // VariableOrder reports the diagram core's variable order — the atoms
 // (match keys and value-set membership bits) in the position the
 // taint-frequency heuristic assigned them, which every diagram in the
-// store tests top-down. Nil when the core is disabled (NoDD). The
+// store tests top-down. Nil when the core is disabled (Options.noDD). The
 // order is append-only for the life of the engine and survives
 // Snapshot/Restore verbatim.
 func (s *Specializer) VariableOrder() []dd.Atom {

@@ -20,7 +20,11 @@ var ddSeeds = []uint64{0xde, 0xe1, 0xe5, 0xed}
 
 func loadDD(t *testing.T, p *progs.Program, noDD bool) *core.Specializer {
 	t.Helper()
-	s, err := p.LoadWith(core.Options{NoDD: noDD})
+	opts := core.Options{}
+	if noDD {
+		opts = core.NoDD(opts)
+	}
+	s, err := p.LoadWith(opts)
 	if err != nil {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
@@ -147,7 +151,7 @@ func TestDDSnapshotPreservesVariableOrder(t *testing.T) {
 					t.Fatalf("atom %d: %v before, %v after", i, before[i], after[i])
 				}
 			}
-			solver, err := core.Restore(data, core.Options{NoDD: true})
+			solver, err := core.Restore(data, core.NoDD(core.Options{}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -215,12 +215,3 @@ func (s *Specializer) ExecBatch(packets [][]byte, ports []uint16) ([]dpexec.Resu
 	}
 	return out, nil
 }
-
-// ExecImage returns the currently published executable image (nil when
-// the engine was opened without Options.Exec). The image is immutable;
-// callers running their own dpexec.Machine against it — the benchmark
-// harness does, to measure packet rates without result copying — see
-// exactly what Exec executes.
-func (s *Specializer) ExecImage() *dpexec.Image {
-	return s.loadEpoch().img
-}

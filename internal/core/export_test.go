@@ -12,6 +12,13 @@ import (
 // whether the second is reachable (specializer_test.go).
 const GateSrc = gateSrc
 
+// NoDD returns opts with the decision-diagram query core disabled: the
+// solver-only reference arm of the differential suite (dddiff_test.go).
+func NoDD(opts Options) Options {
+	opts.noDD = true
+	return opts
+}
+
 // CheckInstalledIsIdeal asserts the invariant every mutating call must
 // leave behind: each table's installed implementation is the ideal one
 // under the verdicts and configuration now in force. It takes the write

@@ -35,7 +35,7 @@ func freshImage(t *testing.T, s *core.Specializer) *dpexec.Image {
 
 func checkImageParity(t *testing.T, s *core.Specializer, when string) {
 	t.Helper()
-	if got, want := s.ExecImage().Hash(), freshImage(t, s).Hash(); got != want {
+	if got, want := s.Epoch().Image().Hash(), freshImage(t, s).Hash(); got != want {
 		t.Fatalf("%s: published image hashes %#x, a fresh compile %#x", when, got, want)
 	}
 }
@@ -140,7 +140,7 @@ func TestForwardedWriteCostsWhatItChanged(t *testing.T) {
 					t.Fatalf("%d sessions, %s batch: %s decided %s, want forward", n, step.name, d.Update, d.Kind)
 				}
 			}
-			if got := s.ExecImage().BlocksCompiled(); got != step.want {
+			if got := s.Epoch().Image().BlocksCompiled(); got != step.want {
 				t.Errorf("%d sessions: a 4-%s batch compiled %d entry blocks, want %d", n, step.name, got, step.want)
 			}
 			checkImageParity(t, s, step.name+" batch")
@@ -148,7 +148,7 @@ func TestForwardedWriteCostsWhatItChanged(t *testing.T) {
 
 		// One more session on top of a held image: the patch the engine
 		// just published, replayed under the allocation counter.
-		held := s.ExecImage()
+		held := s.Epoch().Image()
 		if d := s.Apply(progs.Nat44SessionEntry(n + 4)); d.Kind != core.Forward {
 			t.Fatalf("%d sessions: single insert decided %s, want forward", n, d.Kind)
 		}
@@ -162,7 +162,7 @@ func TestForwardedWriteCostsWhatItChanged(t *testing.T) {
 		if got := patched.BlocksCompiled(); got != 1 {
 			t.Errorf("%d sessions: patching one entry compiled %d blocks", n, got)
 		}
-		if patched.Hash() != s.ExecImage().Hash() {
+		if patched.Hash() != s.Epoch().Image().Hash() {
 			t.Errorf("%d sessions: replayed patch differs from the published image", n)
 		}
 	}

@@ -176,12 +176,6 @@ type Options struct {
 	// Quality selects the specialization aggressiveness (default
 	// QualityFull).
 	Quality Quality
-	// NoDD disables the canonical decision-diagram query core (dd.go):
-	// every residue inside the exhaustive bound is then decided by the
-	// solver's enumeration. The diagram core is on by default; this is
-	// the reference arm the differential suite (dddiff_test.go) and the
-	// flaybench dd section hold it to.
-	NoDD bool
 
 	// Exec enables the data-plane executor (exec.go): every epoch
 	// publication also compiles and hot-swaps an executable image of
@@ -206,6 +200,12 @@ type Options struct {
 	Trace   *obs.Trace
 	Metrics *obs.Registry
 	Audit   *obs.Trail
+
+	// noDD disables the canonical decision-diagram query core (dd.go):
+	// every residue inside the exhaustive bound is then decided by the
+	// solver's enumeration. It is the reference arm the differential
+	// suite (dddiff_test.go) holds the diagram core to, set only there.
+	noDD bool
 }
 
 // Stats aggregates engine counters. The three outcome counters
@@ -484,7 +484,7 @@ func open(name, src string, opts Options, boot *boot) (*Specializer, error) {
 		// Sequence numbers continue where the snapshotting engine stopped.
 		s.co.seq.Store(c[snapUpdates])
 	}
-	if !opts.NoDD {
+	if !opts.noDD {
 		s.ddc = newDDCore(an, order)
 	}
 	t1 := time.Now()

@@ -558,7 +558,9 @@ func runImageOracle(t *testing.T, p *progs.Program, schedule [][]*controlplane.U
 }
 
 // TestTortureHotSwap races packet executors against the batch writer
-// and checks every observed image against the sequential image oracle.
+// and checks every observed image against the sequential image oracle,
+// each executor's update count for monotonicity, and the audit trail
+// for a gap-free transcript once the writer is done.
 func TestTortureHotSwap(t *testing.T) {
 	p, err := progs.ByName(tortureProgram)
 	if err != nil {
@@ -569,7 +571,8 @@ func TestTortureHotSwap(t *testing.T) {
 	scratch.Close()
 	oracle := runImageOracle(t, p, schedule)
 
-	s, err := p.LoadWith(core.Options{Exec: true})
+	trail := obs.NewTrail(0)
+	s, err := p.LoadWith(core.Options{Exec: true, Audit: trail})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,6 +597,7 @@ func TestTortureHotSwap(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			m := dpexec.NewMachine()
+			last := 0
 			for i := 0; ; i++ {
 				select {
 				case <-done:
@@ -601,6 +605,11 @@ func TestTortureHotSwap(t *testing.T) {
 				default:
 				}
 				v := s.Epoch()
+				if v.Stats.Updates < last {
+					t.Errorf("executor %d: update count went backwards: %d after %d", r, v.Stats.Updates, last)
+					return
+				}
+				last = v.Stats.Updates
 				img := v.Image()
 				if img == nil {
 					t.Errorf("executor %d: epoch %d has no image", r, v.Seq)
@@ -647,6 +656,15 @@ func TestTortureHotSwap(t *testing.T) {
 	}
 	if want := oracle[final.Stats.Updates]; img.Hash() != want {
 		t.Fatalf("final image hash %x, oracle %x", img.Hash(), want)
+	}
+	recs := trail.Records()
+	if len(recs) != final.Stats.Updates {
+		t.Fatalf("%d audit records for %d updates", len(recs), final.Stats.Updates)
+	}
+	for i, rec := range recs {
+		if rec.Seq != i+1 {
+			t.Fatalf("audit record %d has seq %d (gap)", i, rec.Seq)
+		}
 	}
 }
 

@@ -131,7 +131,7 @@ func (t *Trail) CountByDecision() map[string]int {
 }
 
 // WriteJSONL dumps the retained records as one JSON object per line —
-// the `flay -audit` / `flaybench -json` interchange format.
+// the `flay -audit` interchange format.
 func (t *Trail) WriteJSONL(w io.Writer) error {
 	for _, r := range t.Records() {
 		line, err := json.Marshal(r)

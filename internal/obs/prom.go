@@ -8,11 +8,11 @@ import (
 )
 
 // Prometheus text exposition (text format version 0.0.4) for a metrics
-// Snapshot. The encoder is independent of any HTTP server so both the
-// flayd /metrics endpoint and flaybench can emit it: counters render as
-// counter families, gauges as gauge families, and the bounded
-// log-linear histograms as summary families with p50/p95/p99 quantile
-// lines plus the exact _sum and _count series.
+// Snapshot. The encoder is independent of any HTTP server, so flayd's
+// /metrics endpoint and the front's merged fleet view share it:
+// counters render as counter families, gauges as gauge families, and
+// the bounded log-linear histograms as summary families with
+// p50/p95/p99 quantile lines plus the exact _sum and _count series.
 //
 // goflay instrument names use dots as separators ("core.update_ns");
 // Prometheus metric names may only contain [a-zA-Z0-9_:], so every
