@@ -50,7 +50,7 @@ help:
 	@echo "              BENCH_ARGS='-seed 2 -trace 1', append to bench/history.jsonl with"
 	@echo "              BENCH_ARGS=-record"
 	@echo "  bench       run the Go benchmarks"
-	@echo "  torture-smoke  epoch-read and image hot-swap torture tests, smoke slice, under -race"
+	@echo "  torture-smoke  epoch-read and image hot-swap torture tests, smoke slice, and the image suite, under -race"
 	@echo "  spine-smoke the read-lock differential check beside a writer (table spines must"
 	@echo "              not be written under the read lock), -race -count=3"
 	@echo "  fuzz-smoke  $(FUZZ_SMOKE) of native fuzzing per target (FuzzP4Parse, FuzzSolver, FuzzSolverOracle, FuzzChainMatchesFresh, FuzzSnapshot, FuzzWireDecode, FuzzDpexecVsBmv2)"
@@ -94,13 +94,14 @@ fmt-check:
 	test -z "$$out" || { echo "FAIL: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # torture-smoke: the epoch-read concurrency torture suite's smoke
-# slice and the executable-image hot swap under the race detector, run
-# first so a broken lock-free read path or image swap fails fast
-# instead of at the end of the full -race sweep. The full suite (long
-# mode, GOMAXPROCS grid) runs without -short inside `make race`'s
-# package sweep above.
+# slice, the executable-image hot swap and the image suite under the
+# race detector, run first so a broken lock-free read path or image
+# swap fails fast instead of at the end of the full -race sweep. A
+# recompiled image shares the chunks it carried with the images
+# executors are still reading. The full suite (long mode, GOMAXPROCS
+# grid) runs without -short inside `make race`'s package sweep above.
 torture-smoke:
-	$(GO) test -race -short -run 'TestTortureConcurrency|TestTortureHotSwap' ./internal/core
+	$(GO) test -race -short -run 'TestTortureConcurrency|TestTortureHotSwap|TestImageParityAtEveryPublication|TestImageInstrumentsFollowDecisions|TestRespecializationCompilesWhatFlipped' ./internal/core
 
 # dd-smoke: the diagram-vs-solver differential proof under the race
 # detector, run early so a diverging diagram verdict (or a data race

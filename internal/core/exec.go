@@ -14,7 +14,11 @@
 //   - anything that may have reshaped the specialized program — a
 //     respecializing update or batch group, a degradation or promotion,
 //     ReevaluateAll — recompiles the image from the fresh specialized
-//     program;
+//     program against the previous image (Image.Recompile): the main
+//     code is compiled anew, and every table entry whose compile context
+//     held — same slots, key layout, apply-site scope and action — is
+//     carried over, so a respecialization compiles the entries of the
+//     tables it reshaped and the call's new entries, not every entry;
 //   - a call that changed nothing (every update rejected by validation,
 //     an empty batch) republishes the previous image untouched.
 //
@@ -25,6 +29,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -58,8 +63,10 @@ func (s *Specializer) imgMarkFull() {
 // buildImageLocked produces the image for the epoch being published.
 // Caller holds the write lock (or is inside a constructor). A compile
 // failure keeps serving the previous image — deterministically stale
-// rather than intermittently absent; the catalog programs never hit
-// this path.
+// rather than intermittently absent — counts in core.image_errors, and
+// leaves the full compile marked, so the next publication retries it
+// instead of patching an image of another program. The catalog
+// programs never hit this path.
 func (s *Specializer) buildImageLocked(prev *epoch) *dpexec.Image {
 	if !s.exec {
 		return nil
@@ -72,56 +79,77 @@ func (s *Specializer) buildImageLocked(prev *epoch) *dpexec.Image {
 		return pi
 	}
 	t0 := time.Now()
-	img := s.patchImage(pi)
+	img, blocks := s.patchImage(pi)
 	patched := img != nil
+	var err error
 	if !patched {
-		img = s.compileImage(pi)
+		img, err = s.compileImage(pi)
+		if err == nil {
+			blocks = img.BlocksCompiled()
+		}
 	}
-	s.imgFull = false
 	s.imgTargets = s.imgTargets[:0]
 	elapsed := time.Since(t0)
 	s.stats.ImageTime += elapsed
 	s.met.imageNS.ObserveDuration(elapsed)
-	if patched {
+	switch {
+	case err != nil:
+		s.imgFull = true
+		s.stats.ImageErrors++
+		s.met.imageErrors.Inc()
+		return pi
+	case patched:
 		s.stats.ImagePatches++
 		s.met.imagePatches.Inc()
-	} else {
+	default:
 		s.stats.ImageCompiles++
 		s.met.imageCompiles.Inc()
 	}
+	s.imgFull = false
+	s.stats.ImageBlocks += blocks
+	s.met.imageBlocks.Add(int64(blocks))
 	return img
 }
 
 // patchImage chains one WithTarget per marked target onto the previous
-// image; nil when the publication needs a full compile instead.
-func (s *Specializer) patchImage(pi *dpexec.Image) *dpexec.Image {
+// image and counts the entry blocks the chain compiled; nil when the
+// publication needs a full compile instead.
+func (s *Specializer) patchImage(pi *dpexec.Image) (*dpexec.Image, int) {
 	if pi == nil || s.imgFull {
-		return nil
+		return nil, 0
 	}
+	blocks := 0
 	for _, t := range s.imgTargets {
 		ni, err := pi.WithTarget(s.Cfg, t)
 		if err != nil {
-			return nil
+			return nil, 0
 		}
 		pi = ni
+		blocks += ni.BlocksCompiled()
 	}
-	return pi
+	return pi, blocks
 }
 
 // compileImage compiles the current specialized program under the
-// current configuration, falling back to the previous image on failure.
-func (s *Specializer) compileImage(pi *dpexec.Image) *dpexec.Image {
+// current configuration against pi, the previous image, stale or not:
+// what of it carries over is decided by compile context
+// (dpexec.Image.Recompile), not by trusting where it came from.
+func (s *Specializer) compileImage(pi *dpexec.Image) (*dpexec.Image, error) {
+	if s.imgFault {
+		s.imgFault = false
+		return nil, errImageFault
+	}
 	spec := s.specializedProgramLocked()
 	info, err := typecheck.Check(spec)
 	if err != nil {
-		return pi
+		return nil, err
 	}
-	img, err := dpexec.Compile(spec, info, s.Cfg)
-	if err != nil {
-		return pi
-	}
-	return img
+	return pi.Recompile(spec, info, s.Cfg)
 }
+
+// errImageFault is the failure FailNextImageCompile (export_test.go)
+// injects.
+var errImageFault = errors.New("core: injected image compile fault")
 
 func (s *Specializer) machine() *dpexec.Machine {
 	if v := s.machines.Get(); v != nil {

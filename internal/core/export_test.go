@@ -34,6 +34,14 @@ func CheckInstalledIsIdeal(s *Specializer) error {
 	return nil
 }
 
+// FailNextImageCompile makes the engine's next full image compile fail,
+// as a program dpexec cannot compile would.
+func FailNextImageCompile(s *Specializer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.imgFault = true
+}
+
 // ProjectedCost exposes the precision controller's estimate of what one
 // precise update to target would cost right now (deadline.go projectNS),
 // so tests can size a budget relative to it instead of to the clock.

@@ -6,6 +6,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -172,6 +173,94 @@ func TestForwardedWriteCostsWhatItChanged(t *testing.T) {
 	}
 }
 
+// activeSet is the set of table's active entries.
+func activeSet(cfg *controlplane.Config, table string) map[*controlplane.TableEntry]bool {
+	active, _ := cfg.ActiveEntries(table)
+	out := make(map[*controlplane.TableEntry]bool, len(active))
+	for _, e := range active {
+		out[e] = true
+	}
+	return out
+}
+
+// TestRespecializationCompilesWhatFlipped counts work, not time: on
+// scion and switch under every churn pattern, a call that respecializes
+// compiles (core.image_blocks) no more entry blocks than the active
+// entries of the tables in its Components plus the entries the call made
+// active — the image of the program before is carried everywhere else.
+func TestRespecializationCompilesWhatFlipped(t *testing.T) {
+	for _, name := range []string{"scion", "switch"} {
+		p, err := progs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls, compiled, full := 0, int64(0), 0
+		for _, kind := range fuzz.PatternKinds() {
+			reg := obs.NewRegistry()
+			s, err := p.LoadWith(core.Options{Exec: true, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := p.ApplyRepresentative(s); err != nil {
+				t.Fatal(err)
+			}
+			cs, err := fuzz.Churn(s.An, fuzz.ChurnSpec{Kind: kind, Table: p.BurstTable, Updates: 48, Seed: uint64(kind)*17 + 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := reg.Counter("core.image_blocks")
+			for bi, batch := range cs.Batches() {
+				before := activeSet(s.Cfg, p.BurstTable)
+				b0 := blocks.Value()
+				var comps []string
+				for _, d := range s.ApplyBatch(batch) {
+					if d.Update.Target() != p.BurstTable {
+						t.Fatalf("churn wrote %s, not %s", d.Update.Target(), p.BurstTable)
+					}
+					for _, c := range d.Components {
+						if !slices.Contains(comps, c) {
+							comps = append(comps, c)
+						}
+					}
+				}
+				if got := int64(s.Statistics().ImageBlocks); got != blocks.Value() {
+					t.Fatalf("Stats.ImageBlocks %d, core.image_blocks %d", got, blocks.Value())
+				}
+				checkImageParity(t, s, kind.String()+" batch")
+				if len(comps) == 0 {
+					continue
+				}
+				bound := 0
+				for e := range activeSet(s.Cfg, p.BurstTable) {
+					if !before[e] {
+						bound++
+					}
+				}
+				for _, c := range comps {
+					if s.An.Tables[c] != nil {
+						active, _ := s.Cfg.ActiveEntries(c)
+						bound += len(active)
+					}
+				}
+				got := blocks.Value() - b0
+				if got > int64(bound) {
+					t.Errorf("%s %s batch %d: respecializing %v compiled %d entry blocks, want at most %d",
+						name, kind, bi, comps, got, bound)
+				}
+				calls++
+				compiled += got
+				full += freshImage(t, s).BlocksCompiled()
+			}
+		}
+		if calls == 0 {
+			t.Fatalf("%s: no churn call respecialized", name)
+		}
+		t.Logf("%s: %d respecializing calls compiled %.1f entry blocks each; a full compile, %.1f",
+			name, calls, float64(compiled)/float64(calls), float64(full)/float64(calls))
+	}
+}
+
 // TestImageInstrumentsFollowDecisions: a call whose accepted updates
 // were all forwarded patches the image, a call with a respecializing
 // update recompiles it, and a call that changed nothing does neither —
@@ -182,6 +271,7 @@ func TestImageInstrumentsFollowDecisions(t *testing.T) {
 	s := natEngine(t, 64, core.Options{Metrics: reg})
 	patches, compiles := reg.Counter("core.image_patches"), reg.Counter("core.image_compiles")
 	type counts struct{ patches, compiles int64 }
+	errs, blocks := reg.Counter("core.image_errors"), reg.Counter("core.image_blocks")
 	read := func() counts {
 		st := s.Statistics()
 		c := counts{patches.Value(), compiles.Value()}
@@ -189,8 +279,12 @@ func TestImageInstrumentsFollowDecisions(t *testing.T) {
 			t.Fatalf("Stats say %d patches / %d compiles, the registry %d / %d",
 				st.ImagePatches, st.ImageCompiles, c.patches, c.compiles)
 		}
-		if n := reg.Histogram("core.image_ns").Count(); n != c.patches+c.compiles {
-			t.Fatalf("core.image_ns holds %d samples for %d builds", n, c.patches+c.compiles)
+		if int64(st.ImageErrors) != errs.Value() || int64(st.ImageBlocks) != blocks.Value() {
+			t.Fatalf("Stats say %d errors / %d blocks, the registry %d / %d",
+				st.ImageErrors, st.ImageBlocks, errs.Value(), blocks.Value())
+		}
+		if n := reg.Histogram("core.image_ns").Count(); n != c.patches+c.compiles+errs.Value() {
+			t.Fatalf("core.image_ns holds %d samples for %d builds", n, c.patches+c.compiles+errs.Value())
 		}
 		return c
 	}
@@ -259,6 +353,51 @@ func TestImageInstrumentsFollowDecisions(t *testing.T) {
 			t.Errorf("the call list never produced a %s decision", k)
 		}
 	}
+}
+
+// TestFailedImageCompileServesStale: when a respecializing call's image
+// compile fails, the previous image keeps serving and the failure counts
+// in core.image_errors, not as a compile; the next publication — a
+// forwarded call, which would otherwise patch — compiles the image
+// afresh instead of patching one of the program before.
+func TestFailedImageCompileServesStale(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := natEngine(t, 64, core.Options{Metrics: reg})
+	p := progs.Nat44()
+	core.FailNextImageCompile(s)
+	// Drain the representative configuration's small tables until a call
+	// respecializes; forwarded calls patch and leave the fault armed.
+	rep := p.Representative()
+	var failed core.Stats
+	for i := len(rep) - 1; i >= 0 && failed.ImageErrors == 0; i-- {
+		if u := rep[i]; u.Kind != controlplane.InsertEntry || u.Table == p.BurstTable {
+			continue
+		}
+		gone := *rep[i]
+		gone.Kind = controlplane.DeleteEntry
+		serving := s.Epoch().Image()
+		d := s.Apply(&gone)
+		if d.Kind != core.Recompile {
+			continue
+		}
+		failed = s.Statistics()
+		if s.Epoch().Image() != serving {
+			t.Fatal("a failed image compile did not keep the previous image serving")
+		}
+	}
+	if failed.ImageErrors != 1 || reg.Counter("core.image_errors").Value() != 1 {
+		t.Fatalf("after the failed compile: Stats.ImageErrors %d, core.image_errors %d; want 1",
+			failed.ImageErrors, reg.Counter("core.image_errors").Value())
+	}
+	if d := s.Apply(progs.Nat44SessionEntry(64)); d.Kind != core.Forward {
+		t.Fatalf("a session insert decided %s, want forward", d.Kind)
+	}
+	st := s.Statistics()
+	if st.ImageCompiles != failed.ImageCompiles+1 || st.ImagePatches != failed.ImagePatches {
+		t.Fatalf("the publication after a failed compile made %d compiles and %d patches, want 1 and 0",
+			st.ImageCompiles-failed.ImageCompiles, st.ImagePatches-failed.ImagePatches)
+	}
+	checkImageParity(t, s, "the publication after a failed compile")
 }
 
 func kinds(ds []*core.Decision) []string {

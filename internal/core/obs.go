@@ -49,6 +49,8 @@ type coreMetrics struct {
 	// Executable image maintenance (exec.go); idle without Options.Exec.
 	imagePatches  *obs.Counter   // publications that patched the previous image
 	imageCompiles *obs.Counter   // publications that recompiled the image
+	imageErrors   *obs.Counter   // image recompiles that failed (the previous image served on)
+	imageBlocks   *obs.Counter   // entry action blocks the image builds compiled
 	imageNS       *obs.Histogram // per-publication image build latency, ns
 
 	epoch *obs.Gauge // published epoch sequence number (epoch.go)
@@ -92,6 +94,8 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		arenaNodes:      r.Gauge("core.arena_nodes"),
 		imagePatches:    r.Counter("core.image_patches"),
 		imageCompiles:   r.Counter("core.image_compiles"),
+		imageErrors:     r.Counter("core.image_errors"),
+		imageBlocks:     r.Counter("core.image_blocks"),
 		imageNS:         r.Histogram("core.image_ns"),
 		epoch:           r.Gauge("core.epoch"),
 	}

@@ -27,95 +27,91 @@ func (s *Specializer) specializedProgramLocked() *ast.Program {
 	if s.quality == QualityNone {
 		return s.Prog
 	}
-	r := &rewriter{s: s}
+	r := &rewriter{s: s, plan: s.plan}
 	r.prepare()
 	return r.program()
 }
 
-type branchVerdicts struct {
-	thenPoints, elsePoints []int
+// rewritePlan is what the rewriter reads that no verdict moves: the
+// points grouped by the construct they decide (an if inside a shared
+// action body yields one point per execution context, and the construct
+// goes only if every context says so), and the apply sites whose hit
+// result feeds a branch. It depends on An.Points and the original AST
+// alone, so open builds it once and every publication only reads it. It
+// lives as long as the engine, so a construct's points are a span of one
+// shared array rather than a slice of their own.
+type rewritePlan struct {
+	ids      []int32                      // point IDs, grouped by construct
+	branches map[*ast.IfStmt][2]pointSpan // per if node: then, else
+	assigns  map[*ast.AssignStmt]pointSpan
+	cases    map[string][]pointSpan // parser.state → per case index
+	hitSites []hitSite              // `if (t.apply().hit)`, in program order
 }
 
-type rewriter struct {
-	s *Specializer
+// pointSpan is one construct's points, ids[lo:hi] of its plan.
+type pointSpan struct{ lo, hi int32 }
 
-	// branch verdicts grouped per if node (an if inside a shared action
-	// body yields one point per execution context; a branch is dead
-	// only if every context says so).
-	branches map[*ast.IfStmt]*branchVerdicts
-	// constAssigns maps assignments whose RHS is the same constant in
-	// every context.
-	constAssigns map[*ast.AssignStmt]sym.BV
-	// tableImpl per qualified table name (current installed impls).
-	impls map[string]*tableImpl
-	// deadCases maps parser/state to the set of dead case indices.
-	deadCases map[string]map[int]bool
-	// usedHeaders is the set of header-instance paths accessed by the
-	// program outside parser extracts (parser-tail pruning).
-	usedHeaders map[string]bool
-
-	control *ast.ControlDecl
+// hitSite is an if whose condition applies table qname.
+type hitSite struct {
+	ifs   *ast.IfStmt
+	qname string
 }
 
-func (r *rewriter) prepare() {
-	s := r.s
-	r.branches = make(map[*ast.IfStmt]*branchVerdicts)
-	r.constAssigns = make(map[*ast.AssignStmt]sym.BV)
-	r.deadCases = make(map[string]map[int]bool)
-	r.impls = make(map[string]*tableImpl, len(s.impls))
-	for name, impl := range s.impls {
-		r.impls[name] = impl
+func newRewritePlan(an *dataplane.Analysis, prog *ast.Program) *rewritePlan {
+	// Group the points by construct in first-seen order, then lay the
+	// groups out in one array.
+	type construct struct {
+		node any // *ast.IfStmt, *ast.AssignStmt, or a parser state's name
+		sub  int // else branch (1) of an if, case index of a state
 	}
-
-	assignPoints := make(map[*ast.AssignStmt][]int)
-	for _, p := range s.An.Points {
+	groups := make(map[construct][]int32)
+	var order []construct
+	for _, p := range an.Points {
+		var c construct
 		switch p.Kind {
 		case dataplane.PointIfBranch:
-			bv := r.branches[p.If]
-			if bv == nil {
-				bv = &branchVerdicts{}
-				r.branches[p.If] = bv
-			}
-			if p.ThenBranch {
-				bv.thenPoints = append(bv.thenPoints, p.ID)
-			} else {
-				bv.elsePoints = append(bv.elsePoints, p.ID)
+			c = construct{p.If, 0}
+			if !p.ThenBranch {
+				c.sub = 1
 			}
 		case dataplane.PointAssignValue:
-			assignPoints[p.Assign] = append(assignPoints[p.Assign], p.ID)
+			c = construct{p.Assign, 0}
 		case dataplane.PointSelectCase:
-			key := p.Control + "." + p.ParserState
-			if r.deadCases[key] == nil {
-				r.deadCases[key] = make(map[int]bool)
+			c = construct{p.Control + "." + p.ParserState, p.CaseIndex}
+		default:
+			continue
+		}
+		if _, seen := groups[c]; !seen {
+			order = append(order, c)
+		}
+		groups[c] = append(groups[c], int32(p.ID))
+	}
+	pl := &rewritePlan{
+		branches: make(map[*ast.IfStmt][2]pointSpan),
+		assigns:  make(map[*ast.AssignStmt]pointSpan),
+		cases:    make(map[string][]pointSpan),
+	}
+	for _, c := range order {
+		sp := pointSpan{lo: int32(len(pl.ids))}
+		pl.ids = append(pl.ids, groups[c]...)
+		sp.hi = int32(len(pl.ids))
+		switch node := c.node.(type) {
+		case *ast.IfStmt:
+			b := pl.branches[node]
+			b[c.sub] = sp
+			pl.branches[node] = b
+		case *ast.AssignStmt:
+			pl.assigns[node] = sp
+		case string:
+			cs := pl.cases[node]
+			for len(cs) <= c.sub {
+				cs = append(cs, pointSpan{})
 			}
-			// A case is dead only if dead in every traversal context;
-			// initialise true and clear on any live context.
-			if _, seen := r.deadCases[key][p.CaseIndex]; !seen {
-				r.deadCases[key][p.CaseIndex] = true
-			}
-			if s.verdicts[p.ID].Kind != VerdictDead {
-				r.deadCases[key][p.CaseIndex] = false
-			}
+			cs[c.sub] = sp
+			pl.cases[node] = cs
 		}
 	}
-	for asg, ids := range assignPoints {
-		allConst := true
-		var val sym.BV
-		for i, id := range ids {
-			v := s.verdicts[id]
-			if v.Kind != VerdictConst || (i > 0 && v.Val != val) {
-				allConst = false
-				break
-			}
-			val = v.Val
-		}
-		if allConst && len(ids) > 0 {
-			r.constAssigns[asg] = val
-		}
-	}
-	// A table whose hit result feeds a live two-way branch must keep its
-	// apply site: force-keep it even if it would otherwise be inlined.
-	for _, cd := range s.Prog.Controls {
+	for _, cd := range prog.Controls {
 		ast.WalkStmts(cd.Apply, func(st ast.Stmt) {
 			ifs, ok := st.(*ast.IfStmt)
 			if !ok {
@@ -133,42 +129,89 @@ func (r *rewriter) prepare() {
 			if !ok || inner.Name != "apply" {
 				return
 			}
-			id, ok := inner.X.(*ast.Ident)
-			if !ok {
-				return
-			}
-			if r.branchDead(ifs, true) || r.branchDead(ifs, false) {
-				return
-			}
-			qname := cd.Name + "." + id.Name
-			if impl := r.impls[qname]; impl != nil && (impl.removed || impl.inlineParams != nil) {
-				keep := *impl
-				keep.removed = false
-				keep.inlineParams = nil
-				r.impls[qname] = &keep
+			if id, ok := inner.X.(*ast.Ident); ok {
+				pl.hitSites = append(pl.hitSites, hitSite{ifs: ifs, qname: cd.Name + "." + id.Name})
 			}
 		})
 	}
+	return pl
 }
 
-func (r *rewriter) branchDead(ifs *ast.IfStmt, thenBranch bool) bool {
-	bv := r.branches[ifs]
-	if bv == nil {
-		return false
+type rewriter struct {
+	s    *Specializer
+	plan *rewritePlan
+
+	// kept holds, per qualified table name, the implementation prepare
+	// force-kept in place of the installed one.
+	kept map[string]*tableImpl
+	// usedHeaders is the set of header-instance paths accessed by the
+	// program outside parser extracts, with every dotted prefix of each
+	// (parser-tail pruning).
+	usedHeaders map[string]bool
+
+	control *ast.ControlDecl
+}
+
+// prepare force-keeps the apply site of every table whose hit result
+// feeds a live two-way branch, even if it would otherwise be inlined.
+func (r *rewriter) prepare() {
+	for _, h := range r.plan.hitSites {
+		if r.branchDead(h.ifs, true) || r.branchDead(h.ifs, false) {
+			continue
+		}
+		if impl := r.impl(h.qname); impl != nil && (impl.removed || impl.inlineParams != nil) {
+			keep := *impl
+			keep.removed = false
+			keep.inlineParams = nil
+			if r.kept == nil {
+				r.kept = make(map[string]*tableImpl)
+			}
+			r.kept[h.qname] = &keep
+		}
 	}
-	ids := bv.thenPoints
-	if !thenBranch {
-		ids = bv.elsePoints
+}
+
+// impl is the implementation the rewrite gives table qname.
+func (r *rewriter) impl(qname string) *tableImpl {
+	if impl, ok := r.kept[qname]; ok {
+		return impl
 	}
-	if len(ids) == 0 {
-		return false
-	}
-	for _, id := range ids {
+	return r.s.impls[qname]
+}
+
+// allDead reports whether a construct's points decide it dead: there is
+// at least one, and every one is Dead.
+func (r *rewriter) allDead(sp pointSpan) bool {
+	for _, id := range r.plan.ids[sp.lo:sp.hi] {
 		if r.s.verdicts[id].Kind != VerdictDead {
 			return false
 		}
 	}
-	return true
+	return sp.hi > sp.lo
+}
+
+func (r *rewriter) branchDead(ifs *ast.IfStmt, thenBranch bool) bool {
+	b := r.plan.branches[ifs]
+	if thenBranch {
+		return r.allDead(b[0])
+	}
+	return r.allDead(b[1])
+}
+
+// constAssign reports the constant an assignment's RHS is in every
+// context, if it is one.
+func (r *rewriter) constAssign(asg *ast.AssignStmt) (sym.BV, bool) {
+	sp := r.plan.assigns[asg]
+	ids := r.plan.ids[sp.lo:sp.hi]
+	var val sym.BV
+	for i, id := range ids {
+		v := r.s.verdicts[id]
+		if v.Kind != VerdictConst || (i > 0 && v.Val != val) {
+			return sym.BV{}, false
+		}
+		val = v.Val
+	}
+	return val, len(ids) > 0
 }
 
 // computeUsedHeadersFrom collects header instances referenced anywhere
@@ -178,15 +221,26 @@ func (r *rewriter) branchDead(ifs *ast.IfStmt, thenBranch bool) bool {
 // parser-tail pruning).
 func (r *rewriter) computeUsedHeadersFrom(controls []*ast.ControlDecl) {
 	r.usedHeaders = make(map[string]bool)
+	use := func(path string) {
+		if r.usedHeaders[path] {
+			return // and so are its prefixes
+		}
+		r.usedHeaders[path] = true
+		for i := len(path) - 1; i > 0; i-- {
+			if path[i] == '.' {
+				r.usedHeaders[path[:i]] = true
+			}
+		}
+	}
 	markExpr := func(e ast.Expr) {
 		ast.WalkExprs(e, func(sub ast.Expr) {
 			if path, ok := typecheck.FieldPath(sub); ok {
-				r.usedHeaders[path] = true
+				use(path)
 			}
 			if call, ok := sub.(*ast.CallExpr); ok {
 				if m, ok := call.Fun.(*ast.Member); ok && (m.Name == "isValid" || m.Name == "setValid" || m.Name == "setInvalid") {
 					if path, ok := typecheck.FieldPath(m.X); ok {
-						r.usedHeaders[path] = true
+						use(path)
 					}
 				}
 			}
@@ -236,16 +290,7 @@ func (r *rewriter) computeUsedHeadersFrom(controls []*ast.ControlDecl) {
 // headerUsed reports whether the header instance at path (or any of its
 // fields) is referenced.
 func (r *rewriter) headerUsed(path string) bool {
-	if r.usedHeaders[path] {
-		return true
-	}
-	prefix := path + "."
-	for p := range r.usedHeaders {
-		if len(p) > len(prefix) && p[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
+	return r.usedHeaders[path]
 }
 
 // ---------------------------------------------------------------------------
@@ -302,10 +347,10 @@ func (r *rewriter) state(pd *ast.ParserDecl, st *ast.State) *ast.State {
 		out.Trans = tr
 		return out
 	}
-	dead := r.deadCases[pd.Name+"."+st.Name]
+	casePoints := r.plan.cases[pd.Name+"."+st.Name]
 	var cases []ast.SelectCase
 	for i, cs := range tr.Cases {
-		if dead != nil && dead[i] {
+		if i < len(casePoints) && r.allDead(casePoints[i]) {
 			continue
 		}
 		cases = append(cases, cs)
@@ -335,7 +380,7 @@ func (r *rewriter) controlDecl(cd *ast.ControlDecl) *ast.ControlDecl {
 
 	// Tables: drop removed/inlined ones, specialize the survivors.
 	for _, t := range cd.Tables {
-		impl := r.impls[cd.Name+"."+t.Name]
+		impl := r.impl(cd.Name + "." + t.Name)
 		if impl != nil && (impl.removed || impl.inlineParams != nil) {
 			continue
 		}
@@ -418,7 +463,7 @@ func (r *rewriter) stmt(s ast.Stmt) []ast.Stmt {
 	case *ast.IfStmt:
 		return r.ifStmt(s)
 	case *ast.AssignStmt:
-		if val, ok := r.constAssigns[s]; ok && r.s.quality <= QualityNoNarrowing {
+		if val, ok := r.constAssign(s); ok && r.s.quality <= QualityNoNarrowing {
 			return []ast.Stmt{&ast.AssignStmt{
 				LHS:    s.LHS,
 				RHS:    &ast.IntLit{Width: int(val.W), Hi: val.Hi, Lo: val.Lo, TokPos: s.TokPos},
@@ -522,7 +567,7 @@ func (r *rewriter) applyStmt(s *ast.CallStmt) []ast.Stmt {
 // implementation: dropped when removed, inlined to the constant
 // action's body when possible, kept otherwise.
 func (r *rewriter) applyReplacement(qname string, orig *ast.CallStmt) []ast.Stmt {
-	impl := r.impls[qname]
+	impl := r.impl(qname)
 	ti := r.s.An.Tables[qname]
 	if impl == nil || ti == nil {
 		return []ast.Stmt{orig}

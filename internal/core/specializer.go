@@ -279,9 +279,12 @@ type Stats struct {
 	// Executable image maintenance (exec.go; zero without Options.Exec).
 	// A publication that changed the configuration either patches the
 	// previous image (every update of the call was forwarded) or
-	// recompiles it from the specialized program.
+	// recompiles it from the specialized program; a recompile that failed
+	// counts as an error, not a compile, and the previous image serves on.
 	ImagePatches  int
 	ImageCompiles int
+	ImageErrors   int
+	ImageBlocks   int           // entry action blocks the image builds compiled
 	ImageTime     time.Duration // cumulative image build time
 }
 
@@ -318,8 +321,10 @@ type Specializer struct {
 	quality  Quality
 
 	// tablePoints indexes each table's points by kind (impl.go), built
-	// once at open.
+	// once at open; plan is the rewriter's verdict-independent grouping
+	// of the points (passes.go), also built once at open.
 	tablePoints map[string]*tablePoints
+	plan        *rewritePlan
 
 	// co is the coordination state (epoch.go): the published epoch
 	// pointer, the audit-seq allocator and the arena-sweep trigger.
@@ -333,9 +338,11 @@ type Specializer struct {
 	// touched since the last publication (the image is patched there);
 	// imgFull forces the next publication to recompile the image from
 	// the specialized program. machines pools executor machines for the
-	// wait-free Exec path.
+	// wait-free Exec path. imgFault makes the next image compile fail
+	// (a test seam, export_test.go).
 	exec       bool
 	imgFull    bool
+	imgFault   bool
 	imgTargets []string
 	machines   sync.Pool
 
@@ -523,6 +530,7 @@ func (s *Specializer) initState() error {
 	s.eval.solver = sym.NewSolver()
 	s.eval.solver.Metrics = s.symMet
 	s.tablePoints = indexTablePoints(an)
+	s.plan = newRewritePlan(an, s.Prog)
 	s.verdicts = make([]Verdict, len(an.Points))
 	s.pointSub = make([]*sym.Expr, len(an.Points))
 	s.witnesses = make([]sym.Env, len(an.Points))

@@ -31,7 +31,7 @@ func checkChunks(t *testing.T, when string, cfg *controlplane.Config, table stri
 			t.Fatalf("%s: chunk %d holds %d entries (cap %d)", when, ci, len(srcs), dpexec.ChunkCap)
 		}
 		for _, src := range srcs {
-			if n >= len(active) || src != any(active[n]) {
+			if n >= len(active) || src != active[n] {
 				t.Fatalf("%s: chunk %d is not the active list at entry %d", when, ci, n)
 			}
 			n++

@@ -2,6 +2,8 @@ package dpexec
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/controlplane"
@@ -20,7 +22,12 @@ type compileCtx struct {
 	prog     *ast.Program
 	info     *typecheck.Info
 	slots    map[string]int32
+	names    []string // names[s] is the path slot s was allocated for
 	slotInit []sym.BV
+	// prewalk counts the slots seeding and the prewalk allocated: every
+	// slot an entry block reads or writes. The main pass's `$sel:` and
+	// `$key:` slots come after them.
+	prewalk int
 }
 
 func (cc *compileCtx) alloc(path string, init sym.BV) int32 {
@@ -29,8 +36,18 @@ func (cc *compileCtx) alloc(path string, init sym.BV) int32 {
 	}
 	s := int32(len(cc.slotInit))
 	cc.slots[path] = s
+	cc.names = append(cc.names, path)
 	cc.slotInit = append(cc.slotInit, init)
 	return s
+}
+
+// blocksPortable reports whether an entry block compiled under o
+// addresses the same slots under cc: the two prewalk layouts agree in
+// every name and initial value.
+func (cc *compileCtx) blocksPortable(o *compileCtx) bool {
+	return cc.prewalk == o.prewalk &&
+		slices.Equal(cc.names[:cc.prewalk], o.names[:o.prewalk]) &&
+		slices.Equal(cc.slotInit[:cc.prewalk], o.slotInit[:o.prewalk])
 }
 
 func (cc *compileCtx) slot(path string) (int32, bool) {
@@ -109,6 +126,9 @@ type compiler struct {
 	exitFix []int // opExit instrs awaiting the control-end pc in .a
 	tblFix  []int // opTable instrs awaiting the control-end pc in .c
 	trapIdx map[string]int32
+	// prev is the predecessor whose tables may be carried (Recompile):
+	// nil when there is none or its entry blocks would not port.
+	prev *Image
 }
 
 func cerr(format string, args ...any) error {
@@ -133,6 +153,11 @@ func (c *compiler) widthOf(e ast.Expr) uint16 {
 }
 
 func (c *compiler) trap(msg string) int32 {
+	if c.inBlock {
+		// A block indexing img.traps could not be carried into an image
+		// with other traps; entry blocks carry their traps as strings.
+		panic("entry block allocates a trap")
+	}
 	if i, ok := c.trapIdx[msg]; ok {
 		return i
 	}
@@ -162,6 +187,25 @@ func (c *compiler) snapshotScopes() []map[string]binding {
 	return env
 }
 
+// sameScope reports whether two captured scope stacks bind every name
+// alike: they are equal once the scopes binding nothing are skipped.
+func sameScope(a, b []map[string]binding) bool {
+	for i, j := 0, 0; ; i, j = i+1, j+1 {
+		for i < len(a) && len(a[i]) == 0 {
+			i++
+		}
+		for j < len(b) && len(b[j]) == 0 {
+			j++
+		}
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		if !maps.Equal(a[i], b[j]) {
+			return false
+		}
+	}
+}
+
 // runParser returns the parser that Run would execute (exactly one
 // declared), mirroring bmv2.
 func runParser(prog *ast.Program) *ast.ParserDecl {
@@ -174,8 +218,25 @@ func runParser(prog *ast.Program) *ast.ParserDecl {
 // Compile translates prog under cfg into an executable image. The
 // program must have passed typecheck with the supplied info; cfg may be
 // nil for the empty configuration. The observable semantics of the
-// image are exactly those of bmv2.New(prog, info, cfg).
-func Compile(prog *ast.Program, info *typecheck.Info, cfg *controlplane.Config) (img *Image, err error) {
+// image are exactly those of bmv2.New(prog, info, cfg). It is Recompile
+// with no predecessor.
+func Compile(prog *ast.Program, info *typecheck.Info, cfg *controlplane.Config) (*Image, error) {
+	var none *Image
+	return none.Recompile(prog, info, cfg)
+}
+
+// Recompile translates prog under cfg into an executable image, the
+// receiver being its predecessor: the image of another (typically the
+// previous specialized) program, nil for none. The main code is
+// compiled anew; a table is built as a delta against the predecessor's
+// table of the same name (buildExTable) when its compile context held —
+// entry blocks address the same slots (the prewalk layouts agree), the
+// key slots and widths and the apply-site scope are equal — and each
+// carried entry still resolves to the action it was compiled from.
+// Anything else starts from an empty predecessor. The result hashes
+// exactly like Compile's, whatever the predecessor; the receiver is
+// never mutated.
+func (prev *Image) Recompile(prog *ast.Program, info *typecheck.Info, cfg *controlplane.Config) (img *Image, err error) {
 	// sym.BV operations panic on width mismatches that only a
 	// non-typechecked program can produce; surface those as errors so
 	// fuzzers get a clean failure instead of a crash.
@@ -242,6 +303,10 @@ func Compile(prog *ast.Program, info *typecheck.Info, cfg *controlplane.Config) 
 	// need, in pure AST order, so later compilation (including
 	// incremental entry-block rebuilds) never allocates.
 	c.prewalk()
+	cc.prewalk = len(cc.slotInit)
+	if prev != nil && prev.cc.blocksPortable(cc) {
+		c.prev = prev
+	}
 
 	// 3. Environment inputs.
 	for _, name := range seededNames {

@@ -15,16 +15,19 @@
 // Images are immutable once built. Incremental control-plane updates
 // produce a new image via Image.WithTarget (rebuilding only the touched
 // table, value set, or register fill, and of a table compiling only the
-// entries that are new to it); the engine hot-swaps the image
-// pointer at epoch publication so packet execution is wait-free under
-// churn. A Machine may be reused across packets and across images; it
-// re-attaches (re-sizing its slot file and rebuilding register state)
-// whenever it sees a new image.
+// entries that are new to it); a new program is compiled with
+// Image.Recompile against the previous image, which carries every
+// compiled entry whose compile context held. The engine hot-swaps the
+// image pointer at epoch publication so packet execution is wait-free
+// under churn. A Machine may be reused across packets and across
+// images; it re-attaches (re-sizing its slot file and rebuilding
+// register state) whenever it sees a new image.
 package dpexec
 
 import (
 	"fmt"
 
+	"repro/internal/p4/ast"
 	"repro/internal/sym"
 )
 
@@ -98,10 +101,12 @@ type deparseHeader struct {
 
 // block is a self-contained compiled action body (table entry or miss
 // action): its own code and constant pool, so an incremental table
-// rebuild never mutates shared image arrays.
+// rebuild never mutates shared image arrays, and the action declaration
+// it inlines, so a Recompile can tell whether it still applies.
 type block struct {
 	code   []instr
 	consts []sym.BV
+	act    *ast.Action
 }
 
 // regTemplate describes one register array; Machines instantiate cells
@@ -114,8 +119,9 @@ type regTemplate struct {
 }
 
 // Image is an immutable compiled program + configuration. Build one
-// with Compile, derive updated ones with WithTarget, and execute it
-// with a Machine. All exported methods are safe for concurrent use.
+// with Compile or Recompile, derive updated ones with WithTarget, and
+// execute it with a Machine. All exported methods are safe for
+// concurrent use.
 type Image struct {
 	code   []instr
 	consts []sym.BV
@@ -139,7 +145,7 @@ type Image struct {
 	codeHash uint64 // configuration-independent half of the content hash
 	hash     uint64 // full content hash
 
-	// blocksCompiled counts the entry action blocks the Compile or
+	// blocksCompiled counts the entry action blocks the Recompile or
 	// WithTarget call that produced this image had to compile.
 	blocksCompiled int
 
@@ -152,16 +158,18 @@ type Image struct {
 
 // Hash is a deterministic content hash of the image: identical program
 // + configuration always hash identically, whether the image was built
-// by a full Compile or by a chain of WithTarget rebuilds. The torture
-// suite uses it to pin concurrently-observed images to the sequential
-// oracle's image at the same update count.
+// by Compile, by Recompile against any predecessor, or by a chain of
+// WithTarget rebuilds. The torture suite uses it to pin
+// concurrently-observed images to the sequential oracle's image at the
+// same update count.
 func (img *Image) Hash() uint64 { return img.hash }
 
 // BlocksCompiled reports how many table-entry action blocks were
 // compiled to produce this image: every active entry's for Compile,
-// only those of entries its predecessor did not hold for WithTarget.
-// It is the work counter of incremental image maintenance — a count,
-// not a clock.
+// only those of entries its predecessor did not hold — or, for
+// Recompile, did not hold in the same compile context — for WithTarget
+// and Recompile. It is the work counter of incremental image
+// maintenance — a count, not a clock.
 func (img *Image) BlocksCompiled() int { return img.blocksCompiled }
 
 // NumSlots reports the size of the flat store, a rough proxy for image

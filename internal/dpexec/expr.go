@@ -1,6 +1,7 @@
 package dpexec
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/p4/ast"
@@ -422,14 +423,15 @@ func (c *compiler) tableApply(fun *ast.Member, pushHit bool) error {
 		}
 	}
 	if !built {
-		t, n, err := buildExTable(c.cc, c.img, c.cfg, &exTable{
+		t := &exTable{
 			qname:     qname,
 			keySlots:  keySlots,
 			keyWidths: keyWidths,
 			cd:        c.control,
 			tbl:       tbl,
 			env:       c.snapshotScopes(),
-		})
+		}
+		t, n, err := buildExTable(c.cc, c.img, c.cfg, t, c.predecessor(t))
 		if err != nil {
 			return err
 		}
@@ -444,4 +446,23 @@ func (c *compiler) tableApply(fun *ast.Member, pushHit bool) error {
 	}
 	c.tblFix = append(c.tblFix, a.emit(opTable, int32(ti), hitFlag, -1))
 	return nil
+}
+
+// predecessor is the predecessor image's table of t's name when it was
+// compiled in t's context — the same key slots and widths and the same
+// apply-site scope — and nil otherwise. Which of its entries carry is
+// the merge's to decide (buildExTable).
+func (c *compiler) predecessor(t *exTable) *exTable {
+	if c.prev == nil {
+		return nil
+	}
+	ti, ok := c.prev.tableIdx[t.qname]
+	if !ok {
+		return nil
+	}
+	pt := c.prev.tables[ti]
+	if !slices.Equal(pt.keySlots, t.keySlots) || !slices.Equal(pt.keyWidths, t.keyWidths) || !sameScope(pt.env, t.env) {
+		return nil
+	}
+	return pt
 }

@@ -221,50 +221,91 @@ func (l *chunkList) finish() {
 	l.flush()
 }
 
-// holdsRun reports whether c's entries are exactly the next active ones.
-func holdsRun(c entryChunk, active []*controlplane.TableEntry) bool {
+// holdsRun reports whether c's entries are exactly the next active ones
+// and, when vouch is set, each of them is vouched for.
+func holdsRun(c entryChunk, active []*controlplane.TableEntry, vouch func(*exEntry, *controlplane.TableEntry) bool) bool {
 	if len(c.meta) > len(active) {
 		return false
 	}
 	for i := range c.meta {
-		if c.meta[i].src != active[i] {
+		if c.meta[i].src != active[i] || vouch != nil && !vouch(&c.entries[i], active[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// buildExTable compiles a table under cfg as a delta against prev, a
-// compiled predecessor of the same table (same apply site, same compile
-// context): an active entry prev already compiled is carried over —
-// matches, block and hash, a whole untouched chunk at a time — and only
-// entries new to the table are compiled. What a rebuild copies is the
-// chunk the update lands in (and at most one neighbour), not the table;
-// what still walks the table is the pointer comparison below, the hash
-// fold and, on an all-exact table, the index. A from-scratch build is
-// the same walk over a predecessor that holds the compile context and no
-// entries, which is what keeps a WithTarget chain hash-identical to
-// Compile. It reports how many entry action blocks it compiled.
-func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, prev *exTable) (*exTable, int, error) {
-	t := &exTable{
-		qname:     prev.qname,
-		keySlots:  prev.keySlots,
-		keyWidths: prev.keyWidths,
-		cd:        prev.cd,
-		tbl:       prev.tbl,
-		env:       prev.env,
+// context is a table holding t's compile context and no entries.
+func (t *exTable) context() *exTable {
+	return &exTable{qname: t.qname, keySlots: t.keySlots, keyWidths: t.keyWidths, cd: t.cd, tbl: t.tbl, env: t.env}
+}
+
+// inlined is the action declaration e's block inlines: nil for NoAction
+// and for a trap.
+func (e *exEntry) inlined() *ast.Action {
+	if e.blk == nil {
+		return nil
+	}
+	return e.blk.act
+}
+
+// actionOf is the declaration an entry naming action inlines in t: nil
+// for NoAction and for an action t's control does not declare.
+func (t *exTable) actionOf(action string) *ast.Action {
+	if action == "NoAction" {
+		return nil
+	}
+	return t.cd.Action(action)
+}
+
+// buildExTable compiles t, a table holding its compile context and no
+// entries, under cfg as a delta against prev, a compiled predecessor of
+// the same table (nil for none): an active entry prev already compiled
+// is carried over — matches, block and hash, a whole untouched chunk at
+// a time — and only entries new to the table are compiled. What a
+// rebuild copies is the chunk the update lands in (and at most one
+// neighbour), not the table; what still walks the table is the pointer
+// comparison below, the hash fold and, on an all-exact table, the
+// index. A from-scratch build is the same walk over no predecessor,
+// which is what keeps a WithTarget chain, and a Recompile, hash-identical
+// to Compile. It reports how many entry action blocks it compiled.
+//
+// prev must have been compiled in t's context: blocks that address the
+// same slots, the same key slots and widths, the same apply-site scope.
+// When it was compiled against another declaration of the control (a
+// Recompile of another program), an entry carries only while its action
+// name still resolves to the declaration its block inlines.
+func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, t, prev *exTable) (*exTable, int, error) {
+	var prevChunks []entryChunk
+	var vouch func(*exEntry, *controlplane.TableEntry) bool
+	if prev != nil {
+		prevChunks = prev.chunks
+		if prev.cd != t.cd {
+			var verified *ast.Action // the action last vouched for: a table's entries mostly share one
+			vouch = func(e *exEntry, src *controlplane.TableEntry) bool {
+				act := e.inlined()
+				if act != nil && act == verified {
+					return true
+				}
+				if t.actionOf(src.Action) != act {
+					return false
+				}
+				verified = act
+				return true
+			}
+		}
 	}
 	compiled := 0
 	if cfg != nil {
 		active, _ := cfg.ActiveEntries(t.qname)
-		l := chunkList{chunks: make([]entryChunk, 0, max(len(prev.chunks)+2, len(active)/chunkCap+1))}
+		l := chunkList{chunks: make([]entryChunk, 0, max(len(prevChunks)+2, len(active)/chunkCap+1))}
 		// Both lists are in match order, so this is a merge: whatever
 		// prev holds ahead of e and is not e has left the active list,
 		// and the entries the two lists share come in runs.
 		for i, pc, po := 0, 0, 0; i < len(active); {
 			e := active[i]
-			for pc < len(prev.chunks) {
-				c := prev.chunks[pc]
+			for pc < len(prevChunks) {
+				c := prevChunks[pc]
 				if po == len(c.meta) {
 					pc, po = pc+1, 0
 				} else if src := c.meta[po].src; src != e && src.Before(e) {
@@ -273,20 +314,23 @@ func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, prev *ex
 					break
 				}
 			}
-			if pc < len(prev.chunks) {
-				c := prev.chunks[pc]
-				if po == 0 && holdsRun(c, active[i:]) {
+			if pc < len(prevChunks) {
+				c := prevChunks[pc]
+				if po == 0 && holdsRun(c, active[i:], vouch) {
 					l.carry(c)
 					i, pc = i+len(c.meta), pc+1
 					continue
 				}
 				if c.meta[po].src == e {
-					l.add(c.entries[po], c.meta[po])
-					i, po = i+1, po+1
-					continue
+					po++ // consumed, carried or not
+					if vouch == nil || vouch(&c.entries[po-1], e) {
+						l.add(c.entries[po-1], c.meta[po-1])
+						i++
+						continue
+					}
 				}
 			}
-			ee, live, err := buildEntry(cc, img, cfg, t, e)
+			ee, m, live, err := buildEntry(cc, img, cfg, t, e)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -294,7 +338,7 @@ func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, prev *ex
 				compiled++
 			}
 			if live {
-				l.add(ee, describe(e, &ee))
+				l.add(ee, m)
 			}
 			i++
 		}
@@ -340,65 +384,73 @@ func buildExTable(cc *compileCtx, img *Image, cfg *controlplane.Config, prev *ex
 	return t, compiled, nil
 }
 
-// buildEntry compiles one active entry of t. live == false drops
-// entries that can never match any key (bmv2 reaches the same outcome
-// via struct inequality, or would panic on width mismatches that config
-// validation already rejects).
-func buildEntry(cc *compileCtx, img *Image, cfg *controlplane.Config, t *exTable, e *controlplane.TableEntry) (exEntry, bool, error) {
-	var ee exEntry
-	if len(e.Matches) != len(t.keyWidths) {
-		return ee, false, nil
+// buildEntry compiles one active entry of t and derives its rebuild
+// metadata. live == false drops entries that can never match any key
+// (bmv2 reaches the same outcome via struct inequality, or would panic
+// on width mismatches that config validation already rejects).
+func buildEntry(cc *compileCtx, img *Image, cfg *controlplane.Config, t *exTable, e *controlplane.TableEntry) (exEntry, entryMeta, bool, error) {
+	matches, live := compileMatches(t.keyWidths, e)
+	if !live {
+		return exEntry{}, entryMeta{}, false, nil
 	}
-	ee.matches = make([]exMatch, len(e.Matches))
+	ee := exEntry{matches: matches}
+	act := t.actionOf(e.Action)
+	switch {
+	case act != nil:
+		blk, err := compileEntryBlock(cc, img, cfg, t.cd, t.env, act, e.Params)
+		if err != nil {
+			return ee, entryMeta{}, false, err
+		}
+		ee.blk = blk
+	case e.Action != "NoAction":
+		ee.trap = fmt.Sprintf("table %s entry references unknown action %s", t.qname, e.Action)
+	}
+	return ee, describe(e, &ee), true, nil
+}
+
+// compileMatches reduces an entry's matches against keys of the given
+// widths to the runtime modes; false when the entry can never match.
+func compileMatches(keyWidths []uint16, e *controlplane.TableEntry) ([]exMatch, bool) {
+	if len(e.Matches) != len(keyWidths) {
+		return nil, false
+	}
+	matches := make([]exMatch, len(e.Matches))
 	for i := range e.Matches {
 		m := &e.Matches[i]
-		kw := t.keyWidths[i]
+		kw := keyWidths[i]
 		switch m.Kind {
 		case controlplane.MatchExact:
-			ee.matches[i] = exMatch{mode: matchEq, value: m.Value}
+			matches[i] = exMatch{mode: matchEq, value: m.Value}
 		case controlplane.MatchTernary:
 			em, ok := maskedMatch(m.Value, m.Mask)
 			if !ok {
-				return ee, false, nil
+				return nil, false
 			}
-			ee.matches[i] = em
+			matches[i] = em
 		case controlplane.MatchLPM:
 			if m.PrefixLen <= 0 {
-				ee.matches[i] = exMatch{mode: matchAlways}
+				matches[i] = exMatch{mode: matchAlways}
 				break
 			}
 			if kw == 0 || m.Value.W != kw {
-				return ee, false, nil
+				return nil, false
 			}
 			// Oversized prefixes shift the mask to zero, which matches
 			// everything — the same outcome as bmv2's dynamic shift.
 			mask := shiftMask(kw, m.PrefixLen)
 			em, _ := maskedMatch(m.Value, mask)
-			ee.matches[i] = em
+			matches[i] = em
 		case controlplane.MatchOptional:
 			if m.Wildcard {
-				ee.matches[i] = exMatch{mode: matchAlways}
+				matches[i] = exMatch{mode: matchAlways}
 			} else {
-				ee.matches[i] = exMatch{mode: matchEq, value: m.Value}
+				matches[i] = exMatch{mode: matchEq, value: m.Value}
 			}
 		default:
-			return ee, false, nil
+			return nil, false
 		}
 	}
-	if e.Action == "NoAction" {
-		return ee, true, nil
-	}
-	act := t.cd.Action(e.Action)
-	if act == nil {
-		ee.trap = fmt.Sprintf("table %s entry references unknown action %s", t.qname, e.Action)
-		return ee, true, nil
-	}
-	blk, err := compileEntryBlock(cc, img, cfg, t.cd, t.env, act, e.Params)
-	if err != nil {
-		return ee, false, err
-	}
-	ee.blk = blk
-	return ee, true, nil
+	return matches, true
 }
 
 // describe derives the rebuild metadata of a freshly compiled entry.
@@ -467,7 +519,7 @@ func compileEntryBlock(cc *compileCtx, img *Image, cfg *controlplane.Config, cd 
 	if err := bc.compileStmt(act.Body); err != nil {
 		return nil, err
 	}
-	return &block{code: bc.asm.code, consts: bc.asm.consts}, nil
+	return &block{code: bc.asm.code, consts: bc.asm.consts, act: act}, nil
 }
 
 // compileMissBlock compiles the declared default action: its arguments
@@ -505,7 +557,7 @@ func compileMissBlock(cc *compileCtx, img *Image, cfg *controlplane.Config, cd *
 	if err := bc.inlineAction(act, args, "default:"+qname); err != nil {
 		return nil, err
 	}
-	return &block{code: bc.asm.code, consts: bc.asm.consts}, nil
+	return &block{code: bc.asm.code, consts: bc.asm.consts, act: act}, nil
 }
 
 // buildVset compiles one parser value set under cfg.
@@ -766,7 +818,7 @@ func (img *Image) WithTarget(cfg *controlplane.Config, target string) (ni *Image
 	if ti, ok := img.tableIdx[target]; ok {
 		cp.tables = make([]*exTable, len(img.tables))
 		copy(cp.tables, img.tables)
-		nt, n, err := buildExTable(img.cc, &cp, cfg, img.tables[ti])
+		nt, n, err := buildExTable(img.cc, &cp, cfg, img.tables[ti].context(), img.tables[ti])
 		if err != nil {
 			return nil, err
 		}

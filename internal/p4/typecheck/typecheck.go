@@ -182,7 +182,7 @@ func Check(prog *ast.Program) (*Info, error) {
 		prog: prog,
 		info: &Info{
 			Prog:             prog,
-			Types:            make(map[ast.Expr]T),
+			Types:            make(map[ast.Expr]T, countExprs(prog)),
 			Consts:           make(map[string]Val),
 			HeaderBits:       make(map[string]int),
 			resolvedTypedefs: make(map[string]ast.Type),
@@ -203,6 +203,71 @@ func Check(prog *ast.Program) (*Info, error) {
 		return nil, c.errs
 	}
 	return c.info, nil
+}
+
+// countExprs counts the expression nodes of prog — about the entries
+// Check records in Info.Types, so the map is sized once instead of
+// growing through every doubling.
+func countExprs(prog *ast.Program) int {
+	n := 0
+	expr := func(e ast.Expr) { ast.WalkExprs(e, func(ast.Expr) { n++ }) }
+	stmt := func(s ast.Stmt) {
+		ast.WalkStmts(s, func(s ast.Stmt) {
+			switch s := s.(type) {
+			case *ast.VarDecl:
+				expr(s.Init)
+			case *ast.AssignStmt:
+				expr(s.LHS)
+				expr(s.RHS)
+			case *ast.IfStmt:
+				expr(s.Cond)
+			case *ast.CallStmt:
+				expr(s.Call)
+			}
+		})
+	}
+	for _, cd := range prog.Consts {
+		expr(cd.Value)
+	}
+	for _, pd := range prog.Parsers {
+		for _, st := range pd.States {
+			for _, s := range st.Stmts {
+				stmt(s)
+			}
+			for _, e := range st.Trans.Select {
+				expr(e)
+			}
+			for _, cs := range st.Trans.Cases {
+				for _, ks := range cs.Keysets {
+					expr(ks.Value)
+					expr(ks.Mask)
+				}
+			}
+		}
+	}
+	for _, cd := range prog.Controls {
+		for _, k := range cd.Consts {
+			expr(k.Value)
+		}
+		for _, v := range cd.Locals {
+			stmt(v)
+		}
+		for _, a := range cd.Actions {
+			stmt(a.Body)
+		}
+		for _, t := range cd.Tables {
+			for _, k := range t.Keys {
+				expr(k.Expr)
+			}
+			if t.Default != nil {
+				for _, a := range t.Default.Args {
+					expr(a)
+				}
+			}
+		}
+		stmt(cd.Apply)
+	}
+	return n
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
