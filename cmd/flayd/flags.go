@@ -23,8 +23,7 @@ func flags() (*flag.FlagSet, *server.Config, *daemonFlags) {
 	fs.StringVar(&df.addr, "addr", "127.0.0.1:9444", "listen address")
 	fs.StringVar(&df.binAddr, "bin-addr", "", "binary-protocol listen address (empty disables the binary listener)")
 	fs.StringVar(&cfg.SnapshotDir, "snapshot-dir", "", "persist and restore session snapshots in this directory")
-	fs.DurationVar(&cfg.CoalesceWindow, "coalesce", 2*time.Millisecond, "coalescing window for concurrent writes (0 disables)")
-	fs.IntVar(&cfg.MaxBatch, "max-batch", 0, "max updates per coalesced batch (0 = default)")
+	fs.IntVar(&cfg.MaxBatch, "max-batch", 0, "max queued updates folded into one batched round (0 = default)")
 	fs.IntVar(&cfg.QueueDepth, "queue", 0, "per-session in-flight write queue depth (0 = default)")
 	fs.IntVar(&cfg.AuditLimit, "audit-limit", 0, "audit records retained per session (0 = default, -1 = all)")
 	fs.DurationVar(&cfg.PressureDeadline, "pressure-deadline", 50*time.Millisecond,

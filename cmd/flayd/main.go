@@ -10,10 +10,9 @@
 //	-addr HOST:PORT      listen address (default 127.0.0.1:9444)
 //	-snapshot-dir DIR    persist session snapshots here; on startup every
 //	                     DIR/*.snap is warm-restarted into a live session
-//	-coalesce DUR        coalescing window: writes arriving within DUR of
-//	                     each other share one batched specialization pass
-//	                     (0 disables coalescing)
-//	-max-batch N         cap on updates funneled into one coalesced batch
+//	-max-batch N         cap on updates folded into one batched round:
+//	                     writes queued behind the one a session's
+//	                     dispatcher picks up share its specialization pass
 //	-queue N             per-session bounded in-flight queue; a full queue
 //	                     answers 429 (backpressure) instead of buffering
 //	-audit-limit N       audit records retained per session (-1 = all)

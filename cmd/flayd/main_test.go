@@ -37,7 +37,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 	boot := func(ctx context.Context) chan error {
 		errc := make(chan error, 1)
 		go func() {
-			errc <- run(ctx, []string{"-addr", addr, "-snapshot-dir", dir, "-coalesce", "0"}, os.Stderr)
+			errc <- run(ctx, []string{"-addr", addr, "-snapshot-dir", dir}, os.Stderr)
 		}()
 		return errc
 	}

@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/controlplane"
 	"repro/internal/core"
@@ -226,7 +225,6 @@ type options struct {
 	overapproxThreshold int
 	target              Target
 	quality             Quality
-	repairInterval      time.Duration
 	exec                bool
 	tracer              *Trace
 	metrics             *Metrics
@@ -264,15 +262,6 @@ func WithQuality(q Quality) Option {
 // ROADMAP item that retires the legacy benchmark estate drops it.
 func WithWorkers(int) Option {
 	return func(*options) {}
-}
-
-// WithRepairInterval paces the adaptive precision controller's
-// background repair goroutine: after d of quiescence, degraded tables
-// are differentially checked and promoted back to precise. Zero selects
-// the default (100ms); negative disables background repair (promotion
-// then only happens through PromoteAll).
-func WithRepairInterval(d time.Duration) Option {
-	return func(o *options) { o.repairInterval = d }
 }
 
 // WithExec enables the data-plane executor: every verdict-changing
@@ -332,7 +321,6 @@ func open(name, source string, o options) (*Pipeline, error) {
 		SkipParser:          o.skipParser,
 		OverapproxThreshold: o.overapproxThreshold,
 		Quality:             o.quality,
-		RepairInterval:      o.repairInterval,
 		Exec:                o.exec,
 		Trace:               o.tracer,
 		Metrics:             o.metrics,
@@ -376,6 +364,10 @@ func CatalogNames() []string {
 	return out
 }
 
+// Name returns the program's name: the name Open was given, the catalog
+// entry's name, or the name carried in a restored snapshot.
+func (p *Pipeline) Name() string { return p.spec.Prog.Name }
+
 // Generation counts the pipeline's state-changing updates (forwarded +
 // recompiled). A host that checkpoints sessions snapshots only when the
 // generation moved since its last snapshot; the counter survives
@@ -399,19 +391,19 @@ func (p *Pipeline) Snapshot() ([]byte, error) { return p.spec.Snapshot() }
 
 // Restore rebuilds a pipeline from Snapshot bytes. The snapshot
 // dictates the verdict-shaping options (quality, overapproximation
-// threshold, parser skipping); runtime options — Target, Exec, repair
-// pacing, observability — come from opts. Corrupted, truncated or
-// tampered input, or a snapshot written in an earlier format version,
-// yields an error satisfying errors.Is(err, ErrSnapshotCorrupt), never a
-// panic.
+// threshold, parser skipping) and whether the data-plane executor runs:
+// a pipeline opened WithExec restores with its executor, and WithExec
+// turns one on for a snapshot taken without it. Target and
+// observability come from opts. Corrupted, truncated or tampered input,
+// or a snapshot written in an earlier format version, yields an error
+// satisfying errors.Is(err, ErrSnapshotCorrupt), never a panic.
 func Restore(data []byte, opts ...Option) (*Pipeline, error) {
 	o := resolveOptions(opts)
 	s, err := core.Restore(data, core.Options{
-		RepairInterval: o.repairInterval,
-		Exec:           o.exec,
-		Trace:          o.tracer,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
+		Exec:    o.exec,
+		Trace:   o.tracer,
+		Metrics: o.metrics,
+		Audit:   o.audit,
 	})
 	if err != nil {
 		return nil, err

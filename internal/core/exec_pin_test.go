@@ -112,6 +112,55 @@ func TestPinnedExecRequiresExec(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesExec: a snapshot records whether the engine ran the
+// executor, and Restore turns it back on from that bit alone; a
+// snapshot taken without it restores without it unless Options.Exec
+// asks.
+func TestSnapshotCarriesExec(t *testing.T) {
+	pkt := []byte{0x08, 0x00, 0x4f}
+	for _, c := range []struct {
+		name            string
+		exec, asked, on bool
+	}{
+		{"exec", true, false, true},
+		{"plain", false, false, false},
+		{"plain+asked", false, true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := progs.Fig3().LoadWith(core.Options{Exec: c.exec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, u := range progs.Fig3Updates() {
+				s.Apply(u)
+			}
+			snap, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := core.Restore(snap, core.Options{Exec: c.asked})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got, err := r.Exec(pkt, 1)
+			if !c.on {
+				if !errors.Is(err, flayerr.ErrExecDisabled) {
+					t.Fatalf("restored Exec = %v, want ErrExecDisabled", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restored Exec: %v", err)
+			}
+			if want, err := s.Exec(pkt, 1); c.exec && (err != nil || !got.Equal(want)) {
+				t.Fatalf("restored Exec = %+v, snapshotting engine %+v (%v)", got, want, err)
+			}
+		})
+	}
+}
+
 // BenchmarkExecPinned isolates what the pin buys on a packet stream:
 // Exec pays the epoch load and machine rental per packet, the pin pays
 // them once.

@@ -17,8 +17,8 @@ import (
 // in another process — without replaying the control-plane history.
 //
 // A snapshot carries the program source, the engine options that shape
-// verdicts (quality, overapproximation threshold, parser skipping), the
-// installed configuration (controlplane.State), the degraded-table set,
+// verdicts (quality, overapproximation threshold, parser skipping),
+// whether the data-plane executor runs, the installed configuration (controlplane.State), the degraded-table set,
 // the diagram variable order and the cumulative decision counters. It
 // holds nothing derived: verdicts, witnesses, residues and installed
 // implementations are functions of (program, configuration), and Restore
@@ -36,10 +36,10 @@ import (
 // corruption; FuzzSnapshot holds it to that.
 
 // snapMagic identifies snapshot bytes; the trailing byte is the format
-// version. Version 5 is version 4 without the verdict section, the
-// witness section and the two open-time timings; older bytes fail the
-// magic check.
-var snapMagic = []byte("goflay-snap\x05")
+// version. Version 6 is version 5 with the executor flag; version 5 was
+// version 4 without the verdict section, the witness section and the
+// two open-time timings. Older bytes fail the magic check.
+var snapMagic = []byte("goflay-snap\x06")
 
 // The cumulative counters a snapshot carries, in wire order.
 const (
@@ -64,8 +64,12 @@ var snapCounterNames = [numSnapCounters]string{
 	"degradations", "promotions", "unsound",
 }
 
-// snapSkipParser is the one flag bit: the analysis skipped the parser.
-const snapSkipParser = 1
+// Snapshot flag bits: the analysis skipped the parser; the engine runs
+// the data-plane executor.
+const (
+	snapSkipParser = 1 << iota
+	snapExec
+)
 
 // image is a snapshot decoded: the program, the options that shape
 // verdicts, and what the open pass starts from.
@@ -234,7 +238,10 @@ func (s *Specializer) Snapshot() ([]byte, error) {
 		},
 	}
 	if s.An.SkippedParser {
-		img.flags = snapSkipParser
+		img.flags |= snapSkipParser
+	}
+	if s.exec {
+		img.flags |= snapExec
 	}
 	return sealSnapshot(img.encode()), nil
 }
@@ -329,7 +336,7 @@ func decodeSnapshot(data []byte) (*image, error) {
 	switch {
 	case len(r.buf) != 0:
 		r.fail("%d trailing bytes", len(r.buf))
-	case img.flags&^snapSkipParser != 0:
+	case img.flags&^(snapSkipParser|snapExec) != 0:
 		r.fail("unknown flags %#x", img.flags)
 	case quality > uint64(QualityNone):
 		r.fail("invalid quality %d", quality)
@@ -461,14 +468,16 @@ func readConfigState(r *snapReader) controlplane.State {
 // NewFromSource on the embedded program with the snapshot's
 // configuration, degraded set, variable order and counters in place
 // before the first pass. The snapshot dictates the verdict-shaping
-// options (quality, threshold, parser skipping); runtime options — the
-// executor, repair pacing, observability — come from opts.
+// options (quality, threshold, parser skipping) and turns the executor
+// on if the snapshotting engine ran it; opts.Exec turns it on for one
+// that did not. Repair pacing and observability come from opts.
 func Restore(data []byte, opts Options) (*Specializer, error) {
 	img, err := decodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
 	opts.SkipParser = img.flags&snapSkipParser != 0
+	opts.Exec = opts.Exec || img.flags&snapExec != 0
 	opts.Quality = img.quality
 	opts.OverapproxThreshold = img.threshold
 	s, err := open(img.name, img.source, opts, &img.boot)

@@ -318,7 +318,7 @@ func TestSnapshotRejectsTampering(t *testing.T) {
 		name string
 		edit edit
 	}
-	cases := []tamper{{"flags/unknown-bit", func(flags *uint64, _ []int64) { *flags |= 2 }}}
+	cases := []tamper{{"flags/unknown-bit", func(flags *uint64, _ []int64) { *flags |= 4 }}}
 	for i, name := range core.SnapshotCounterNames {
 		cases = append(cases, tamper{name + "/negative", func(_ *uint64, c []int64) { c[i] = -1 }})
 	}
@@ -386,16 +386,17 @@ const versionByte = len("goflay-snap")
 
 // TestSnapshotRejectsOlderVersions: bytes written by an earlier format
 // version are outside input like any other — versions up to 4 carried
-// verdict and witness sections this engine has no reader for. The version byte
+// verdict and witness sections this engine has no reader for, and
+// version 5 predates the executor flag. The version byte
 // alone must stop them (the checksum does not cover the magic, so
 // everything else about these bytes is valid), with the typed error and
 // the message an operator greps for, never a panic.
 func TestSnapshotRejectsOlderVersions(t *testing.T) {
 	snap := fig3Snapshot(t)
-	if snap[versionByte] != 5 {
-		t.Fatalf("snapshot format version is %d; this test knows 5", snap[versionByte])
+	if snap[versionByte] != 6 {
+		t.Fatalf("snapshot format version is %d; this test knows 6", snap[versionByte])
 	}
-	for v := byte(1); v < 5; v++ {
+	for v := byte(1); v < 6; v++ {
 		old := bytes.Clone(snap)
 		old[versionByte] = v
 		_, err := core.Restore(old, core.Options{})

@@ -56,4 +56,9 @@ var (
 	// mutate only through the replication channel until promotion
 	// (HTTP 503 on the wire; clients re-route or retry).
 	ErrStandby = errors.New("standby")
+
+	// ErrDraining marks a write or session create refused because the
+	// server is shutting down: accepted writes still drain, new ones are
+	// not taken (HTTP 503 on the wire).
+	ErrDraining = errors.New("draining")
 )

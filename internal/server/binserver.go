@@ -10,8 +10,10 @@
 // is what makes the front door's job trivial — it routes the Attach and
 // then splices bytes.
 //
-// The read loop never blocks on the engine: each Write is submitted to
-// the session's dispatcher and a bounded number of waiter goroutines
+// Attach-create and Write go through the same create and admit as the
+// HTTP handlers, and errors answer with the same statusOf. The read
+// loop never blocks on the engine: each Write is admitted to the
+// session's dispatcher and a bounded number of waiter goroutines
 // (binInflight) carry results back to the single writer goroutine,
 // which batches frame flushes. Responses may therefore interleave out
 // of order — that is the point of correlation IDs.
@@ -23,11 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"time"
 
-	goflay "repro"
-	"repro/internal/flayerr"
-	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/internal/wire/binproto"
 )
@@ -140,14 +138,14 @@ func (s *Server) serveBinConn(conn net.Conn) {
 		case binproto.TStats:
 			payload, err := json.Marshal(wire.FromStats(sess.pipe.Statistics()))
 			if err != nil {
-				binErr(out, f.Corr, 500, fmt.Errorf("stats: %w", err))
+				binErr(out, f.Corr, fmt.Errorf("stats: %w", err))
 				continue
 			}
 			out <- binproto.Frame{Type: binproto.TStatsOK, Corr: f.Corr, Payload: payload}
 		case binproto.TSnapshot:
 			data, err := sess.pipe.Snapshot()
 			if err != nil {
-				binErr(out, f.Corr, 500, fmt.Errorf("snapshot: %w", err))
+				binErr(out, f.Corr, fmt.Errorf("snapshot: %w", err))
 				continue
 			}
 			out <- binproto.Frame{Type: binproto.TSnapshotOK, Corr: f.Corr, Payload: data}
@@ -155,7 +153,7 @@ func (s *Server) serveBinConn(conn net.Conn) {
 			out <- binproto.Frame{Type: binproto.TPong, Corr: f.Corr}
 		default:
 			// Unknown frame type is a protocol error; drop the conn.
-			binErr(out, f.Corr, 400, fmt.Errorf("unexpected frame type %#x", f.Type))
+			binErr(out, f.Corr, fmt.Errorf("%w: unexpected frame type %#x", errBadRequest, f.Type))
 			return
 		}
 	}
@@ -169,133 +167,60 @@ func (s *Server) binAttach(br *bufio.Reader, out chan<- binproto.Frame) (*Sessio
 		return nil, false
 	}
 	if f.Type != binproto.TAttach {
-		binErr(out, f.Corr, 400, fmt.Errorf("first frame must be attach, got %#x", f.Type))
+		binErr(out, f.Corr, fmt.Errorf("%w: first frame must be attach, got %#x", errBadRequest, f.Type))
 		return nil, false
 	}
 	a, err := binproto.DecodeAttach(f.Payload)
 	if err != nil {
-		binErr(out, f.Corr, 400, err)
+		binErr(out, f.Corr, fmt.Errorf("%w: %w", errBadRequest, err))
 		return nil, false
 	}
-	sess, ok := s.session(a.Name)
+	sess, err := s.session(a.Name)
 	created := false
-	if !ok {
-		if a.Catalog == "" {
-			binErr(out, f.Corr, 404, fmt.Errorf("no session %q", a.Name))
-			return nil, false
+	if err != nil && a.Catalog != "" {
+		sess, err = s.create(sessionSpec{name: a.Name, catalog: a.Catalog, exec: a.Exec})
+		created = err == nil
+		if errors.Is(err, errExists) {
+			// Lost a create race: attach to the winner.
+			sess, err = s.session(a.Name)
 		}
-		sess, err = s.binCreate(a)
-		if err != nil {
-			status := 422
-			switch {
-			case errors.Is(err, flayerr.ErrStandby):
-				status = 503
-			case errors.Is(err, errExists):
-				// Lost a create race: attach to the winner.
-				if sess, ok = s.session(a.Name); ok {
-					err = nil
-				}
-			}
-			if err != nil {
-				binErr(out, f.Corr, status, err)
-				return nil, false
-			}
-		} else {
-			created = true
-		}
+	}
+	if err != nil {
+		binErr(out, f.Corr, err)
+		return nil, false
 	}
 	out <- binproto.Frame{Type: binproto.TAttachOK, Corr: f.Corr, Payload: binproto.AppendAttachOK(nil, &binproto.AttachOK{
 		Name:    sess.name,
-		Program: sess.program,
+		Program: sess.pipe.Name(),
 		Epoch:   sess.pipe.Epoch(),
 		Created: created,
 	})}
 	return sess, true
 }
 
-var errExists = errors.New("session exists")
-
-// binCreate loads a catalog session on behalf of an Attach, mirroring
-// the HTTP create path (standby gate, audit trail, base ship).
-func (s *Server) binCreate(a *binproto.Attach) (*Session, error) {
-	if s.standby.Load() {
-		return nil, fmt.Errorf("server: %w", flayerr.ErrStandby)
-	}
-	if !nameRE.MatchString(a.Name) {
-		return nil, fmt.Errorf("invalid session name %q (want %s)", a.Name, nameRE)
-	}
-	trail := obs.NewTrail(s.cfg.AuditLimit)
-	opts := []goflay.Option{goflay.WithMetrics(s.met), goflay.WithAudit(trail)}
-	if a.Exec {
-		opts = append(opts, goflay.WithExec())
-	}
-	pipe, err := goflay.OpenCatalog(a.Catalog, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("loading session: %w", err)
-	}
-	sess := s.newSession(a.Name, "catalog:"+a.Catalog, pipe, trail, false)
-	sess.exec = a.Exec
-	if err := s.addSession(sess); err != nil {
-		sess.close()
-		return nil, fmt.Errorf("%w: %v", errExists, err)
-	}
-	if s.ship != nil {
-		s.ship.shipBase(sess)
-	}
-	return sess, nil
-}
-
-// binWrite decodes and submits one pipelined write. Returns false only
+// binWrite decodes and admits one pipelined write. Returns false only
 // on unrecoverable protocol errors (malformed payload).
 func (s *Server) binWrite(sess *Session, f binproto.Frame, out chan<- binproto.Frame, sem chan struct{}) bool {
-	if s.standby.Load() {
-		binErr(out, f.Corr, 503, fmt.Errorf("server: %w", flayerr.ErrStandby))
-		return true
-	}
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
-	if draining {
-		binErr(out, f.Corr, 503, errors.New("draining"))
-		return true
-	}
 	w, err := binproto.DecodeWrite(f.Payload)
 	if err != nil {
-		binErr(out, f.Corr, 400, err)
+		binErr(out, f.Corr, fmt.Errorf("%w: %w", errBadRequest, err))
 		return false
 	}
-	var deadline time.Time
-	switch {
-	case w.DeadlineMS > 0:
-		deadline = time.Now().Add(time.Duration(w.DeadlineMS) * time.Millisecond)
-	case s.cfg.PressureDeadline > 0 && sess.pressured():
-		deadline = time.Now().Add(s.cfg.PressureDeadline)
-		s.met.Counter("server.pressure_deadlines").Inc()
-	}
-	wr := &writeReq{updates: w.Updates, batch: w.Batch, deadline: deadline, reqID: w.ReqID, resp: make(chan writeResult, 1)}
-	start := time.Now()
 	sem <- struct{}{} // bound in-flight before accepting more frames
-	if err := sess.submit(wr); err != nil {
+	wr, err := s.admit(sess, w.Updates, w.Batch, w.DeadlineMS, w.ReqID)
+	if err != nil {
 		<-sem
-		status := 503
-		if errors.Is(err, ErrQueueFull) {
-			status = 429
-		}
-		binErr(out, f.Corr, status, err)
+		binErr(out, f.Corr, err)
 		return true
 	}
 	corr := f.Corr
 	go func() {
 		defer func() { <-sem }()
-		res, err := sess.wait(wr)
+		resp, err := s.await(sess, wr)
 		if err != nil {
-			binErr(out, corr, 503, err)
+			binErr(out, corr, err)
 			return
 		}
-		s.met.Counter("server.write_requests").Inc()
-		s.met.Counter("server.write_updates").Add(int64(len(w.Updates)))
-		s.met.Histogram("server.write_ns").ObserveDuration(time.Since(start))
-		resp := writeResponse(res)
 		out <- binproto.Frame{Type: binproto.TWriteOK, Corr: corr, Payload: binproto.AppendWriteOK(nil, &binproto.WriteOK{
 			Coalesced: resp.Coalesced,
 			Replayed:  resp.Replayed,
@@ -307,9 +232,9 @@ func (s *Server) binWrite(sess *Session, f binproto.Frame, out chan<- binproto.F
 
 // binErr emits an error frame carrying the same status + machine code
 // the HTTP surface would have answered.
-func binErr(out chan<- binproto.Frame, corr uint64, status int, err error) {
+func binErr(out chan<- binproto.Frame, corr uint64, err error) {
 	out <- binproto.Frame{Type: binproto.TErr, Corr: corr, Payload: binproto.AppendErrMsg(nil, &binproto.ErrMsg{
-		Status: status,
+		Status: statusOf(err),
 		Code:   wire.CodeOf(err),
 		Msg:    err.Error(),
 	})}

@@ -5,12 +5,12 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
 	"testing"
 
-	goflay "repro"
 	"repro/internal/controlplane"
 	"repro/internal/fuzz"
 	"repro/internal/server"
@@ -168,14 +168,13 @@ func TestBinProtocolPipelinedWrites(t *testing.T) {
 	if f.Type != binproto.TSnapshotOK {
 		t.Fatalf("snapshot frame type %#x", f.Type)
 	}
-	pipe, err := goflay.Restore(f.Payload)
+	httpSnap, err := d.c.Snapshot("bin")
 	if err != nil {
-		t.Fatalf("snapshot over binary does not restore: %v", err)
+		t.Fatal(err)
 	}
-	if pipe.Statistics().Updates != len(stream) {
-		t.Fatalf("restored snapshot has %d updates", pipe.Statistics().Updates)
+	if !bytes.Equal(f.Payload, httpSnap.Snapshot) {
+		t.Fatalf("snapshot over binary (%d bytes) differs from the one over HTTP (%d bytes)", len(f.Payload), len(httpSnap.Snapshot))
 	}
-	pipe.Close()
 }
 
 func TestBinProtocolErrors(t *testing.T) {

@@ -8,11 +8,13 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/dpexec"
 	"repro/internal/flayerr"
 	"repro/internal/progs"
 	"repro/internal/server"
@@ -50,38 +52,18 @@ func TestExecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := rand.New(rand.NewSource(11))
-	packets := make([][]byte, 64)
-	ports := make([]uint16, len(packets))
-	for i := range packets {
-		packets[i] = make([]byte, r.Intn(96))
-		r.Read(packets[i])
-		ports[i] = uint16(r.Intn(64))
-	}
-
+	packets, ports := randomPackets(11, 64)
 	check := func(stage string) {
 		t.Helper()
 		resp, err := d.c.ExecBytes("jit", packets, ports)
 		if err != nil {
 			t.Fatalf("%s: ExecBytes: %v", stage, err)
 		}
-		if len(resp.Results) != len(packets) {
-			t.Fatalf("%s: %d results for %d packets", stage, len(resp.Results), len(packets))
-		}
 		want, err := local.ExecBatch(packets, ports)
 		if err != nil {
 			t.Fatalf("%s: local ExecBatch: %v", stage, err)
 		}
-		for i, got := range resp.Results {
-			w := wire.FromExecResult(want[i])
-			same := got.Dropped == w.Dropped && got.ParserRejected == w.ParserRejected &&
-				got.EgressPort == w.EgressPort && got.McastGrp == w.McastGrp &&
-				(got.Emitted == nil) == (w.Emitted == nil) &&
-				(got.Emitted == nil || *got.Emitted == *w.Emitted)
-			if !same {
-				t.Fatalf("%s: packet %d: wire %+v vs local %+v", stage, i, got, w)
-			}
-		}
+		sameExecResults(t, stage, resp.Results, want)
 	}
 
 	check("initial config")
@@ -198,5 +180,71 @@ func TestExecErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: HTTP %d, want 413", resp.StatusCode)
+	}
+}
+
+// sameExecResults fails unless the wire results match local ones.
+func sameExecResults(t *testing.T, label string, got []wire.ExecResult, want []dpexec.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if w := wire.FromExecResult(want[i]); !reflect.DeepEqual(got[i], w) {
+			t.Fatalf("%s: packet %d: %+v, want %+v", label, i, got[i], w)
+		}
+	}
+}
+
+// randomPackets draws n frames of up to 96 bytes with ingress ports.
+func randomPackets(seed int64, n int) ([][]byte, []uint16) {
+	r := rand.New(rand.NewSource(seed))
+	packets := make([][]byte, n)
+	ports := make([]uint16, n)
+	for i := range packets {
+		packets[i] = make([]byte, r.Intn(96))
+		r.Read(packets[i])
+		ports[i] = uint16(r.Intn(64))
+	}
+	return packets, ports
+}
+
+// TestExecSurvivesWarmRestart: a session created with the executor
+// comes back from its shutdown snapshot with the executor running and
+// the same program label, and /exec answers what it answered before.
+func TestExecSurvivesWarmRestart(t *testing.T) {
+	dir := t.TempDir()
+	d := startDaemon(t, server.Config{SnapshotDir: dir})
+	info, err := d.c.CreateSession(wire.CreateSessionRequest{Name: "jit", Catalog: "fig3", Exec: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.c.Write("jit", wire.ModeBatch, progs.Fig3Updates()); err != nil {
+		t.Fatal(err)
+	}
+	packets, ports := randomPackets(5, 32)
+	before, err := d.c.ExecBytes("jit", packets, ports)
+	if err != nil {
+		t.Fatalf("exec before the restart: %v", err)
+	}
+	if err := d.srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	d.ts.Close()
+
+	d = startDaemon(t, server.Config{SnapshotDir: dir})
+	info2, err := d.c.Session("jit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info2.Program != info.Program {
+		t.Fatalf("program label %q after the restart, %q before", info2.Program, info.Program)
+	}
+	after, err := d.c.ExecBytes("jit", packets, ports)
+	if err != nil {
+		t.Fatalf("exec after the restart: %v", err)
+	}
+	if !reflect.DeepEqual(after.Results, before.Results) {
+		t.Fatal("exec results changed across the restart")
 	}
 }

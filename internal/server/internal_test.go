@@ -5,6 +5,9 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -12,8 +15,13 @@ import (
 	"testing"
 	"time"
 
-	goflay "repro"
-	"repro/internal/obs"
+	"repro/internal/controlplane"
+	"repro/internal/fuzz"
+	"repro/internal/p4/ast"
+	"repro/internal/progs"
+	"repro/internal/sym"
+	"repro/internal/wire"
+	"repro/internal/wire/binproto"
 )
 
 // jammedSession builds a Session whose dispatcher is not running, with
@@ -127,11 +135,10 @@ func TestQueueFullMapsTo429(t *testing.T) {
 // is served during the drain — graceful shutdown loses nothing.
 func TestCloseDrainsAcceptedWrites(t *testing.T) {
 	srv := newTestServer(t, Config{QueueDepth: 16})
-	pipe, err := goflay.OpenCatalog("fig3", goflay.WithMetrics(srv.met))
+	sess, err := srv.open(sessionSpec{name: "drain", catalog: "fig3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := srv.newSession("drain", "fig3", pipe, obs.NewTrail(0), false)
 
 	// Stop the dispatcher's main loop from consuming: hold it inside a
 	// serve call by submitting one request and not reading the response
@@ -157,7 +164,6 @@ func TestCloseDrainsAcceptedWrites(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults pins the zero-value Config normalization.
 // TestServeCtxEarliestDeadlineWins: a coalesced round's context must
 // carry the most impatient member's deadline; a round with no deadlines
 // gets a plain background context.
@@ -195,6 +201,7 @@ func TestPressured(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins the zero-value Config normalization.
 func TestConfigDefaults(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	if srv.cfg.MaxBatch <= 0 || srv.cfg.QueueDepth <= 0 || srv.cfg.MaxBody <= 0 {
@@ -207,5 +214,135 @@ func TestConfigDefaults(t *testing.T) {
 	srv2 := newTestServer(t, Config{AuditLimit: -1})
 	if srv2.cfg.AuditLimit != 0 {
 		t.Fatalf("negative audit limit normalized to %d, want 0", srv2.cfg.AuditLimit)
+	}
+}
+
+// TestCoalescingFunnelsConcurrentWriters: the writes queued while the
+// dispatcher is busy form its next round, one ApplyBatch. The dispatcher
+// is held inside a plug request's round — the plug's reply channel is
+// unbuffered and not read until the other writes are queued — so the
+// round's make-up does not depend on timing.
+func TestCoalescingFunnelsConcurrentWriters(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	sess, err := srv.open(sessionSpec{name: "co", catalog: "fig3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sess.close)
+	local, err := progs.Fig3().Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	updates, err := fuzz.New(local.An, 9).Updates(local.An.TableOrder[0], 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plug := &writeReq{updates: updates[:1], resp: make(chan writeResult)}
+	if err := sess.submit(plug); err != nil {
+		t.Fatal(err)
+	}
+	// Once the engine has applied the plug, the dispatcher is past its
+	// collect and blocks handing the plug its reply.
+	for sess.pipe.Statistics().Updates == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	queued := make([]*writeReq, 0, len(updates)-1)
+	for _, u := range updates[1:] {
+		wr, err := srv.admit(sess, []*controlplane.Update{u}, false, 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, wr)
+	}
+	if res := <-plug.resp; res.coalesced {
+		t.Fatal("the plug shared its round")
+	}
+	for i, wr := range queued {
+		resp, err := srv.await(sess, wr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Coalesced || len(resp.Decisions) != 1 {
+			t.Fatalf("queued write %d: coalesced=%v with %d decisions", i, resp.Coalesced, len(resp.Decisions))
+		}
+	}
+	st := sess.pipe.Statistics()
+	if st.Batches != 1 || st.Updates != len(updates) || st.Coalesced == 0 {
+		t.Fatalf("%d batches, %d updates, %d coalesced; want the %d queued writes in one batch",
+			st.Batches, st.Updates, st.Coalesced, len(queued))
+	}
+	if n := srv.met.Counter("server.coalesced_requests").Value(); n != int64(len(queued)) {
+		t.Fatalf("server.coalesced_requests = %d, want %d", n, len(queued))
+	}
+
+	// End state: a local engine applying the same updates as one batch
+	// (insertion order is irrelevant: unique priorities).
+	local.ApplyBatch(updates)
+	if got, want := sess.pipe.SpecializedSource(), ast.Print(local.SpecializedProgram()); got != want {
+		t.Fatalf("coalesced end state diverged from local batch:\n%.400s\nvs\n%.400s", got, want)
+	}
+}
+
+// TestDrainingAnswersOneWay: once Shutdown has begun, a create and a
+// write answer 503 with code "draining" over HTTP and in a binary TErr
+// frame alike.
+func TestDrainingAnswersOneWay(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	sess, err := srv.create(sessionSpec{name: "s", catalog: "fig3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(surface string, status int, code string) {
+		t.Helper()
+		if status != http.StatusServiceUnavailable || code != wire.CodeDraining {
+			t.Errorf("%s while draining: %d %q, want 503 %q", surface, status, code, wire.CodeDraining)
+		}
+	}
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sessions", `{"name":"s2","catalog":"fig3"}`},
+		{"/v1/sessions/s/updates", `{"updates":[{"kind":"fill-register","register":"r","fill":{"w":8,"hex":"00"}}]}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body wire.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("HTTP POST "+c.path, resp.StatusCode, body.Code)
+	}
+
+	// A draining server accepts no binary connection, so a frame that
+	// races the drain is handed to the frame handlers directly.
+	out := make(chan binproto.Frame, 2)
+	var attach bytes.Buffer
+	if err := binproto.WriteFrame(&attach, binproto.Frame{Type: binproto.TAttach, Corr: 1,
+		Payload: binproto.AppendAttach(nil, &binproto.Attach{Name: "s2", Catalog: "fig3"})}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := srv.binAttach(bufio.NewReader(&attach), out); ok {
+		t.Fatal("binary attach-create succeeded while draining")
+	}
+	fill := &controlplane.Update{Kind: controlplane.FillRegister, Register: "r", Fill: sym.NewBV(8, 0)}
+	srv.binWrite(sess, binproto.Frame{Type: binproto.TWrite, Corr: 2,
+		Payload: binproto.AppendWrite(nil, &binproto.Write{Updates: []*controlplane.Update{fill}})}, out, make(chan struct{}, 1))
+	for _, surface := range []string{"binary attach-create", "binary write"} {
+		f := <-out
+		e, err := binproto.DecodeErrMsg(f.Payload)
+		if f.Type != binproto.TErr || err != nil {
+			t.Fatalf("%s while draining answered frame %#x (%v)", surface, f.Type, err)
+		}
+		check(surface, e.Status, e.Code)
 	}
 }

@@ -79,10 +79,8 @@ func (sh *shipper) shipBaseLocked(sess *Session) {
 	status, err := sh.post("/v1/replica/sessions", &wire.ReplicaSession{
 		Version:  wire.Version,
 		Name:     sess.name,
-		Program:  sess.program,
 		Seq:      sess.repSeq,
 		Snapshot: data,
-		Exec:     sess.exec,
 	})
 	if err != nil || status/100 != 2 {
 		sh.fail("base ship of %s: status %d err %v", sess.name, status, err)
@@ -161,28 +159,17 @@ func (s *Server) handleReplicaSession(w http.ResponseWriter, r *http.Request) {
 		s.errorf(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !nameRE.MatchString(req.Name) {
-		s.errorf(w, http.StatusBadRequest, "invalid session name %q (want %s)", req.Name, nameRE)
-		return
-	}
-	trail := obs.NewTrail(s.cfg.AuditLimit)
-	opts := []goflay.Option{goflay.WithMetrics(s.met), goflay.WithAudit(trail)}
-	if req.Exec {
-		opts = append(opts, goflay.WithExec())
-	}
-	pipe, err := goflay.Restore(req.Snapshot, opts...)
+	sess, err := s.open(sessionSpec{name: req.Name, snapshot: req.Snapshot})
 	if err != nil {
-		s.errorErr(w, http.StatusUnprocessableEntity, fmt.Errorf("restoring base: %w", err))
+		s.fail(w, err)
 		return
 	}
-	sess := s.newSession(req.Name, req.Program, pipe, trail, true)
-	sess.exec = req.Exec
 	sess.repSeq = req.Seq
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		sess.close()
-		s.errorf(w, http.StatusServiceUnavailable, "draining")
+		s.fail(w, ErrDraining)
 		return
 	}
 	old := s.sessions[req.Name]
@@ -193,7 +180,7 @@ func (s *Server) handleReplicaSession(w http.ResponseWriter, r *http.Request) {
 		old.close()
 	}
 	s.met.Counter("server.replica_bases").Inc()
-	s.cfg.Logf("server: replica base %s at seq %d (%d updates deep)", req.Name, req.Seq, pipe.Statistics().Updates)
+	s.cfg.Logf("server: replica base %s at seq %d (%d updates deep)", req.Name, req.Seq, sess.pipe.Statistics().Updates)
 	writeJSON(w, http.StatusCreated, s.info(sess))
 }
 
@@ -206,10 +193,9 @@ func (s *Server) handleReplicaRound(w http.ResponseWriter, r *http.Request) {
 		s.errorf(w, http.StatusConflict, "not a standby")
 		return
 	}
-	name := r.PathValue("name")
-	sess, ok := s.session(name)
-	if !ok {
-		s.replicaGap(w, fmt.Sprintf("no session %q", name))
+	sess, err := s.session(r.PathValue("name"))
+	if err != nil {
+		s.replicaGap(w, err.Error())
 		return
 	}
 	var req wire.ReplicaRound

@@ -19,13 +19,16 @@
 //	GET    /v1/metrics                   metrics snapshot as JSON
 //	GET    /healthz                      liveness + drain state
 //
+// Every session is built by one constructor (open) and every write
+// enters through one admission (admit), whether it arrives over HTTP,
+// the binary protocol (binserver.go) or the replica channel
+// (replica.go); the handlers only decode requests and encode replies.
 // Writes are funneled through a per-session dispatcher with a bounded
-// queue (full queue = HTTP 429 backpressure) and an optional
-// batch-coalescing window that turns concurrent requests into one
-// ApplyBatch. Shutdown drains every queue, then snapshots every dirty
-// session into the snapshot directory; New warm-restarts from that
-// directory, so a restarted daemon resumes its sessions with audit
-// sequence continuity.
+// queue (full queue = HTTP 429 backpressure) that folds the requests
+// already queued into one ApplyBatch. Shutdown drains every queue, then
+// snapshots every dirty session into the snapshot directory; New
+// warm-restarts from that directory, so a restarted daemon resumes its
+// sessions with audit sequence continuity.
 package server
 
 import (
@@ -44,8 +47,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	goflay "repro"
-	"repro/internal/flayerr"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -57,12 +58,8 @@ type Config struct {
 	// checkpointed there on shutdown (and on demand) and restored from
 	// there on boot. The directory is created if missing.
 	SnapshotDir string
-	// CoalesceWindow is how long the dispatcher keeps collecting
-	// concurrent write requests after the first one arrives before
-	// funneling them into one ApplyBatch. Zero disables coalescing.
-	CoalesceWindow time.Duration
-	// MaxBatch bounds the updates folded into one coalesced ApplyBatch
-	// (default 512).
+	// MaxBatch bounds the updates the dispatcher folds into one round
+	// from its queue (default 512).
 	MaxBatch int
 	// QueueDepth bounds each session's in-flight write requests; a full
 	// queue answers 429 (default 64).
@@ -190,31 +187,23 @@ func (s *Server) restoreAll() error {
 		return fmt.Errorf("server: snapshot dir: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), snapSuffix) {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), snapSuffix)
-		if !nameRE.MatchString(name) {
-			s.cfg.Logf("server: skipping snapshot with unusable name %q", e.Name())
+		name, ok := strings.CutSuffix(e.Name(), snapSuffix)
+		if e.IsDir() || !ok {
 			continue
 		}
 		data, err := os.ReadFile(snapPath(s.cfg.SnapshotDir, name))
-		if err != nil {
-			s.met.Counter("server.restore_failures").Inc()
-			s.cfg.Logf("server: reading snapshot %s: %v", e.Name(), err)
-			continue
+		var sess *Session
+		if err == nil {
+			sess, err = s.open(sessionSpec{name: name, snapshot: data})
 		}
-		trail := obs.NewTrail(s.cfg.AuditLimit)
-		pipe, err := goflay.Restore(data, goflay.WithMetrics(s.met), goflay.WithAudit(trail))
 		if err != nil {
 			s.met.Counter("server.restore_failures").Inc()
 			s.cfg.Logf("server: restoring snapshot %s: %v", e.Name(), err)
 			continue
 		}
-		sess := s.newSession(name, "(restored)", pipe, trail, true)
 		s.sessions[name] = sess
 		s.met.Counter("server.sessions_restored").Inc()
-		s.cfg.Logf("server: restored session %s (%d updates deep)", name, pipe.Statistics().Updates)
+		s.cfg.Logf("server: restored session %s (%d updates deep)", name, sess.pipe.Statistics().Updates)
 		if s.ship != nil {
 			// Seed the standby; a failure here self-heals on the first
 			// round ship (409 gap -> base catch-up).
@@ -226,27 +215,60 @@ func (s *Server) restoreAll() error {
 }
 
 // session looks up a live session.
-func (s *Server) session(name string) (*Session, bool) {
+func (s *Server) session(name string) (*Session, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sess, ok := s.sessions[name]
-	return sess, ok
+	if sess, ok := s.sessions[name]; ok {
+		return sess, nil
+	}
+	return nil, fmt.Errorf("%w %q", errNoSession, name)
 }
 
-// addSession registers a new session; it fails while draining or when
-// the name is taken.
-func (s *Server) addSession(sess *Session) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// gate refuses client mutations on a standby (until it is promoted) and
+// on a draining server.
+func (s *Server) gate() error {
+	if s.standby.Load() {
+		return errStandby
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.draining {
-		return fmt.Errorf("server: draining")
+		return ErrDraining
 	}
-	if _, ok := s.sessions[sess.name]; ok {
-		return fmt.Errorf("server: session %q exists", sess.name)
-	}
-	s.sessions[sess.name] = sess
-	s.met.Gauge("server.sessions").Set(int64(len(s.sessions)))
 	return nil
+}
+
+// create opens a session on a client's behalf, over HTTP or in a binary
+// attach, and registers it: the gate, the one constructor, add (refused
+// while draining or when the name is taken), and the base ship to the
+// standby.
+func (s *Server) create(spec sessionSpec) (*Session, error) {
+	if err := s.gate(); err != nil {
+		return nil, err
+	}
+	sess, err := s.open(spec)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	switch {
+	case s.draining:
+		err = ErrDraining
+	case s.sessions[spec.name] != nil:
+		err = fmt.Errorf("%w: %q", errExists, spec.name)
+	default:
+		s.sessions[spec.name] = sess
+		s.met.Gauge("server.sessions").Set(int64(len(s.sessions)))
+	}
+	s.mu.Unlock()
+	if err != nil {
+		sess.close()
+		return nil, err
+	}
+	if s.ship != nil {
+		s.ship.shipBase(sess)
+	}
+	return sess, nil
 }
 
 // removeSession unregisters and stops a session, deleting its snapshot
@@ -366,16 +388,6 @@ func (s *Server) Promote() []string {
 	return names
 }
 
-// gateStandby refuses mutations while the server is a standby (503 with
-// code "standby"; the front door re-routes).
-func (s *Server) gateStandby(w http.ResponseWriter) bool {
-	if s.standby.Load() {
-		s.errorErr(w, http.StatusServiceUnavailable, fmt.Errorf("server: %w", flayerr.ErrStandby))
-		return false
-	}
-	return true
-}
-
 func (s *Server) info(sess *Session) wire.SessionInfo {
 	tables := sess.pipe.Tables()
 	entries := make(map[string]int, len(tables))
@@ -384,7 +396,7 @@ func (s *Server) info(sess *Session) wire.SessionInfo {
 	}
 	return wire.SessionInfo{
 		Name:       sess.name,
-		Program:    sess.program,
+		Program:    sess.pipe.Name(),
 		Tables:     tables,
 		Entries:    entries,
 		Stats:      wire.FromStats(sess.pipe.Statistics()),
@@ -439,9 +451,6 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if !s.gateStandby(w) {
-		return
-	}
 	var req wire.CreateSessionRequest
 	if !s.decode(w, r, &req) {
 		return
@@ -450,56 +459,23 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.errorf(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !nameRE.MatchString(req.Name) {
-		s.errorf(w, http.StatusBadRequest, "invalid session name %q (want %s)", req.Name, nameRE)
-		return
-	}
 	quality, _ := wire.ParseQuality(req.Quality) // validated above
-	trail := obs.NewTrail(s.cfg.AuditLimit)
-	opts := []goflay.Option{
-		goflay.WithOverapproxThreshold(req.OverapproxThreshold),
-		goflay.WithQuality(quality),
-		goflay.WithMetrics(s.met),
-		goflay.WithAudit(trail),
-	}
-	if req.SkipParser {
-		opts = append(opts, goflay.WithSkipParser())
-	}
-	if req.Exec {
-		opts = append(opts, goflay.WithExec())
-	}
-	var (
-		pipe    *goflay.Pipeline
-		program string
-		err     error
-	)
 	start := time.Now()
-	switch {
-	case req.Catalog != "":
-		program = "catalog:" + req.Catalog
-		pipe, err = goflay.OpenCatalog(req.Catalog, opts...)
-	case req.Source != "":
-		program = "source:" + req.Name
-		pipe, err = goflay.Open(req.Name, req.Source, opts...)
-	default:
-		program = "snapshot:" + req.Name
-		pipe, err = goflay.Restore(req.Snapshot, opts...)
-	}
+	sess, err := s.create(sessionSpec{
+		name:       req.Name,
+		catalog:    req.Catalog,
+		source:     req.Source,
+		snapshot:   req.Snapshot,
+		quality:    quality,
+		threshold:  req.OverapproxThreshold,
+		skipParser: req.SkipParser,
+		exec:       req.Exec,
+	})
 	if err != nil {
-		s.errorErr(w, http.StatusUnprocessableEntity, fmt.Errorf("loading session: %w", err))
+		s.fail(w, err)
 		return
 	}
-	sess := s.newSession(req.Name, program, pipe, trail, len(req.Snapshot) > 0)
-	sess.exec = req.Exec
-	if err := s.addSession(sess); err != nil {
-		sess.close()
-		s.errorf(w, http.StatusConflict, "%v", err)
-		return
-	}
-	if s.ship != nil {
-		s.ship.shipBase(sess)
-	}
-	s.cfg.Logf("server: session %s loaded %s in %v", req.Name, program, time.Since(start).Round(time.Millisecond))
+	s.cfg.Logf("server: session %s loaded %s in %v", req.Name, sess.pipe.Name(), time.Since(start).Round(time.Millisecond))
 	writeJSON(w, http.StatusCreated, s.info(sess))
 }
 
@@ -513,10 +489,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // named resolves the {name} path segment to a session or answers 404.
 func (s *Server) named(w http.ResponseWriter, r *http.Request) (*Session, bool) {
-	name := r.PathValue("name")
-	sess, ok := s.session(name)
-	if !ok {
-		s.errorf(w, http.StatusNotFound, "no session %q", name)
+	sess, err := s.session(r.PathValue("name"))
+	if err != nil {
+		s.fail(w, err)
 		return nil, false
 	}
 	return sess, true
@@ -529,30 +504,21 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.gateStandby(w) {
+	if err := s.gate(); err != nil {
+		s.fail(w, err)
 		return
 	}
 	name := r.PathValue("name")
 	if !s.removeSession(name) {
-		s.errorf(w, http.StatusNotFound, "no session %q", name)
+		s.fail(w, fmt.Errorf("%w %q", errNoSession, name))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	if !s.gateStandby(w) {
-		return
-	}
 	sess, ok := s.named(w, r)
 	if !ok {
-		return
-	}
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
-	if draining {
-		s.errorf(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	var req wire.WriteRequest
@@ -564,50 +530,17 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		s.errorf(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Resolve the request's latency budget: an explicit deadline_ms
-	// wins; otherwise, under queue pressure, the configured pressure
-	// deadline is attached so the engine degrades precision (shedding
-	// analysis cost) before the queue overflows into 429s.
-	var deadline time.Time
-	switch {
-	case req.DeadlineMS > 0:
-		deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-	case s.cfg.PressureDeadline > 0 && sess.pressured():
-		deadline = time.Now().Add(s.cfg.PressureDeadline)
-		s.met.Counter("server.pressure_deadlines").Inc()
-	}
-	wr := &writeReq{updates: updates, batch: req.Batch(), deadline: deadline, reqID: req.ReqID, resp: make(chan writeResult, 1)}
-	start := time.Now()
-	if err := sess.submit(wr); err != nil {
-		status := http.StatusServiceUnavailable
-		if errors.Is(err, ErrQueueFull) {
-			status = http.StatusTooManyRequests
-		}
-		s.errorErr(w, status, err)
-		return
-	}
-	res, err := sess.wait(wr)
+	wr, err := s.admit(sess, updates, req.Batch(), uint64(req.DeadlineMS), req.ReqID)
 	if err != nil {
-		s.errorErr(w, http.StatusServiceUnavailable, err)
+		s.fail(w, err)
 		return
 	}
-	s.met.Counter("server.write_requests").Inc()
-	s.met.Counter("server.write_updates").Add(int64(len(updates)))
-	s.met.Histogram("server.write_ns").ObserveDuration(time.Since(start))
-	writeJSON(w, http.StatusOK, writeResponse(res))
-}
-
-// writeResponse converts a dispatcher result to its wire form. A result
-// carrying pre-wired decisions (idempotency-cache hits, and any request
-// that sent a req_id) reuses them verbatim.
-func writeResponse(res writeResult) wire.WriteResponse {
-	out := wire.WriteResponse{Coalesced: res.coalesced, Replayed: res.replayed}
-	if res.wired != nil {
-		out.Decisions = res.wired
-		return out
+	resp, err := s.await(sess, wr)
+	if err != nil {
+		s.fail(w, err)
+		return
 	}
-	out.Decisions = wireDecisions(res.decisions)
-	return out
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleExec runs a packet burst through the session's current
@@ -626,21 +559,13 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	packets, ports, err := req.ToPackets()
 	if err != nil {
-		s.errorErr(w, http.StatusBadRequest, err)
+		s.fail(w, fmt.Errorf("%w: %w", errBadRequest, err))
 		return
 	}
 	epoch := sess.pipe.Epoch()
 	results, err := sess.pipe.ExecBatch(packets, ports)
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, goflay.ErrExecDisabled):
-			// The session exists but was created without exec.
-			status = http.StatusConflict
-		case errors.Is(err, goflay.ErrBadPacket):
-			status = http.StatusBadRequest
-		}
-		s.errorErr(w, status, err)
+		s.fail(w, err)
 		return
 	}
 	s.met.Counter("server.exec_requests").Inc()
@@ -688,18 +613,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	} else {
 		var err error
 		if ids, err = sess.pipe.Points(table); err != nil {
-			s.errorErr(w, http.StatusNotFound, err)
+			s.fail(w, err)
 			return
 		}
 	}
 	for _, id := range ids {
 		ex, err := sess.pipe.Explain(table, id)
 		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, goflay.ErrUnknownTable) {
-				status = http.StatusNotFound
-			}
-			s.errorErr(w, status, err)
+			// An unknown table is still 404; the rest is a bad point.
+			s.fail(w, fmt.Errorf("%w: %w", errBadRequest, err))
 			return
 		}
 		resp.Points = append(resp.Points, ex)
@@ -742,14 +664,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := sess.pipe.Snapshot()
 	if err != nil {
-		s.errorErr(w, http.StatusInternalServerError, fmt.Errorf("snapshot: %w", err))
+		s.fail(w, fmt.Errorf("snapshot: %w", err))
 		return
 	}
 	resp := wire.SnapshotResponse{Name: sess.name, Bytes: len(data), Snapshot: data}
 	if s.cfg.SnapshotDir != "" {
 		path, err := sess.persistSnapshot()
 		if err != nil {
-			s.errorf(w, http.StatusInternalServerError, "%v", err)
+			s.fail(w, err)
 			return
 		}
 		resp.Path = path
@@ -808,12 +730,12 @@ func (s *Server) errorf(w http.ResponseWriter, status int, format string, args .
 	writeJSON(w, status, wire.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// errorErr answers with a classified error body: alongside the message,
-// the sentinel-derived machine-readable code travels so clients can
-// errors.Is across the HTTP boundary.
-func (s *Server) errorErr(w http.ResponseWriter, status int, err error) {
+// fail answers a typed error with statusOf's status and a classified
+// body: alongside the message, the sentinel-derived machine-readable
+// code travels so clients can errors.Is across the HTTP boundary.
+func (s *Server) fail(w http.ResponseWriter, err error) {
 	s.met.Counter("server.http_errors").Inc()
-	writeJSON(w, status, wire.ErrorResponse{Error: err.Error(), Code: wire.CodeOf(err)})
+	writeJSON(w, statusOf(err), wire.ErrorResponse{Error: err.Error(), Code: wire.CodeOf(err)})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -16,7 +16,7 @@ import (
 )
 
 func TestDeadlineDegradesOverTheWire(t *testing.T) {
-	d := startDaemon(t, server.Config{CoalesceWindow: 0})
+	d := startDaemon(t, server.Config{})
 	if _, err := d.c.CreateSession(wire.CreateSessionRequest{
 		Name:    "ddl",
 		Catalog: "middleblock",

@@ -11,6 +11,8 @@
 package server_test
 
 import (
+	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,13 +20,12 @@ import (
 	"regexp"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/controlplane"
 	"repro/internal/core"
+	"repro/internal/flayerr"
 	"repro/internal/fuzz"
 	"repro/internal/obs"
 	"repro/internal/p4/ast"
@@ -407,78 +408,6 @@ func TestSessionFromSnapshotBytes(t *testing.T) {
 	sameOutcome(t, "snapshot-bytes", st, local.Statistics())
 }
 
-// TestCoalescingFunnelsConcurrentWriters drives concurrent single-update
-// writers through a wide coalescing window and asserts (a) the requests
-// really were funneled into shared ApplyBatch transitions and (b) the
-// end state is identical to a local engine applying the same updates —
-// chunking-independence of the batch engine, now over HTTP.
-func TestCoalescingFunnelsConcurrentWriters(t *testing.T) {
-	d := startDaemon(t, server.Config{CoalesceWindow: 250 * time.Millisecond})
-	if _, err := d.c.CreateSession(wire.CreateSessionRequest{Name: "co", Catalog: "fig3"}); err != nil {
-		t.Fatal(err)
-	}
-	local, _ := localEngine(t, "fig3")
-	table := local.An.TableOrder[0]
-	updates, err := fuzz.New(local.An, 9).Updates(table, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const writers = 8
-	per := len(updates) / writers
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	coalesced := make(chan bool, writers*per)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(mine []*controlplane.Update) {
-			defer wg.Done()
-			for _, u := range mine {
-				resp, _, err := d.c.WriteRetry("co", wire.ModeSingle, []*controlplane.Update{u}, 10, 10*time.Millisecond)
-				if err != nil {
-					errs <- err
-					return
-				}
-				coalesced <- resp.Coalesced
-			}
-		}(updates[w*per : (w+1)*per])
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	close(coalesced)
-	sawCoalesced := false
-	for c := range coalesced {
-		sawCoalesced = sawCoalesced || c
-	}
-	if !sawCoalesced {
-		t.Fatal("no request reported coalescing despite 8 concurrent writers and a 250ms window")
-	}
-
-	// End state must equal the local engine applying the same updates
-	// (insertion order across writers is irrelevant: unique priorities).
-	local.ApplyBatch(updates)
-	src, err := d.c.Source("co", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ast.Print(local.SpecializedProgram()); src != want {
-		t.Fatalf("coalesced end state diverged from local batch:\n%.400s\nvs\n%.400s", src, want)
-	}
-	st, err := d.c.Stats("co")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Updates != len(updates) {
-		t.Fatalf("server saw %d updates, sent %d", st.Updates, len(updates))
-	}
-	if st.Coalesced == 0 {
-		t.Fatal("engine Coalesced counter is zero after coalesced batches")
-	}
-}
-
 // TestDrainRejectsNewWrites: after Shutdown the daemon answers health
 // as draining and refuses new writes and sessions without crashing.
 func TestDrainRejectsNewWrites(t *testing.T) {
@@ -501,11 +430,11 @@ func TestDrainRejectsNewWrites(t *testing.T) {
 	if h.Status != "draining" {
 		t.Fatalf("health after shutdown: %q, want draining", h.Status)
 	}
-	if _, err := d.c.Write("s", "", stream[:1]); !client.IsStatus(err, http.StatusServiceUnavailable) {
-		t.Fatalf("write after shutdown: %v, want 503", err)
+	if _, err := d.c.Write("s", "", stream[:1]); !client.IsStatus(err, http.StatusServiceUnavailable) || !errors.Is(err, flayerr.ErrDraining) {
+		t.Fatalf("write after shutdown: %v, want 503 draining", err)
 	}
-	if _, err := d.c.CreateSession(wire.CreateSessionRequest{Name: "s2", Catalog: "fig3"}); err == nil {
-		t.Fatal("session created while draining")
+	if _, err := d.c.CreateSession(wire.CreateSessionRequest{Name: "s2", Catalog: "fig3"}); !client.IsStatus(err, http.StatusServiceUnavailable) || !errors.Is(err, flayerr.ErrDraining) {
+		t.Fatalf("create after shutdown: %v, want 503 draining", err)
 	}
 	// Reads still work during drain.
 	if _, err := d.c.Stats("s"); err != nil {
@@ -863,5 +792,123 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	if _, err := d.c.Explain("xp", table, 1<<30); err == nil {
 		t.Fatalf("explain accepted point 2^30 as influenced by %q", table)
+	}
+}
+
+// TestEveryWayInOpensTheSameSession: HTTP create, binary attach-create,
+// a replica base and a warm restart all build their session with one
+// constructor, so each serves the same program under the same label,
+// runs the executor when asked, keeps the configured audit limit and
+// records into the server's registry.
+func TestEveryWayInOpensTheSameSession(t *testing.T) {
+	const (
+		name  = "way"
+		limit = 3
+	)
+	create := func(t *testing.T, c *client.Client) {
+		t.Helper()
+		if _, err := c.CreateSession(wire.CreateSessionRequest{Name: name, Catalog: "fig3", Exec: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ways := []struct {
+		name string
+		// open serves the session on a daemon configured with cfg.
+		open func(t *testing.T, cfg server.Config) *testDaemon
+	}{
+		{"http-create", func(t *testing.T, cfg server.Config) *testDaemon {
+			d := startDaemon(t, cfg)
+			create(t, d.c)
+			return d
+		}},
+		{"binary-attach-create", func(t *testing.T, cfg server.Config) *testDaemon {
+			d, addr := startBinDaemon(t, cfg)
+			bc, err := client.DialBin(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bc.Close()
+			if ok, err := bc.Attach(name, "fig3", true); err != nil || !ok.Created {
+				t.Fatalf("attach-create: %+v, %v", ok, err)
+			}
+			return d
+		}},
+		{"replica-base", func(t *testing.T, cfg server.Config) *testDaemon {
+			cfg.Standby = true
+			standby := startDaemon(t, cfg)
+			create(t, startDaemon(t, server.Config{ReplicateTo: standby.ts.URL}).c)
+			standby.srv.Promote()
+			return standby
+		}},
+		{"warm-restart", func(t *testing.T, cfg server.Config) *testDaemon {
+			cfg.SnapshotDir = t.TempDir()
+			d := startDaemon(t, server.Config{SnapshotDir: cfg.SnapshotDir})
+			create(t, d.c)
+			if err := d.srv.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			d.ts.Close()
+			return startDaemon(t, cfg)
+		}},
+	}
+
+	p := progs.Fig3()
+	local, err := p.LoadWith(core.Options{Exec: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	stream, err := fuzz.New(local.An, 17).Stream(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range stream {
+		local.Apply(u)
+	}
+	entries := map[string]int{}
+	for _, tbl := range local.An.TableOrder {
+		entries[tbl] = local.Entries(tbl)
+	}
+	packets, ports := randomPackets(3, 32)
+	want, err := local.ExecBatch(packets, ports)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, way := range ways {
+		t.Run(way.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			d := way.open(t, server.Config{AuditLimit: limit, Metrics: reg})
+			for _, u := range stream {
+				if _, err := d.c.Write(name, wire.ModeSingle, []*controlplane.Update{u}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			info, err := d.c.Session(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Program != p.Name || !slices.Equal(info.Tables, local.An.TableOrder) || !maps.Equal(info.Entries, entries) {
+				t.Fatalf("session %q with tables %v and entries %v; want %q, %v, %v",
+					info.Program, info.Tables, info.Entries, p.Name, local.An.TableOrder, entries)
+			}
+			resp, err := d.c.ExecBytes(name, packets, ports)
+			if err != nil {
+				t.Fatalf("exec: %v", err)
+			}
+			sameExecResults(t, "exec", resp.Results, want)
+			audit, err := d.c.Audit(name, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(audit.Records) != limit || audit.Total != int64(len(stream)) {
+				t.Fatalf("audit keeps %d of %d records, want %d of %d", len(audit.Records), audit.Total, limit, len(stream))
+			}
+			c := reg.Snapshot().Counters
+			if c["core.updates"] != int64(len(stream)) || c["server.write_requests"] != int64(len(stream)) {
+				t.Fatalf("registry counts %d engine updates and %d write requests, want %d each",
+					c["core.updates"], c["server.write_requests"], len(stream))
+			}
+		})
 	}
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,19 +17,52 @@ import (
 	"repro/internal/wire"
 )
 
-// Submission errors the HTTP layer maps to statuses. Both wrap the
-// goflay sentinels, so clients classify them with errors.Is across the
-// wire (internal/wire error codes).
+// The session operations' typed errors. statusOf maps each to the status
+// it answers with, on HTTP and in a binary TErr frame alike; the ones
+// that wrap a goflay sentinel also carry its wire code, so clients
+// classify them with errors.Is across the wire (internal/wire error
+// codes).
 var (
 	// ErrQueueFull is backpressure: the session's bounded in-flight
-	// queue is at capacity (HTTP 429).
+	// queue is at capacity (429).
 	ErrQueueFull = fmt.Errorf("server: session queue full: %w", flayerr.ErrBackpressure)
 	// ErrSessionClosed marks a write against a closing session (503).
 	ErrSessionClosed = fmt.Errorf("server: session %w", flayerr.ErrClosed)
+	// ErrDraining marks a write or create against a server that is
+	// shutting down (503).
+	ErrDraining = fmt.Errorf("server: %w", flayerr.ErrDraining)
+
+	errStandby    = fmt.Errorf("server: %w", flayerr.ErrStandby) // 503
+	errNoSession  = errors.New("no session")                     // 404
+	errExists     = errors.New("server: session exists")         // 409
+	errBadRequest = errors.New("bad request")                    // 400
+	errLoad       = errors.New("loading session")                // 422
 )
 
-// writeReq is one write request in flight between an HTTP handler and
-// the session's dispatcher.
+// statusOf is the status an error answers with. A session that cannot
+// be built is 422 whatever the engine's reason; errors nothing here
+// classifies are the server's own (500).
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, errLoad):
+		return http.StatusUnprocessableEntity
+	case errors.Is(err, flayerr.ErrBackpressure):
+		return http.StatusTooManyRequests
+	case errors.Is(err, flayerr.ErrStandby), errors.Is(err, flayerr.ErrDraining), errors.Is(err, flayerr.ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, errNoSession), errors.Is(err, flayerr.ErrUnknownTable):
+		return http.StatusNotFound
+	case errors.Is(err, errExists), errors.Is(err, flayerr.ErrExecDisabled):
+		return http.StatusConflict
+	case errors.Is(err, errBadRequest), errors.Is(err, flayerr.ErrBadPacket):
+		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
+// writeReq is one write request in flight between admit and the
+// session's dispatcher.
 type writeReq struct {
 	updates []*controlplane.Update
 	// batch requests ApplyBatch semantics; otherwise the updates are
@@ -40,6 +75,8 @@ type writeReq struct {
 	// reqID is the client's idempotency key ("" = none): a duplicate is
 	// answered from the session's decision cache without re-applying.
 	reqID string
+	// start is when the request was admitted (server.write_ns).
+	start time.Time
 	// resp is buffered (capacity 1) so the dispatcher never blocks
 	// handing a result back, even if the requester gave up.
 	resp chan writeResult
@@ -59,26 +96,20 @@ type writeResult struct {
 
 // Session hosts one named Pipeline behind a single dispatcher
 // goroutine. Every write is funneled through a bounded queue: the
-// dispatcher applies requests in arrival order, optionally coalescing
-// requests that arrive within the configured window into one
-// ApplyBatch, which recompiles per-target assignments once and
-// re-evaluates the union of tainted points in a single parallel pass.
-// Reads (stats, audit, snapshot, source) go straight to the engine,
-// which is internally RWMutex-guarded, so they never queue behind
-// writes.
+// dispatcher applies requests in arrival order, folding the requests
+// already queued when it picks one up into one ApplyBatch, which
+// recompiles per-target assignments once and re-evaluates the union of
+// tainted points in a single pass. Reads (stats, audit, snapshot,
+// source) go straight to the engine, which is internally
+// RWMutex-guarded, so they never queue behind writes.
 type Session struct {
-	name    string
-	program string
-	// restored marks a session warm-started from the snapshot dir.
+	name string
+	// restored marks a session opened from a snapshot.
 	restored bool
 
 	pipe  *goflay.Pipeline
 	audit *obs.Trail
 	srv   *Server
-
-	// exec records whether the session was created with the data-plane
-	// executor, so a base ship re-enables it on the standby.
-	exec bool
 
 	queue chan *writeReq
 	stop  chan struct{} // closed by close(); dispatcher drains and exits
@@ -110,13 +141,60 @@ type Session struct {
 // freshly created idle session would not survive a restart).
 const genNever = ^uint64(0)
 
-func (s *Server) newSession(name, program string, pipe *goflay.Pipeline, audit *obs.Trail, restored bool) *Session {
+// sessionSpec is what a session is built from, whichever way it comes
+// in: exactly one of catalog, source and snapshot names the program.
+// A snapshot dictates its own verdict-shaping options and whether the
+// executor runs; exec turns the executor on for any of the three.
+type sessionSpec struct {
+	name, catalog, source string
+	snapshot              []byte
+	quality               goflay.Quality
+	threshold             int
+	skipParser, exec      bool
+}
+
+// open is the one session constructor: HTTP create, binary
+// attach-create, a replica base and a warm restart all build their
+// session here, and each caller registers it its own way. The session's
+// engine records into the server's registry and a trail bounded by
+// AuditLimit; its dispatcher is running when open returns.
+func (s *Server) open(spec sessionSpec) (*Session, error) {
+	if !nameRE.MatchString(spec.name) {
+		return nil, fmt.Errorf("%w: invalid session name %q (want %s)", errBadRequest, spec.name, nameRE)
+	}
+	trail := obs.NewTrail(s.cfg.AuditLimit)
+	opts := []goflay.Option{
+		goflay.WithOverapproxThreshold(spec.threshold),
+		goflay.WithQuality(spec.quality),
+		goflay.WithMetrics(s.met),
+		goflay.WithAudit(trail),
+	}
+	if spec.skipParser {
+		opts = append(opts, goflay.WithSkipParser())
+	}
+	if spec.exec {
+		opts = append(opts, goflay.WithExec())
+	}
+	var (
+		pipe *goflay.Pipeline
+		err  error
+	)
+	switch {
+	case spec.catalog != "":
+		pipe, err = goflay.OpenCatalog(spec.catalog, opts...)
+	case spec.source != "":
+		pipe, err = goflay.Open(spec.name, spec.source, opts...)
+	default:
+		pipe, err = goflay.Restore(spec.snapshot, opts...)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errLoad, err)
+	}
 	sess := &Session{
-		name:     name,
-		program:  program,
-		restored: restored,
+		name:     spec.name,
+		restored: len(spec.snapshot) > 0,
 		pipe:     pipe,
-		audit:    audit,
+		audit:    trail,
 		srv:      s,
 		queue:    make(chan *writeReq, s.cfg.QueueDepth),
 		stop:     make(chan struct{}),
@@ -124,13 +202,56 @@ func (s *Server) newSession(name, program string, pipe *goflay.Pipeline, audit *
 		dedup:    make(map[string]cachedWrite),
 		snapGen:  genNever,
 	}
-	if restored {
-		// The on-disk snapshot is exactly this state; don't rewrite it
-		// on shutdown unless updates arrive.
+	if sess.restored {
+		// The snapshot is exactly this state; don't rewrite it on
+		// shutdown unless updates arrive.
 		sess.snapGen = pipe.Generation()
 	}
 	go sess.dispatch()
-	return sess
+	return sess, nil
+}
+
+// admit is the one write admission, for HTTP and binary alike: a
+// standby or a draining server refuses, the request's latency budget is
+// resolved, and the request enters the session's queue. An explicit
+// deadline wins; otherwise, under queue pressure, the configured
+// pressure deadline is attached so the engine degrades precision
+// (shedding analysis cost) before the queue overflows into 429s.
+func (s *Server) admit(sess *Session, updates []*controlplane.Update, batch bool, deadlineMS uint64, reqID string) (*writeReq, error) {
+	if err := s.gate(); err != nil {
+		return nil, err
+	}
+	wr := &writeReq{updates: updates, batch: batch, reqID: reqID, start: time.Now(), resp: make(chan writeResult, 1)}
+	switch {
+	case deadlineMS > 0:
+		wr.deadline = wr.start.Add(time.Duration(deadlineMS) * time.Millisecond)
+	case s.cfg.PressureDeadline > 0 && sess.pressured():
+		wr.deadline = wr.start.Add(s.cfg.PressureDeadline)
+		s.met.Counter("server.pressure_deadlines").Inc()
+	}
+	if err := sess.submit(wr); err != nil {
+		return nil, err
+	}
+	return wr, nil
+}
+
+// await waits for the dispatcher's answer to an admitted request,
+// accounts it, and puts it in wire form. A result carrying pre-wired
+// decisions (idempotency-cache hits, and any request that sent a
+// req_id) reuses them verbatim.
+func (s *Server) await(sess *Session, wr *writeReq) (wire.WriteResponse, error) {
+	res, err := sess.wait(wr)
+	if err != nil {
+		return wire.WriteResponse{}, err
+	}
+	s.met.Counter("server.write_requests").Inc()
+	s.met.Counter("server.write_updates").Add(int64(len(wr.updates)))
+	s.met.Histogram("server.write_ns").ObserveDuration(time.Since(wr.start))
+	out := wire.WriteResponse{Decisions: res.wired, Coalesced: res.coalesced, Replayed: res.replayed}
+	if out.Decisions == nil {
+		out.Decisions = wireDecisions(res.decisions)
+	}
+	return out, nil
 }
 
 // submit enqueues a write without blocking: a full queue is
@@ -169,7 +290,9 @@ func (sess *Session) wait(req *writeReq) (writeResult, error) {
 	}
 }
 
-// dispatch is the session's single writer loop.
+// dispatch is the session's single writer loop. Once stopped it still
+// serves whatever was accepted before the signal, so "graceful" means
+// no accepted update is dropped, and exits when the queue is empty.
 func (sess *Session) dispatch() {
 	defer close(sess.done)
 	for {
@@ -177,42 +300,29 @@ func (sess *Session) dispatch() {
 		case req := <-sess.queue:
 			sess.serve(sess.collect(req))
 		case <-sess.stop:
-			// Drain whatever was accepted before the stop signal so
-			// "graceful" means no accepted update is dropped.
-			for {
-				select {
-				case req := <-sess.queue:
-					sess.serve([]*writeReq{req})
-				default:
-					return
-				}
+			select {
+			case req := <-sess.queue:
+				sess.serve(sess.collect(req))
+			default:
+				return
 			}
 		}
 	}
 }
 
-// collect implements the coalescing window: after the first request of
-// a round arrives, the dispatcher keeps accepting requests for up to
-// CoalesceWindow (bounded by MaxBatch updates) and funnels them into
-// one ApplyBatch. A zero window disables coalescing — every request is
-// served alone, preserving exact single/batch attribution.
+// collect is the coalescing rule, group commit: a round is the request
+// the dispatcher picked up plus whatever is already queued behind it,
+// up to MaxBatch updates. Nothing waits for company — a lone write is
+// served the moment it arrives, and requests that arrive while a round
+// is applying form the next one.
 func (sess *Session) collect(first *writeReq) []*writeReq {
 	reqs := []*writeReq{first}
-	window := sess.srv.cfg.CoalesceWindow
-	if window <= 0 {
-		return reqs
-	}
-	n := len(first.updates)
-	timer := time.NewTimer(window)
-	defer timer.Stop()
-	for n < sess.srv.cfg.MaxBatch {
+	for n := len(first.updates); n < sess.srv.cfg.MaxBatch; {
 		select {
 		case r := <-sess.queue:
 			reqs = append(reqs, r)
 			n += len(r.updates)
-		case <-timer.C:
-			return reqs
-		case <-sess.stop:
+		default:
 			return reqs
 		}
 	}

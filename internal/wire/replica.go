@@ -24,14 +24,12 @@ import "fmt"
 type ReplicaSession struct {
 	Version int    `json:"version,omitempty"`
 	Name    string `json:"name"`
-	Program string `json:"program,omitempty"`
 	// Seq is the round sequence the snapshot covers: the standby
 	// accepts rounds starting at Seq+1.
 	Seq uint64 `json:"seq"`
-	// Snapshot is the Pipeline.Snapshot checkpoint (base64 in JSON).
+	// Snapshot is the Pipeline.Snapshot checkpoint (base64 in JSON). It
+	// carries the program and whether the executor runs.
 	Snapshot []byte `json:"snapshot"`
-	// Exec re-enables the data-plane executor on the restored session.
-	Exec bool `json:"exec,omitempty"`
 }
 
 // Validate checks a base ship's shape.

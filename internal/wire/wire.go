@@ -387,6 +387,7 @@ const (
 	CodeExecDisabled     = "exec_disabled"
 	CodeBadPacket        = "bad_packet"
 	CodeStandby          = "standby"
+	CodeDraining         = "draining"
 )
 
 // CodeOf classifies an error against the sentinel set; it returns ""
@@ -411,6 +412,8 @@ func CodeOf(err error) string {
 		return CodeBadPacket
 	case errors.Is(err, flayerr.ErrStandby):
 		return CodeStandby
+	case errors.Is(err, flayerr.ErrDraining):
+		return CodeDraining
 	default:
 		return ""
 	}
@@ -436,6 +439,8 @@ func SentinelOf(code string) error {
 		return flayerr.ErrBadPacket
 	case CodeStandby:
 		return flayerr.ErrStandby
+	case CodeDraining:
+		return flayerr.ErrDraining
 	default:
 		return nil
 	}

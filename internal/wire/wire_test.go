@@ -313,6 +313,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		{CodeDeadlineExceeded, flayerr.ErrDeadlineExceeded},
 		{CodeSnapshotCorrupt, flayerr.ErrSnapshotCorrupt},
 		{CodeBackpressure, flayerr.ErrBackpressure},
+		{CodeDraining, flayerr.ErrDraining},
 	}
 	for _, tc := range cases {
 		t.Run(tc.code, func(t *testing.T) {
