@@ -103,13 +103,14 @@ fmt-check:
 torture-smoke:
 	$(GO) test -race -short -run 'TestTortureConcurrency|TestTortureHotSwap|TestImageParityAtEveryPublication|TestImageInstrumentsFollowDecisions|TestRespecializationCompilesWhatFlipped' ./internal/core
 
-# dd-smoke: the diagram-vs-solver differential proof under the race
-# detector, run early so a diverging diagram verdict (or a data race
-# on the store pointer Statistics samples) fails fast. The full matrix
-# — every catalog program and churn pattern — runs in the package sweep
-# above.
+# dd-smoke: one engine held to the enumeration oracle under the race
+# detector — after every update of the catalog streams, across a
+# snapshot round trip, and after every Degrade and degraded update —
+# run early so a verdict the decision procedure gets wrong (or a data
+# race on the store pointer Statistics samples) fails fast. The churn
+# matrix runs in the package sweep above.
 dd-smoke:
-	$(GO) test -race -run 'TestDDMatchesSolverCatalog|TestDDSnapshotPreservesVariableOrder' ./internal/core
+	$(GO) test -race -run 'TestDDMatchesSolverCatalog|TestDDSnapshotPreservesVariableOrder|TestDegradePromoteMatrix' ./internal/core
 
 # spine-smoke: DifferentialCheck holds only the engine's read lock and
 # compiles the degraded tables precisely, from as many goroutines as

@@ -197,9 +197,10 @@ func main() {
 }
 
 // runExplain prints, for every program point the named table
-// influences, the verdict and the decision-diagram path that produced
-// it: the predicates tested along the witness assignment, the branch
-// taken at each, and the witness itself.
+// influences, the verdict, which step of the decision procedure
+// answered it (literal, dd, width or unproven), and the decision-diagram
+// path when there is one: the predicates tested along the witness
+// assignment, the branch taken at each, and the witness itself.
 func runExplain(pipe *goflay.Pipeline, table string) error {
 	ids, err := pipe.Points(table)
 	if err != nil {
@@ -216,8 +217,11 @@ func runExplain(pipe *goflay.Pipeline, table string) error {
 			fmt.Printf(" = %s", ex.Value)
 		}
 		source := ex.Source
-		if ex.FreeBits > 0 {
+		switch {
+		case ex.FreeBits > 0:
 			source = fmt.Sprintf("%s: %d free bits, not proven", ex.Source, ex.FreeBits)
+		case ex.Source == "unproven":
+			source = "unproven: no diagram proof"
 		}
 		fmt.Printf(" (%s, epoch %d)\n", source, ex.Epoch)
 		for _, st := range ex.Steps {

@@ -586,9 +586,12 @@ func (p *Pipeline) Points(table string) ([]int, error) {
 // diagram together with the witness assignment itself (a liveness
 // witness for executability queries, one realizing assignment for
 // constancy). A point whose residue has more free bits than the engine
-// can decide over is live/varies by width, not by proof; Explain says
-// so (Source "width", FreeBits) and still narrates a diagram when the
-// residue fits the compile budget. table scopes the lookup: when
+// can decide over is live/varies by width, not by proof (Source
+// "width", FreeBits); one whose diagram does not compile or whose walk
+// does not decide is live/varies unproven (Source "unproven"); a
+// residue that folded to a literal is its own answer (Source
+// "literal"). Explain still narrates a diagram for a point without a
+// proof when the residue fits the compile budget. table scopes the lookup: when
 // non-empty, the point must be one the named object influences
 // (Points(table) lists them); "" addresses any point by global ID.
 // Explain may be called concurrently with updates from any number of

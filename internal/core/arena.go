@@ -31,8 +31,8 @@ const (
 // the table spines it was read off (which hold more than the
 // environment reaches: suffix assignments a simplification folded out
 // of the head, conditions of links awaiting a rebuild), and the
-// per-point substituted expressions and cached witnesses. Everything
-// else interned since the last sweep is churn residue.
+// per-point substituted expressions. Everything else interned since the
+// last sweep is churn residue.
 func (s *Specializer) arenaRoots() []*sym.Expr {
 	an := s.An
 	roots := make([]*sym.Expr, 0, 4*len(an.Points)+2*len(s.env))
@@ -66,11 +66,6 @@ func (s *Specializer) arenaRoots() []*sym.Expr {
 	}
 	roots = s.Cfg.ChainExprs(roots)
 	roots = append(roots, s.pointSub...)
-	for _, w := range s.witnesses {
-		for k := range w {
-			roots = append(roots, k)
-		}
-	}
 	return s.ddArenaRoots(roots)
 }
 

@@ -1,20 +1,21 @@
-// The decision-diagram query core (internal/dd) integration: per-point
-// conditions compile into a canonical ordered decision diagram over
-// match-key predicates, so re-evaluating a point after an update is a
-// near-O(1) diagram walk instead of an enumeration of the residue's
-// domain. The diagram path serves exactly the residues the solver can
-// decide — those whose free variables fit sym.DefaultExhaustiveBits;
-// the width rule in queryAny (specializer.go) answers everything wider
-// before a diagram is ever compiled — and inside that bound it is a
-// pure accelerator with a hard behavioural contract: every verdict it
-// installs is the verdict the solver's enumeration would have installed
-// (the differential suite in dddiff_test.go holds it to that on the
-// whole catalog), and any query it cannot decide within budget falls
-// through to the solver. Structure is shared three ways: hash-consing
-// dedups across the points of one pass, the compile memo dedups across
-// updates (an incremental update re-compiles only the changed region of
-// a residue), and the fixed taint-frequency variable order keeps equal
-// conditions pointer-equal across points.
+// The decision-diagram query core (internal/dd) integration and the
+// one decision procedure built on it (decide). Per-point conditions
+// compile into a canonical ordered decision diagram over match-key
+// predicates, so re-evaluating a point after an update is a near-O(1)
+// diagram walk. A residue whose free variables fit
+// sym.DefaultExhaustiveBits is compiled; a wider one never is. A
+// diagram decides a query only by proof — a refuting or certifying walk
+// over feasible paths, every walk-derived witness checked by the
+// solver's evaluator — and a query it cannot decide within budget gets
+// no proof, which only ever keeps code (PAPER.md: Unknown means
+// "behaviour may change"). The solver's enumeration is the test
+// reference only: CheckAgainstPerPointSubst (export_test.go) holds every
+// verdict the engine installs to it.
+// Structure is shared three ways: hash-consing dedups across the points
+// of one pass, the compile memo dedups across updates (an incremental
+// update re-compiles only the changed region of a residue), and the
+// fixed taint-frequency variable order keeps equal conditions
+// pointer-equal across points.
 //
 // Lifetimes:
 //
@@ -28,15 +29,14 @@
 //     replaced together at every arena sweep (arena.go) — and whenever
 //     the store has passed ddSweepFloor at the end of a mutating call,
 //     which bounds it by a constant rather than by update history;
-//   - Explain compiles the residue it narrates into a store of its own,
-//     under the read lock, for the call;
+//   - Explain and DifferentialCheck compile the residues they decide
+//     into a store of their own, under the read lock, for the call;
 //   - snapshots persist the variable order only (snapshot.go).
 package core
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/controlplane"
@@ -49,7 +49,7 @@ const (
 	// ddWalkBudget bounds the node visits of one feasibility walk. The
 	// catalog's worst residues are entry-match ite chains whose walks
 	// visit O(entries) nodes, so the budget clears multi-thousand-entry
-	// precise tables; a blown budget falls back to the solver.
+	// precise tables; a blown budget decides nothing.
 	ddWalkBudget = 1 << 14
 	// ddSweepFloor bounds the diagram store: a mutating call that ends
 	// with more nodes than this replaces the store (ddBoundStore). With
@@ -62,22 +62,18 @@ const (
 	// configuration are outside input, and a residue that cannot compile
 	// in ~16k steps would be recompiled on every update it survives
 	// (priority-chain ACL residues change wholesale when an entry
-	// lands), which costs more than the enumeration it replaces. The
-	// catalog's largest compile uses 1 474 steps (nat44).
+	// lands), which costs more than the proof is worth. The catalog's
+	// largest compile uses 1 474 steps (nat44).
 	ddCompileBudget = 1 << 14
 )
 
 // ddCore is the engine-side state of the diagram query core. The store
-// pointer and the counters are atomic so the wait-free Statistics can
-// sample them while the writer replaces the store or counts a query.
+// pointer is atomic so the wait-free Statistics can sample it while the
+// writer replaces the store.
 type ddCore struct {
 	store    atomic.Pointer[dd.Store]
-	atomVars []*sym.Expr // atom index → data-plane variable node
-
-	// Verdicts answered on the diagram path are counted by queryAny's
-	// dispatch (answeredBy[byDD]).
-	fallbacks atomic.Int64 // queries that reached the diagram stage and were punted to the solver
-	compiles  atomic.Int64 // diagram compilations (memo hits included)
+	atomVars []*sym.Expr  // atom index → data-plane variable node
+	compiles atomic.Int64 // the engine decider's compiles (memo hits included)
 }
 
 // newDDCore builds the diagram core for a freshly analyzed program:
@@ -90,8 +86,7 @@ type ddCore struct {
 // deterministic name order. order, when not empty, is a snapshot's
 // variable order and is registered verbatim instead: a resumed engine
 // builds the diagrams, and Explain narrates the paths, of the engine
-// that was snapshotted. A snapshot of an engine without the core has
-// none, and the order is derived.
+// that was snapshotted.
 func newDDCore(an *dataplane.Analysis, order []dd.Atom) *ddCore {
 	d := &ddCore{}
 	st := dd.NewStore()
@@ -181,149 +176,136 @@ func (d *ddCore) ensureAtoms(frag controlplane.Env) {
 	}
 }
 
-// rootFor compiles sub through the compile memo under ddCompileBudget.
-// On success it returns the diagram with the residue's free variables
-// (walk assignments are completed over them into witnesses; they fit
-// sym.DefaultExhaustiveBits, since queryAny sends only residues inside
-// the bound here). ok=false means the residue is outside the diagram
-// fragment or past the budget; it goes to the solver's enumeration, and
-// the memo remembers the bail for as long as the residue pointer lives.
-func (s *Specializer) rootFor(sub *sym.Expr) (root *dd.Node, vars []*sym.Expr, ok bool) {
-	d := s.ddc
-	d.compiles.Add(1)
-	if s.eval.dd == nil {
-		s.eval.dd = dd.NewCtx(d.store.Load())
-	}
-	if root, ok = s.eval.dd.CompileBudget(sub, ddCompileBudget); !ok {
-		return nil, nil, false
-	}
-	return root, s.eval.solver.FreeVars(sub), true
+// decision is what one run of the decision procedure found: the
+// verdict, how it was reached, and the residue's diagram when one was
+// compiled (Explain narrates it).
+type decision struct {
+	v    Verdict
+	by   queryPath
+	root *dd.Node
 }
 
-// ddQuery is the diagram stage of queryAny: it answers the query on the
-// residue's diagram, or reports ok=false when the residue has to go to
-// the solver — it did not compile, the walk ran out of budget, or the
-// point sits under a degraded target. A degraded target's
-// residue is deliberately overapproximated — replaced wholesale on
-// every update, the opposite of the stable precise conditions the
-// diagram compiles compactly — so attempting those compiles would burn
-// the budget per point per update for nothing; the differential check
-// and promotion already re-prove degraded verdicts precisely.
-func (s *Specializer) ddQuery(p *dataplane.Point, sub *sym.Expr) (v Verdict, ok bool) {
-	if !s.underDegraded(p.ID) {
-		// No free variable is a closed term the simplifier left unfolded:
-		// the solver's single evaluation decides it.
-		if root, vars, compiled := s.rootFor(sub); compiled && len(vars) > 0 {
-			if constQuery(p.Kind) {
-				v, ok = s.ddConst(sub, root, vars)
-			} else {
-				v, ok = s.ddExec(p.ID, sub, root, vars)
-			}
-		}
+// decider is what the decision procedure runs on: a solver for the
+// width walk and the witness checks, and a diagram compile context over
+// a store, created on the first compile. The engine keeps one in its
+// evaluation scratch (ddReplaceStore points it at each new store);
+// Explain and DifferentialCheck each build one over a private store
+// that starts from the engine's variable order.
+type decider struct {
+	solver   *sym.Solver
+	ddc      *ddCore // atomVars: atom index → variable node
+	store    *dd.Store
+	ctx      *dd.Ctx
+	compiles *atomic.Int64 // the engine's: ddCore.compiles; nil for a private decider
+}
+
+// privateDecider returns a decider over an empty store holding the
+// engine's atoms, for a caller under the read lock. Its work is not
+// counted: the engine's instruments count the update path.
+func (s *Specializer) privateDecider() *decider {
+	return &decider{solver: sym.NewSolver(), ddc: s.ddc, store: emptyStore(s.ddc.store.Load().Atoms())}
+}
+
+// compile compiles sub into the decider's store under ddCompileBudget.
+// ok=false means the residue is outside the diagram fragment or past
+// the budget; the compile memo remembers the bail for as long as the
+// residue pointer lives. Every call counts as a compile, a memo hit
+// included.
+func (d *decider) compile(sub *sym.Expr) (*dd.Node, bool) {
+	if d.compiles != nil {
+		d.compiles.Add(1)
+	}
+	if d.ctx == nil {
+		d.ctx = dd.NewCtx(d.store)
+	}
+	return d.ctx.CompileBudget(sub, ddCompileBudget)
+}
+
+// decide is the one decision procedure: the update path (queryAny),
+// DifferentialCheck and Explain all answer a point's query with it, in
+// this order:
+//
+//  1. a literal residue is its own answer — the overwhelmingly common
+//     case, substitution having folded the condition away;
+//  2. a residue whose distinct free variables exceed the exhaustive
+//     bound (sym.Solver.Wide) gets no proof, and nothing is compiled or
+//     evaluated for it;
+//  3. otherwise the residue is compiled under ddCompileBudget, and a
+//     decided walk of its diagram is the answer;
+//  4. anything else gets no proof.
+//
+// No proof is Live for an executability query and Varies for a
+// constancy query. Both only keep code, so a missing proof is always a
+// sound answer, under a degraded table as anywhere else.
+func (d *decider) decide(kind dataplane.PointKind, sub *sym.Expr) decision {
+	isConst := constQuery(kind)
+	switch {
+	case isConst && sub.IsConst():
+		return decision{v: Verdict{Kind: VerdictConst, Val: sub.Val}, by: byLiteral}
+	case !isConst && sub.IsTrue():
+		return decision{v: Verdict{Kind: VerdictLive}, by: byLiteral}
+	case !isConst && sub.IsFalse():
+		return decision{v: Verdict{Kind: VerdictDead}, by: byLiteral}
+	}
+	noProof := Verdict{Kind: VerdictLive}
+	if isConst {
+		noProof = Verdict{Kind: VerdictVaries}
+	}
+	if d.solver.Wide(sub) {
+		return decision{v: noProof, by: byWidth}
+	}
+	root, ok := d.compile(sub)
+	if !ok {
+		return decision{v: noProof, by: unproven}
+	}
+	var v Verdict
+	if isConst {
+		v, ok = d.constant(sub, root)
+	} else {
+		v, ok = d.executable(sub, root)
 	}
 	if !ok {
-		s.ddc.fallbacks.Add(1)
+		return decision{v: noProof, by: unproven, root: root}
 	}
-	return v, ok
+	return decision{v: v, by: byDD, root: root}
 }
 
-// buildPointDeps inverts the taint map through the variable-owner map:
-// for every point, the sorted, deduplicated qualified names of the
-// objects whose control-plane variables can influence it — the same
-// routing the engine's re-evaluation uses. The engine keeps the result
-// (underDegraded), so each list is cut to its deduplicated length: a
-// point collects one name per tainting variable, tens per table.
-func buildPointDeps(an *dataplane.Analysis) [][]string {
-	deps := make([][]string, len(an.Points))
-	for v, ids := range an.Taint {
-		owner := an.VarOwner[v]
-		for _, id := range ids {
-			deps[id] = append(deps[id], owner)
-		}
-	}
-	for id, ds := range deps {
-		sort.Strings(ds)
-		deps[id] = slices.Clone(slices.Compact(ds))
-	}
-	return deps
-}
-
-// underDegraded reports whether any of the point's dependency targets is
-// currently degraded.
-func (s *Specializer) underDegraded(id int) bool {
-	if len(s.degraded) == 0 {
-		return false
-	}
-	for _, t := range s.pointDeps[id] {
-		if _, deg := s.degraded[t]; deg {
-			return true
-		}
-	}
-	return false
-}
-
-// ddExec answers an executability query on the diagram. The residue is
-// inside the exhaustive bound (queryAny's width rule), so the verdict
-// contract with the solver path (CheckWitness) is exact:
-//
-//   - a True root, a working witness, or a feasible true-path is Live
-//     (the solver answers Sat);
-//   - a proof that no feasible true-path exists is Dead (the solver's
-//     enumeration would have come up empty);
-//   - anything the walk cannot decide within budget goes to the
-//     solver.
-//
-// Fresh witnesses are verified against the residue before
-// installation, so the walk can never plant a lying hint.
-func (s *Specializer) ddExec(id int, sub *sym.Expr, root *dd.Node, vars []*sym.Expr) (Verdict, bool) {
-	d := s.ddc
-	// Witness re-proof: one path walk, O(path) instead of a residue
-	// traversal. A hint that still satisfies keeps the point Live with
-	// the same witness the solver path would have kept.
-	if hint := s.witnesses[id]; len(hint) > 0 {
-		if v, done := dd.EvalNode(root, d.hintGetter(hint)); done && v.IsTrue() {
-			return Verdict{Kind: VerdictLive}, true
-		}
-	}
-	if root.IsTrue() {
-		s.witnesses[id] = zerosEnv(vars)
+// executable answers an executability query on the diagram: a True
+// root or a feasible true-path whose witness the evaluator confirms is
+// Live; a False root or a proof that no feasible true-path exists is
+// Dead. A walk out of budget, or a witness the evaluator does not
+// confirm — never trust the walk over the evaluator — decides nothing.
+func (d *decider) executable(sub *sym.Expr, root *dd.Node) (Verdict, bool) {
+	switch {
+	case root.IsTrue():
 		return Verdict{Kind: VerdictLive}, true
-	}
-	if root.IsFalse() {
+	case root.IsFalse():
 		return Verdict{Kind: VerdictDead}, true
 	}
-	asg, out := dd.Sat(root, d.store.Load().Atoms(), ddWalkBudget)
+	asg, out := dd.Sat(root, d.store.Atoms(), ddWalkBudget)
 	switch out {
 	case dd.SatYes:
-		env := d.envOf(asg, vars)
-		if v, done := s.eval.solver.Eval(sub, env); done && v.IsTrue() {
-			s.witnesses[id] = env
+		if v, ok := d.solver.Eval(sub, d.envOf(sub, asg)); ok && v.IsTrue() {
 			return Verdict{Kind: VerdictLive}, true
 		}
-		// The walk and the evaluator disagree — never trust the walk
-		// over the evaluator; take the solver path.
 	case dd.SatNo:
 		return Verdict{Kind: VerdictDead}, true
 	}
 	return Verdict{}, false
 }
 
-// ddConst answers a constancy query on the diagram, with the same
-// verdict contract against ConstValue: a uniform diagram is Const (the
-// solver's enumeration certifies it), two verified differing
-// evaluations are Varies (the solver's refutation), and everything else
-// goes to the solver.
-func (s *Specializer) ddConst(sub *sym.Expr, root *dd.Node, vars []*sym.Expr) (Verdict, bool) {
-	d := s.ddc
+// constant answers a constancy query on the diagram: a terminal root or
+// a uniform diagram is Const, and two evaluator-confirmed assignments
+// with different values are Varies. Anything else decides nothing.
+func (d *decider) constant(sub *sym.Expr, root *dd.Node) (Verdict, bool) {
 	if root.IsTerminal() {
 		return Verdict{Kind: VerdictConst, Val: root.Value()}, true
 	}
-	val, ea, eb, out := dd.ConstCheck(root, d.store.Load().Atoms(), ddWalkBudget)
+	val, ea, eb, out := dd.ConstCheck(root, d.store.Atoms(), ddWalkBudget)
 	switch out {
 	case dd.ConstVaries:
-		envA, envB := d.envOf(ea, vars), d.envOf(eb, vars)
-		va, okA := s.eval.solver.Eval(sub, envA)
-		vb, okB := s.eval.solver.Eval(sub, envB)
+		va, okA := d.solver.Eval(sub, d.envOf(sub, ea))
+		vb, okB := d.solver.Eval(sub, d.envOf(sub, eb))
 		if okA && okB && va != vb {
 			return Verdict{Kind: VerdictVaries}, true
 		}
@@ -333,41 +315,23 @@ func (s *Specializer) ddConst(sub *sym.Expr, root *dd.Node, vars []*sym.Expr) (V
 	return Verdict{}, false
 }
 
-// hintGetter adapts a residue witness (keyed by variable node) to the
-// diagram's atom indexing.
-func (d *ddCore) hintGetter(hint sym.Env) func(int32) (sym.BV, bool) {
-	return func(a int32) (sym.BV, bool) {
-		if int(a) >= len(d.atomVars) || d.atomVars[a] == nil {
-			return sym.BV{}, false
-		}
-		v, ok := hint[d.atomVars[a]]
-		return v, ok
-	}
-}
-
 // envOf completes a walk assignment into a full residue witness:
 // walk-constrained atoms take their walked values, every other free
 // variable is zero (any value preserves the walked path — the path's
 // predicates only test constrained atoms).
-func (d *ddCore) envOf(asg map[int32]sym.BV, vars []*sym.Expr) sym.Env {
+func (d *decider) envOf(sub *sym.Expr, asg map[int32]sym.BV) sym.Env {
+	vars := d.solver.FreeVars(sub)
 	env := make(sym.Env, len(vars))
 	for _, v := range vars {
 		env[v] = sym.BV{W: v.Width}
 	}
+	atomVars := d.ddc.atomVars
 	for a, val := range asg {
-		if int(a) < len(d.atomVars) && d.atomVars[a] != nil {
-			if _, in := env[d.atomVars[a]]; in {
-				env[d.atomVars[a]] = val
+		if int(a) < len(atomVars) && atomVars[a] != nil {
+			if _, in := env[atomVars[a]]; in {
+				env[atomVars[a]] = val
 			}
 		}
-	}
-	return env
-}
-
-func zerosEnv(vars []*sym.Expr) sym.Env {
-	env := make(sym.Env, len(vars))
-	for _, v := range vars {
-		env[v] = sym.BV{W: v.Width}
 	}
 	return env
 }
@@ -387,17 +351,15 @@ func emptyStore(atoms []dd.Atom) *dd.Store {
 // Nothing else references a store: no diagram outlives its query.
 // Called under the engine write lock.
 func (s *Specializer) ddReplaceStore() {
-	if s.ddc == nil {
-		return
-	}
-	s.ddc.store.Store(emptyStore(s.ddc.store.Load().Atoms()))
-	s.eval.dd = nil
+	st := emptyStore(s.ddc.store.Load().Atoms())
+	s.ddc.store.Store(st)
+	s.eval.dec.store, s.eval.dec.ctx = st, nil
 }
 
 // ddBoundStore replaces the store once it has passed ddSweepFloor.
 // Every mutating call ends in publish, which calls it.
 func (s *Specializer) ddBoundStore() {
-	if s.ddc != nil && s.ddc.store.Load().NumNodes() > ddSweepFloor {
+	if s.ddc.store.Load().NumNodes() > ddSweepFloor {
 		s.ddReplaceStore()
 	}
 }
@@ -406,9 +368,6 @@ func (s *Specializer) ddBoundStore() {
 // across arena sweeps: the atom-index variable mirror, so witness
 // translation never holds a stale alias.
 func (s *Specializer) ddArenaRoots(roots []*sym.Expr) []*sym.Expr {
-	if s.ddc == nil {
-		return roots
-	}
 	return append(roots, s.ddc.atomVars...)
 }
 
@@ -478,14 +437,16 @@ type Explanation struct {
 	Verdict string `json:"verdict"`
 	// Value is the constant's value when Verdict is "const".
 	Value string `json:"value,omitempty"`
-	// Source reports what produced the verdict evidence: "dd" when the
-	// point's condition compiles into a diagram, the way the update path
-	// decides it (Steps/Witness are populated); "width" when the
-	// residue's free variables exceed the exhaustive bound (FreeBits
-	// says by how much), so the verdict is Live/Varies conservatively,
-	// not by proof — Steps/Witness are then populated when the residue
-	// compiles within budget; "solver" when the point is decided by a
-	// literal residue or the solver's enumeration (no path evidence).
+	// Source reports which step of the decision procedure answered the
+	// point, the way the update path answers it: "literal" when the
+	// residue folded to a literal (no path evidence); "dd" when a walk of
+	// the residue's diagram decided it (Steps/Witness are populated);
+	// "width" when the residue's free variables exceed the exhaustive
+	// bound (FreeBits says by how much), so the verdict is Live/Varies
+	// without a proof; "unproven" when the residue reached the diagram
+	// stage and got no proof, which is Live/Varies too. Steps/Witness are
+	// populated for "width" and "unproven" when the residue compiles
+	// within budget.
 	Source string `json:"source"`
 	// FreeBits is the total width of the residue's distinct free
 	// variables when Source is "width".
@@ -507,9 +468,9 @@ type Explanation struct {
 // witness path with the witness assignment itself. It may be called
 // concurrently with writers from any number of goroutines and takes the
 // engine read lock — an arena sweep renumbers expression ids, so it
-// waits for a writer in flight. The residue is re-derived and compiled
-// for the call, into a private store seeded with the engine's variable
-// order and under the update path's own compile budget: the engine
+// waits for a writer in flight. The residue is re-derived and decided
+// for the call by the update path's own procedure (decide), into a
+// private store seeded with the engine's variable order: the engine
 // keeps no diagram between queries, so narrating one is paid by the
 // operator's call, not by every update.
 func (s *Specializer) Explain(id int) (*Explanation, error) {
@@ -520,39 +481,28 @@ func (s *Specializer) Explain(id int) (*Explanation, error) {
 	defer s.mu.RUnlock()
 	// Publication happens under the write lock, so this epoch and s.env
 	// describe the same configuration.
-	out := s.explanation(s.loadEpoch(), id, "solver")
+	out := s.explanation(s.loadEpoch(), id)
 	var scratch sym.SubstScratch
 	sub := s.An.Builder.SubstWith(&scratch, s.An.Points[id].Expr, s.env)
-	if sub.IsConst() {
-		return out, nil
-	}
-	solver := sym.NewSolver()
-	wide := solver.Wide(sub)
-	if wide {
-		out.Source = "width"
-		for _, v := range solver.FreeVars(sub) {
+	d := s.privateDecider()
+	dec := d.decide(s.An.Points[id].Kind, sub)
+	out.Source = queryPathNames[dec.by]
+	if dec.by == byWidth {
+		for _, v := range d.solver.FreeVars(sub) {
 			out.FreeBits += int(v.Width)
 		}
+		// No proof, but a path is still worth narrating when the residue
+		// compiles within the update path's budget.
+		dec.root, _ = d.compile(sub)
 	}
-	// The update path sends a narrow residue under a degraded table
-	// straight to the solver (ddQuery).
-	if s.ddc == nil || !wide && s.underDegraded(id) {
-		return out, nil
+	if dec.root != nil {
+		narrate(out, dec.root, d.store.Atoms())
 	}
-	atoms := s.ddc.store.Load().Atoms()
-	root, ok := dd.NewCtx(emptyStore(atoms)).CompileBudget(sub, ddCompileBudget)
-	if !ok {
-		return out, nil
-	}
-	if !wide {
-		out.Source = "dd"
-	}
-	narrate(out, root, atoms)
 	return out, nil
 }
 
 // explanation fills the part of an Explanation every source shares.
-func (s *Specializer) explanation(e *epoch, id int, source string) *Explanation {
+func (s *Specializer) explanation(e *epoch, id int) *Explanation {
 	p := s.An.Points[id]
 	out := &Explanation{
 		Point:   id,
@@ -561,7 +511,6 @@ func (s *Specializer) explanation(e *epoch, id int, source string) *Explanation 
 		Control: p.Control,
 		Table:   p.Table,
 		Verdict: e.verdicts[id].Kind.String(),
-		Source:  source,
 		Epoch:   e.seq,
 	}
 	if e.verdicts[id].Kind == VerdictConst {
@@ -606,20 +555,15 @@ func narrate(out *Explanation, root *dd.Node, atoms []dd.Atom) {
 
 // variableOrder returns the diagram core's current atom order (the
 // snapshot codec persists it; diagrams themselves are rebuilt on
-// restore). Nil when the core is disabled. Called under the engine
-// read lock by Snapshot.
+// restore). Called under the engine read lock by Snapshot.
 func (s *Specializer) variableOrder() []dd.Atom {
-	if s.ddc == nil {
-		return nil
-	}
 	return s.ddc.store.Load().Atoms()
 }
 
 // VariableOrder reports the diagram core's variable order — the atoms
 // (match keys and value-set membership bits) in the position the
 // taint-frequency heuristic assigned them, which every diagram in the
-// store tests top-down. Nil when the core is disabled (Options.noDD). The
-// order is append-only for the life of the engine and survives
+// store tests top-down. The order is append-only for the life of the engine and survives
 // Snapshot/Restore verbatim.
 func (s *Specializer) VariableOrder() []dd.Atom {
 	s.mu.RLock()

@@ -1,13 +1,16 @@
-// Differential proof of the decision-diagram query core: an engine
-// answering specialization queries on the diagram path must be
-// observationally identical to the probe-solver engine — same
-// per-update decisions, same per-point verdicts, byte-identical
-// specialized source — on every catalog program, across fuzzer streams
-// and every churn pattern. The diagram path is a pure accelerator; this
-// suite is the contract that keeps it one.
+// The decision procedure held to the enumeration: after every update
+// and every batch, on every catalog program across fuzzer streams and
+// every churn pattern, the verdict each point holds must be the one the
+// solver's enumeration of the residue's domain gives
+// (core.CheckAgainstPerPointSubst). Equal verdict vectors after every
+// call imply equal decisions, so one engine and the oracle are the
+// whole contract: a diagram walk proves only what the enumeration
+// proves, and a residue the diagram cannot decide gets no proof only
+// where the enumeration finds none either.
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -18,91 +21,83 @@ import (
 // ddSeeds are the fuzzer streams the catalog differential replays.
 var ddSeeds = []uint64{0xde, 0xe1, 0xe5, 0xed}
 
-func loadDD(t *testing.T, p *progs.Program, noDD bool) *core.Specializer {
+func loadDD(t *testing.T, p *progs.Program) *core.Specializer {
 	t.Helper()
-	opts := core.Options{}
-	if noDD {
-		opts = core.NoDD(opts)
-	}
-	s, err := p.LoadWith(opts)
+	s, err := p.LoadWith(core.Options{})
 	if err != nil {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
-// TestDDMatchesSolverCatalog replays the same fuzzer stream through a
-// diagram engine and a NoDD engine for every catalog program × seed,
-// asserting decision-for-decision and end-state equality.
+// matchesOracle fails the test when any verdict of s differs from the
+// enumeration's on the point's residue.
+func matchesOracle(t *testing.T, s *core.Specializer, when string) {
+	t.Helper()
+	if err := core.CheckAgainstPerPointSubst(s); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+}
+
+// TestDDMatchesSolverCatalog replays a fuzzer stream through the engine
+// for every catalog program × seed, holding every verdict to the
+// enumeration after every update.
 func TestDDMatchesSolverCatalog(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range ddSeeds {
-				dd := loadDD(t, p, false)
-				solver := loadDD(t, p, true)
-				for i, u := range makeStream(t, dd, seed) {
-					sameDecision(t, i, dd.Apply(u), solver.Apply(u))
+				s := loadDD(t, p)
+				matchesOracle(t, s, fmt.Sprintf("seed %#x open", seed))
+				for i, u := range makeStream(t, s, seed) {
+					s.Apply(u)
+					matchesOracle(t, s, fmt.Sprintf("seed %#x update %d (%s)", seed, i, u))
 				}
-				sameEndState(t, dd, solver)
-				dst, sst := dd.Statistics(), solver.Statistics()
-				if dst.Forwarded != sst.Forwarded || dst.Recompilations != sst.Recompilations || dst.Rejected != sst.Rejected {
-					t.Fatalf("seed %#x: outcome counters diverged: %+v vs %+v", seed, dst, sst)
-				}
-				if sst.DDQueries != 0 || sst.DDCompiles != 0 || sst.DDNodes != 0 {
-					t.Fatalf("seed %#x: NoDD engine reported diagram activity: %+v", seed, sst)
-				}
+				ddAccounted(t, s, fmt.Sprintf("seed %#x", seed))
 			}
 		})
 	}
 }
 
 // TestDDMatchesSolverChurn replays every churn pattern against the
-// production-shaped programs on both engines, batch-shaped exactly like
-// the controller would push it. The steady-state invariant and the end
-// state must hold identically on both.
+// production-shaped programs, batch-shaped exactly like the controller
+// would push it, holding every verdict to the enumeration after the
+// representative configuration and after every batch.
 func TestDDMatchesSolverChurn(t *testing.T) {
 	for _, p := range churnPrograms(t) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, kind := range fuzz.PatternKinds() {
 				t.Run(kind.String(), func(t *testing.T) {
-					dd := loadDD(t, p, false)
-					solver := loadDD(t, p, true)
-					for _, s := range []*core.Specializer{dd, solver} {
-						if err := p.ApplyRepresentative(s); err != nil {
-							t.Fatal(err)
-						}
+					s := loadDD(t, p)
+					if err := p.ApplyRepresentative(s); err != nil {
+						t.Fatal(err)
 					}
-					cs, err := fuzz.Churn(dd.An, fuzz.ChurnSpec{
+					matchesOracle(t, s, "representative")
+					cs, err := fuzz.Churn(s.An, fuzz.ChurnSpec{
 						Kind: kind, Table: p.BurstTable, Updates: churnLen, Seed: uint64(kind)*17 + 3,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, batch := range cs.Batches() {
-						dds := dd.ApplyBatch(batch)
-						sds := solver.ApplyBatch(batch)
-						for i := range batch {
-							if (dds[i].Kind == core.Rejected) != (sds[i].Kind == core.Rejected) {
-								t.Fatalf("rejection mismatch on %s: %s vs %s", batch[i], dds[i].Kind, sds[i].Kind)
-							}
-						}
+					for bi, batch := range cs.Batches() {
+						s.ApplyBatch(batch)
+						matchesOracle(t, s, fmt.Sprintf("batch %d", bi))
 					}
-					sameEndState(t, dd, solver)
 				})
 			}
 		})
 	}
 }
 
-// TestDDEngineActuallyUsesDiagrams guards against the accelerator
-// silently falling back everywhere: on the catalog's precise-mode
-// programs the diagram path must answer a meaningful share of queries.
+// TestDDEngineActuallyUsesDiagrams guards against the diagram stage
+// silently deciding nothing: on the catalog's programs the diagram path
+// must answer a meaningful share of queries.
 func TestDDEngineActuallyUsesDiagrams(t *testing.T) {
 	answered := int64(0)
 	for _, p := range progs.Catalog() {
-		s := loadDD(t, p, false)
+		s := loadDD(t, p)
 		for _, u := range makeStream(t, s, 7) {
 			s.Apply(u)
 		}
@@ -119,8 +114,8 @@ func TestDDEngineActuallyUsesDiagrams(t *testing.T) {
 
 // TestDDSnapshotPreservesVariableOrder round-trips an engine through
 // Snapshot/Restore and asserts the restored engine's diagram core walks
-// the same variable order — and still matches the solver engine on a
-// post-restore stream.
+// the same variable order — and still matches the enumeration, and the
+// engine it was restored from, on a post-restore stream.
 func TestDDSnapshotPreservesVariableOrder(t *testing.T) {
 	for _, name := range []string{"fig3", "scion", "nat44"} {
 		t.Run(name, func(t *testing.T) {
@@ -128,7 +123,7 @@ func TestDDSnapshotPreservesVariableOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := loadDD(t, p, false)
+			s := loadDD(t, p)
 			stream := makeStream(t, s, 0x5eed)
 			for _, u := range stream[:len(stream)/2] {
 				s.Apply(u)
@@ -142,6 +137,7 @@ func TestDDSnapshotPreservesVariableOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer r.Close()
 			after := r.VariableOrder()
 			if len(before) == 0 || len(after) != len(before) {
 				t.Fatalf("variable order: %d atoms before, %d after", len(before), len(after))
@@ -151,14 +147,12 @@ func TestDDSnapshotPreservesVariableOrder(t *testing.T) {
 					t.Fatalf("atom %d: %v before, %v after", i, before[i], after[i])
 				}
 			}
-			solver, err := core.Restore(data, core.NoDD(core.Options{}))
-			if err != nil {
-				t.Fatal(err)
-			}
+			matchesOracle(t, r, "restored")
 			for i, u := range stream[len(stream)/2:] {
-				sameDecision(t, i, r.Apply(u), solver.Apply(u))
+				sameDecision(t, i, r.Apply(u), s.Apply(u))
+				matchesOracle(t, r, fmt.Sprintf("update %d after restore (%s)", i, u))
 			}
-			sameEndState(t, r, solver)
+			sameEndState(t, r, s)
 		})
 	}
 }

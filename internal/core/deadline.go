@@ -314,6 +314,12 @@ func unsoundFlip(degraded, precise Verdict) bool {
 // verdicts are unsound relative to the precise answer. It takes only
 // the read lock, so the repair loop runs it concurrently with readers;
 // a healthy engine always reports zero unsound.
+//
+// The precise side is decided by decide, not by an exact enumeration,
+// so the check can over-report but never under-report: a precise
+// residue that gets no proof (its compile bails or its walk decides
+// nothing) is Live/Varies, and a degraded residue the diagram proves
+// Dead or Const then counts as unsound although it is sound.
 func (s *Specializer) DifferentialCheck() (checked, unsoundCount int, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -338,15 +344,15 @@ func (s *Specializer) DifferentialCheck() (checked, unsoundCount int, err error)
 			overlay[k] = v
 		}
 	}
-	solver := sym.NewSolver()
-	solver.Metrics = s.symMet
-	// The overlay is fixed for the loop: one substitution pass. The
-	// query goes to the solver without witnesses, so no per-point engine
-	// state (hints, substitution memos) is touched.
+	// The overlay is fixed for the loop: one substitution pass. Each
+	// query goes through the engine's decision procedure on a private
+	// decider, so no per-point engine state (substitution memo, diagram
+	// store) is touched.
+	d := s.privateDecider()
 	var scratch sym.SubstScratch
 	pass := b.BeginSubst(&scratch, overlay)
 	for _, p := range s.An.PointsOfTargets(targets) {
-		precise := queryPoint(solver, p, pass.Subst(p.Expr), nil)
+		precise := d.decide(p.Kind, pass.Subst(p.Expr)).v
 		checked++
 		if unsoundFlip(s.verdicts[p.ID], precise) {
 			unsoundCount++

@@ -8,6 +8,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -176,7 +177,10 @@ func TestDeadlineRuleOneOrBatchOfOne(t *testing.T) {
 // every table mid-stream, finish the stream degraded, verify zero
 // unsound verdicts via the differential check, promote everything, and
 // require the end state to be indistinguishable from a control engine
-// that never degraded.
+// that never degraded. Degraded residues go through the decision
+// procedure like every other: after each Degrade and each degraded
+// update every verdict is the enumeration's on the residue the engine
+// holds, and every query that reached the diagram stage compiled.
 func TestDegradePromoteMatrix(t *testing.T) {
 	const half = 16
 	for _, p := range equivPrograms() {
@@ -202,11 +206,15 @@ func TestDegradePromoteMatrix(t *testing.T) {
 						t.Fatalf("Degrade(%s): %v", table, err)
 					}
 					checkIdeal(t, "degrade "+table, s)
+					matchesOracle(t, s, "degrade "+table)
+					ddAccounted(t, s, "degrade "+table)
 				}
 				for i, u := range stream[half:] {
 					ds := s.Apply(u)
 					dc := control.Apply(u)
 					checkIdeal(t, u.String(), s, control)
+					matchesOracle(t, s, fmt.Sprintf("seed %d degraded update %d (%s)", seed, half+i, u))
+					ddAccounted(t, s, fmt.Sprintf("seed %d degraded update %d", seed, half+i))
 					if (ds.Kind == core.Rejected) != (dc.Kind == core.Rejected) {
 						t.Fatalf("seed %d update %d: rejection mismatch degraded=%s control=%s",
 							seed, half+i, ds.Kind, dc.Kind)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/dataplane"
-	"repro/internal/dd"
 	"repro/internal/obs"
 	"repro/internal/sym"
 )
@@ -28,23 +27,22 @@ import (
 // (sym.SubstScratch; DESIGN §4.4). An arena sweep drops the memo.
 //
 // Nothing on the query path is randomized: Dead needs a literal false
-// or an exhaustive refutation and Const a literal or an exhaustive
+// or a diagram's refutation and Const a literal or a diagram's
 // certificate, and a residue too wide for either is Live/Varies before
-// anything is evaluated (queryAny).
+// anything is evaluated (decide, dd.go).
 
 // evalScratch is the engine's one evaluation scratch, used only under
-// the write lock: the solver (evaluation and width-walk scratch), the
-// substitution memo with the pass in flight and the targets written
-// since the last one, and the diagram compile memo (created on first
-// use, dropped with the store it compiles into).
+// the write lock: the decider (the solver's evaluation and width-walk
+// scratch, and the diagram compile memo, dropped with the store it
+// compiles into), the substitution memo with the pass in flight and
+// the targets written since the last one.
 type evalScratch struct {
-	solver *sym.Solver
-	sub    sym.SubstScratch
-	pass   sym.SubstPass
+	dec  decider
+	sub  sym.SubstScratch
+	pass sym.SubstPass
 	// changed is the union of the CtrlMasks of the environment keys
 	// reassigned since the last pass opened (recompileTarget).
 	changed uint64
-	dd      *dd.Ctx
 }
 
 // reevalPoints re-evaluates the given points (deduplicated, in ID

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dataplane"
 	"repro/internal/p4/ast"
 	"repro/internal/sym"
 )
@@ -12,20 +13,12 @@ import (
 // whether the second is reachable (specializer_test.go).
 const GateSrc = gateSrc
 
-// NoDD returns opts with the decision-diagram query core disabled: the
-// solver-only reference arm of the differential suite (dddiff_test.go).
-func NoDD(opts Options) Options {
-	opts.noDD = true
-	return opts
-}
-
 // CheckInstalledIsIdeal asserts the invariant every mutating call must
 // leave behind: each table's installed implementation is the ideal one
-// under the verdicts and configuration now in force. It takes the write
-// lock because idealImpl uses the engine's solver scratch.
+// under the verdicts and configuration now in force.
 func CheckInstalledIsIdeal(s *Specializer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for _, table := range s.An.TableOrder {
 		if cur, ideal := s.impls[table], s.idealImpl(table); !cur.equal(ideal) {
 			return fmt.Errorf("table %s: installed implementation is stale: %s", table, cur.diff(ideal))
@@ -51,12 +44,14 @@ func ProjectedCost(s *Specializer, target string) time.Duration {
 	return time.Duration(s.projectNS(target, len(s.An.PointsOf(target))))
 }
 
-// CheckAgainstPerPointSubst is the reference the pass-wide substitution
-// memo is held to: every point's residue re-derived by a substitution
-// of its own (SubstWith promises nothing about the pass before) and put
-// to a fresh solver. The engine's verdict vector must equal the
-// reference's, and every residue pointer the engine kept must be the
-// reference's pointer.
+// CheckAgainstPerPointSubst is the reference the engine is held to:
+// every point's residue re-derived by a substitution of its own
+// (SubstWith promises nothing about the pass before) and put to a fresh
+// solver's enumeration (queryPoint). The engine's verdict vector must
+// equal the reference's, and every residue pointer the engine kept must
+// be the reference's pointer. Equal verdict vectors after every call
+// imply equal decisions, so this one check holds the pass-wide
+// substitution memo and the decision procedure (decide) alike.
 func CheckAgainstPerPointSubst(s *Specializer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -67,11 +62,29 @@ func CheckAgainstPerPointSubst(s *Specializer) error {
 		if got := s.pointSub[p.ID]; got != nil && got != sub {
 			return fmt.Errorf("point %d: engine kept residue %s, a per-point substitution yields %s", p.ID, got, sub)
 		}
-		if got, want := s.verdicts[p.ID], queryPoint(solver, p, sub, nil); got != want {
+		if got, want := s.verdicts[p.ID], queryPoint(solver, p, sub); got != want {
 			return fmt.Errorf("point %d: engine verdict %s, reference %s on residue %s", p.ID, got, want, sub)
 		}
 	}
 	return nil
+}
+
+// queryPoint puts a point's specialization query to the solver's
+// enumeration of the residue's domain (sym.Solver.ConstValue and
+// CheckWitness): the exact answer inside the exhaustive bound, Live or
+// Varies past it. It is the oracle the decision procedure is held to.
+func queryPoint(solver *sym.Solver, p *dataplane.Point, sub *sym.Expr) Verdict {
+	if constQuery(p.Kind) {
+		res := solver.ConstValue(sub)
+		if res.Known && res.IsConst {
+			return Verdict{Kind: VerdictConst, Val: res.Val}
+		}
+		return Verdict{Kind: VerdictVaries}
+	}
+	if verdict, _ := solver.CheckWitness(sub, nil); verdict == sym.Unsat {
+		return Verdict{Kind: VerdictDead}
+	}
+	return Verdict{Kind: VerdictLive}
 }
 
 // CheckIncrementalPass holds the substitution memo the engine carries
@@ -117,9 +130,6 @@ func ForceArenaSweep(s *Specializer) int {
 func CheckEnvVarsAreAtoms(s *Specializer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.ddc == nil {
-		return nil
-	}
 	st := s.ddc.store.Load()
 	seen := make(map[*sym.Expr]bool)
 	var missing error

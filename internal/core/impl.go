@@ -134,19 +134,19 @@ func (s *Specializer) idealImpl(table string) *tableImpl {
 	if tp.action != nil && s.quality <= QualityNoNarrowing {
 		if v := s.verdicts[tp.action.ID]; v.Kind == VerdictConst {
 			impl.constAction = int(v.Val.Uint64())
-			// Inline only when every parameter of the selected action
-			// resolves to a constant under the current assignment.
+			// Inline only when every parameter of the selected action is
+			// assigned a literal under the current configuration.
 			act := &ti.Actions[impl.constAction]
 			params := make([]sym.BV, len(act.Params))
 			ok := true
 			for i, pv := range act.Params {
 				// A table's compile assigns every parameter placeholder.
-				res := s.eval.solver.ConstValue(s.env[pv])
-				if !res.Known || !res.IsConst {
+				a := s.env[pv]
+				if !a.IsConst() {
 					ok = false
 					break
 				}
-				params[i] = res.Val
+				params[i] = a.Val
 			}
 			if ok {
 				impl.inlineParams = params

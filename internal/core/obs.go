@@ -26,7 +26,7 @@ type coreMetrics struct {
 
 	// How queryAny answered each query that got past the substitution
 	// skip, indexed by queryPath (core.query.literal, .width, .dd,
-	// .exhaustive).
+	// .unproven).
 	answeredBy [numQueryPaths]*obs.Counter
 
 	updateNS *obs.Histogram // per-update analysis latency, ns
@@ -75,10 +75,10 @@ func newCoreMetrics(r *obs.Registry) coreMetrics {
 		substSkips:      r.Counter("core.subst_skips"),
 		substNodes:      r.Counter("core.subst_nodes"),
 		answeredBy: [numQueryPaths]*obs.Counter{
-			byLiteral:    r.Counter("core.query.literal"),
-			byWidth:      r.Counter("core.query.width"),
-			byDD:         r.Counter("core.query.dd"),
-			byExhaustive: r.Counter("core.query.exhaustive"),
+			byLiteral: r.Counter("core.query.literal"),
+			byWidth:   r.Counter("core.query.width"),
+			byDD:      r.Counter("core.query.dd"),
+			unproven:  r.Counter("core.query.unproven"),
 		},
 		updateNS:        r.Histogram("core.update_ns"),
 		evalNS:          r.Histogram("core.eval_ns"),

@@ -4,9 +4,9 @@
 // dispatch counters' accounting identity, the residue-pointer memo that
 // settles an update which changes no assignment (and what a restored
 // engine pays for not having it), the diagram path's own accounting
-// (every query that reaches it compiles; the store stays bounded),
-// Explain following the residue, and the premise the atom registration
-// shortcut rests on.
+// (every query that reaches it compiles; the store stays bounded), the
+// walks' proofs on correlated predicates, Explain following the residue,
+// and the premise the atom registration shortcut rests on.
 package core_test
 
 import (
@@ -130,13 +130,10 @@ func TestWideQueryDoesNoEvaluation(t *testing.T) {
 		if compiles := st1.DDCompiles - st0.DDCompiles; compiles != 0 {
 			t.Errorf("%d entries: one insert compiled %d diagrams", n, compiles)
 		}
-		if q := delta("sym.solver.queries") + delta("sym.solver.const_queries"); q != 0 {
-			t.Errorf("%d entries: one insert put %d queries to the solver", n, q)
-		}
 		wide := delta("core.query.width")
-		if wide == 0 || delta("core.query.dd") != 0 || delta("core.query.exhaustive") != 0 {
-			t.Fatalf("%d entries: dispatch literal %d, width %d, dd %d, exhaustive %d; want only literal and width",
-				n, delta("core.query.literal"), wide, delta("core.query.dd"), delta("core.query.exhaustive"))
+		if wide == 0 || delta("core.query.dd") != 0 || delta("core.query.unproven") != 0 {
+			t.Fatalf("%d entries: dispatch literal %d, width %d, dd %d, unproven %d; want only literal and width",
+				n, delta("core.query.literal"), wide, delta("core.query.dd"), delta("core.query.unproven"))
 		}
 		perQuery[n] = float64(delta("sym.solver.width_nodes")) / float64(wide)
 		t.Logf("%d entries: %d points, %d decided by width, %.1f nodes walked each",
@@ -153,8 +150,9 @@ func TestWideQueryDoesNoEvaluation(t *testing.T) {
 
 // TestQueryDispatchCountersSum: across the catalog under fuzzed updates,
 // every re-evaluated point is a substitution skip or exactly one of the
-// four dispatch outcomes — in the registry and in Stats alike — and the
-// diagram counters cover only the queries that reached a diagram.
+// four outcomes of the decision procedure — literal, width, dd and
+// unproven, in the registry and in Stats alike — and every query that
+// reached the diagram stage compiled.
 func TestQueryDispatchCountersSum(t *testing.T) {
 	for _, p := range progs.Catalog() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -172,27 +170,25 @@ func TestQueryDispatchCountersSum(t *testing.T) {
 				s.Apply(u)
 			}
 			c, st := reg.Snapshot().Counters, s.Statistics()
-			dispatched := c["core.query.literal"] + c["core.query.width"] + c["core.query.dd"] + c["core.query.exhaustive"]
+			dispatched := c["core.query.literal"] + c["core.query.width"] + c["core.query.dd"] + c["core.query.unproven"]
 			if want := c["core.points_evaluated"] - c["core.subst_skips"]; dispatched != want {
 				t.Fatalf("dispatch counters sum to %d; %d points evaluated − %d substitution skips = %d",
 					dispatched, c["core.points_evaluated"], c["core.subst_skips"], want)
 			}
 			if st.QueryLiteral != c["core.query.literal"] || st.QueryWidth != c["core.query.width"] ||
-				st.QueryDD != c["core.query.dd"] || st.QueryExhaustive != c["core.query.exhaustive"] {
+				st.QueryDD != c["core.query.dd"] || st.DDFallbacks != c["core.query.unproven"] {
 				t.Fatalf("Stats %d/%d/%d/%d disagree with the registry %d/%d/%d/%d",
-					st.QueryLiteral, st.QueryWidth, st.QueryDD, st.QueryExhaustive,
-					c["core.query.literal"], c["core.query.width"], c["core.query.dd"], c["core.query.exhaustive"])
+					st.QueryLiteral, st.QueryWidth, st.QueryDD, st.DDFallbacks,
+					c["core.query.literal"], c["core.query.width"], c["core.query.dd"], c["core.query.unproven"])
 			}
-			if st.DDFallbacks > st.QueryExhaustive {
-				t.Fatalf("%d diagram fallbacks but only %d queries reached the solver", st.DDFallbacks, st.QueryExhaustive)
-			}
+			ddAccounted(t, s, "after the stream")
 		})
 	}
 }
 
-// dispatched sums the four ways queryAny answers.
+// dispatched sums the four ways the decision procedure answers.
 func dispatched(st core.Stats) int64 {
-	return st.QueryLiteral + st.QueryWidth + st.QueryDD + st.QueryExhaustive
+	return st.QueryLiteral + st.QueryWidth + st.QueryDD + st.DDFallbacks
 }
 
 // TestStableAssignmentSkipsEveryQuery counts the work of the update the
@@ -267,10 +263,9 @@ func explainSource(t *testing.T, s *core.Specializer, id int) string {
 	return ex.Source
 }
 
-// ddAccounted asserts the diagram path's accounting identity on an
-// engine with no degraded table: every query that reached the diagram
-// stage compiled its residue (a memo hit counts), and was then answered
-// on the diagram or handed to the enumeration.
+// ddAccounted asserts the diagram path's accounting identity: every
+// query that reached the diagram stage compiled its residue (a memo hit
+// counts), and was then decided on the diagram or got no proof.
 func ddAccounted(t *testing.T, s *core.Specializer, when string) {
 	t.Helper()
 	if st := s.Statistics(); st.DDCompiles != st.QueryDD+st.DDFallbacks {
@@ -370,12 +365,12 @@ func TestEveryDiagramQueryCompiles(t *testing.T) {
 		}
 		left := 0
 		for id, src := range sources() {
-			if before[id] == "dd" && src == "solver" {
+			if before[id] == "dd" && src == "unproven" {
 				left++
 			}
 		}
 		if left == 0 {
-			t.Fatalf("no point of %s went from a diagram to the solver: %v then %v", table, before, sources())
+			t.Fatalf("no point of %s went from a diagram to no proof: %v then %v", table, before, sources())
 		}
 		// One delete brings the table back under the threshold.
 		last := zones[len(zones)-1]
@@ -384,7 +379,7 @@ func TestEveryDiagramQueryCompiles(t *testing.T) {
 		}
 		st2 := s.Statistics()
 		if got := st2.QueryDD - st1.QueryDD; got < int64(left) || st2.DDFallbacks != st1.DDFallbacks {
-			t.Fatalf("back under the threshold: %d queries answered on a diagram and %d sent to the enumeration, want the %d points that left answered on a diagram",
+			t.Fatalf("back under the threshold: %d queries answered on a diagram and %d without a proof, want the %d points that left answered on a diagram",
 				got, st2.DDFallbacks-st1.DDFallbacks, left)
 		}
 		ddAccounted(t, s, "back under the threshold")
@@ -402,8 +397,8 @@ func TestEveryDiagramQueryCompiles(t *testing.T) {
 // than ddSweepFloor nodes plus what one call can add; replacing the
 // store costs no compile the stream would not have made anyway (the
 // counts are those of an engine that never replaces it: no compile of
-// these streams bails); and the end state is that of an engine without
-// diagrams.
+// these streams bails); and after every call that replaced the store,
+// and at the end, every verdict is the enumeration's.
 func TestDiagramStoreStaysBounded(t *testing.T) {
 	p := progs.Scion()
 	for _, tc := range []struct {
@@ -412,9 +407,7 @@ func TestDiagramStoreStaysBounded(t *testing.T) {
 	}{{1, 930}, {42, 1196}} {
 		t.Run(fmt.Sprintf("seed-%d", tc.seed), func(t *testing.T) {
 			t.Parallel()
-			s, twin := loadDD(t, p, false), loadDD(t, p, true)
-			defer s.Close()
-			defer twin.Close()
+			s := loadDD(t, p)
 			stream, err := fuzz.New(s.An, tc.seed).Stream(3000)
 			if err != nil {
 				t.Fatal(err)
@@ -423,8 +416,10 @@ func TestDiagramStoreStaysBounded(t *testing.T) {
 			for start := 0; start < len(stream); start += 16 {
 				batch := stream[start:min(start+16, len(stream))]
 				s.ApplyBatch(batch)
-				twin.ApplyBatch(batch)
 				n := s.Statistics().DDNodes
+				if n < prev {
+					matchesOracle(t, s, fmt.Sprintf("store replaced after update %d", start+len(batch)))
+				}
 				growth, peak = max(growth, n-prev), max(peak, n)
 				if n > core.DDSweepFloor+growth {
 					t.Fatalf("after update %d the store holds %d nodes; the bound is %d + %d (the largest growth of one call)",
@@ -437,7 +432,7 @@ func TestDiagramStoreStaysBounded(t *testing.T) {
 			if st.DDCompiles != tc.compiles {
 				t.Fatalf("%d diagram compiles, want %d", st.DDCompiles, tc.compiles)
 			}
-			sameEndState(t, s, twin)
+			matchesOracle(t, s, "end of stream")
 		})
 	}
 }
@@ -446,8 +441,12 @@ func TestDiagramStoreStaysBounded(t *testing.T) {
 // has now, by the means the update path decides it with — asserted on
 // Explain's output alone. nat44's zone table is keyed on the 9-bit
 // ingress port, narrow enough for its points to be diagram-decided;
-// emptying it folds them to literals, degrading it takes them off the
-// diagram path, and undoing either puts them back. An engine whose arena
+// emptying it folds them to literals, and refilling it puts them back.
+// Degrading it overapproximates the selector into a fresh variable: the
+// constancy query on the action is then that bare variable, which no
+// diagram hosts, so it gets no proof, while each action's reachability
+// is a test of it the diagram still decides; promoting it puts every
+// point back on the residue it had. An engine whose arena
 // (and with it the diagram store) is swept by force in between stays
 // verdict-equal to a twin that never sweeps. Then the whole catalog:
 // whatever Explain calls diagram-decided comes with evidence that holds
@@ -536,14 +535,31 @@ func explainZoneScript(t *testing.T) {
 	if got := s.Statistics().QueryLiteral - lit0; got < int64(len(narrated)) {
 		t.Fatalf("emptying %s answered %d queries by a literal, want the %d narrated points among them", table, got, len(narrated))
 	}
-	check("table emptied", "solver")
+	check("table emptied", "literal")
 	sweep("table emptied")
 	apply(fill)
 	check("table refilled", "dd")
 	sameEndState(t, s, twin)
 
 	both(func(e *core.Specializer) error { return e.Degrade(table) })
-	check("table degraded", "solver")
+	unproven := 0
+	for _, id := range narrated {
+		ex, err := s.Explain(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "dd"
+		if ex.Query == "constant" {
+			want = "unproven"
+			unproven++
+		}
+		if ex.Source != want {
+			t.Fatalf("table degraded: Explain says %q for %s point %d, want %q", ex.Source, ex.Query, id, want)
+		}
+	}
+	if unproven == 0 {
+		t.Fatalf("no constancy query among the narrated points %v", narrated)
+	}
 	sweep("table degraded")
 	both(func(e *core.Specializer) error { _, err := e.PromoteAll(); return err })
 	check("table promoted", "dd")
@@ -625,6 +641,83 @@ func parseBV(t *testing.T, s string) sym.BV {
 		t.Fatalf("bit vector %q", s)
 	}
 	return sym.NewBV2(uint16(w), hi, lo)
+}
+
+// correlatedSrc tests one match key twice on one path: gate's entry
+// for k == 3 raises the flag, and under the flag the program asks
+// whether k == 5. The simplifier leaves (k == 5) & (k == 3) and the
+// ite over it as they are; their diagrams are not terminals, and only a
+// walk that tracks what each branch says about k can decide them.
+const correlatedSrc = `
+header probe_t {
+    bit<8> k;
+}
+struct headers { probe_t h; }
+struct metadata { bit<1> flag; bit<4> v; bit<4> w; }
+parser MyParser(packet_in pkt, out headers hdr, inout metadata meta, inout standard_metadata_t std) {
+    state start {
+        pkt.extract(hdr.h);
+        transition accept;
+    }
+}
+control Ingress(inout headers hdr, inout metadata meta, inout standard_metadata_t std) {
+    action raise() {
+        meta.flag = 1w1;
+    }
+    action noop() { }
+    table gate {
+        key = { hdr.h.k: exact; }
+        actions = { raise; noop; }
+        default_action = noop;
+    }
+    apply {
+        meta.flag = 1w0;
+        meta.v = 4w1;
+        gate.apply();
+        if (meta.flag == 1w1) {
+            if (hdr.h.k == 8w5) {
+                meta.v = 4w2;
+            }
+        }
+        meta.w = meta.v;
+    }
+}
+`
+
+// TestWalkDecidesCorrelatedPredicates: with the gate entry for k == 3
+// installed, the k == 5 branch is dead and meta.w is the constant 1 —
+// proofs a diagram walk must find on a non-terminal diagram (a
+// refutation for the branch, a uniform value for the assignment). The
+// catalog's streams never need one, so without this test the walks'
+// refuting answers could be dropped to "no proof" and every suite in
+// the package would still pass. The verdicts must be the enumeration's.
+func TestWalkDecidesCorrelatedPredicates(t *testing.T) {
+	s, err := core.NewFromSource("correlated", correlatedSrc, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	d := s.Apply(&controlplane.Update{Kind: controlplane.InsertEntry, Table: "Ingress.gate", Entry: &controlplane.TableEntry{
+		Matches: []controlplane.FieldMatch{{Kind: controlplane.MatchExact, Value: sym.NewBV(8, 3)}},
+		Action:  "raise",
+	}})
+	if d.Kind == core.Rejected {
+		t.Fatal(d.Err)
+	}
+	matchesOracle(t, s, "gate entry installed")
+	walked := map[string]int{}
+	for id := range s.An.Points {
+		ex, err := s.Explain(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Source == "dd" && len(ex.Steps) > 0 {
+			walked[ex.Verdict]++
+		}
+	}
+	if walked["dead"] == 0 || walked["const"] == 0 {
+		t.Fatalf("diagram-decided points with a predicate path, by verdict: %v; want a dead and a const one", walked)
+	}
 }
 
 // TestExplainWidthDecided: a point decided by the width rule keeps no

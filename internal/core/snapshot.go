@@ -20,7 +20,7 @@ import (
 // verdicts (quality, overapproximation threshold, parser skipping),
 // whether the data-plane executor runs, the installed configuration (controlplane.State), the degraded-table set,
 // the diagram variable order and the cumulative decision counters. It
-// holds nothing derived: verdicts, witnesses, residues and installed
+// holds nothing derived: verdicts, residues and installed
 // implementations are functions of (program, configuration), and Restore
 // computes them the way NewFromSource does — by the open pass (open,
 // specializer.go) — with the snapshot's configuration installed first.

@@ -31,7 +31,7 @@ type VerdictKind uint8
 const (
 	// VerdictDead: the point's condition is provably unsatisfiable.
 	VerdictDead VerdictKind = iota
-	// VerdictLive: the condition may hold (includes solver Unknown —
+	// VerdictLive: the condition may hold (includes no proof —
 	// conservative).
 	VerdictLive
 	// VerdictConst: the point's value is a single constant.
@@ -200,12 +200,6 @@ type Options struct {
 	Trace   *obs.Trace
 	Metrics *obs.Registry
 	Audit   *obs.Trail
-
-	// noDD disables the canonical decision-diagram query core (dd.go):
-	// every residue inside the exhaustive bound is then decided by the
-	// solver's enumeration. It is the reference arm the differential
-	// suite (dddiff_test.go) holds the diagram core to, set only there.
-	noDD bool
 }
 
 // Stats aggregates engine counters. The three outcome counters
@@ -241,23 +235,23 @@ type Stats struct {
 	CacheMisses int64
 
 	// Query dispatch counters: how each query that got past the
-	// substitution skip was answered (queryAny), cheapest first — by a
+	// substitution skip was answered (decide), cheapest first — by a
 	// literal residue, by the width rule (free variables past the
-	// exhaustive bound: Live/Varies without a proof attempt), on a
-	// decision diagram, or by the solver's enumeration. They sum to the
-	// points evaluated minus substitution skips.
-	QueryLiteral    int64
-	QueryWidth      int64
-	QueryDD         int64
-	QueryExhaustive int64
+	// exhaustive bound: Live/Varies without a proof attempt), or on a
+	// decision diagram. With DDFallbacks they sum to the points evaluated
+	// minus substitution skips.
+	QueryLiteral int64
+	QueryWidth   int64
+	QueryDD      int64
 
-	// Decision-diagram query core counters (zero when the core is
-	// disabled), over the queries that reached a diagram — literal and
-	// width-decided queries never do. DDQueries counts verdicts answered
-	// on the diagram path, DDFallbacks queries it punted to the solver,
-	// DDCompiles diagram compilations (one per query that reached the
-	// stage outside a degraded table, compile-memo hits included), and
-	// DDNodes the nodes in the current diagram store.
+	// Decision-diagram counters, over the queries that reached the
+	// diagram stage — literal and width-decided queries never do.
+	// DDQueries counts verdicts a diagram walk decided (QueryDD again),
+	// DDFallbacks queries that reached the diagram stage and got no
+	// proof (Live/Varies), DDCompiles diagram compilations (one per query
+	// that reached the stage, compile-memo hits included, counted where
+	// the compile runs: DDQueries + DDFallbacks unless a query skipped
+	// it), and DDNodes the nodes in the current diagram store.
 	DDQueries   int64
 	DDFallbacks int64
 	DDCompiles  int64
@@ -364,19 +358,13 @@ type Specializer struct {
 	// pointSub caches each point's last substituted expression (a
 	// hash-consed pointer): when an update's substitution yields the
 	// same node, the verdict cannot have changed and the query is
-	// skipped entirely.
+	// skipped entirely. With the verdict it is all the engine keeps per
+	// point.
 	pointSub []*sym.Expr
-	// witnesses caches per-point satisfying assignments; re-evaluating
-	// a cached witness is usually all it takes to re-prove liveness.
-	witnesses []sym.Env
 
-	// pointDeps holds each point's sorted dependency targets (the taint
-	// map inverted, buildPointDeps).
-	pointDeps [][]string
-
-	// The decision-diagram query core (dd.go): nil when disabled, set
-	// once in open and never swapped, so the wait-free Statistics reads
-	// its atomics without the lock.
+	// The decision-diagram query core (dd.go): set once in open and
+	// never swapped, so the wait-free Statistics reads its store pointer
+	// without the lock.
 	ddc *ddCore
 	// answeredBy counts queryAny's dispatch, one slot per queryPath;
 	// atomic because Statistics reads them live beside the writer.
@@ -491,9 +479,7 @@ func open(name, src string, opts Options, boot *boot) (*Specializer, error) {
 		// Sequence numbers continue where the snapshotting engine stopped.
 		s.co.seq.Store(c[snapUpdates])
 	}
-	if !opts.noDD {
-		s.ddc = newDDCore(an, order)
-	}
+	s.ddc = newDDCore(an, order)
 	t1 := time.Now()
 	sp = s.trace.Start("preprocess", root)
 	if err := s.initState(); err != nil {
@@ -526,14 +512,12 @@ func open(name, src string, opts Options, boot *boot) (*Specializer, error) {
 func (s *Specializer) initState() error {
 	an := s.An
 	s.env = make(controlplane.Env)
-	s.pointDeps = buildPointDeps(an)
-	s.eval.solver = sym.NewSolver()
-	s.eval.solver.Metrics = s.symMet
+	s.eval.dec = decider{solver: sym.NewSolver(), ddc: s.ddc, store: s.ddc.store.Load(), compiles: &s.ddc.compiles}
+	s.eval.dec.solver.Metrics = s.symMet
 	s.tablePoints = indexTablePoints(an)
 	s.plan = newRewritePlan(an, s.Prog)
 	s.verdicts = make([]Verdict, len(an.Points))
 	s.pointSub = make([]*sym.Expr, len(an.Points))
-	s.witnesses = make([]sym.Env, len(an.Points))
 	// Deterministic target order: compile-time state (register refill
 	// variables become diagram atoms as they appear) must not depend on
 	// map iteration, or restored engines could walk diagrams in a
@@ -578,13 +562,10 @@ func (s *Specializer) Statistics() Stats {
 	st.QueryLiteral = s.answeredBy[byLiteral].Load()
 	st.QueryWidth = s.answeredBy[byWidth].Load()
 	st.QueryDD = s.answeredBy[byDD].Load()
-	st.QueryExhaustive = s.answeredBy[byExhaustive].Load()
 	st.DDQueries = st.QueryDD
-	if d := s.ddc; d != nil {
-		st.DDFallbacks = d.fallbacks.Load()
-		st.DDCompiles = d.compiles.Load()
-		st.DDNodes = d.store.Load().NumNodes()
-	}
+	st.DDFallbacks = s.answeredBy[unproven].Load()
+	st.DDCompiles = s.ddc.compiles.Load()
+	st.DDNodes = s.ddc.store.Load().NumNodes()
 	st.UnsoundDegraded = int(s.unsound.Load())
 	return st
 }
@@ -616,10 +597,9 @@ func (s *Specializer) ReevaluateAll() int {
 }
 
 // fullPass evaluates every point as if for the first time: no residue
-// pointer to compare against, no witness to try first.
+// pointer to compare against.
 func (s *Specializer) fullPass() []int {
 	clear(s.pointSub)
-	clear(s.witnesses)
 	return s.reevalPoints(s.An.Points)
 }
 
@@ -656,7 +636,7 @@ func (s *Specializer) recompileTarget(target string) error {
 			s.eval.changed |= k.CtrlMask()
 		}
 	}
-	if s.ddc != nil && freshVars {
+	if freshVars {
 		s.ddc.ensureAtoms(frag)
 	}
 	return nil
@@ -684,21 +664,21 @@ func (s *Specializer) evalPoint(p *dataplane.Point) Verdict {
 	return s.queryAny(p, sub)
 }
 
-// queryPath names how queryAny answered a query.
+// queryPath names how the decision procedure answered a query.
 type queryPath uint8
 
 const (
 	byLiteral queryPath = iota
 	byWidth
 	byDD
-	byExhaustive
+	// unproven: the residue reached the diagram stage and got no proof
+	// (Stats.DDFallbacks).
+	unproven
 	numQueryPaths
 )
 
-func (s *Specializer) answered(by queryPath) {
-	s.answeredBy[by].Add(1)
-	s.met.answeredBy[by].Inc()
-}
+// queryPathNames are Explanation.Source's values, one per queryPath.
+var queryPathNames = [numQueryPaths]string{"literal", "width", "dd", "unproven"}
 
 // constQuery reports whether a point kind asks "is this value a
 // constant?"; every other kind asks "is this condition executable?".
@@ -707,72 +687,10 @@ func constQuery(k dataplane.PointKind) bool {
 }
 
 // queryAny answers the point's specialization query on the substituted
-// residue, by the cheapest means that can decide it:
-//
-//   - a literal residue is its own answer — the overwhelmingly common
-//     case, substitution having folded the condition away;
-//   - a residue whose distinct free variables exceed the exhaustive
-//     bound (sym.Solver.Wide) is Live/Varies by construction: Dead needs
-//     an exhaustive refutation and Const an exhaustive certificate, and
-//     neither the solver nor a diagram may claim one past the bound —
-//     so nothing is compiled, evaluated or kept for it;
-//   - inside the bound the diagram core answers on the residue's
-//     compiled diagram when it can (dd.go);
-//   - and what is left goes to the solver: the cached witness
-//     re-evaluated, then the whole domain enumerated.
+// residue with the engine's decider, and counts how it was answered.
 func (s *Specializer) queryAny(p *dataplane.Point, sub *sym.Expr) Verdict {
-	isConst := constQuery(p.Kind)
-	switch {
-	case isConst && sub.IsConst():
-		s.answered(byLiteral)
-		return Verdict{Kind: VerdictConst, Val: sub.Val}
-	case !isConst && sub.IsTrue():
-		s.answered(byLiteral)
-		s.witnesses[p.ID] = sym.Env{}
-		return Verdict{Kind: VerdictLive}
-	case !isConst && sub.IsFalse():
-		s.answered(byLiteral)
-		return Verdict{Kind: VerdictDead}
-	}
-	if s.eval.solver.Wide(sub) {
-		s.answered(byWidth)
-		if isConst {
-			return Verdict{Kind: VerdictVaries}
-		}
-		return Verdict{Kind: VerdictLive}
-	}
-	if s.ddc != nil {
-		if v, ok := s.ddQuery(p, sub); ok {
-			s.answered(byDD)
-			return v
-		}
-	}
-	s.answered(byExhaustive)
-	return queryPoint(s.eval.solver, p, sub, s.witnesses)
-}
-
-// queryPoint puts the point's specialization query to the solver.
-// witnesses, when non-nil, supplies the point's liveness hint and
-// receives the fresh witness of a Sat answer; the read-only differential
-// check passes nil and touches no engine state.
-func queryPoint(solver *sym.Solver, p *dataplane.Point, sub *sym.Expr, witnesses []sym.Env) Verdict {
-	if constQuery(p.Kind) {
-		res := solver.ConstValue(sub)
-		if res.Known && res.IsConst {
-			return Verdict{Kind: VerdictConst, Val: res.Val}
-		}
-		return Verdict{Kind: VerdictVaries}
-	}
-	var hint sym.Env
-	if witnesses != nil {
-		hint = witnesses[p.ID]
-	}
-	verdict, witness := solver.CheckWitness(sub, hint)
-	if verdict == sym.Unsat {
-		return Verdict{Kind: VerdictDead}
-	}
-	if verdict == sym.Sat && witnesses != nil {
-		witnesses[p.ID] = witness
-	}
-	return Verdict{Kind: VerdictLive}
+	d := s.eval.dec.decide(p.Kind, sub)
+	s.answeredBy[d.by].Add(1)
+	s.met.answeredBy[d.by].Inc()
+	return d.v
 }

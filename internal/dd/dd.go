@@ -25,8 +25,8 @@
 // cannot both hold), pointer equality implies semantic equality but a
 // non-False diagram is not automatically satisfiable; walk.go provides
 // the feasibility-pruned path walks (Sat, ConstCheck) that close the
-// gap, and the engine falls back to the solver's enumeration when a
-// walk exceeds its budget.
+// gap. A walk that exceeds its budget decides nothing, and the engine
+// then answers without a proof.
 //
 // Concurrency: a Store's intern table is guarded by an internal mutex
 // (mirroring sym.Builder), so several goroutines may compile through
@@ -406,7 +406,7 @@ func (c *Ctx) Store() *Store { return c.st }
 // compileLimit bounds the work (node constructions + apply steps) one
 // Compile call may perform before giving up; a blown budget means the
 // condition does not have a compact diagram under the current order
-// and the caller falls back to the solver.
+// and the caller has no diagram to decide on.
 const compileLimit = 1 << 17
 
 // bailErr aborts a compilation. Both flavors memoize at the top-level
@@ -427,7 +427,7 @@ func (c *Ctx) step() {
 // Compile translates a simplified symbolic residue into a diagram.
 // ok=false means the residue is out of the diagram fragment (e.g. an
 // unregistered or non-match-key variable position, or the budget was
-// blown) and the caller must use the solver path. Compilation is
+// blown) and the caller has no diagram to decide on. Compilation is
 // memoized on the hash-consed expression pointer, so re-compiling a
 // residue that shares structure with previous ones — the common case
 // after an incremental update — costs only the changed region.

@@ -21,8 +21,8 @@ import (
 // the feasible paths cover the function exactly: no feasible true-path
 // means unsatisfiable, and all feasible paths sharing one terminal
 // means constant. The search is budgeted; a blown budget reports Over
-// and the engine falls back to the solver, keeping the walks
-// pure speedup, never a soundness risk.
+// and the engine answers without a proof, which only keeps code, so
+// the walks are never a soundness risk.
 
 // con is the per-atom feasibility state along the current path. fm/fv
 // track bits forced by positive mask-equality branches ((x & m) == c
@@ -346,7 +346,7 @@ const (
 	// SatNo: every path to the true terminal is infeasible — the
 	// condition is unsatisfiable. This is a proof, not a heuristic.
 	SatNo
-	// SatOver: the walk exceeded its budget; fall back to the solver.
+	// SatOver: the walk exceeded its budget and decided nothing.
 	SatOver
 )
 
@@ -413,7 +413,7 @@ const (
 	// ConstVaries: two feasible paths reach distinct terminals; the two
 	// returned assignments evaluate to different values.
 	ConstVaries
-	// ConstOver: budget exceeded; fall back to the solver.
+	// ConstOver: budget exceeded; nothing decided.
 	ConstOver
 )
 
@@ -494,8 +494,7 @@ func (cc *constCheck) walk(n *Node) bool {
 // EvalNode evaluates the diagram under a (possibly partial)
 // assignment: one root-to-terminal descent, testing each predicate
 // concretely. It reports false when the path needs an unassigned atom.
-// This is the near-O(1) re-proof walk: retrying a liveness witness
-// costs the path length, not a traversal of the residue DAG.
+// It costs the path length, not a traversal of the residue DAG.
 func EvalNode(n *Node, get func(atom int32) (sym.BV, bool)) (sym.BV, bool) {
 	for !n.IsTerminal() {
 		v, ok := get(n.p.atom)

@@ -310,7 +310,7 @@ func TestDaemonRoundTripWithWarmRestart(t *testing.T) {
 		"# TYPE flay_core_update_ns summary",
 		"flay_core_forwarded", "flay_core_recompiled",
 		"flay_core_query_literal", "flay_core_query_width",
-		"flay_core_query_dd", "flay_core_query_exhaustive",
+		"flay_core_query_dd", "flay_core_query_unproven",
 		"flay_server_write_ns_count",
 	} {
 		if !strings.Contains(text, want) {
@@ -750,8 +750,8 @@ func TestExplainEndpoint(t *testing.T) {
 		if ex.Verdict == "" || ex.Query == "" || ex.Kind == "" {
 			t.Fatalf("point %d: incomplete explanation %+v", ex.Point, ex)
 		}
-		if ex.Source != "dd" && ex.Source != "width" && ex.Source != "solver" {
-			t.Fatalf("point %d: source %q, want dd, width or solver", ex.Point, ex.Source)
+		if ex.Source != "literal" && ex.Source != "dd" && ex.Source != "width" && ex.Source != "unproven" {
+			t.Fatalf("point %d: source %q, want literal, dd, width or unproven", ex.Point, ex.Source)
 		}
 		if (ex.Source == "width") != (ex.FreeBits > 0) {
 			t.Fatalf("point %d: source %q with %d free bits", ex.Point, ex.Source, ex.FreeBits)

@@ -82,21 +82,14 @@ type Expr struct {
 	Hi    uint16
 	Lo    uint16 // OpExtract bounds
 
-	id    uint64 // dense id assigned by the Builder, for deterministic ordering
-	depth uint32 // 1 + max child depth, assigned at intern time
-	mask  uint64 // control targets occurring at or below, assigned at intern time
+	id   uint64 // dense id assigned by the Builder, for deterministic ordering
+	mask uint64 // control targets occurring at or below, assigned at intern time
 }
 
 // ID returns the builder-assigned dense id of the node. IDs increase in
 // creation order and are stable within a Builder, which makes them usable
 // as deterministic sort keys.
 func (e *Expr) ID() uint64 { return e.id }
-
-// Depth returns the expression's DAG depth (a leaf is depth 1). It is
-// computed incrementally at construction, so reading it is free — the
-// observability layer uses it to report how deep the post-simplification
-// residue reaching the solver is.
-func (e *Expr) Depth() int { return int(e.depth) }
 
 // CtrlMask returns the set of control targets whose variables occur at
 // or below e, one bit per target as CtrlOf numbered them (targets 64
@@ -300,14 +293,10 @@ func (b *Builder) internMasked(k exprKey, own uint64) *Expr {
 	if e, ok := b.nodes[k]; ok {
 		return e
 	}
-	depth, mask := uint32(0), own
+	mask := own
 	for _, ch := range [...]*Expr{k.a, k.b, k.c} {
-		if ch == nil {
-			continue
-		}
-		mask |= ch.mask
-		if ch.depth > depth {
-			depth = ch.depth
+		if ch != nil {
+			mask |= ch.mask
 		}
 	}
 	e := &Expr{
@@ -315,7 +304,7 @@ func (b *Builder) internMasked(k exprKey, own uint64) *Expr {
 		Val:  BV{Hi: k.valHi, Lo: k.valLo, W: k.width},
 		Name: k.name, Class: k.class,
 		A: k.a, B: k.b, C: k.c,
-		id: b.nextID, depth: depth + 1, mask: mask,
+		id: b.nextID, mask: mask,
 	}
 	if k.op != OpConst {
 		e.Val = BV{}

@@ -31,20 +31,20 @@ func (v Verdict) String() string {
 	}
 }
 
-// Solver answers executability (satisfiability) and constant-ness queries
-// over simplified expressions. It is a deliberately small decision
-// procedure: Flay's queries arise from substituting concrete control-
-// plane assignments into match-key expressions, which the simplifier
-// already folds to constants in the overwhelmingly common case. What is
-// left is decided in this order: a literal answers itself; a residue
-// whose distinct free variables exceed DefaultExhaustiveBits is not
-// decided at all (Wide — no search could end in a proof, so none runs);
-// inside the bound a caller-supplied witness is re-evaluated, and then
-// the whole domain is enumerated.
+// Solver holds the evaluation and width-walk scratch of the queries
+// Flay puts to a residue: Eval, FreeVars and Wide serve the engine's
+// decision procedure (internal/core decide), which proves on decision
+// diagrams and checks every walk-derived witness with Eval. Check,
+// CheckWitness and ConstValue decide a residue by enumerating its
+// domain: a literal answers itself; a residue whose distinct free
+// variables exceed DefaultExhaustiveBits is not decided at all (Wide —
+// no search could end in a proof, so none runs); inside the bound a
+// caller-supplied witness is re-evaluated, and then the whole domain is
+// enumerated. They are the reference the engine's tests hold its
+// verdicts to; the engine itself does not enumerate.
 type Solver struct {
-	// Metrics, when set, counts how queries decide (witness-cache hits,
-	// exhaustive decisions, Unknowns) and how much evaluation and width
-	// walking they cost. Nil disables accounting at zero cost. Shared
+	// Metrics, when set, counts how much evaluation and width walking
+	// the queries cost. Nil disables accounting at zero cost. Shared
 	// across solvers safely: the underlying instruments are atomic.
 	Metrics *SolverMetrics
 
@@ -54,9 +54,8 @@ type Solver struct {
 // DefaultExhaustiveBits is the exhaustive-search bound: the largest
 // total width of a residue's distinct free variables for which the
 // solver's search is complete (Unsat- and Const-capable). Every proof
-// the engine acts on — solver or decision diagram — is confined to
-// residues inside this bound, which is what keeps the two query paths'
-// verdicts interchangeable.
+// the engine acts on is confined to residues inside this bound, which
+// is what lets the enumeration serve as its reference.
 const DefaultExhaustiveBits = 16
 
 // NewSolver returns a Solver.
@@ -108,17 +107,13 @@ func (s *Solver) Check(e *Expr) Verdict {
 
 // CheckWitness is Check with witness support: when the result is Sat it
 // returns a satisfying assignment, and a witness from a previous query
-// (hint) is tried first. Incremental callers exploit this: after a
-// control-plane update, the witness that proved a point live usually
-// still does, turning the query into a single evaluation (the paper's
-// observation that most updates "just increase the likelihood for an
-// already existing data-plane program path to be taken"). A Wide
-// formula answers Unknown without evaluating anything.
+// (hint) is tried first, so re-proving a liveness the last witness
+// still shows costs one evaluation. A Wide formula answers Unknown
+// without evaluating anything.
 func (s *Solver) CheckWitness(e *Expr, hint Env) (Verdict, Env) {
 	if e.Width != 1 {
 		panic("sym: Check requires a width-1 expression")
 	}
-	s.Metrics.query(e)
 	if e.IsTrue() {
 		return Sat, Env{}
 	}
@@ -127,26 +122,21 @@ func (s *Solver) CheckWitness(e *Expr, hint Env) (Verdict, Env) {
 	}
 	vars, wide := s.narrowVars(e)
 	if wide {
-		s.Metrics.unknown()
 		return Unknown, nil
 	}
 	if len(vars) == 0 {
 		// Simplification leaves closed terms constant; a non-constant
 		// closed term would be a simplifier bug.
 		if v, ok := s.Eval(e, nil); !ok || !v.IsTrue() {
-			s.Metrics.unknown()
 			return Unknown, nil
 		}
 		return Sat, Env{}
 	}
 	if len(hint) > 0 {
 		if out, ok := s.Eval(e, hint); ok && out.IsTrue() {
-			s.Metrics.witnessHit()
 			return Sat, hint
 		}
-		s.Metrics.witnessMiss()
 	}
-	s.Metrics.exhaustive()
 	if env := s.exhaustive(e, vars); env != nil {
 		return Sat, env
 	}
@@ -197,14 +187,11 @@ type ConstResult struct {
 // bound the enumeration certifies IsConst=true or stops at the first two
 // differing values with a definite IsConst=false.
 func (s *Solver) ConstValue(e *Expr) ConstResult {
-	s.Metrics.constQuery(e)
 	if e.Op == OpConst {
-		s.Metrics.constProved()
 		return ConstResult{Known: true, IsConst: true, Val: e.Val}
 	}
 	vars, wide := s.narrowVars(e)
 	if wide {
-		s.Metrics.constUnknown()
 		return ConstResult{}
 	}
 	var first BV
@@ -238,13 +225,10 @@ func (s *Solver) ConstValue(e *Expr) ConstResult {
 	if !rec(0) && same {
 		// An evaluation failed (a closed term the evaluator cannot
 		// reduce, or an operator it does not know): undecided.
-		s.Metrics.constUnknown()
 		return ConstResult{}
 	}
 	if same {
-		s.Metrics.constProved()
 		return ConstResult{Known: true, IsConst: true, Val: first}
 	}
-	s.Metrics.constRefuted()
 	return ConstResult{Known: true, IsConst: false}
 }

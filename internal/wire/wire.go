@@ -154,7 +154,8 @@ type Stats struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 
-	// Decision-diagram query-core counters.
+	// Decision-diagram query-core counters (core.Stats): DDFallbacks
+	// counts queries that reached the diagram stage and got no proof.
 	DDQueries   int64 `json:"dd_queries,omitempty"`
 	DDFallbacks int64 `json:"dd_fallbacks,omitempty"`
 	DDCompiles  int64 `json:"dd_compiles,omitempty"`
