@@ -53,7 +53,9 @@ help:
 	@echo "  torture-smoke  epoch-read and image hot-swap torture tests, smoke slice, and the image suite, under -race"
 	@echo "  spine-smoke the read-lock differential check beside a writer (table spines must"
 	@echo "              not be written under the read lock), -race -count=3"
-	@echo "  fuzz-smoke  $(FUZZ_SMOKE) of native fuzzing per target (FuzzP4Parse, FuzzSolver, FuzzSolverOracle, FuzzChainMatchesFresh, FuzzSnapshot, FuzzWireDecode, FuzzDpexecVsBmv2)"
+	@echo "  fuzz-smoke  $(FUZZ_SMOKE) of native fuzzing per target (FuzzP4Parse, FuzzSolver, FuzzSolverOracle,"
+	@echo "              FuzzChainMatchesFresh, FuzzSnapshot, FuzzWireDecode, FuzzExecCodec, FuzzBinFrameDecode,"
+	@echo "              FuzzDpexecVsBmv2)"
 	@echo "  soak        build flayd+flayload, drive $(SOAK_N) updates, SIGTERM, assert clean exit + snapshot"
 	@echo "  soak-churn  long-horizon churn soak: flaysoak drives $(SOAK_CHURN_UPDATES) updates/program of"
 	@echo "              trace-driven churn through flayd, gating flat memory, stable p99,"
@@ -131,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzChainMatchesFresh -fuzztime=$(FUZZ_SMOKE) ./internal/controlplane
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshot -fuzztime=$(FUZZ_SMOKE) -fuzzminimizetime=1x ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZ_SMOKE) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzExecCodec -fuzztime=$(FUZZ_SMOKE) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzBinFrameDecode -fuzztime=$(FUZZ_SMOKE) ./internal/wire/binproto
 	$(GO) test -run='^$$' -fuzz=FuzzDpexecVsBmv2 -fuzztime=$(FUZZ_SMOKE) ./internal/dpexec
 

@@ -114,19 +114,34 @@ func (c *Client) WithHTTPClient(hc *http.Client) *Client {
 // do runs one request; when out is non-nil the response body is
 // strictly decoded into it.
 func (c *Client) do(method, path string, in, out any) error {
-	var body io.Reader
+	var body []byte
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
-		body = bytes.NewReader(data)
+		body = data
 	}
-	req, err := http.NewRequest(method, c.base+path, body)
+	return c.send(method, path, body, func(r io.Reader) error {
+		if out == nil {
+			return nil
+		}
+		return wire.Decode(r, 0, out)
+	})
+}
+
+// send runs one request with a JSON body (none when body is nil) and
+// hands a 2xx response body to decode.
+func (c *Client) send(method, path string, body []byte, decode func(io.Reader) error) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, c.base+path, rd)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	if in != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if c.conns != nil {
@@ -152,10 +167,7 @@ func (c *Client) do(method, path string, in, out any) error {
 		}
 		return &APIError{Status: resp.StatusCode, Msg: msg, Code: we.Code}
 	}
-	if out == nil {
-		return nil
-	}
-	return wire.Decode(resp.Body, 0, out)
+	return decode(resp.Body)
 }
 
 // CreateSession loads a new session from a catalog name, P4 source, or
@@ -281,24 +293,26 @@ func (c *Client) Promote() (wire.ReplicaPromoteResponse, error) {
 // errors.Is(err, goflay.ErrExecDisabled); a malformed packet satisfies
 // errors.Is(err, goflay.ErrBadPacket).
 func (c *Client) Exec(name string, packets []wire.Packet) (wire.ExecResponse, error) {
-	req := wire.ExecRequest{Packets: packets}
-	var resp wire.ExecResponse
-	err := c.do(http.MethodPost, "/v1/sessions/"+name+"/exec", &req, &resp)
-	return resp, err
+	body, err := json.Marshal(&wire.ExecRequest{Packets: packets})
+	if err != nil {
+		return wire.ExecResponse{}, fmt.Errorf("client: encoding request: %w", err)
+	}
+	return c.exec(name, body)
 }
 
 // ExecBytes is Exec over raw packet buffers with per-packet ingress
-// ports (short ports default to 0).
+// ports (short ports default to 0), encoded straight from the frames.
 func (c *Client) ExecBytes(name string, packets [][]byte, ports []uint16) (wire.ExecResponse, error) {
-	wp := make([]wire.Packet, len(packets))
-	for i, data := range packets {
-		var port uint16
-		if i < len(ports) {
-			port = ports[i]
-		}
-		wp[i] = wire.FromPacket(data, port)
-	}
-	return c.Exec(name, wp)
+	return c.exec(name, wire.AppendExecRequest(nil, packets, ports))
+}
+
+func (c *Client) exec(name string, body []byte) (wire.ExecResponse, error) {
+	var resp wire.ExecResponse
+	err := c.send(http.MethodPost, "/v1/sessions/"+name+"/exec", body, func(r io.Reader) (err error) {
+		resp, err = wire.DecodeExecResponse(r)
+		return err
+	})
+	return resp, err
 }
 
 // Stats fetches the session's engine statistics.

@@ -169,21 +169,26 @@ func (s *Specializer) machine() *dpexec.Machine {
 // The pinned image is immutable and retires like any epoch image: when
 // the pin and the publication pipeline both drop it.
 type PinnedExec struct {
-	s   *Specializer
-	img *dpexec.Image
-	m   *dpexec.Machine
+	s     *Specializer
+	img   *dpexec.Image
+	m     *dpexec.Machine
+	epoch uint64
 }
 
 // PinExec pins the currently published executable image for batch-level
 // execution. Requires Options.Exec; otherwise flayerr.ErrExecDisabled.
 // Callers must Close the pin to return its machine to the pool.
 func (s *Specializer) PinExec() (*PinnedExec, error) {
-	img := s.loadEpoch().img
-	if img == nil {
+	e := s.loadEpoch()
+	if e.img == nil {
 		return nil, fmt.Errorf("core: %w", flayerr.ErrExecDisabled)
 	}
-	return &PinnedExec{s: s, img: img, m: s.machine()}, nil
+	return &PinnedExec{s: s, img: e.img, m: s.machine(), epoch: e.seq}, nil
 }
+
+// Epoch is the sequence number of the epoch whose image the pin runs
+// (EpochSeq at PinExec time), however many epochs publish after it.
+func (p *PinnedExec) Epoch() uint64 { return p.epoch }
 
 // Run executes one packet against the pinned image.
 func (p *PinnedExec) Run(data []byte, port uint16) (dpexec.Result, error) {
@@ -191,8 +196,14 @@ func (p *PinnedExec) Run(data []byte, port uint16) (dpexec.Result, error) {
 	if err != nil {
 		return dpexec.Result{}, err
 	}
+	return owned(res), nil
+}
+
+// owned returns res with Emitted copied out of the machine's buffer, so
+// the result outlives the next Run and belongs to the caller.
+func owned(res dpexec.Result) dpexec.Result {
 	res.Emitted = append([]byte(nil), res.Emitted...)
-	return res, nil
+	return res
 }
 
 // Close returns the pin's machine to the pool. Idempotent; Run after
@@ -230,16 +241,28 @@ func (s *Specializer) ExecBatch(packets [][]byte, ports []uint16) ([]dpexec.Resu
 	}
 	defer p.Close()
 	out := make([]dpexec.Result, len(packets))
+	err = p.RunEach(packets, ports, func(i int, res dpexec.Result) { out[i] = owned(res) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// RunEach runs a batch of packets in order against the pinned image and
+// hands each result to fn, with ExecBatch's port defaulting and error
+// rule. The result's Emitted is the pin's machine buffer: it is valid
+// only until fn returns.
+func (p *PinnedExec) RunEach(packets [][]byte, ports []uint16, fn func(i int, res dpexec.Result)) error {
 	for i, data := range packets {
 		var port uint16
 		if i < len(ports) {
 			port = ports[i]
 		}
-		res, err := p.Run(data, port)
+		res, err := p.m.Run(p.img, data, port)
 		if err != nil {
-			return nil, fmt.Errorf("core: packet %d: %w", i, err)
+			return fmt.Errorf("core: packet %d: %w", i, err)
 		}
-		out[i] = res
+		fn(i, res)
 	}
-	return out, nil
+	return nil
 }

@@ -101,6 +101,43 @@ func TestPinnedExecFreezesImage(t *testing.T) {
 	pin.Close()
 }
 
+// TestPinnedExecKeepsEpoch: a pin names the epoch whose image it runs,
+// and keeps naming it after a publication moves EpochSeq on; a fresh
+// pin names the new epoch.
+func TestPinnedExecKeepsEpoch(t *testing.T) {
+	s, err := progs.Fig3().LoadWith(core.Options{Exec: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pin, err := s.PinExec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Close()
+	before := s.EpochSeq()
+	if pin.Epoch() != before {
+		t.Fatalf("pin epoch %d, published %d", pin.Epoch(), before)
+	}
+	if d := s.Apply(dropAll()); d.Kind == core.Rejected {
+		t.Fatalf("drop-all rejected: %v", d.Err)
+	}
+	if s.EpochSeq() == before {
+		t.Fatal("the update published no epoch")
+	}
+	if res, err := pin.Run(fig3Packet(0xbeef), 1); err != nil || res.Dropped || pin.Epoch() != before {
+		t.Fatalf("pin after a publication: %+v, %v, epoch %d (want %d, not dropped)", res, err, pin.Epoch(), before)
+	}
+	fresh, err := s.PinExec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if fresh.Epoch() != s.EpochSeq() {
+		t.Fatalf("fresh pin epoch %d, published %d", fresh.Epoch(), s.EpochSeq())
+	}
+}
+
 func TestPinnedExecRequiresExec(t *testing.T) {
 	s, err := progs.Fig3().Load()
 	if err != nil {

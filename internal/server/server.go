@@ -47,6 +47,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dpexec"
+	"repro/internal/flayerr"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -547,34 +549,40 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 // specialized program. Packet execution is a wait-free read against
 // the published epoch's image, so it bypasses the write dispatcher —
 // exec requests are never queued behind control-plane writes and never
-// answer 429.
+// answer 429. The body goes through the exec codec both ways: each
+// result is appended to the response as it runs, and the response
+// names the epoch of the image the pin ran.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.named(w, r)
 	if !ok {
 		return
 	}
-	var req wire.ExecRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	packets, ports, err := req.ToPackets()
-	if err != nil {
+	packets, ports, err := wire.DecodeExecRequest(r.Body, s.cfg.MaxBody)
+	switch {
+	case err == nil:
+	case errors.Is(err, flayerr.ErrBadPacket), errors.Is(err, wire.ErrVersion):
 		s.fail(w, fmt.Errorf("%w: %w", errBadRequest, err))
 		return
+	default:
+		s.badBody(w, err)
+		return
 	}
-	epoch := sess.pipe.Epoch()
-	results, err := sess.pipe.ExecBatch(packets, ports)
+	pin, err := sess.pipe.PinExec()
 	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	defer pin.Close()
+	enc := wire.NewExecResponseEncoder(packets)
+	if err := pin.RunEach(packets, ports, func(_ int, res dpexec.Result) { enc.Add(res) }); err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.met.Counter("server.exec_requests").Inc()
 	s.met.Counter("server.exec_packets").Add(int64(len(packets)))
-	out := wire.ExecResponse{Epoch: epoch, Results: make([]wire.ExecResult, len(results))}
-	for i, res := range results {
-		out.Results[i] = wire.FromExecResult(res)
-	}
-	writeJSON(w, http.StatusOK, out)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(enc.Finish(pin.Epoch()))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -701,15 +709,20 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 // decode strictly parses the request body, answering 400/413 itself.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := wire.Decode(r.Body, s.cfg.MaxBody, v)
-	switch {
-	case err == nil:
-		return true
-	case errors.Is(err, wire.ErrTooLarge):
-		s.errorf(w, http.StatusRequestEntityTooLarge, "%v", err)
-	default:
-		s.errorf(w, http.StatusBadRequest, "%v", err)
+	if err != nil {
+		s.badBody(w, err)
 	}
-	return false
+	return err == nil
+}
+
+// badBody answers a body wire.Decode refused: 413 over the size cap,
+// 400 otherwise.
+func (s *Server) badBody(w http.ResponseWriter, err error) {
+	if errors.Is(err, wire.ErrTooLarge) {
+		s.errorf(w, http.StatusRequestEntityTooLarge, "%v", err)
+		return
+	}
+	s.errorf(w, http.StatusBadRequest, "%v", err)
 }
 
 func intQuery(w http.ResponseWriter, s *Server, r *http.Request, key string, def int) (int, bool) {

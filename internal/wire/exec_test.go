@@ -134,3 +134,22 @@ func TestExecCodesRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestExecCodecScansCanonicalForm: the canonical form, README's curl
+// example included, is scanned; the spellings outside it reach the
+// reference decoder, which accepts these.
+func TestExecCodecScansCanonicalForm(t *testing.T) {
+	for body, want := range map[string]bool{
+		"{\n  \"packets\": [{\"w\":3, \"hex\":\"08004f\", \"port\":1}]\n}": true,
+		`{"version":1,"packets":[{"hex":"","w":0},{}]}`:                    true,
+		`{"Packets":[{"w":1,"hex":"00"}]}`:                                 false,
+		`{"packets":[{"w":1,"hex":"0\u0030"}]}`:                            false,
+		`{"packets":[{"w":1,"w":1,"hex":"00"}]}`:                           false,
+		`{"packets":[{"w":1,"hex":"00","port":null}]}`:                     false,
+	} {
+		_, _, scanned, err := decodeExecRequest(strings.NewReader(body), 0)
+		if err != nil || scanned != want {
+			t.Errorf("%s: scanned %v, err %v; want scanned %v", body, scanned, err, want)
+		}
+	}
+}
