@@ -10,7 +10,7 @@ COVER_PKGS = ./internal/core ./internal/sym ./internal/dd ./internal/obs ./inter
 # Seconds of native fuzzing per target in the `make race` smoke.
 FUZZ_SMOKE ?= 5s
 
-.PHONY: all help build test race fmt-check bench bench-e2e cover fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
+.PHONY: all help build test race fmt-check bench bench-e2e cover loc fuzz-smoke torture-smoke dd-smoke spine-smoke tier1 soak soak-churn soak-churn-smoke soak-cluster soak-cluster-smoke
 
 # Soak-run knobs: where the daemon listens and how many updates
 # flayload drives through it.
@@ -50,6 +50,8 @@ help:
 	@echo "              BENCH_ARGS='-seed 2 -trace 1', append to bench/history.jsonl with"
 	@echo "              BENCH_ARGS=-record"
 	@echo "  bench       run the Go benchmarks"
+	@echo "  loc         added, removed and net lines of non-test Go files per package,"
+	@echo "              from BASE (default HEAD) to the work tree, untracked files included"
 	@echo "  torture-smoke  epoch-read and image hot-swap torture tests, smoke slice, and the image suite, under -race"
 	@echo "  spine-smoke the read-lock differential check beside a writer (table spines must"
 	@echo "              not be written under the read lock), -race -count=3"
@@ -232,6 +234,22 @@ bench:
 BENCH_ARGS ?=
 bench-e2e:
 	bench/run.sh run $(BENCH_ARGS)
+
+# loc: the size of a change in program code. Per package (directory),
+# the lines of non-_test.go Go files added and removed between BASE and
+# the work tree (git diff --numstat), with files git does not track yet
+# counted as added whole.
+BASE ?= HEAD
+loc:
+	@{ git diff --numstat --no-renames $(BASE) -- '*.go'; \
+	   git ls-files --others --exclude-standard -- '*.go' | while read -r f; do \
+		printf '%s\t0\t%s\n' "$$(wc -l < "$$f")" "$$f"; done; } | \
+	awk -F'\t' 'BEGIN { printf "%-36s %7s %7s %7s\n", "package", "added", "removed", "net" } \
+	$$3 !~ /_test\.go$$/ { \
+		d = $$3; sub(/\/[^\/]*$$/, "", d); if (d == $$3) d = "."; \
+		add[d] += $$1; del[d] += $$2; ta += $$1; td += $$2 } \
+	END { for (d in add) printf "%-36s %+7d %+7d %+7d\n", d, add[d], -del[d], add[d] - del[d] | "sort"; \
+		close("sort"); printf "%-36s %+7d %+7d %+7d\n", "total", ta, -td, ta - td }'
 
 # cover: enforce the coverage floor on the engine packages. Written
 # for a POSIX shell (no pipefail): the summary goes to a temp file and

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/dpexec"
 	"repro/internal/flayerr"
-	"repro/internal/p4/typecheck"
 )
 
 // imgMark records that target's control-plane state changed under an
@@ -133,17 +132,16 @@ func (s *Specializer) patchImage(pi *dpexec.Image) (*dpexec.Image, int) {
 // compileImage compiles the current specialized program under the
 // current configuration against pi, the previous image, stale or not:
 // what of it carries over is decided by compile context
-// (dpexec.Image.Recompile), not by trusting where it came from.
+// (dpexec.Image.Recompile), not by trusting where it came from. The
+// program's types are the ones the rewriter carried from the checked
+// original; the image suite holds them to a fresh check
+// (image_test.go).
 func (s *Specializer) compileImage(pi *dpexec.Image) (*dpexec.Image, error) {
 	if s.imgFault {
 		s.imgFault = false
 		return nil, errImageFault
 	}
-	spec := s.specializedProgramLocked()
-	info, err := typecheck.Check(spec)
-	if err != nil {
-		return nil, err
-	}
+	spec, info := s.specializedProgramLocked()
 	return pi.Recompile(spec, info, s.Cfg)
 }
 

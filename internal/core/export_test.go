@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/p4/ast"
+	"repro/internal/p4/typecheck"
 	"repro/internal/sym"
 )
 
@@ -25,6 +26,15 @@ func CheckInstalledIsIdeal(s *Specializer) error {
 		}
 	}
 	return nil
+}
+
+// SpecializedProgramInfo is SpecializedProgram with the type
+// information the rewriter carried to it: what the engine compiles its
+// image against instead of checking the program again.
+func SpecializedProgramInfo(s *Specializer) (*ast.Program, *typecheck.Info) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.specializedProgramLocked()
 }
 
 // FailNextImageCompile makes the engine's next full image compile fail,

@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -14,18 +15,28 @@ import (
 	"repro/internal/dpexec"
 	"repro/internal/fuzz"
 	"repro/internal/obs"
+	"repro/internal/p4/ast"
 	"repro/internal/p4/typecheck"
 	"repro/internal/progs"
+	"repro/internal/sym"
 )
 
 // freshImage compiles the engine's current specialized program under
-// its live configuration from nothing.
+// the live configuration (dpexec.Compile), against a fresh type check
+// of the program. That check is the one the engine no longer makes:
+// every expression it types must carry the same type in the Info the
+// rewriter derived, the one the engine compiles its images against.
 func freshImage(t *testing.T, s *core.Specializer) *dpexec.Image {
 	t.Helper()
-	spec := s.SpecializedProgram()
+	spec, carried := core.SpecializedProgramInfo(s)
 	info, err := typecheck.Check(spec)
 	if err != nil {
 		t.Fatalf("specialized program does not typecheck: %v", err)
+	}
+	for e, want := range info.Types {
+		if got := carried.TypeOf(e); got != want {
+			t.Fatalf("%s: %s carried as %s, a fresh check types it %s", e.Pos(), ast.ExprString(e), got, want)
+		}
 	}
 	img, err := dpexec.Compile(spec, info, s.Cfg)
 	if err != nil {
@@ -84,6 +95,119 @@ func TestImageParityAtEveryPublication(t *testing.T) {
 				}
 				s.ApplyBatch(drain[len(drain)/2:])
 				checkImageParity(t, s, kind.String()+" drain batch")
+			}
+		})
+	}
+}
+
+// inlineSrc inlines an action whose parameter sits inside expressions:
+// an arithmetic operand, a checksum16 argument and an if condition. The
+// inlined body is made of copies of the action's expression nodes, each
+// with the type of the node it copies.
+const inlineSrc = `
+header h_t {
+    bit<16> a;
+    bit<16> b;
+    bit<16> c;
+}
+struct headers { h_t h; }
+struct metadata { }
+parser MyParser(packet_in pkt, out headers hdr, inout metadata meta, inout standard_metadata_t std) {
+    state start {
+        pkt.extract(hdr.h);
+        transition accept;
+    }
+}
+control Ingress(inout headers hdr, inout metadata meta, inout standard_metadata_t std) {
+    action set(bit<16> p) {
+        hdr.h.b = hdr.h.a + p;
+        hdr.h.c = checksum16(hdr.h.a ^ p, hdr.h.b);
+        if (hdr.h.a == p) {
+            std.egress_port = 9w2;
+        }
+    }
+    action noop() { }
+    table t {
+        key = { hdr.h.a: ternary; }
+        actions = { set; noop; }
+        default_action = noop;
+    }
+    apply {
+        t.apply();
+    }
+}
+`
+
+// TestInlinedParameterTypes: one all-wildcard entry inlines set into the
+// apply block. The published image must hash like a fresh compile, every
+// expression of the inlined body must carry the type a fresh check gives
+// it (freshImage), and no image compile may have failed.
+func TestInlinedParameterTypes(t *testing.T) {
+	s, err := core.NewFromSource("inline", inlineSrc, core.Options{Exec: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	d := s.Apply(&controlplane.Update{Kind: controlplane.InsertEntry, Table: "Ingress.t", Entry: &controlplane.TableEntry{
+		Matches: []controlplane.FieldMatch{{Kind: controlplane.MatchTernary, Value: sym.NewBV(16, 7), Mask: sym.NewBV(16, 0)}},
+		Action:  "set",
+		Params:  []sym.BV{sym.NewBV(16, 0x1234)},
+	}})
+	if d.Kind != core.Recompile {
+		t.Fatalf("the wildcard entry decided %s, want recompile", d.Kind)
+	}
+	if src := ast.Print(s.SpecializedProgram()); !strings.Contains(src, "checksum16(hdr.h.a ^ 16w0x1234, hdr.h.b)") {
+		t.Fatalf("set is not inlined:\n%s", src)
+	}
+	checkImageParity(t, s, "inlined set")
+	if n := s.Statistics().ImageErrors; n != 0 {
+		t.Fatalf("%d image compiles failed", n)
+	}
+}
+
+// TestImageParityAcrossPrecision: the publication paths the catalog
+// suite does not take. scion opened at every quality, churned, then
+// degraded and promoted again; each precision change recompiles the
+// image, and each image must match a fresh compile of a freshly checked
+// program.
+func TestImageParityAcrossPrecision(t *testing.T) {
+	p, err := progs.ByName("scion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []core.Quality{core.QualityFull, core.QualityNoNarrowing, core.QualityDCEOnly, core.QualityNone} {
+		t.Run(q.String(), func(t *testing.T) {
+			s, err := p.LoadWith(core.Options{Exec: true, Quality: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			checkImageParity(t, s, "open")
+			if err := p.ApplyRepresentative(s); err != nil {
+				t.Fatal(err)
+			}
+			checkImageParity(t, s, "representative")
+			cs, err := fuzz.Churn(s.An, fuzz.ChurnSpec{Kind: fuzz.PatternKinds()[0], Table: p.BurstTable, Updates: 24, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, batch := range cs.Batches() {
+				s.ApplyBatch(batch)
+				checkImageParity(t, s, "churn batch")
+			}
+			compiles := s.Statistics().ImageCompiles
+			if err := s.Degrade(p.BurstTable); err != nil {
+				t.Fatal(err)
+			}
+			checkImageParity(t, s, "degrade")
+			if _, err := s.PromoteAll(); err != nil {
+				t.Fatal(err)
+			}
+			checkImageParity(t, s, "promote")
+			st := s.Statistics()
+			if st.ImageCompiles != compiles+2 || st.ImageErrors != 0 {
+				t.Fatalf("degrade and promote made %d image compiles and %d errors, want 2 and 0",
+					st.ImageCompiles-compiles, st.ImageErrors)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/dataplane"
 	"repro/internal/p4/ast"
+	"repro/internal/p4/token"
 	"repro/internal/p4/typecheck"
 	"repro/internal/sym"
 )
@@ -15,21 +16,25 @@ import (
 func (s *Specializer) SpecializedProgram() *ast.Program {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.specializedProgramLocked()
+	prog, _ := s.specializedProgramLocked()
+	return prog
 }
 
 // specializedProgramLocked is SpecializedProgram with the lock already
 // held — in either mode: the rewriter only reads. The image builder
-// calls it from inside publish(), under the write lock.
-func (s *Specializer) specializedProgramLocked() *ast.Program {
+// calls it from inside publish(), under the write lock. It also returns
+// the program's type information, derived from the original's as the
+// rewriter builds it: the program is never checked again.
+func (s *Specializer) specializedProgramLocked() (*ast.Program, *typecheck.Info) {
 	sp := s.trace.Start("pass", 0)
 	defer s.trace.End(sp)
 	if s.quality == QualityNone {
-		return s.Prog
+		return s.Prog, s.Info
 	}
-	r := &rewriter{s: s, plan: s.plan}
+	r := &rewriter{s: s, plan: s.plan, types: make(map[ast.Expr]typecheck.T)}
 	r.prepare()
-	return r.program()
+	prog := r.program()
+	return prog, s.Info.Derive(prog, r.types)
 }
 
 // rewritePlan is what the rewriter reads that no verdict moves: the
@@ -148,8 +153,24 @@ type rewriter struct {
 	// program outside parser extracts, with every dotted prefix of each
 	// (parser-tail pruning).
 	usedHeaders map[string]bool
+	// types holds the type of every expression node the rewrite made;
+	// every other node keeps the type the original program's check gave
+	// it.
+	types map[ast.Expr]typecheck.T
 
 	control *ast.ControlDecl
+}
+
+// typed records t as the type of e, a node the rewrite made.
+func (r *rewriter) typed(e ast.Expr, t typecheck.T) ast.Expr {
+	r.types[e] = t
+	return e
+}
+
+// lit is v as a sized literal, of type bit<W>.
+func (r *rewriter) lit(v sym.BV, pos token.Pos) ast.Expr {
+	return r.typed(&ast.IntLit{Width: int(v.W), Hi: v.Hi, Lo: v.Lo, TokPos: pos},
+		typecheck.T{Kind: typecheck.KBits, Width: int(v.W)})
 }
 
 // prepare force-keeps the apply site of every table whose hit result
@@ -464,11 +485,7 @@ func (r *rewriter) stmt(s ast.Stmt) []ast.Stmt {
 		return r.ifStmt(s)
 	case *ast.AssignStmt:
 		if val, ok := r.constAssign(s); ok && r.s.quality <= QualityNoNarrowing {
-			return []ast.Stmt{&ast.AssignStmt{
-				LHS:    s.LHS,
-				RHS:    &ast.IntLit{Width: int(val.W), Hi: val.Hi, Lo: val.Lo, TokPos: s.TokPos},
-				TokPos: s.TokPos,
-			}}
+			return []ast.Stmt{&ast.AssignStmt{LHS: s.LHS, RHS: r.lit(val, s.TokPos), TokPos: s.TokPos}}
 		}
 		return []ast.Stmt{s}
 	case *ast.CallStmt:
@@ -590,16 +607,16 @@ func (r *rewriter) applyReplacement(qname string, orig *ast.CallStmt) []ast.Stmt
 	}
 	params := make(map[string]ast.Expr, len(act.Decl.Params))
 	for i, p := range act.Decl.Params {
-		v := impl.inlineParams[i]
-		params[p.Name] = &ast.IntLit{Width: int(v.W), Hi: v.Hi, Lo: v.Lo, TokPos: orig.TokPos}
+		params[p.Name] = r.lit(impl.inlineParams[i], orig.TokPos)
 	}
-	return substStmts(rewritten, params)
+	return r.substStmts(rewritten, params)
 }
 
 // ---------------------------------------------------------------------------
-// Identifier substitution (for action inlining)
+// Identifier substitution (for action inlining). Every expression node a
+// substitution copies is an original one, and the copy has its type.
 
-func substStmts(stmts []ast.Stmt, env map[string]ast.Expr) []ast.Stmt {
+func (r *rewriter) substStmts(stmts []ast.Stmt, env map[string]ast.Expr) []ast.Stmt {
 	out := make([]ast.Stmt, 0, len(stmts))
 	for _, s := range stmts {
 		// A local declaration shadowing a parameter stops substitution
@@ -609,7 +626,7 @@ func substStmts(stmts []ast.Stmt, env map[string]ast.Expr) []ast.Stmt {
 				env = copyEnvWithout(env, vd.Name)
 			}
 		}
-		out = append(out, substStmt(s, env))
+		out = append(out, r.substStmt(s, env))
 	}
 	return out
 }
@@ -624,37 +641,38 @@ func copyEnvWithout(env map[string]ast.Expr, name string) map[string]ast.Expr {
 	return n
 }
 
-func substStmt(s ast.Stmt, env map[string]ast.Expr) ast.Stmt {
+func (r *rewriter) substStmt(s ast.Stmt, env map[string]ast.Expr) ast.Stmt {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
-		return &ast.BlockStmt{Stmts: substStmts(s.Stmts, env), TokPos: s.TokPos}
+		return &ast.BlockStmt{Stmts: r.substStmts(s.Stmts, env), TokPos: s.TokPos}
 	case *ast.VarDecl:
 		n := *s
 		if s.Init != nil {
-			n.Init = substExpr(s.Init, env)
+			n.Init = r.substExpr(s.Init, env)
 		}
 		return &n
 	case *ast.AssignStmt:
 		return &ast.AssignStmt{
-			LHS:    substExpr(s.LHS, env),
-			RHS:    substExpr(s.RHS, env),
+			LHS:    r.substExpr(s.LHS, env),
+			RHS:    r.substExpr(s.RHS, env),
 			TokPos: s.TokPos,
 		}
 	case *ast.IfStmt:
-		n := &ast.IfStmt{Cond: substExpr(s.Cond, env), TokPos: s.TokPos}
-		n.Then = substStmt(s.Then, env)
+		n := &ast.IfStmt{Cond: r.substExpr(s.Cond, env), TokPos: s.TokPos}
+		n.Then = r.substStmt(s.Then, env)
 		if s.Else != nil {
-			n.Else = substStmt(s.Else, env)
+			n.Else = r.substStmt(s.Else, env)
 		}
 		return n
 	case *ast.CallStmt:
-		return &ast.CallStmt{Call: substExpr(s.Call, env).(*ast.CallExpr), TokPos: s.TokPos}
+		return &ast.CallStmt{Call: r.substExpr(s.Call, env).(*ast.CallExpr), TokPos: s.TokPos}
 	default:
 		return s
 	}
 }
 
-func substExpr(e ast.Expr, env map[string]ast.Expr) ast.Expr {
+func (r *rewriter) substExpr(e ast.Expr, env map[string]ast.Expr) ast.Expr {
+	var n ast.Expr
 	switch e := e.(type) {
 	case *ast.Ident:
 		if repl, ok := env[e.Name]; ok {
@@ -662,25 +680,26 @@ func substExpr(e ast.Expr, env map[string]ast.Expr) ast.Expr {
 		}
 		return e
 	case *ast.Member:
-		return &ast.Member{X: substExpr(e.X, env), Name: e.Name, TokPos: e.TokPos}
+		n = &ast.Member{X: r.substExpr(e.X, env), Name: e.Name, TokPos: e.TokPos}
 	case *ast.CallExpr:
-		n := &ast.CallExpr{Fun: substExpr(e.Fun, env), TokPos: e.TokPos}
+		call := &ast.CallExpr{Fun: r.substExpr(e.Fun, env), TokPos: e.TokPos}
 		for _, a := range e.Args {
-			n.Args = append(n.Args, substExpr(a, env))
+			call.Args = append(call.Args, r.substExpr(a, env))
 		}
-		return n
+		n = call
 	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: e.Op, X: substExpr(e.X, env), TokPos: e.TokPos}
+		n = &ast.UnaryExpr{Op: e.Op, X: r.substExpr(e.X, env), TokPos: e.TokPos}
 	case *ast.BinaryExpr:
-		return &ast.BinaryExpr{Op: e.Op, X: substExpr(e.X, env), Y: substExpr(e.Y, env), TokPos: e.TokPos}
+		n = &ast.BinaryExpr{Op: e.Op, X: r.substExpr(e.X, env), Y: r.substExpr(e.Y, env), TokPos: e.TokPos}
 	case *ast.TernaryExpr:
-		return &ast.TernaryExpr{
-			Cond: substExpr(e.Cond, env), Then: substExpr(e.Then, env),
-			Else: substExpr(e.Else, env), TokPos: e.TokPos,
+		n = &ast.TernaryExpr{
+			Cond: r.substExpr(e.Cond, env), Then: r.substExpr(e.Then, env),
+			Else: r.substExpr(e.Else, env), TokPos: e.TokPos,
 		}
 	case *ast.SliceExpr:
-		return &ast.SliceExpr{X: substExpr(e.X, env), Hi: e.Hi, Lo: e.Lo, TokPos: e.TokPos}
+		n = &ast.SliceExpr{X: r.substExpr(e.X, env), Hi: e.Hi, Lo: e.Lo, TokPos: e.TokPos}
 	default:
 		return e
 	}
+	return r.typed(n, r.s.Info.TypeOf(e))
 }

@@ -81,7 +81,9 @@ type Val struct {
 type Info struct {
 	Prog *ast.Program
 	// Types records the resolved type of every checked expression,
-	// including the inferred width of unsized integer literals.
+	// including the inferred width of unsized integer literals. A
+	// derived Info (Derive) shares the checked original's; read types
+	// through TypeOf.
 	Types map[ast.Expr]T
 	// Consts maps a constant's name to its value (program-level and
 	// control-level consts share a namespace; duplicates are rejected).
@@ -90,10 +92,29 @@ type Info struct {
 	HeaderBits map[string]int
 
 	resolvedTypedefs map[string]ast.Type
+	// created holds the types of the nodes a rewrite made (Derive);
+	// TypeOf looks here before Types.
+	created map[ast.Expr]T
 }
 
 // TypeOf returns the resolved type of e; KInvalid if e was never checked.
-func (in *Info) TypeOf(e ast.Expr) T { return in.Types[e] }
+func (in *Info) TypeOf(e ast.Expr) T {
+	if t, ok := in.created[e]; ok {
+		return t
+	}
+	return in.Types[e]
+}
+
+// Derive returns the Info of prog, a rewrite of in.Prog that keeps its
+// typedefs, consts, headers and structs, without checking prog again:
+// every node prog shares with in.Prog keeps its type, and created gives
+// the type of each expression node the rewrite made. in is an Info
+// Check returned; the result shares its tables, and neither is modified.
+func (in *Info) Derive(prog *ast.Program, created map[ast.Expr]T) *Info {
+	d := *in
+	d.Prog, d.created = prog, created
+	return &d
+}
 
 // Resolve maps a syntactic type to its resolved form, following
 // typedefs. Unknown names yield KInvalid (checking has already reported

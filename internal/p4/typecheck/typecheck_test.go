@@ -272,3 +272,39 @@ control C(inout metadata meta, inout standard_metadata_t std) {
 		t.Fatalf("literal adopted %v", tt)
 	}
 }
+
+// TestDeriveOverlaysCreatedNodes: a derived Info answers the created
+// nodes from its own table and every shared node from the original's,
+// resolves the original's type names, and leaves the original as it was.
+func TestDeriveOverlaysCreatedNodes(t *testing.T) {
+	prog := mustParse(t, goodSrc)
+	in, err := Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared ast.Expr
+	for e := range in.Types {
+		if _, ok := e.(*ast.Member); ok {
+			shared = e
+			break
+		}
+	}
+	rewrite := &ast.Program{Name: prog.Name + ".rewrite", Typedefs: prog.Typedefs, Consts: prog.Consts, Headers: prog.Headers, Structs: prog.Structs}
+	lit := &ast.IntLit{Width: 12, Lo: 5}
+	d := in.Derive(rewrite, map[ast.Expr]T{lit: {Kind: KBits, Width: 12}})
+	if d.Prog != rewrite || in.Prog != prog {
+		t.Fatal("Derive did not give the rewrite its own Prog, or changed the original's")
+	}
+	if got := d.TypeOf(lit); got != (T{Kind: KBits, Width: 12}) {
+		t.Fatalf("created literal: %s, want bit<12>", got)
+	}
+	if got := in.TypeOf(lit); got.Kind != KInvalid {
+		t.Fatalf("the original types a node it never saw as %s", got)
+	}
+	if got, want := d.TypeOf(shared), in.TypeOf(shared); got != want || got.Kind == KInvalid {
+		t.Fatalf("shared node %s: derived %s, original %s", ast.ExprString(shared), got, want)
+	}
+	if got := d.Resolve(ast.Type{Kind: ast.TypeNamed, Name: "mac_addr_t"}); got != (T{Kind: KBits, Width: 48}) {
+		t.Fatalf("derived Info resolves mac_addr_t as %s", got)
+	}
+}

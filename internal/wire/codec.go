@@ -26,7 +26,9 @@ var (
 // Decode strictly parses one JSON value from r into v: at most max
 // bytes (DefaultMaxBody when max <= 0), unknown fields rejected, and
 // nothing but whitespace after the value. Malformed, truncated or
-// oversized input returns an error; no input panics.
+// oversized input returns an error; no input panics. A body over the
+// cap is ErrTooLarge whatever its bytes, even when they stop parsing
+// before the cap.
 func Decode(r io.Reader, max int64, v any) error {
 	if max <= 0 {
 		max = DefaultMaxBody
@@ -35,6 +37,9 @@ func Decode(r io.Reader, max int64, v any) error {
 	dec := json.NewDecoder(lr)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		// The decoder stops at the first error, which may come before
+		// the cap: spend the rest of the budget to tell the two apart.
+		io.Copy(io.Discard, lr)
 		if lr.N <= 0 {
 			return fmt.Errorf("%w (cap %d bytes)", ErrTooLarge, max)
 		}

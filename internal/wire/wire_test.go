@@ -219,6 +219,19 @@ func TestDecodeStrictness(t *testing.T) {
 	if err := Decode(strings.NewReader(big), 16, &req); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized body: got %v, want ErrTooLarge", err)
 	}
+	// Broken in its first bytes, which the decoder's first read holds,
+	// and over the cap: still too large, and the read stops at the cap.
+	const brokenCap = 4096
+	broken := strings.NewReader(`{"updates":]` + strings.Repeat("x", 2*brokenCap))
+	if err := Decode(broken, brokenCap, &req); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("malformed oversized body: got %v, want ErrTooLarge", err)
+	}
+	if read := broken.Size() - int64(broken.Len()); read != brokenCap+1 {
+		t.Fatalf("malformed oversized body: read %d bytes, want the cap + 1 = %d", read, brokenCap+1)
+	}
+	if err := Decode(strings.NewReader(`{"updates":]`), brokenCap, &req); err == nil || errors.Is(err, ErrTooLarge) {
+		t.Fatalf("malformed body under the cap: got %v, want a decoding error", err)
+	}
 }
 
 func TestCreateSessionRequestValidate(t *testing.T) {
