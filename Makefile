@@ -57,7 +57,7 @@ help:
 	@echo "              not be written under the read lock), -race -count=3"
 	@echo "  fuzz-smoke  $(FUZZ_SMOKE) of native fuzzing per target (FuzzP4Parse, FuzzSolver, FuzzSolverOracle,"
 	@echo "              FuzzChainMatchesFresh, FuzzSnapshot, FuzzWireDecode, FuzzExecCodec, FuzzBinFrameDecode,"
-	@echo "              FuzzDpexecVsBmv2)"
+	@echo "              FuzzDpexecVsBmv2, FuzzSpecializedVsOriginal)"
 	@echo "  soak        build flayd+flayload, drive $(SOAK_N) updates, SIGTERM, assert clean exit + snapshot"
 	@echo "  soak-churn  long-horizon churn soak: flaysoak drives $(SOAK_CHURN_UPDATES) updates/program of"
 	@echo "              trace-driven churn through flayd, gating flat memory, stable p99,"
@@ -138,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExecCodec -fuzztime=$(FUZZ_SMOKE) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzBinFrameDecode -fuzztime=$(FUZZ_SMOKE) ./internal/wire/binproto
 	$(GO) test -run='^$$' -fuzz=FuzzDpexecVsBmv2 -fuzztime=$(FUZZ_SMOKE) ./internal/dpexec
+	$(GO) test -run='^$$' -fuzz=FuzzSpecializedVsOriginal -fuzztime=$(FUZZ_SMOKE) ./internal/dpexec
 
 # soak: the daemon's operational acceptance loop as a make target.
 # Builds flayd and flayload, boots the daemon with a snapshot dir,

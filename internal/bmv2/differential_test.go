@@ -169,8 +169,9 @@ func TestDifferentialFig3Evolution(t *testing.T) {
 	}
 }
 
-// TestDifferentialParserPruning: pruned parser tails and select cases
-// must not change emitted packets.
+// TestDifferentialParserPruning: pruned select cases must not change
+// emitted packets. The specialized parser keeps every extract, so the
+// trailer nothing reads is still extracted.
 func TestDifferentialParserPruning(t *testing.T) {
 	src := `
 header ethernet_t { bit<48> dst; bit<48> src; bit<16> type; }
@@ -219,8 +220,7 @@ control C(inout headers hdr, inout metadata meta, inout standard_metadata_t std)
 		}
 		return Packet{Data: data}
 	}
-	// Unconfigured VLAN value set: the vlan path is pruned and the
-	// trailer (never used) extract dropped.
+	// Unconfigured VLAN value set: the vlan path is pruned.
 	comparePrograms(t, r, s, 80, gen)
 
 	// Configure the VLAN set and compare again.

@@ -84,6 +84,9 @@ func (in *Interp) runParser(pd *ast.ParserDecl) (bool, error) {
 		if st == nil {
 			return false, fail("unknown parser state %s", state)
 		}
+		if in.trace != nil {
+			in.trace(state)
+		}
 		for _, s := range st.Stmts {
 			if err := in.stmt(s); err != nil {
 				if _, short := err.(*shortPacket); short {

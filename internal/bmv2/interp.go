@@ -69,6 +69,8 @@ type Interp struct {
 	cfg  *controlplane.Config
 
 	registers map[string][]sym.BV
+	// trace, when set, sees every parser state a run enters.
+	trace func(state string)
 
 	// Per-run state.
 	store   map[string]sym.BV

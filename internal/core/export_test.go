@@ -37,6 +37,17 @@ func SpecializedProgramInfo(s *Specializer) (*ast.Program, *typecheck.Info) {
 	return s.specializedProgramLocked()
 }
 
+// SpecializedOverlay is the type overlay the rewriter carries to the
+// specialized program: the expression nodes it made, with their types.
+func SpecializedOverlay(s *Specializer) map[ast.Expr]typecheck.T {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r := &rewriter{s: s, plan: s.plan, types: make(map[ast.Expr]typecheck.T)}
+	r.prepare()
+	r.program()
+	return r.types
+}
+
 // FailNextImageCompile makes the engine's next full image compile fail,
 // as a program dpexec cannot compile would.
 func FailNextImageCompile(s *Specializer) {

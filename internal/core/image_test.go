@@ -141,7 +141,8 @@ control Ingress(inout headers hdr, inout metadata meta, inout standard_metadata_
 // TestInlinedParameterTypes: one all-wildcard entry inlines set into the
 // apply block. The published image must hash like a fresh compile, every
 // expression of the inlined body must carry the type a fresh check gives
-// it (freshImage), and no image compile may have failed.
+// it (freshImage), the overlay must hold only the nodes the substitution
+// changed, and no image compile may have failed.
 func TestInlinedParameterTypes(t *testing.T) {
 	s, err := core.NewFromSource("inline", inlineSrc, core.Options{Exec: true})
 	if err != nil {
@@ -160,6 +161,13 @@ func TestInlinedParameterTypes(t *testing.T) {
 		t.Fatalf("set is not inlined:\n%s", src)
 	}
 	checkImageParity(t, s, "inlined set")
+	// Only nodes that hold the parameter are copies: hdr.h and hdr.h.a
+	// are the action's own nodes, so the overlay has no entry for them.
+	for e := range core.SpecializedOverlay(s) {
+		if str := ast.ExprString(e); str == "hdr.h" || str == "hdr.h.a" {
+			t.Fatalf("the overlay holds a copy of %s, which holds no parameter", str)
+		}
+	}
 	if n := s.Statistics().ImageErrors; n != 0 {
 		t.Fatalf("%d image compiles failed", n)
 	}

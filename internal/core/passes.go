@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/dataplane"
 	"repro/internal/p4/ast"
 	"repro/internal/p4/token"
@@ -11,8 +13,10 @@ import (
 // SpecializedProgram rebuilds the program with every specialization the
 // current verdicts permit: dead-branch elimination, constant
 // propagation, table inlining, dead-action removal, match-kind
-// narrowing, empty-table removal, select-case pruning and parser-tail
-// pruning (paper §3, §4.1). The original program is never mutated.
+// narrowing, empty-table removal and select-case pruning (paper §3,
+// §4.1). The parser keeps every extract of the original, in order:
+// specialization never changes where a header is read or which short
+// frame the parser rejects. The original program is never mutated.
 func (s *Specializer) SpecializedProgram() *ast.Program {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -149,10 +153,6 @@ type rewriter struct {
 	// kept holds, per qualified table name, the implementation prepare
 	// force-kept in place of the installed one.
 	kept map[string]*tableImpl
-	// usedHeaders is the set of header-instance paths accessed by the
-	// program outside parser extracts, with every dotted prefix of each
-	// (parser-tail pruning).
-	usedHeaders map[string]bool
 	// types holds the type of every expression node the rewrite made;
 	// every other node keeps the type the original program's check gave
 	// it.
@@ -235,85 +235,6 @@ func (r *rewriter) constAssign(asg *ast.AssignStmt) (sym.BV, bool) {
 	return val, len(ids) > 0
 }
 
-// computeUsedHeadersFrom collects header instances referenced anywhere
-// outside extract statements: in (specialized) control bodies, table
-// keys, action bodies, and the original parser's select expressions.
-// Extracted-but-unused headers can be reclassified as payload (§3,
-// parser-tail pruning).
-func (r *rewriter) computeUsedHeadersFrom(controls []*ast.ControlDecl) {
-	r.usedHeaders = make(map[string]bool)
-	use := func(path string) {
-		if r.usedHeaders[path] {
-			return // and so are its prefixes
-		}
-		r.usedHeaders[path] = true
-		for i := len(path) - 1; i > 0; i-- {
-			if path[i] == '.' {
-				r.usedHeaders[path[:i]] = true
-			}
-		}
-	}
-	markExpr := func(e ast.Expr) {
-		ast.WalkExprs(e, func(sub ast.Expr) {
-			if path, ok := typecheck.FieldPath(sub); ok {
-				use(path)
-			}
-			if call, ok := sub.(*ast.CallExpr); ok {
-				if m, ok := call.Fun.(*ast.Member); ok && (m.Name == "isValid" || m.Name == "setValid" || m.Name == "setInvalid") {
-					if path, ok := typecheck.FieldPath(m.X); ok {
-						use(path)
-					}
-				}
-			}
-		})
-	}
-	var markStmt func(st ast.Stmt)
-	markStmt = func(st ast.Stmt) {
-		ast.WalkStmts(st, func(inner ast.Stmt) {
-			switch inner := inner.(type) {
-			case *ast.AssignStmt:
-				markExpr(inner.LHS)
-				markExpr(inner.RHS)
-			case *ast.IfStmt:
-				markExpr(inner.Cond)
-			case *ast.VarDecl:
-				if inner.Init != nil {
-					markExpr(inner.Init)
-				}
-			case *ast.CallStmt:
-				if m, ok := inner.Call.Fun.(*ast.Member); ok && m.Name == "extract" {
-					return // extracts themselves don't count as uses
-				}
-				markExpr(inner.Call)
-			}
-		})
-	}
-	for _, cd := range controls {
-		for _, a := range cd.Actions {
-			markStmt(a.Body)
-		}
-		for _, t := range cd.Tables {
-			for _, k := range t.Keys {
-				markExpr(k.Expr)
-			}
-		}
-		markStmt(cd.Apply)
-	}
-	for _, pd := range r.s.Prog.Parsers {
-		for _, st := range pd.States {
-			for _, e := range st.Trans.Select {
-				markExpr(e)
-			}
-		}
-	}
-}
-
-// headerUsed reports whether the header instance at path (or any of its
-// fields) is referenced.
-func (r *rewriter) headerUsed(path string) bool {
-	return r.usedHeaders[path]
-}
-
 // ---------------------------------------------------------------------------
 // Program rebuild
 
@@ -326,12 +247,9 @@ func (r *rewriter) program() *ast.Program {
 		Headers:  src.Headers,
 		Structs:  src.Structs,
 	}
-	// Controls first: parser-tail pruning keys off the uses that remain
-	// after table removal and dead-branch elimination.
 	for _, cd := range src.Controls {
 		out.Controls = append(out.Controls, r.controlDecl(cd))
 	}
-	r.computeUsedHeadersFrom(out.Controls)
 	for _, pd := range src.Parsers {
 		out.Parsers = append(out.Parsers, r.parserDecl(pd))
 	}
@@ -351,18 +269,10 @@ func (r *rewriter) parserDecl(pd *ast.ParserDecl) *ast.ParserDecl {
 	return out
 }
 
+// state keeps a parser state's statements and drops the select cases
+// the verdicts prove are never taken.
 func (r *rewriter) state(pd *ast.ParserDecl, st *ast.State) *ast.State {
-	out := &ast.State{Name: st.Name, TokPos: st.TokPos}
-	for _, s := range st.Stmts {
-		if call, ok := s.(*ast.CallStmt); ok {
-			if m, ok := call.Call.Fun.(*ast.Member); ok && m.Name == "extract" {
-				if path, ok := typecheck.FieldPath(call.Call.Args[0]); ok && !r.headerUsed(path) {
-					continue // parser-tail pruning: header is payload
-				}
-			}
-		}
-		out.Stmts = append(out.Stmts, s)
-	}
+	out := &ast.State{Name: st.Name, Stmts: st.Stmts, TokPos: st.TokPos}
 	tr := st.Trans
 	if tr.Select == nil {
 		out.Trans = tr
@@ -613,8 +523,9 @@ func (r *rewriter) applyReplacement(qname string, orig *ast.CallStmt) []ast.Stmt
 }
 
 // ---------------------------------------------------------------------------
-// Identifier substitution (for action inlining). Every expression node a
-// substitution copies is an original one, and the copy has its type.
+// Identifier substitution (for action inlining). A subtree that holds no
+// substituted identifier is returned as it is; every node a substitution
+// copies is an original one, and the copy has its type.
 
 func (r *rewriter) substStmts(stmts []ast.Stmt, env map[string]ast.Expr) []ast.Stmt {
 	out := make([]ast.Stmt, 0, len(stmts))
@@ -680,24 +591,49 @@ func (r *rewriter) substExpr(e ast.Expr, env map[string]ast.Expr) ast.Expr {
 		}
 		return e
 	case *ast.Member:
-		n = &ast.Member{X: r.substExpr(e.X, env), Name: e.Name, TokPos: e.TokPos}
+		x := r.substExpr(e.X, env)
+		if x == e.X {
+			return e
+		}
+		n = &ast.Member{X: x, Name: e.Name, TokPos: e.TokPos}
 	case *ast.CallExpr:
-		call := &ast.CallExpr{Fun: r.substExpr(e.Fun, env), TokPos: e.TokPos}
-		for _, a := range e.Args {
-			call.Args = append(call.Args, r.substExpr(a, env))
+		fun, args, copied := r.substExpr(e.Fun, env), e.Args, false
+		for i, a := range e.Args {
+			if na := r.substExpr(a, env); na != a {
+				if !copied {
+					args, copied = slices.Clone(e.Args), true
+				}
+				args[i] = na
+			}
 		}
-		n = call
+		if fun == e.Fun && !copied {
+			return e
+		}
+		n = &ast.CallExpr{Fun: fun, Args: args, TokPos: e.TokPos}
 	case *ast.UnaryExpr:
-		n = &ast.UnaryExpr{Op: e.Op, X: r.substExpr(e.X, env), TokPos: e.TokPos}
-	case *ast.BinaryExpr:
-		n = &ast.BinaryExpr{Op: e.Op, X: r.substExpr(e.X, env), Y: r.substExpr(e.Y, env), TokPos: e.TokPos}
-	case *ast.TernaryExpr:
-		n = &ast.TernaryExpr{
-			Cond: r.substExpr(e.Cond, env), Then: r.substExpr(e.Then, env),
-			Else: r.substExpr(e.Else, env), TokPos: e.TokPos,
+		x := r.substExpr(e.X, env)
+		if x == e.X {
+			return e
 		}
+		n = &ast.UnaryExpr{Op: e.Op, X: x, TokPos: e.TokPos}
+	case *ast.BinaryExpr:
+		x, y := r.substExpr(e.X, env), r.substExpr(e.Y, env)
+		if x == e.X && y == e.Y {
+			return e
+		}
+		n = &ast.BinaryExpr{Op: e.Op, X: x, Y: y, TokPos: e.TokPos}
+	case *ast.TernaryExpr:
+		c, th, el := r.substExpr(e.Cond, env), r.substExpr(e.Then, env), r.substExpr(e.Else, env)
+		if c == e.Cond && th == e.Then && el == e.Else {
+			return e
+		}
+		n = &ast.TernaryExpr{Cond: c, Then: th, Else: el, TokPos: e.TokPos}
 	case *ast.SliceExpr:
-		n = &ast.SliceExpr{X: r.substExpr(e.X, env), Hi: e.Hi, Lo: e.Lo, TokPos: e.TokPos}
+		x := r.substExpr(e.X, env)
+		if x == e.X {
+			return e
+		}
+		n = &ast.SliceExpr{X: x, Hi: e.Hi, Lo: e.Lo, TokPos: e.TokPos}
 	default:
 		return e
 	}

@@ -138,7 +138,7 @@ type Quality uint8
 
 const (
 	// QualityFull applies every pass: DCE, constant propagation, table
-	// inlining, dead-action removal, match-kind narrowing, parser
+	// inlining, dead-action removal, match-kind narrowing, select-case
 	// pruning. Best resource usage, most recompilation triggers.
 	QualityFull Quality = iota
 	// QualityNoNarrowing skips match-kind narrowing (ternary keys stay

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bmv2"
 	"repro/internal/controlplane"
 	"repro/internal/p4/ast"
 	"repro/internal/p4/parser"
@@ -454,9 +455,11 @@ control C(inout headers hdr, inout metadata meta, inout standard_metadata_t std)
 	}
 }
 
-// TestParserTailPruning: an extracted header never accessed downstream
-// is reclassified as payload.
-func TestParserTailPruning(t *testing.T) {
+// TestParserKeepsUnusedExtracts: a header nothing reads is still
+// extracted by the specialized parser, so a frame too short for it is a
+// parser reject on both programs. Dropping the extract would forward
+// the 16-byte frame to port 1.
+func TestParserKeepsUnusedExtracts(t *testing.T) {
 	src := `
 header ethernet_t { bit<48> dst; bit<48> src; bit<16> type; }
 header trailer_t { bit<32> crc; }
@@ -476,12 +479,28 @@ control C(inout headers hdr, inout metadata meta, inout standard_metadata_t std)
 }
 `
 	s := newSpec(t, src, Options{})
-	printed := ast.Print(s.SpecializedProgram())
-	if strings.Contains(printed, "extract(hdr.trailer)") {
-		t.Fatalf("unused trailer extract should be pruned:\n%s", printed)
+	spec := s.SpecializedProgram()
+	printed := ast.Print(spec)
+	if !strings.Contains(printed, "extract(hdr.eth)") || !strings.Contains(printed, "extract(hdr.trailer)") {
+		t.Fatalf("the specialized parser must keep both extracts:\n%s", printed)
 	}
-	if !strings.Contains(printed, "extract(hdr.eth)") {
-		t.Fatalf("used eth extract must stay:\n%s", printed)
+	specInfo, err := typecheck.Check(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := bmv2.Packet{Data: make([]byte, 16), IngressPort: 3}
+	frame.Data[5] = 1 // eth.dst[8:0] = 1
+	for _, run := range []struct {
+		name string
+		in   *bmv2.Interp
+	}{{"original", bmv2.New(s.Prog, s.Info, s.Cfg)}, {"specialized", bmv2.New(spec, specInfo, s.Cfg)}} {
+		res, err := run.in.Run(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.ParserRejected {
+			t.Fatalf("%s program: the 16-byte frame must be a parser reject, got %+v", run.name, res)
+		}
 	}
 }
 

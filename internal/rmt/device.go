@@ -3,8 +3,8 @@
 // logical-table budgets, a global PHV budget, and a dependency-ordered
 // greedy stage allocator. It is the hardware substrate for the paper's
 // resource-savings experiments (§3, §4.2): specialized programs with
-// fewer tables, narrower match kinds and pruned parsers allocate fewer
-// stages, TCAM blocks and PHV bits.
+// fewer tables and narrower match kinds allocate fewer stages and TCAM
+// blocks.
 package rmt
 
 import (

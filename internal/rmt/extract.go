@@ -211,8 +211,10 @@ func actionWrites(act *ast.Action) []string {
 
 // phvDemand estimates packet-header-vector pressure: every field of
 // every header the parser extracts (or of all headers when there is no
-// parser), plus user metadata fields. Parser-tail pruning therefore
-// directly reduces PHV (paper §3).
+// parser), plus user metadata fields. Specialization keeps every
+// extract, so a specialized program's demand is its original's: which
+// extracted fields a device may leave out of the PHV is the backend's
+// choice, and this model does not make it.
 func phvDemand(prog *ast.Program, info *typecheck.Info) int {
 	bits := 0
 	extracted := make(map[string]bool)
